@@ -33,7 +33,7 @@ from . import __version__
 from .density import TruncationError, closure_pair, weights
 from .eve import attack_trials, decision_credit
 from .noise import DistributionKind, NoiseSpec, ResistorPair
-from .protocol import SessionConfig, leak_sweep, run_session
+from .protocol import SessionConfig, leak_sweep, records_csv, run_session
 
 _KIND_CHOICES = tuple(k.value for k in DistributionKind)
 
@@ -235,8 +235,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outputs: dict[str, str] = {}
     _write_artifact(out_dir, "session.json", outcome.to_json().encode("ascii"), outputs)
     if args.csv:
-        outcome.records_to_csv(out_dir / "bits.csv")
-        outputs["bits.csv"] = hashlib.sha256((out_dir / "bits.csv").read_bytes()).hexdigest()
+        _write_artifact(out_dir, "bits.csv", records_csv(outcome.records).encode("ascii"), outputs)
     _write_manifest(
         out_dir,
         RunManifest(

@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
 from .density import PdfGrid, analytic_pdf, symmetric_grid
-from .line import LineTrace, SwitchState, line_signals, resistance_for
-from .noise import DistributionKind, NoiseSpec, ResistorPair, Trace, sample, stream
+from .line import LineTrace, SwitchState, blocks, line_block, resistance_for
+from .noise import DistributionKind, NoiseSpec, ResistorPair, Trace, stream
 
 MIN_TEST_SAMPLES = 100
 
@@ -154,14 +155,19 @@ def reconstruct_alice(line: LineTrace, r_alice: float) -> Trace:
     """Invert the loop for Alice's source assuming she presents ``r_alice``."""
     if r_alice <= 0.0:
         raise ValueError("resistance must be positive")
-    return Trace(line.voltage.samples - line.current.samples * r_alice)
+    return Trace(_reconstruct(line.voltage.samples, line.current.samples, r_alice, alice=True))
 
 
 def reconstruct_bob(line: LineTrace, r_bob: float) -> Trace:
     """Invert the loop for Bob's source assuming he presents ``r_bob``."""
     if r_bob <= 0.0:
         raise ValueError("resistance must be positive")
-    return Trace(line.voltage.samples + line.current.samples * r_bob)
+    return Trace(_reconstruct(line.voltage.samples, line.current.samples, r_bob, alice=False))
+
+
+def _reconstruct(voltage: np.ndarray, current: np.ndarray, r: float, alice: bool) -> np.ndarray:
+    """Source estimate of Alice (or Bob) presenting ``r``, for arrays of any shape."""
+    return voltage - current * r if alice else voltage + current * r
 
 
 def security_sigma_ratio(pair: ResistorPair) -> float:
@@ -195,20 +201,8 @@ def variance_test(samples: Trace, expected_sigma: float, significance: float) ->
         raise ValueError(f"variance test needs at least {MIN_TEST_SAMPLES} samples")
     if expected_sigma <= 0.0:
         raise ValueError("expected_sigma must be positive")
-    if not 0.0 < significance < 1.0:
-        raise ValueError("significance must lie in (0, 1)")
-    expected = expected_sigma**2
-    observed = float(np.mean(samples.samples**2))
-    z = (observed - expected) / (expected * math.sqrt(2.0 / n))
-    p = 2.0 * float(special.ndtr(-abs(z)))
-    return VarianceTestResult(
-        n=n,
-        sample_variance=observed,
-        expected_variance=expected,
-        z=z,
-        p_value=p,
-        reject=p < significance,
-    )
+    _check_significance(significance)
+    return _variance_rows(samples.samples[None, :], expected_sigma, significance).result(0)
 
 
 def shape_test(samples: Trace, reference: PdfGrid, significance: float) -> ShapeTestResult:
@@ -221,18 +215,80 @@ def shape_test(samples: Trace, reference: PdfGrid, significance: float) -> Shape
     n = len(samples)
     if n < MIN_TEST_SAMPLES:
         raise ValueError(f"shape test needs at least {MIN_TEST_SAMPLES} samples")
+    _check_significance(significance)
+    return _shape_rows(samples.samples[None, :], _reference_cdf(reference), significance).result(0)
+
+
+def _check_significance(significance: float) -> None:
     if not 0.0 < significance < 1.0:
         raise ValueError("significance must lie in (0, 1)")
+
+
+def _reference_cdf(reference: PdfGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae and CDF of a shape reference, checked for unit mass."""
     if abs(reference.integral() - 1.0) > 1e-6:
         raise ValueError("reference density is not normalized")
-    xs = np.sort(samples.samples)
-    cdf = np.interp(xs, reference.x, reference.cdf())
+    return reference.x, reference.cdf()
+
+
+class _VarianceRows(NamedTuple):
+    """Variance z test of every row of a block: one entry per row."""
+
+    n: int
+    expected: float
+    observed: np.ndarray
+    z: np.ndarray
+    p: np.ndarray
+    reject: np.ndarray
+
+    def result(self, k: int) -> VarianceTestResult:
+        return VarianceTestResult(
+            n=self.n,
+            sample_variance=float(self.observed[k]),
+            expected_variance=self.expected,
+            z=float(self.z[k]),
+            p_value=float(self.p[k]),
+            reject=bool(self.reject[k]),
+        )
+
+
+class _ShapeRows(NamedTuple):
+    """KS test of every row of a block: one entry per row."""
+
+    n: int
+    statistic: np.ndarray
+    p: np.ndarray
+    reject: np.ndarray
+
+    def result(self, k: int) -> ShapeTestResult:
+        return ShapeTestResult(
+            n=self.n,
+            statistic=float(self.statistic[k]),
+            p_value=float(self.p[k]),
+            reject=bool(self.reject[k]),
+        )
+
+
+def _variance_rows(x: np.ndarray, expected_sigma: float, level: float) -> _VarianceRows:
+    n = x.shape[1]
+    expected = expected_sigma**2
+    observed = np.mean(x**2, axis=1)
+    z = (observed - expected) / (expected * math.sqrt(2.0 / n))
+    p = 2.0 * special.ndtr(-np.abs(z))
+    return _VarianceRows(n, expected, observed, z, p, p < level)
+
+
+def _shape_rows(
+    x: np.ndarray, reference: tuple[np.ndarray, np.ndarray], level: float
+) -> _ShapeRows:
+    n = x.shape[1]
+    cdf = np.interp(np.sort(x, axis=1), *reference)
     i = np.arange(1, n + 1, dtype=np.float64)
-    d_plus = float(np.max(i / n - cdf))
-    d_minus = float(np.max(cdf - (i - 1.0) / n))
-    statistic = max(d_plus, d_minus)
-    p = float(special.kolmogorov(math.sqrt(n) * statistic))
-    return ShapeTestResult(n=n, statistic=statistic, p_value=p, reject=p < significance)
+    d_plus = np.max(i / n - cdf, axis=1)
+    d_minus = np.max(cdf - (i - 1.0) / n, axis=1)
+    statistic = np.maximum(d_plus, d_minus)
+    p = special.kolmogorov(math.sqrt(n) * statistic)
+    return _ShapeRows(n, statistic, p, p < level)
 
 
 def reference_grid(spec: NoiseSpec) -> PdfGrid:
@@ -243,6 +299,99 @@ def reference_grid(spec: NoiseSpec) -> PdfGrid:
         spec.scale,
         *symmetric_grid(widths * spec.scale, steps * spec.scale),
     )
+
+
+_HYPOTHESES = (
+    (EveDecision.ALICE_LOW, Hypothesis(SwitchState.LOW, SwitchState.HIGH)),
+    (EveDecision.ALICE_HIGH, Hypothesis(SwitchState.HIGH, SwitchState.LOW)),
+)
+
+
+class BlockAttack:
+    """Both mixed-state hypotheses, tested on blocks of bits held one per row.
+
+    Built once per attack, session or trial run, so each reference CDF is
+    built and checked for unit mass once rather than once per bit.
+    """
+
+    def __init__(
+        self,
+        pair: ResistorPair,
+        spec_low: NoiseSpec,
+        spec_high: NoiseSpec,
+        significance: float,
+        references: tuple[PdfGrid, PdfGrid],
+    ) -> None:
+        self.pair = pair
+        self.significance = significance
+        self.by_state = {
+            SwitchState.LOW: (spec_low, _reference_cdf(references[0])),
+            SwitchState.HIGH: (spec_high, _reference_cdf(references[1])),
+        }
+
+    def tests(self, voltage: np.ndarray, current: np.ndarray) -> dict[EveDecision, _HypothesisRows]:
+        """Every sub-test of both hypotheses on a block of line signals.
+
+        The per-test level is the significance divided by the number of
+        sub-tests (Bonferroni); Cauchy sources get a shape test only.
+        """
+        out = {}
+        for decision, hyp in _HYPOTHESES:
+            parties = ((True, hyp.alice_state), (False, hyp.bob_state))
+            n_tests = sum(
+                1 if self.by_state[state][0].kind is DistributionKind.CAUCHY else 2
+                for _, state in parties
+            )
+            level = self.significance / n_tests
+            variances: list[_VarianceRows | None] = []
+            shapes: list[_ShapeRows] = []
+            rejected = np.zeros(voltage.shape[0], dtype=bool)
+            for alice, state in parties:
+                spec, ref = self.by_state[state]
+                x = _reconstruct(voltage, current, resistance_for(self.pair, state), alice)
+                if spec.kind is DistributionKind.CAUCHY:
+                    variances.append(None)
+                else:
+                    variances.append(_variance_rows(x, spec.scale, level))
+                    rejected |= variances[-1].reject
+                shapes.append(_shape_rows(x, ref, level))
+                rejected |= shapes[-1].reject
+            out[decision] = _HypothesisRows(*variances, *shapes, rejected)
+        return out
+
+    def decisions(self, voltage: np.ndarray, current: np.ndarray) -> list[EveDecision]:
+        """One decision per row of a block of line signals."""
+        tests = self.tests(voltage, current)
+        low_rejected = tests[EveDecision.ALICE_LOW].rejected.tolist()
+        high_rejected = tests[EveDecision.ALICE_HIGH].rejected.tolist()
+        return [_decide(low, high) for low, high in zip(low_rejected, high_rejected)]
+
+
+class _HypothesisRows(NamedTuple):
+    """All sub-tests of one hypothesis on a block; ``rejected`` flags each row."""
+
+    alice_variance: _VarianceRows | None
+    bob_variance: _VarianceRows | None
+    alice_shape: _ShapeRows
+    bob_shape: _ShapeRows
+    rejected: np.ndarray
+
+    def report(self, k: int) -> HypothesisReport:
+        return HypothesisReport(
+            alice_variance=None if self.alice_variance is None else self.alice_variance.result(k),
+            bob_variance=None if self.bob_variance is None else self.bob_variance.result(k),
+            alice_shape=self.alice_shape.result(k),
+            bob_shape=self.bob_shape.result(k),
+            rejected=bool(self.rejected[k]),
+        )
+
+
+def _decide(low_rejected: bool, high_rejected: bool) -> EveDecision:
+    if low_rejected and not high_rejected:
+        return EveDecision.ALICE_HIGH
+    if high_rejected and not low_rejected:
+        return EveDecision.ALICE_LOW
+    return EveDecision.UNDECIDED
 
 
 def attack(
@@ -262,53 +411,18 @@ def attack(
     caller reuse pre-tabulated low and high reference densities across
     many bits.
     """
-    if not 0.0 < significance < 1.0:
-        raise ValueError("significance must lie in (0, 1)")
+    _check_significance(significance)
+    if len(line) < MIN_TEST_SAMPLES:
+        raise ValueError(f"attack needs at least {MIN_TEST_SAMPLES} samples")
     if references is None:
         references = (reference_grid(spec_low), reference_grid(spec_high))
-    by_state = {
-        SwitchState.LOW: (spec_low, references[0]),
-        SwitchState.HIGH: (spec_high, references[1]),
-    }
-    reports: dict[str, HypothesisReport] = {}
-    for decision, hyp in (
-        (EveDecision.ALICE_LOW, Hypothesis(SwitchState.LOW, SwitchState.HIGH)),
-        (EveDecision.ALICE_HIGH, Hypothesis(SwitchState.HIGH, SwitchState.LOW)),
-    ):
-        est_alice = reconstruct_alice(line, resistance_for(pair, hyp.alice_state))
-        est_bob = reconstruct_bob(line, resistance_for(pair, hyp.bob_state))
-        parties = (
-            (est_alice, *by_state[hyp.alice_state]),
-            (est_bob, *by_state[hyp.bob_state]),
-        )
-        n_tests = sum(1 if spec.kind is DistributionKind.CAUCHY else 2 for _, spec, _ in parties)
-        level = significance / n_tests
-        variances: list[VarianceTestResult | None] = []
-        shapes: list[ShapeTestResult] = []
-        for trace, spec, ref in parties:
-            if spec.kind is DistributionKind.CAUCHY:
-                variances.append(None)
-            else:
-                variances.append(variance_test(trace, spec.scale, level))
-            shapes.append(shape_test(trace, ref, level))
-        rejected = any(r.reject for r in variances if r is not None) or any(
-            r.reject for r in shapes
-        )
-        reports[decision.value] = HypothesisReport(
-            alice_variance=variances[0],
-            bob_variance=variances[1],
-            alice_shape=shapes[0],
-            bob_shape=shapes[1],
-            rejected=rejected,
-        )
-    low_rejected = reports[EveDecision.ALICE_LOW.value].rejected
-    high_rejected = reports[EveDecision.ALICE_HIGH.value].rejected
-    if low_rejected and not high_rejected:
-        decision = EveDecision.ALICE_HIGH
-    elif high_rejected and not low_rejected:
-        decision = EveDecision.ALICE_LOW
-    else:
-        decision = EveDecision.UNDECIDED
+    eve = BlockAttack(pair, spec_low, spec_high, significance, references)
+    tests = eve.tests(line.voltage.samples[None, :], line.current.samples[None, :])
+    reports = {decision.value: rows.report(0) for decision, rows in tests.items()}
+    decision = _decide(
+        reports[EveDecision.ALICE_LOW.value].rejected,
+        reports[EveDecision.ALICE_HIGH.value].rejected,
+    )
     return EveVerdict(decision=decision, significance=significance, reports=reports)
 
 
@@ -358,37 +472,39 @@ def attack_trials(
     the attack, and scores it with half credit for undecided outcomes, so
     0.5 is the blind-guessing baseline. Streams are derived per trial
     from ``seed`` exactly as the protocol derives per-bit streams.
+
+    Trials run in blocks of ``kljn.line.BLOCK_SAMPLES // samples_per_trial``
+    (at least one), held as ``(trials, samples)`` arrays. The budget of
+    2**15 float64 samples (256 KiB) per array keeps each array in L2 and
+    peak memory flat however many trials run; a long trace runs alone.
+    Every trial keeps its own streams, so the outcome does not depend on
+    the block size.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if samples_per_trial < MIN_TEST_SAMPLES:
         raise ValueError(f"trials need at least {MIN_TEST_SAMPLES} samples each")
+    _check_significance(significance)
     references = (reference_grid(spec_low), reference_grid(spec_high))
-    by_state = {SwitchState.LOW: spec_low, SwitchState.HIGH: spec_high}
+    eve = BlockAttack(pair, spec_low, spec_high, significance, references)
     decisions: list[EveDecision] = []
     truths: list[SwitchState] = []
-    credit = 0.0
-    for t in range(trials):
-        alice_low = bool(stream(seed, t, 0).integers(0, 2))
-        a_state = SwitchState.LOW if alice_low else SwitchState.HIGH
-        b_state = SwitchState.HIGH if alice_low else SwitchState.LOW
-        v_a = sample(by_state[a_state], samples_per_trial, stream(seed, t, 1))
-        v_b = sample(by_state[b_state], samples_per_trial, stream(seed, t, 2))
-        line = line_signals(v_a, v_b, resistance_for(pair, a_state), resistance_for(pair, b_state))
-        verdict = attack(line, pair, spec_low, spec_high, significance, references=references)
-        decisions.append(verdict.decision)
-        truths.append(a_state)
-        credit += decision_credit(verdict.decision, a_state)
-    n_correct = sum(
-        1 for d, s in zip(decisions, truths) if d is not EveDecision.UNDECIDED and decision_credit(d, s) == 1.0
-    )
-    n_undecided = sum(1 for d in decisions if d is EveDecision.UNDECIDED)
+    for block in blocks(trials, samples_per_trial):
+        alice_low = np.array([bool(stream(seed, t, 0).integers(0, 2)) for t in block])
+        voltage, current = line_block(
+            seed, block, ~alice_low, alice_low, pair, spec_low, spec_high, samples_per_trial
+        )
+        decisions += eve.decisions(voltage, current)
+        truths += [SwitchState.LOW if low else SwitchState.HIGH for low in alice_low.tolist()]
+    credits = [decision_credit(d, s) for d, s in zip(decisions, truths)]
+    n_correct = credits.count(1.0)
+    n_undecided = decisions.count(EveDecision.UNDECIDED)
     return AttackTrialSummary(
         trials=trials,
         correct=n_correct,
         wrong=trials - n_correct - n_undecided,
         undecided=n_undecided,
-        accuracy=credit / trials,
+        accuracy=sum(credits) / trials,
         decisions=tuple(decisions),
         truths=tuple(truths),
     )

@@ -14,7 +14,11 @@ from enum import Enum
 
 import numpy as np
 
-from .noise import ResistorPair, Trace
+from .noise import NoiseSpec, ResistorPair, Trace, check_finite, draw_rows
+
+# Budget of float64 samples per block array: 256 KiB, which fits in L2
+# and keeps peak memory flat whatever the session length.
+BLOCK_SAMPLES = 2**15
 
 
 class SwitchState(str, Enum):
@@ -60,12 +64,48 @@ def line_signals(v_alice: Trace, v_bob: Trace, r_alice: float, r_bob: float) -> 
         raise ValueError("resistances must be positive")
     if len(v_alice) != len(v_bob):
         raise ValueError("source traces must have equal length")
-    denom = r_alice + r_bob
-    a = v_alice.samples
-    b = v_bob.samples
-    voltage = (a * r_bob + b * r_alice) / denom
-    current = (b - a) / denom
+    voltage, current = _divider(v_alice.samples, v_bob.samples, r_alice, r_bob)
     return LineTrace(voltage=Trace(voltage), current=Trace(current))
+
+
+def _divider(a: np.ndarray, b: np.ndarray, r_alice, r_bob) -> tuple[np.ndarray, np.ndarray]:
+    """Voltage and current arrays; resistances are scalars or per-row columns."""
+    denom = r_alice + r_bob
+    return (a * r_bob + b * r_alice) / denom, (b - a) / denom
+
+
+def blocks(count: int, samples: int) -> list[range]:
+    """Split ``range(count)`` into blocks of ``BLOCK_SAMPLES // samples`` bits (at least 1)."""
+    step = max(1, BLOCK_SAMPLES // samples)
+    return [range(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def line_block(
+    seed: int,
+    bits: range,
+    alice_high: np.ndarray,
+    bob_high: np.ndarray,
+    pair: ResistorPair,
+    spec_low: NoiseSpec,
+    spec_high: NoiseSpec,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Line voltage and current of a block of bits, one row of ``n`` samples per bit.
+
+    ``alice_high`` and ``bob_high`` are boolean switch states per bit.
+    Bit ``i`` draws Alice's source from stream ``(seed, i, 1)`` and Bob's
+    from ``(seed, i, 2)``, so each row equals what :func:`line_signals`
+    gives for that bit alone.
+    """
+    specs = (spec_low, spec_high)
+    v_a = draw_rows([specs[h] for h in alice_high.tolist()], n, seed, bits, 1)
+    v_b = draw_rows([specs[h] for h in bob_high.tolist()], n, seed, bits, 2)
+    r_a = np.where(alice_high, pair.r_high, pair.r_low)[:, None]
+    r_b = np.where(bob_high, pair.r_high, pair.r_low)[:, None]
+    voltage, current = _divider(v_a, v_b, r_a, r_b)
+    check_finite(voltage)
+    check_finite(current)
+    return voltage, current
 
 
 def theoretical_line_variance(

@@ -86,8 +86,7 @@ class Trace:
             raise ValueError("a trace must be one-dimensional")
         if arr.size < 1:
             raise ValueError("a trace must hold at least one sample")
-        if not np.isfinite(arr).all():
-            raise ValueError("trace samples must be finite")
+        check_finite(arr)
         if arr is self.samples:
             arr = arr.copy()
         arr.setflags(write=False)
@@ -95,6 +94,12 @@ class Trace:
 
     def __len__(self) -> int:
         return int(self.samples.size)
+
+
+def check_finite(samples: np.ndarray) -> None:
+    """Refuse sample arrays, of any shape, that hold an infinity or NaN."""
+    if not np.isfinite(samples).all():
+        raise ValueError("trace samples must be finite")
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -169,18 +174,34 @@ def sample(
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
-    rng = _as_generator(seed)
+    return Trace(_draw(spec, n, _as_generator(seed)))
+
+
+def draw_rows(specs: list[NoiseSpec], n: int, seed: int, rows: range, channel: int) -> np.ndarray:
+    """Sources of a block of bits, one row of ``n`` samples per bit.
+
+    Row ``k`` holds ``sample(specs[k], n, stream(seed, rows[k], channel))``
+    bit for bit; the block is checked for finiteness once.
+    """
+    out = np.empty((len(rows), n))
+    for k, (i, spec) in enumerate(zip(rows, specs)):
+        out[k] = _draw(spec, n, stream(seed, i, channel))
+    check_finite(out)
+    return out
+
+
+def _draw(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw policy behind :func:`sample` and :func:`draw_rows`."""
     if spec.kind is DistributionKind.GAUSSIAN:
-        values = rng.standard_normal(n) * spec.scale
-    elif spec.kind is DistributionKind.UNIFORM:
+        return rng.standard_normal(n) * spec.scale
+    if spec.kind is DistributionKind.UNIFORM:
         bound = _SQRT3 * spec.scale
-        values = rng.uniform(-bound, bound, n)
-    elif spec.kind is DistributionKind.CAUCHY:
+        return rng.uniform(-bound, bound, n)
+    if spec.kind is DistributionKind.CAUCHY:
         values = rng.standard_cauchy(n) * spec.scale
         bad = ~np.isfinite(values)
         while bad.any():
             values[bad] = rng.standard_cauchy(int(bad.sum())) * spec.scale
             bad = ~np.isfinite(values)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown distribution kind: {spec.kind!r}")
-    return Trace(values)
+        return values
+    raise ValueError(f"unknown distribution kind: {spec.kind!r}")  # pragma: no cover

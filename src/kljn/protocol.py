@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .eve import EveDecision, attack, decision_credit, reference_grid
-from .line import SwitchState, line_signals, resistance_for, theoretical_line_variance
-from .noise import DistributionKind, NoiseSpec, ResistorPair, sample, stream
+from .eve import BlockAttack, EveDecision, decision_credit, reference_grid
+from .line import SwitchState, blocks, line_block, theoretical_line_variance
+from .noise import DistributionKind, NoiseSpec, ResistorPair, stream
 
 
 class Level(str, Enum):
@@ -128,26 +128,31 @@ class SessionOutcome:
 _CSV_HEADER = "bit_index,alice_state,bob_state,classified_level,secure,discarded,key_bit,eve_decision"
 
 
-def write_records_csv(records: tuple[BitRecord, ...], path: str | Path) -> None:
-    """Per-bit records as CSV: comma separated, LF line endings."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_CSV_HEADER + "\n")
-        for r in records:
-            fh.write(
-                ",".join(
-                    (
-                        str(r.bit_index),
-                        r.alice_state.value,
-                        r.bob_state.value,
-                        r.classified_level.value,
-                        "true" if r.secure else "false",
-                        "true" if r.discarded else "false",
-                        "" if r.key_bit is None else str(r.key_bit),
-                        "" if r.eve_decision is None else r.eve_decision.value,
-                    )
+def records_csv(records: tuple[BitRecord, ...]) -> str:
+    """Per-bit records as CSV text: comma separated, LF line endings."""
+    rows = [_CSV_HEADER]
+    for r in records:
+        rows.append(
+            ",".join(
+                (
+                    str(r.bit_index),
+                    r.alice_state.value,
+                    r.bob_state.value,
+                    r.classified_level.value,
+                    "true" if r.secure else "false",
+                    "true" if r.discarded else "false",
+                    "" if r.key_bit is None else str(r.key_bit),
+                    "" if r.eve_decision is None else r.eve_decision.value,
                 )
-                + "\n"
             )
+        )
+    return "\n".join(rows) + "\n"
+
+
+def write_records_csv(records: tuple[BitRecord, ...], path: str | Path) -> None:
+    """Write :func:`records_csv` to ``path``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(records_csv(records))
 
 
 def classify_level(
@@ -164,8 +169,15 @@ def classify_level(
     cut point falls to the lower level. The sigmas must be standard
     deviations of the sources, which rules out Cauchy noise upstream.
     """
-    if not math.isfinite(measured_variance) or measured_variance < 0.0:
-        raise ValueError("measured variance must be non-negative and finite")
+    cuts = _level_cuts(pair, sigma_low, sigma_high)
+    return _classify_rows(np.array([measured_variance], dtype=np.float64), cuts)[0]
+
+
+_LEVELS = (Level.LOW, Level.MID, Level.HIGH)
+
+
+def _level_cuts(pair: ResistorPair, sigma_low: float, sigma_high: float) -> tuple[float, float]:
+    """Cut points between adjacent levels: geometric means of their theoretical variances."""
     v_low = theoretical_line_variance(pair, sigma_low, sigma_high, SwitchState.LOW, SwitchState.LOW)
     v_mid = theoretical_line_variance(pair, sigma_low, sigma_high, SwitchState.LOW, SwitchState.HIGH)
     v_high = theoretical_line_variance(
@@ -173,11 +185,14 @@ def classify_level(
     )
     if not v_low < v_mid < v_high:
         raise ValueError("level variances are not strictly ordered for this configuration")
-    if measured_variance <= math.sqrt(v_low * v_mid):
-        return Level.LOW
-    if measured_variance <= math.sqrt(v_mid * v_high):
-        return Level.MID
-    return Level.HIGH
+    return math.sqrt(v_low * v_mid), math.sqrt(v_mid * v_high)
+
+
+def _classify_rows(measured: np.ndarray, cuts: tuple[float, float]) -> list[Level]:
+    """Level of each measured variance; a value on a cut falls to the lower level."""
+    if not (np.isfinite(measured).all() and (measured >= 0.0).all()):
+        raise ValueError("measured variance must be non-negative and finite")
+    return [_LEVELS[k] for k in np.searchsorted(cuts, measured).tolist()]
 
 
 def _true_level(a_state: SwitchState, b_state: SwitchState) -> Level:
@@ -196,58 +211,73 @@ def run_session(config: SessionConfig) -> SessionOutcome:
     state. On a kept mid-level bit Alice's key bit is her own switch
     (low is 0, high is 1) and Bob takes the complement of his switch;
     the two derivations agree whenever the bit really is mixed.
+
+    Bits are processed in blocks of ``kljn.line.BLOCK_SAMPLES //
+    samples_per_bit`` (at least one), held as ``(bits, samples)`` arrays.
+    The budget of 2**15 float64 samples (256 KiB) per array keeps each
+    array in L2 and peak memory flat however many bits a session has.
+    Every bit keeps its own streams, so the outcome does not depend on
+    the block size.
     """
     if config.kind is DistributionKind.CAUCHY:
         raise ValueError("sessions need finite-variance noise for level classification")
     pair = config.pair
     spec_low = NoiseSpec(config.kind, config.sigma_low)
     spec_high = NoiseSpec(config.kind, config.sigma_high)
-    by_state = {SwitchState.LOW: spec_low, SwitchState.HIGH: spec_high}
-    references = (reference_grid(spec_low), reference_grid(spec_high))
+    eve = BlockAttack(
+        pair,
+        spec_low,
+        spec_high,
+        config.significance,
+        (reference_grid(spec_low), reference_grid(spec_high)),
+    )
+    cuts = _level_cuts(pair, config.sigma_low, config.sigma_high)
+    samples = config.samples_per_bit
+    states = (SwitchState.LOW, SwitchState.HIGH)
     records: list[BitRecord] = []
     credits: list[float] = []
     disagreements = 0
     agreements_possible = 0
-    for i in range(config.bits):
-        coins = stream(config.seed, i, 0).integers(0, 2, size=2)
-        a_state = SwitchState.HIGH if coins[0] else SwitchState.LOW
-        b_state = SwitchState.HIGH if coins[1] else SwitchState.LOW
-        v_a = sample(by_state[a_state], config.samples_per_bit, stream(config.seed, i, 1))
-        v_b = sample(by_state[b_state], config.samples_per_bit, stream(config.seed, i, 2))
-        line = line_signals(
-            v_a, v_b, resistance_for(pair, a_state), resistance_for(pair, b_state)
+    for bits in blocks(config.bits, samples):
+        coins = np.array(
+            [stream(config.seed, i, 0).integers(0, 2, size=2) for i in bits], dtype=bool
         )
-        measured = float(np.mean(line.voltage.samples**2))
-        level = classify_level(measured, pair, config.sigma_low, config.sigma_high)
-        secure = a_state is not b_state
-        discarded = level is not _true_level(a_state, b_state)
-        key_bit: int | None = None
-        if secure and not discarded:
-            alice_bit = 0 if a_state is SwitchState.LOW else 1
-            bob_bit = 1 - (0 if b_state is SwitchState.LOW else 1)
-            agreements_possible += 1
-            if alice_bit != bob_bit:  # pragma: no cover - structurally impossible
-                disagreements += 1
-            key_bit = alice_bit
-        eve_decision: EveDecision | None = None
-        if secure:
-            verdict = attack(
-                line, pair, spec_low, spec_high, config.significance, references=references
-            )
-            eve_decision = verdict.decision
-            credits.append(decision_credit(eve_decision, a_state))
-        records.append(
-            BitRecord(
-                bit_index=i,
-                alice_state=a_state,
-                bob_state=b_state,
-                classified_level=level,
-                secure=secure,
-                discarded=discarded,
-                key_bit=key_bit,
-                eve_decision=eve_decision,
-            )
+        alice_high, bob_high = coins[:, 0], coins[:, 1]
+        voltage, current = line_block(
+            config.seed, bits, alice_high, bob_high, pair, spec_low, spec_high, samples
         )
+        levels = _classify_rows(np.mean(voltage**2, axis=1), cuts)
+        mixed = alice_high != bob_high
+        verdicts = iter(eve.decisions(voltage[mixed], current[mixed]))
+        for i, a_high, b_high, level in zip(bits, alice_high.tolist(), bob_high.tolist(), levels):
+            a_state = states[a_high]
+            b_state = states[b_high]
+            secure = a_state is not b_state
+            discarded = level is not _true_level(a_state, b_state)
+            key_bit: int | None = None
+            if secure and not discarded:
+                alice_bit = 0 if a_state is SwitchState.LOW else 1
+                bob_bit = 1 - (0 if b_state is SwitchState.LOW else 1)
+                agreements_possible += 1
+                if alice_bit != bob_bit:  # pragma: no cover - structurally impossible
+                    disagreements += 1
+                key_bit = alice_bit
+            eve_decision: EveDecision | None = None
+            if secure:
+                eve_decision = next(verdicts)
+                credits.append(decision_credit(eve_decision, a_state))
+            records.append(
+                BitRecord(
+                    bit_index=i,
+                    alice_state=a_state,
+                    bob_state=b_state,
+                    classified_level=level,
+                    secure=secure,
+                    discarded=discarded,
+                    key_bit=key_bit,
+                    eve_decision=eve_decision,
+                )
+            )
     n_secure = len(credits)
     return SessionOutcome(
         records=tuple(records),

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from kljn import DistributionKind, ResistorPair, SessionConfig, run_session
 from kljn.cli import main
 
 
@@ -70,6 +71,25 @@ class TestSimulate:
         assert run(args + ["--out", str(d2)]) == 0
         for name in ("session.json", "bits.csv", "manifest.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_csv_artifact_matches_records_to_csv(self, tmp_path):
+        args = ["simulate", "--bits", "15", "--samples-per-bit", "150", "--seed", "3", "--csv"]
+        assert run(args + ["--out", str(tmp_path)]) == 0
+        config = SessionConfig(
+            pair=ResistorPair(1.0, 4.0),
+            kind=DistributionKind.GAUSSIAN,
+            sigma_low=1.0,
+            sigma_high=2.0,
+            samples_per_bit=150,
+            bits=15,
+            seed=3,
+        )
+        run_session(config).records_to_csv(tmp_path / "direct.csv")
+        written = (tmp_path / "bits.csv").read_bytes()
+        assert written == (tmp_path / "direct.csv").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == (
+            "e767b4c4d2c694b99e4f80881c30535a49cd6105da706c282da615d17995c55f"
+        )
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
