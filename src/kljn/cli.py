@@ -27,10 +27,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .density import TruncationError, closure_pair, weights
+from .density import TruncationError, closure_pair, default_grid, l1_residual, weights
 from .eve import attack_trials, decision_credit
 from .noise import DistributionKind, NoiseSpec, ResistorPair
 from .protocol import SessionConfig, leak_sweep, records_csv, run_session
@@ -204,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--half-width",
         dest="half_width",
         type=float,
-        help="component grid half width (default: 8 mixture scales)",
+        help="half width of the wider component's grid (default: 8 mixture scales)",
     )
     pdf.set_defaults(handler=cmd_pdf)
 
@@ -357,10 +355,11 @@ def cmd_pdf(args: argparse.Namespace) -> int:
             raise UsageError("sigma_high must be positive")
         w = weights(pair, sigma_low, sigma_high)
         sigma_mix = math.hypot(w.alpha, w.beta)
-        dx = resolved["dx"]
-        dx = (min(w.alpha, w.beta) if w.beta > 0.0 else w.alpha) / 200.0 if dx is None else float(dx)
-        half_width = resolved["half_width"]
-        half_width = 8.0 * sigma_mix if half_width is None else float(half_width)
+        dx, half_width = default_grid(w)
+        if resolved["dx"] is not None:
+            dx = float(resolved["dx"])
+        if resolved["half_width"] is not None:
+            half_width = float(resolved["half_width"])
     except (TypeError, ValueError) as exc:
         if isinstance(exc, UsageError):
             raise
@@ -371,7 +370,7 @@ def cmd_pdf(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     mixture, reference = closure_pair(kind, w, dx=dx, half_width=half_width)
-    residual = float(np.trapezoid(np.abs(mixture.values - reference.values), dx=mixture.dx))
+    residual = l1_residual(mixture, reference)
 
     lines = ["x,p_a,p_h"]
     xs = mixture.x

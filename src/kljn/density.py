@@ -17,10 +17,12 @@ Integrals use the trapezoidal rule. Builders renormalize to unit mass and
 record the pre-normalization deficit; if the closed-form tail mass left
 outside the grid reaches 0.1 percent the grid is rejected outright, since
 silently renormalizing that much mass would distort tail comparisons.
-Default resolution is 200 points per scale unit and default extent is 8
-scale units each side, which keeps Gaussian and uniform tail loss far
-below the rejection threshold. Cauchy tails decay only quadratically, so
-Cauchy grids must be requested much wider explicitly.
+Default resolution is 200 points per scale unit of the finer component.
+The wider component's grid extends 8 mixture scales each side and the
+narrower one the same number of its own scale units, which keeps Gaussian
+and uniform tail loss far below the rejection threshold. Cauchy tails
+decay only quadratically, so Cauchy grids must be requested much wider
+explicitly. Convolutions run as zero-padded real FFTs.
 """
 
 from __future__ import annotations
@@ -219,23 +221,54 @@ def analytic_pdf(kind: DistributionKind, scale: float, x0: float, dx: float, m: 
     return PdfGrid(x0=x0, dx=dx, values=raw / total, truncation_deficit=1.0 - total)
 
 
+def default_grid(w: HypothesisWeights) -> tuple[float, float]:
+    """Default ``(dx, half_width)`` for the components of a mixture.
+
+    The spacing resolves the finer component with ``POINTS_PER_SCALE``
+    points per scale unit, and the wider component's grid spans
+    ``HALF_WIDTH_SCALES`` mixture scales each side.
+    """
+    finer = w.alpha if w.beta == 0.0 else min(w.alpha, w.beta)
+    return finer / POINTS_PER_SCALE, HALF_WIDTH_SCALES * math.hypot(w.alpha, w.beta)
+
+
 def _component_grids(
     kind: DistributionKind,
     w: HypothesisWeights,
     dx: float | None,
     half_width: float | None,
-) -> tuple[PdfGrid, PdfGrid, float, float]:
-    scales = [w.alpha] if w.beta == 0.0 else [w.alpha, w.beta]
-    if dx is None:
-        dx = min(scales) / POINTS_PER_SCALE
-    if half_width is None:
-        half_width = HALF_WIDTH_SCALES * max(scales)
+) -> tuple[PdfGrid, PdfGrid]:
+    """Tabulate both components over the same number of their own scale units.
+
+    The wider component spans ``half_width``; the narrower one spans the
+    same multiple of its own scale, so truncation is judged alike for both
+    and no grid holds a far tail of exact zeros. A grid keeps at least one
+    step each side, so a component narrower than the spacing acts as a
+    point mass.
+    """
+    default_dx, default_half_width = default_grid(w)
+    dx = default_dx if dx is None else dx
+    half_width = default_half_width if half_width is None else half_width
     if w.beta == 0.0:
         grid = analytic_pdf(kind, w.alpha, *symmetric_grid(half_width, dx))
-        return grid, grid, dx, half_width
-    a = analytic_pdf(kind, w.alpha, *symmetric_grid(half_width, dx))
-    b = analytic_pdf(kind, w.beta, *symmetric_grid(half_width, dx))
-    return a, b, dx, half_width
+        return grid, grid
+    top = max(w.alpha, w.beta)
+    a = analytic_pdf(kind, w.alpha, *symmetric_grid(max(half_width * w.alpha / top, dx), dx))
+    b = analytic_pdf(kind, w.beta, *symmetric_grid(max(half_width * w.beta / top, dx), dx))
+    return a, b
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer ``>= n``, a length the FFT handles quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _convolve_grids(a: PdfGrid, b: PdfGrid) -> PdfGrid:
@@ -250,7 +283,10 @@ def _convolve_grids(a: PdfGrid, b: PdfGrid) -> PdfGrid:
     va[-1] *= 0.5
     vb[0] *= 0.5
     vb[-1] *= 0.5
-    raw = np.convolve(va, vb) * dx
+    # Linear convolution by FFT: zero-pad to a fast length, crop back.
+    m = va.size + vb.size - 1
+    size = _fast_len(m)
+    raw = np.fft.irfft(np.fft.rfft(va, size) * np.fft.rfft(vb, size), size)[:m] * dx
     raw = np.maximum(raw, 0.0)
     total = float(np.trapezoid(raw, dx=dx))
     if total <= 0.0:
@@ -280,7 +316,7 @@ def convolve_scaled(
     recorded on the grid.
     """
     if isinstance(source, DistributionKind):
-        a, b, _, _ = _component_grids(source, w, dx, half_width)
+        a, b = _component_grids(source, w, dx, half_width)
         if w.beta == 0.0:
             return a
         return _convolve_grids(a, b)
@@ -309,11 +345,20 @@ def closure_pair(
             "use cauchy_mixture_scale for its additive scale identity"
         )
     sigma_mix = math.hypot(w.alpha, w.beta)
-    if half_width is None:
-        half_width = HALF_WIDTH_SCALES * sigma_mix
     mixture = convolve_scaled(kind, w, dx=dx, half_width=half_width)
     reference = analytic_pdf(kind, sigma_mix, mixture.x0, mixture.dx, mixture.values.size)
     return mixture, reference
+
+
+def l1_residual(mixture: PdfGrid, reference: PdfGrid) -> float:
+    """Trapezoidal L1 distance between two densities on one grid."""
+    if (mixture.x0, mixture.dx, mixture.values.size) != (
+        reference.x0,
+        reference.dx,
+        reference.values.size,
+    ):
+        raise ValueError("residual needs both densities on one grid")
+    return float(np.trapezoid(np.abs(mixture.values - reference.values), dx=mixture.dx))
 
 
 def closure_residual(
@@ -330,8 +375,7 @@ def closure_residual(
     The Gaussian family has this closure; finite-variance alternatives do
     not, and the residual is their detectable signature.
     """
-    mixture, reference = closure_pair(kind, w, dx=dx, half_width=half_width)
-    return float(np.trapezoid(np.abs(mixture.values - reference.values), dx=mixture.dx))
+    return l1_residual(*closure_pair(kind, w, dx=dx, half_width=half_width))
 
 
 def cauchy_mixture_scale(w: HypothesisWeights, gamma: float = 1.0) -> float:

@@ -20,7 +20,16 @@ from kljn import (
     convolve_scaled,
     weights,
 )
-from kljn.density import family_cdf, family_pdf, symmetric_grid
+from kljn.density import (
+    _component_grids,
+    _convolve_grids,
+    _fast_len,
+    default_grid,
+    family_cdf,
+    family_pdf,
+    l1_residual,
+    symmetric_grid,
+)
 
 SQRT3 = math.sqrt(3.0)
 PAIR = ResistorPair(1.0, 4.0)
@@ -219,11 +228,59 @@ class TestConvolution:
         w = HypothesisWeights(1.0, 2.0)
         dx, half = 0.01, 20.0
         via_kind = convolve_scaled(DistributionKind.GAUSSIAN, w, dx=dx, half_width=half)
-        a = analytic_pdf(DistributionKind.GAUSSIAN, 1.0, *symmetric_grid(half, dx))
+        # the narrower component spans as many of its own scales as the wider one
+        a = analytic_pdf(DistributionKind.GAUSSIAN, 1.0, *symmetric_grid(half * 1 / 2, dx))
         b = analytic_pdf(DistributionKind.GAUSSIAN, 2.0, *symmetric_grid(half, dx))
         via_grids = convolve_scaled((a, b), w)
         assert via_kind.x0 == via_grids.x0
         assert np.array_equal(via_kind.values, via_grids.values)
+
+    @pytest.mark.parametrize(
+        "kind,w,dx",
+        [
+            (DistributionKind.GAUSSIAN, HypothesisWeights(1.6, 1.2), None),
+            (DistributionKind.UNIFORM, HypothesisWeights(1.6, 1.2), None),
+            # nearly equal resistors, r 1.0 / 1.1, at a quarter of the default resolution
+            (DistributionKind.UNIFORM, weights(ResistorPair(1.0, 1.1), 1.0, math.sqrt(1.1)), 0.001),
+        ],
+    )
+    def test_fft_matches_direct_sum(self, kind, w, dx):
+        a, b = _component_grids(kind, w, dx, None)
+        got = _convolve_grids(a, b)
+        va, vb = a.values.copy(), b.values.copy()
+        va[[0, -1]] *= 0.5
+        vb[[0, -1]] *= 0.5
+        raw = np.maximum(np.convolve(va, vb) * a.dx, 0.0)
+        want = raw / np.trapezoid(raw, dx=a.dx)
+        assert got.x0 == a.x0 + b.x0
+        assert got.values.size == want.size
+        assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(want)
+
+    def test_fast_len_is_smallest_5_smooth_bound(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for n in range(1, 5001):
+            want = next(m for m in range(n, 2 * n + 1) if smooth(m))
+            assert _fast_len(n) == want, n
+
+    def test_cauchy_components_truncate_alike(self):
+        # Both components keep 800 of their own scales, so each passes the
+        # truncation budget and the sum matches the Cauchy with summed scale.
+        w = HypothesisWeights(1.6, 1.2)
+        mixture = convolve_scaled(DistributionKind.CAUCHY, w, dx=0.02, half_width=800.0 * 1.6)
+        core = np.abs(mixture.x) <= 3.0 * 2.8
+        want = family_pdf(DistributionKind.CAUCHY, 2.8, mixture.x[core])
+        assert np.max(np.abs(mixture.values[core] / want - 1.0)) < 3e-3
+
+    def test_component_narrower_than_a_step_acts_as_point_mass(self):
+        w = HypothesisWeights(1.0, 0.001)
+        mixture = convolve_scaled(DistributionKind.GAUSSIAN, w, dx=0.05)
+        want = analytic_pdf(DistributionKind.GAUSSIAN, 1.0, mixture.x0, 0.05, mixture.values.size)
+        assert np.max(np.abs(mixture.values - want.values)) < 1e-9
 
     def test_mismatched_spacing_rejected(self):
         a = analytic_pdf(DistributionKind.GAUSSIAN, 1.0, *symmetric_grid(8.0, 0.01))
@@ -276,6 +333,24 @@ class TestClosureResidual:
     def test_gaussian_residual_small_on_default_grid(self):
         w = weights(PAIR, 1.0, 2.0)
         assert closure_residual(DistributionKind.GAUSSIAN, w) <= 1e-6
+
+    def test_gaussian_closure_floor_is_round_off(self):
+        assert closure_residual(DistributionKind.GAUSSIAN, weights(PAIR, 1.0, 2.0)) <= 1e-13
+
+    def test_default_grid(self):
+        dx, half_width = default_grid(HypothesisWeights(1.6, 1.2))
+        assert dx == 1.2 / 200.0
+        assert half_width == 8.0 * 2.0
+        assert default_grid(HypothesisWeights(2.0, 0.0)) == (2.0 / 200.0, 16.0)
+
+    def test_l1_residual_needs_one_grid(self):
+        mixture, reference = closure_pair(DistributionKind.UNIFORM, weights(PAIR, 1.0, 2.0))
+        assert l1_residual(mixture, reference) == closure_residual(
+            DistributionKind.UNIFORM, weights(PAIR, 1.0, 2.0)
+        )
+        shifted = PdfGrid(x0=reference.x0 + reference.dx, dx=reference.dx, values=reference.values)
+        with pytest.raises(ValueError):
+            l1_residual(mixture, shifted)
 
     def test_closure_pair_shares_grid(self):
         mixture, reference = closure_pair(DistributionKind.UNIFORM, weights(PAIR, 1.0, 2.0))
