@@ -18,6 +18,7 @@ from .noise import (
     johnson_sigma,
     sample,
     scaled_sigma_high,
+    security_sigma_ratio,
     stream,
 )
 from .line import (
@@ -43,7 +44,6 @@ from .eve import (
     AttackTrialSummary,
     EveDecision,
     EveVerdict,
-    Hypothesis,
     HypothesisReport,
     ShapeTestResult,
     VarianceTestResult,
@@ -53,7 +53,6 @@ from .eve import (
     reconstruct_alice,
     reconstruct_bob,
     reference_grid,
-    security_sigma_ratio,
     shape_test,
     variance_test,
     wrong_hypothesis_variance,
@@ -75,7 +74,6 @@ __all__ = [
     "DistributionKind",
     "EveDecision",
     "EveVerdict",
-    "Hypothesis",
     "HypothesisReport",
     "HypothesisWeights",
     "Level",

@@ -13,6 +13,13 @@ byte for byte given the same configuration. Settings resolve in the
 order: built-in defaults, then a ``--config`` JSON file, then explicit
 flags.
 
+All four commands take one path through :func:`main`: resolve settings,
+validate them, create ``--out``, run, write and digest the artifacts,
+write the manifest, print. A command supplies only its defaults, a
+validator that maps resolved settings to the manifest's config and the
+run's inputs, and a run that maps those inputs and ``--csv`` to its
+artifacts, keyed by file name, and the text to print.
+
 Exit codes: 0 on success, 2 for unusable arguments or configuration, 3
 for failures while computing or writing results.
 """
@@ -24,66 +31,56 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .density import TruncationError, closure_pair, default_grid, l1_residual, weights
-from .eve import attack_trials, decision_credit
-from .noise import DistributionKind, NoiseSpec, ResistorPair
+from .density import closure_pair, default_grid, l1_residual, weights
+from .eve import MIN_TEST_SAMPLES, attack_trials, decision_credit
+from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, scaled_sigma_high
 from .protocol import SessionConfig, leak_sweep, records_csv, run_session
 
 _KIND_CHOICES = tuple(k.value for k in DistributionKind)
+_CSV_BLOCK = 4096
 
-_SESSION_DEFAULTS = {
+_NOISE_DEFAULTS = {
     "r_low": 1.0,
     "r_high": 4.0,
     "kind": "gaussian",
     "sigma_low": 1.0,
     "sigma_high": None,
+}
+_SESSION_DEFAULTS = {
+    **_NOISE_DEFAULTS,
     "samples_per_bit": 1000,
     "bits": 100,
     "seed": 0,
     "significance": 0.01,
 }
-
-
-class UsageError(ValueError):
-    """Configuration that can never produce a run."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every command's artifacts."""
-
-    command: str
-    config: dict
-    seed: int | None
-    version: str
-    outputs: dict[str, str]
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "version": self.version,
-        }
+# Built-in settings of each command; a --config file may set exactly these keys.
+_DEFAULTS = {
+    "simulate": _SESSION_DEFAULTS,
+    "attack": {**_NOISE_DEFAULTS, "samples": 10000, "trials": 200, "seed": 0, "significance": 0.01},
+    "pdf": {**_NOISE_DEFAULTS, "dx": None, "half_width": None},
+    "sweep": {**_SESSION_DEFAULTS, "multipliers": "1.0,1.2,1.5,2.0"},
+}
 
 
 def _json_bytes(obj: object) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
-def _write_artifact(out_dir: Path, name: str, data: bytes, outputs: dict[str, str]) -> None:
-    path = out_dir / name
-    path.write_bytes(data)
-    outputs[name] = hashlib.sha256(data).hexdigest()
+def _csv_bytes(header: str, *columns: Iterable[str]) -> bytes:
+    """CSV text from pre-formatted columns: the header, then one row per index."""
+    return ("\n".join([header, *map(",".join, zip(*columns))]) + "\n").encode("ascii")
 
 
-def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:
-    (out_dir / "manifest.json").write_bytes(_json_bytes(manifest.to_dict()))
+def _float_column(values) -> Iterator[str]:
+    """``repr`` of each array value as a Python float, converted by ``tolist`` a
+    block at a time so that whole columns of floats never sit in memory at once."""
+    blocks = (values[i : i + _CSV_BLOCK].tolist() for i in range(0, values.size, _CSV_BLOCK))
+    return map(repr, chain.from_iterable(blocks))
 
 
 def _load_config_file(path: str, allowed: set[str]) -> dict:
@@ -91,21 +88,22 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}") from exc
+        raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     unknown = set(raw) - allowed
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return raw
 
 
-def _resolve(defaults: dict, args: argparse.Namespace, config_keys: set[str]) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
+    defaults = _DEFAULTS[args.command]
     resolved = dict(defaults)
-    if getattr(args, "config", None):
-        resolved.update(_load_config_file(args.config, config_keys))
+    if args.config:
+        resolved.update(_load_config_file(args.config, set(defaults)))
     for key in defaults:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -113,269 +111,139 @@ def _resolve(defaults: dict, args: argparse.Namespace, config_keys: set[str]) ->
     return resolved
 
 
-def _session_config(resolved: dict) -> SessionConfig:
-    try:
-        pair = ResistorPair(r_low=float(resolved["r_low"]), r_high=float(resolved["r_high"]))
-        kind = DistributionKind(resolved["kind"])
-        sigma_low = float(resolved["sigma_low"])
-        sigma_high = resolved["sigma_high"]
-        if sigma_high is None:
-            # Default to the amplitude the security condition demands.
-            sigma_high = sigma_low * math.sqrt(pair.r_high / pair.r_low) if sigma_low > 0 else 0.0
-        return SessionConfig(
-            pair=pair,
-            kind=kind,
-            sigma_low=sigma_low,
-            sigma_high=float(sigma_high),
-            samples_per_bit=int(resolved["samples_per_bit"]),
-            bits=int(resolved["bits"]),
-            seed=int(resolved["seed"]),
-            significance=float(resolved["significance"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+def _noise(s: dict) -> tuple[ResistorPair, DistributionKind, float, float]:
+    """Pair, family and both amplitudes; an unset ``sigma_high`` follows the amplitude law."""
+    pair = ResistorPair(r_low=float(s["r_low"]), r_high=float(s["r_high"]))
+    kind = DistributionKind(s["kind"])
+    sigma_low = float(s["sigma_low"])
+    sigma_high = s["sigma_high"]
+    sigma_high = scaled_sigma_high(pair, sigma_low) if sigma_high is None else float(sigma_high)
+    return pair, kind, sigma_low, sigma_high
 
 
-def _parse_multipliers(text: str) -> list[float]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+def _session(s: dict, command: str) -> SessionConfig:
+    pair, kind, sigma_low, sigma_high = _noise(s)
+    if kind is DistributionKind.CAUCHY:
+        raise ValueError(f"{command} needs finite-variance noise; choose gaussian or uniform")
+    return SessionConfig(
+        pair=pair,
+        kind=kind,
+        sigma_low=sigma_low,
+        sigma_high=sigma_high,
+        samples_per_bit=int(s["samples_per_bit"]),
+        bits=int(s["bits"]),
+        seed=int(s["seed"]),
+        significance=float(s["significance"]),
+    )
+
+
+def _multipliers(raw: str | list) -> list[float]:
+    parts = [p.strip() for p in raw.split(",") if p.strip()] if isinstance(raw, str) else raw
     if not parts:
-        raise UsageError("multipliers must be a non-empty comma-separated list")
+        raise ValueError("multipliers must be a non-empty comma-separated list")
     try:
         values = [float(p) for p in parts]
     except ValueError as exc:
-        raise UsageError(f"bad multiplier: {exc}") from exc
+        raise ValueError(f"bad multiplier: {exc}") from exc
     if any(not math.isfinite(v) or v <= 0.0 for v in values):
-        raise UsageError("multipliers must be positive and finite")
+        raise ValueError("multipliers must be positive and finite")
     return values
 
 
-def _add_pair_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--r-low", dest="r_low", type=float, help="low resistance in ohms")
-    sub.add_argument("--r-high", dest="r_high", type=float, help="high resistance in ohms")
-    sub.add_argument("--kind", choices=_KIND_CHOICES, help="noise shape family")
-    sub.add_argument("--sigma-low", dest="sigma_low", type=float, help="low-side noise scale")
-    sub.add_argument(
-        "--sigma-high",
-        dest="sigma_high",
-        type=float,
-        help="high-side noise scale (default: the value the security condition demands)",
-    )
+def _simulate_inputs(s: dict) -> tuple[dict, SessionConfig]:
+    config = _session(s, "simulate")
+    return config.to_dict(), config
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with settings, overridden by explicit flags")
-    sub.add_argument("--out", default=".", help="directory for artifacts (default: current)")
-    sub.add_argument("--seed", type=int, help="session seed (default 0)")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kljn",
-        description="Simulate the resistor-switching key exchange and measure what leaks.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    sim = commands.add_parser("simulate", help="run a full key-exchange session")
-    _add_common_flags(sim)
-    _add_pair_flags(sim)
-    sim.add_argument("--samples-per-bit", dest="samples_per_bit", type=int)
-    sim.add_argument("--bits", type=int)
-    sim.add_argument("--significance", type=float)
-    sim.add_argument("--csv", action="store_true", help="also write per-bit records as CSV")
-    sim.set_defaults(handler=cmd_simulate)
-
-    atk = commands.add_parser("attack", help="attack fresh mixed-state bits and report accuracy")
-    _add_common_flags(atk)
-    _add_pair_flags(atk)
-    atk.add_argument("--samples", type=int, help="samples per trial (default 10000)")
-    atk.add_argument("--trials", type=int, help="number of trials (default 200)")
-    atk.add_argument("--significance", type=float)
-    atk.add_argument("--csv", action="store_true", help="also write per-trial decisions as CSV")
-    atk.set_defaults(handler=cmd_attack)
-
-    pdf = commands.add_parser("pdf", help="tabulate the wrong-hypothesis mixture density")
-    _add_common_flags(pdf)
-    _add_pair_flags(pdf)
-    pdf.add_argument("--dx", type=float, help="grid spacing (default: finer scale / 200)")
-    pdf.add_argument(
-        "--half-width",
-        dest="half_width",
-        type=float,
-        help="half width of the wider component's grid (default: 8 mixture scales)",
-    )
-    pdf.set_defaults(handler=cmd_pdf)
-
-    swp = commands.add_parser("sweep", help="rerun sessions at scaled amplitude violations")
-    _add_common_flags(swp)
-    _add_pair_flags(swp)
-    swp.add_argument("--samples-per-bit", dest="samples_per_bit", type=int)
-    swp.add_argument("--bits", type=int)
-    swp.add_argument("--significance", type=float)
-    swp.add_argument(
-        "--multipliers",
-        help="comma-separated factors applied to the compliant amplitude (default 1.0,1.2,1.5,2.0)",
-    )
-    swp.set_defaults(handler=cmd_sweep)
-    return parser
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    resolved = _resolve(_SESSION_DEFAULTS, args, set(_SESSION_DEFAULTS))
-    config = _session_config(resolved)
-    if config.kind is DistributionKind.CAUCHY:
-        raise UsageError("simulate needs finite-variance noise; choose gaussian or uniform")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def _simulate(config: SessionConfig, csv: bool) -> tuple[dict[str, bytes], str]:
     outcome = run_session(config)
-
-    outputs: dict[str, str] = {}
-    _write_artifact(out_dir, "session.json", outcome.to_json().encode("ascii"), outputs)
-    if args.csv:
-        _write_artifact(out_dir, "bits.csv", records_csv(outcome.records).encode("ascii"), outputs)
-    _write_manifest(
-        out_dir,
-        RunManifest(
-            command="simulate",
-            config=config.to_dict(),
-            seed=config.seed,
-            version=__version__,
-            outputs=outputs,
-        ),
-    )
+    artifacts = {"session.json": outcome.to_json().encode("ascii")}
+    if csv:
+        artifacts["bits.csv"] = records_csv(outcome.records).encode("ascii")
     acc = outcome.eve_accuracy
-    print(
+    return artifacts, (
         f"bits={config.bits} secure_fraction={outcome.secure_bit_fraction:.6g} "
         f"bit_error_rate={outcome.bit_error_rate:.6g} "
         f"eve_accuracy={'n/a' if acc is None else f'{acc:.6g}'}"
     )
-    return 0
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
-    defaults = dict(_SESSION_DEFAULTS)
-    defaults.pop("samples_per_bit")
-    defaults.pop("bits")
-    defaults.update({"samples": 10000, "trials": 200})
-    resolved = _resolve(defaults, args, set(defaults))
-    try:
-        samples = int(resolved["samples"])
-        trials = int(resolved["trials"])
-        significance = float(resolved["significance"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-    if samples < 100:
-        raise UsageError("samples must be at least 100")
+def _attack_inputs(s: dict) -> tuple[dict, tuple]:
+    pair, kind, sigma_low, sigma_high = _noise(s)
+    check_sigmas(sigma_low, sigma_high)
+    samples, trials, seed = int(s["samples"]), int(s["trials"]), int(s["seed"])
+    significance = float(s["significance"])
+    if samples < MIN_TEST_SAMPLES:
+        raise ValueError(f"samples must be at least {MIN_TEST_SAMPLES}")
     if trials < 1:
-        raise UsageError("trials must be at least 1")
+        raise ValueError("trials must be at least 1")
     if not 0.0 < significance < 1.0:
-        raise UsageError("significance must lie in (0, 1)")
-    session_like = dict(resolved)
-    session_like.update({"samples_per_bit": samples, "bits": 1})
-    session_like.pop("samples")
-    session_like.pop("trials")
-    config = _session_config(session_like)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    summary = attack_trials(
-        config.pair,
-        NoiseSpec(config.kind, config.sigma_low),
-        NoiseSpec(config.kind, config.sigma_high),
-        samples_per_trial=samples,
-        trials=trials,
-        significance=significance,
-        seed=config.seed,
-    )
-
-    resolved_config = {
-        "kind": config.kind.value,
-        "r_high": config.pair.r_high,
-        "r_low": config.pair.r_low,
+        raise ValueError("significance must lie in (0, 1)")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    config = {
+        "kind": kind.value,
+        "r_high": pair.r_high,
+        "r_low": pair.r_low,
         "samples": samples,
-        "seed": config.seed,
-        "sigma_high": config.sigma_high,
-        "sigma_low": config.sigma_low,
+        "seed": seed,
+        "sigma_high": sigma_high,
+        "sigma_low": sigma_low,
         "significance": significance,
         "trials": trials,
     }
-    outputs: dict[str, str] = {}
-    _write_artifact(out_dir, "attack.json", _json_bytes(summary.to_dict()), outputs)
-    if args.csv:
-        lines = ["trial,true_alice,decision,credit"]
-        for t, (truth, decision) in enumerate(zip(summary.truths, summary.decisions)):
-            lines.append(
-                f"{t},{truth.value},{decision.value},{decision_credit(decision, truth)!r}"
-            )
-        _write_artifact(out_dir, "trials.csv", ("\n".join(lines) + "\n").encode("ascii"), outputs)
-    _write_manifest(
-        out_dir,
-        RunManifest(
-            command="attack",
-            config=resolved_config,
-            seed=config.seed,
-            version=__version__,
-            outputs=outputs,
-        ),
+    return config, (pair, NoiseSpec(kind, sigma_low), NoiseSpec(kind, sigma_high), config)
+
+
+def _attack(inputs: tuple, csv: bool) -> tuple[dict[str, bytes], str]:
+    pair, spec_low, spec_high, c = inputs
+    summary = attack_trials(
+        pair, spec_low, spec_high, c["samples"], c["trials"], c["significance"], c["seed"]
     )
-    print(
+    artifacts = {"attack.json": _json_bytes(summary.to_dict())}
+    if csv:
+        artifacts["trials.csv"] = _csv_bytes(
+            "trial,true_alice,decision,credit",
+            map(str, range(summary.trials)),
+            [t.value for t in summary.truths],
+            [d.value for d in summary.decisions],
+            [repr(decision_credit(d, t)) for d, t in zip(summary.decisions, summary.truths)],
+        )
+    return artifacts, (
         f"trials={summary.trials} accuracy={summary.accuracy:.6g} "
         f"correct={summary.correct} wrong={summary.wrong} undecided={summary.undecided}"
     )
-    return 0
 
 
-def cmd_pdf(args: argparse.Namespace) -> int:
-    defaults = dict(_SESSION_DEFAULTS)
-    defaults.pop("samples_per_bit")
-    defaults.pop("bits")
-    defaults.pop("seed")
-    defaults.pop("significance")
-    defaults.update({"dx": None, "half_width": None})
-    resolved = _resolve(defaults, args, set(defaults))
-    try:
-        pair = ResistorPair(r_low=float(resolved["r_low"]), r_high=float(resolved["r_high"]))
-        kind = DistributionKind(resolved["kind"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+def _pdf_inputs(s: dict) -> tuple[dict, tuple]:
+    pair, kind, sigma_low, sigma_high = _noise(s)
     if kind is DistributionKind.CAUCHY:
-        raise UsageError(
+        raise ValueError(
             "pdf compares against a variance-matched reference, which the Cauchy family lacks"
         )
-    try:
-        sigma_low = float(resolved["sigma_low"])
-        if sigma_low <= 0.0:
-            raise UsageError("sigma_low must be positive")
-        sigma_high = resolved["sigma_high"]
-        if sigma_high is None:
-            sigma_high = sigma_low * math.sqrt(pair.r_high / pair.r_low)
-        sigma_high = float(sigma_high)
-        if sigma_high <= 0.0:
-            raise UsageError("sigma_high must be positive")
-        w = weights(pair, sigma_low, sigma_high)
-        sigma_mix = math.hypot(w.alpha, w.beta)
-        dx, half_width = default_grid(w)
-        if resolved["dx"] is not None:
-            dx = float(resolved["dx"])
-        if resolved["half_width"] is not None:
-            half_width = float(resolved["half_width"])
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(str(exc)) from exc
-    if dx <= 0.0 or half_width <= 0.0:
-        raise UsageError("dx and half-width must be positive")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    w = weights(pair, sigma_low, sigma_high)
+    dx, half_width = default_grid(w)
+    dx = dx if s["dx"] is None else float(s["dx"])
+    half_width = half_width if s["half_width"] is None else float(s["half_width"])
+    if not (0.0 < dx < math.inf and 0.0 < half_width < math.inf):
+        raise ValueError("dx and half-width must be positive and finite")
+    config = {
+        "dx": dx,
+        "half_width": half_width,
+        "kind": kind.value,
+        "r_high": pair.r_high,
+        "r_low": pair.r_low,
+        "sigma_high": sigma_high,
+        "sigma_low": sigma_low,
+    }
+    return config, (kind, w, dx, half_width)
 
+
+def _pdf(inputs: tuple, csv: bool) -> tuple[dict[str, bytes], str]:
+    kind, w, dx, half_width = inputs
     mixture, reference = closure_pair(kind, w, dx=dx, half_width=half_width)
     residual = l1_residual(mixture, reference)
-
-    lines = ["x,p_a,p_h"]
-    xs = mixture.x
-    for xv, pa, ph in zip(xs, mixture.values, reference.values):
-        lines.append(f"{float(xv)!r},{float(pa)!r},{float(ph)!r}")
+    sigma_mix = math.hypot(w.alpha, w.beta)
     summary = {
         "alpha": w.alpha,
         "beta": w.beta,
@@ -387,102 +255,141 @@ def cmd_pdf(args: argparse.Namespace) -> int:
         "second_moment_reference": reference.second_moment(),
         "sigma_mix": sigma_mix,
     }
-    resolved_config = {
-        "dx": dx,
-        "half_width": half_width,
-        "kind": kind.value,
-        "r_high": pair.r_high,
-        "r_low": pair.r_low,
-        "sigma_high": sigma_high,
-        "sigma_low": sigma_low,
+    columns = (mixture.x, mixture.values, reference.values)
+    artifacts = {
+        "pdf.csv": _csv_bytes("x,p_a,p_h", *map(_float_column, columns)),
+        "pdf.json": _json_bytes(summary),
     }
-    outputs: dict[str, str] = {}
-    _write_artifact(out_dir, "pdf.csv", ("\n".join(lines) + "\n").encode("ascii"), outputs)
-    _write_artifact(out_dir, "pdf.json", _json_bytes(summary), outputs)
-    _write_manifest(
-        out_dir,
-        RunManifest(
-            command="pdf", config=resolved_config, seed=None, version=__version__, outputs=outputs
-        ),
-    )
-    print(
+    return artifacts, (
         f"kind={kind.value} alpha={w.alpha:.6g} beta={w.beta:.6g} "
         f"sigma_mix={sigma_mix:.6g} residual={residual:.6g}"
     )
-    return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    defaults = dict(_SESSION_DEFAULTS)
-    defaults["multipliers"] = "1.0,1.2,1.5,2.0"
-    resolved = _resolve(defaults, args, set(defaults))
-    raw_multipliers = resolved["multipliers"]
-    try:
-        multipliers = (
-            _parse_multipliers(raw_multipliers)
-            if isinstance(raw_multipliers, str)
-            else [float(v) for v in raw_multipliers]
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-    if not multipliers or any(not math.isfinite(v) or v <= 0.0 for v in multipliers):
-        raise UsageError("multipliers must be positive and finite")
-    session_like = dict(resolved)
-    session_like.pop("multipliers")
-    config = _session_config(session_like)
-    if config.kind is DistributionKind.CAUCHY:
-        raise UsageError("sweep needs finite-variance noise; choose gaussian or uniform")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _sweep_inputs(s: dict) -> tuple[dict, tuple[SessionConfig, list[float]]]:
+    multipliers = _multipliers(s["multipliers"])
+    config = _session(s, "sweep")
+    return {**config.to_dict(), "multipliers": multipliers}, (config, multipliers)
 
+
+def _sweep(inputs: tuple[SessionConfig, list[float]], csv: bool) -> tuple[dict[str, bytes], str]:
+    config, multipliers = inputs
     points = leak_sweep(config, multipliers)
-
-    csv_lines = ["multiplier,eve_accuracy"]
-    for p in points:
-        acc = "" if p.eve_accuracy is None else repr(p.eve_accuracy)
-        csv_lines.append(f"{p.multiplier!r},{acc}")
-    summary = {
-        "base_config": config.to_dict(),
-        "points": [p.to_dict() for p in points],
-    }
-    manifest_config = config.to_dict()
-    manifest_config["multipliers"] = multipliers
-    outputs: dict[str, str] = {}
-    _write_artifact(out_dir, "sweep.csv", ("\n".join(csv_lines) + "\n").encode("ascii"), outputs)
-    _write_artifact(out_dir, "sweep.json", _json_bytes(summary), outputs)
-    _write_manifest(
-        out_dir,
-        RunManifest(
-            command="sweep",
-            config=manifest_config,
-            seed=config.seed,
-            version=__version__,
-            outputs=outputs,
+    summary = {"base_config": config.to_dict(), "points": [p.to_dict() for p in points]}
+    artifacts = {
+        "sweep.csv": _csv_bytes(
+            "multiplier,eve_accuracy",
+            [repr(p.multiplier) for p in points],
+            ["" if p.eve_accuracy is None else repr(p.eve_accuracy) for p in points],
         ),
+        "sweep.json": _json_bytes(summary),
+    }
+    return artifacts, "\n".join(
+        f"multiplier={p.multiplier:.6g} "
+        f"eve_accuracy={'n/a' if p.eve_accuracy is None else f'{p.eve_accuracy:.6g}'}"
+        for p in points
     )
-    for p in points:
-        acc = "n/a" if p.eve_accuracy is None else f"{p.eve_accuracy:.6g}"
-        print(f"multiplier={p.multiplier:.6g} eve_accuracy={acc}")
-    return 0
+
+
+_COMMANDS = {
+    "simulate": (_simulate_inputs, _simulate),
+    "attack": (_attack_inputs, _attack),
+    "pdf": (_pdf_inputs, _pdf),
+    "sweep": (_sweep_inputs, _sweep),
+}
+
+
+def _add_command(commands, name: str, help_text: str) -> argparse.ArgumentParser:
+    sub = commands.add_parser(name, help=help_text)
+    sub.add_argument("--config", help="JSON file with settings, overridden by explicit flags")
+    sub.add_argument("--out", default=".", help="directory for artifacts (default: current)")
+    if "seed" in _DEFAULTS[name]:
+        sub.add_argument("--seed", type=int, help="session seed (default 0)")
+    sub.add_argument("--r-low", dest="r_low", type=float, help="low resistance in ohms")
+    sub.add_argument("--r-high", dest="r_high", type=float, help="high resistance in ohms")
+    sub.add_argument("--kind", choices=_KIND_CHOICES, help="noise shape family")
+    sub.add_argument("--sigma-low", dest="sigma_low", type=float, help="low-side noise scale")
+    sub.add_argument(
+        "--sigma-high",
+        dest="sigma_high",
+        type=float,
+        help="high-side noise scale (default: the value the security condition demands)",
+    )
+    return sub
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="kljn",
+        description="Simulate the resistor-switching key exchange and measure what leaks.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    sim = _add_command(commands, "simulate", "run a full key-exchange session")
+    sim.add_argument("--samples-per-bit", dest="samples_per_bit", type=int)
+    sim.add_argument("--bits", type=int)
+    sim.add_argument("--significance", type=float)
+    sim.add_argument("--csv", action="store_true", help="also write per-bit records as CSV")
+
+    atk = _add_command(commands, "attack", "attack fresh mixed-state bits and report accuracy")
+    atk.add_argument("--samples", type=int, help="samples per trial (default 10000)")
+    atk.add_argument("--trials", type=int, help="number of trials (default 200)")
+    atk.add_argument("--significance", type=float)
+    atk.add_argument("--csv", action="store_true", help="also write per-trial decisions as CSV")
+
+    pdf = _add_command(commands, "pdf", "tabulate the wrong-hypothesis mixture density")
+    pdf.add_argument("--dx", type=float, help="grid spacing (default: finer scale / 200)")
+    pdf.add_argument(
+        "--half-width",
+        dest="half_width",
+        type=float,
+        help="half width of the wider component's grid (default: 8 mixture scales)",
+    )
+
+    swp = _add_command(commands, "sweep", "rerun sessions at scaled amplitude violations")
+    swp.add_argument("--samples-per-bit", dest="samples_per_bit", type=int)
+    swp.add_argument("--bits", type=int)
+    swp.add_argument("--significance", type=float)
+    swp.add_argument(
+        "--multipliers",
+        help="comma-separated factors applied to the compliant amplitude (default 1.0,1.2,1.5,2.0)",
+    )
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
+        return 0 if exc.code in (0, None) else 2
+    validate, run = _COMMANDS[args.command]
     try:
-        return args.handler(args)
-    except UsageError as exc:
+        config, inputs = validate(_resolve(args))
+    except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, ValueError, OSError) as exc:
+    try:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        artifacts, report = run(inputs, getattr(args, "csv", False))
+        outputs = {}
+        for name, data in artifacts.items():
+            (out_dir / name).write_bytes(data)
+            outputs[name] = hashlib.sha256(data).hexdigest()
+        manifest = {
+            "command": args.command,
+            "config": config,
+            "outputs": outputs,
+            "seed": config.get("seed"),
+            "version": __version__,
+        }
+        (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    print(report)
+    return 0
 
 
 if __name__ == "__main__":

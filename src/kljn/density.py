@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import special
 
-from .noise import DistributionKind, ResistorPair
+from .noise import DistributionKind, ResistorPair, check_sigmas
 
 NORMALIZATION_TOL = 1e-6
 TRUNCATION_BUDGET = 1e-3
@@ -99,13 +98,6 @@ class PdfGrid:
         out = np.concatenate(([0.0], np.cumsum(steps)))
         return out / out[-1]
 
-    def to_csv(self, path: str | Path) -> None:
-        xs = self.x
-        with open(path, "w", newline="") as fh:
-            fh.write("x,density\n")
-            for xv, pv in zip(xs, self.values):
-                fh.write(f"{float(xv)!r},{float(pv)!r}\n")
-
 
 @dataclass(frozen=True)
 class HypothesisWeights:
@@ -134,8 +126,7 @@ def weights(pair: ResistorPair, sigma_low: float, sigma_high: float) -> Hypothes
     ``alpha = sigma_low * 2 r_high / (r_low + r_high)`` and
     ``beta = sigma_high * (r_high - r_low) / (r_low + r_high)``.
     """
-    if sigma_low <= 0.0 or sigma_high <= 0.0:
-        raise ValueError("sigmas must be positive")
+    check_sigmas(sigma_low, sigma_high)
     denom = pair.r_low + pair.r_high
     alpha = sigma_low * 2.0 * pair.r_high / denom
     beta = sigma_high * (pair.r_high - pair.r_low) / denom

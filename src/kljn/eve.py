@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .density import PdfGrid, analytic_pdf, symmetric_grid
+from .density import PdfGrid, analytic_pdf, symmetric_grid, weights
 from .line import LineTrace, SwitchState, blocks, line_block, resistance_for
 from .noise import DistributionKind, NoiseSpec, ResistorPair, Trace, stream
 
@@ -44,18 +44,6 @@ class EveDecision(str, Enum):
     ALICE_LOW = "alice_low"
     ALICE_HIGH = "alice_high"
     UNDECIDED = "undecided"
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """A candidate assignment of switch states to the two parties."""
-
-    alice_state: SwitchState
-    bob_state: SwitchState
-
-    def __post_init__(self) -> None:
-        if self.alice_state is self.bob_state:
-            raise ValueError("only mixed states are ambiguous, states must differ")
 
 
 @dataclass(frozen=True)
@@ -170,11 +158,6 @@ def _reconstruct(voltage: np.ndarray, current: np.ndarray, r: float, alice: bool
     return voltage - current * r if alice else voltage + current * r
 
 
-def security_sigma_ratio(pair: ResistorPair) -> float:
-    """Amplitude ratio ``sigma_high / sigma_low`` that closes the variance leak."""
-    return math.sqrt(pair.r_high / pair.r_low)
-
-
 def wrong_hypothesis_variance(pair: ResistorPair, sigma_low: float, sigma_high: float) -> float:
     """Variance of the reconstruction made under the wrong resistor guess.
 
@@ -183,15 +166,11 @@ def wrong_hypothesis_variance(pair: ResistorPair, sigma_low: float, sigma_high: 
     ``(4 sigma_low^2 r_high^2 + sigma_high^2 (r_high - r_low)^2) /
     (r_low + r_high)^2``. At the square-root amplitude ratio this equals
     ``sigma_high^2`` exactly, which is why the variance test alone cannot
-    break a compliant system.
+    break a compliant system. It is ``alpha^2 + beta^2`` of the mixture
+    :func:`kljn.density.weights`.
     """
-    if sigma_low <= 0.0 or sigma_high <= 0.0:
-        raise ValueError("sigmas must be positive")
-    denom = (pair.r_low + pair.r_high) ** 2
-    return (
-        4.0 * sigma_low**2 * pair.r_high**2
-        + sigma_high**2 * (pair.r_high - pair.r_low) ** 2
-    ) / denom
+    w = weights(pair, sigma_low, sigma_high)
+    return w.alpha**2 + w.beta**2
 
 
 def variance_test(samples: Trace, expected_sigma: float, significance: float) -> VarianceTestResult:
@@ -301,9 +280,10 @@ def reference_grid(spec: NoiseSpec) -> PdfGrid:
     )
 
 
+# The two mixed assignments: (decision if it survives, Alice's state, Bob's state).
 _HYPOTHESES = (
-    (EveDecision.ALICE_LOW, Hypothesis(SwitchState.LOW, SwitchState.HIGH)),
-    (EveDecision.ALICE_HIGH, Hypothesis(SwitchState.HIGH, SwitchState.LOW)),
+    (EveDecision.ALICE_LOW, SwitchState.LOW, SwitchState.HIGH),
+    (EveDecision.ALICE_HIGH, SwitchState.HIGH, SwitchState.LOW),
 )
 
 
@@ -336,8 +316,8 @@ class BlockAttack:
         sub-tests (Bonferroni); Cauchy sources get a shape test only.
         """
         out = {}
-        for decision, hyp in _HYPOTHESES:
-            parties = ((True, hyp.alice_state), (False, hyp.bob_state))
+        for decision, alice_state, bob_state in _HYPOTHESES:
+            parties = ((True, alice_state), (False, bob_state))
             n_tests = sum(
                 1 if self.by_state[state][0].kind is DistributionKind.CAUCHY else 2
                 for _, state in parties

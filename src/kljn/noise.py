@@ -146,6 +146,22 @@ def johnson_sigma(resistance: float, temperature: float, bandwidth: float) -> fl
     return math.sqrt(4.0 * Boltzmann * temperature * resistance * bandwidth)
 
 
+def check_sigmas(sigma_low: float, sigma_high: float) -> None:
+    """Refuse source amplitudes that are not positive and finite, naming the one at fault."""
+    for name, sigma in (("sigma_low", sigma_low), ("sigma_high", sigma_high)):
+        if not (sigma > 0.0 and math.isfinite(sigma)):
+            raise ValueError(f"{name} must be positive and finite")
+
+
+def security_sigma_ratio(pair: ResistorPair) -> float:
+    """Amplitude ratio ``sigma_high / sigma_low`` that closes the variance leak.
+
+    This is the square-root amplitude law, ``sqrt(r_high / r_low)``; every
+    other use of the law in the package goes through this function.
+    """
+    return math.sqrt(pair.r_high / pair.r_low)
+
+
 def scaled_sigma_high(pair: ResistorPair, sigma_low: float) -> float:
     """Amplitude the high-resistor source needs for indistinguishability.
 
@@ -155,7 +171,7 @@ def scaled_sigma_high(pair: ResistorPair, sigma_low: float) -> float:
     """
     if sigma_low <= 0.0:
         raise ValueError("sigma_low must be positive")
-    return sigma_low * math.sqrt(pair.r_high / pair.r_low)
+    return sigma_low * security_sigma_ratio(pair)
 
 
 def sample(

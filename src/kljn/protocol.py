@@ -15,13 +15,19 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .eve import BlockAttack, EveDecision, decision_credit, reference_grid
+from .eve import MIN_TEST_SAMPLES, BlockAttack, EveDecision, decision_credit, reference_grid
 from .line import SwitchState, blocks, line_block, theoretical_line_variance
-from .noise import DistributionKind, NoiseSpec, ResistorPair, stream
+from .noise import (
+    DistributionKind,
+    NoiseSpec,
+    ResistorPair,
+    check_sigmas,
+    security_sigma_ratio,
+    stream,
+)
 
 
 class Level(str, Enum):
@@ -48,10 +54,9 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, DistributionKind):
             object.__setattr__(self, "kind", DistributionKind(self.kind))
-        if self.sigma_low <= 0.0 or self.sigma_high <= 0.0:
-            raise ValueError("sigmas must be positive")
-        if self.samples_per_bit < 100:
-            raise ValueError("samples_per_bit must be at least 100")
+        check_sigmas(self.sigma_low, self.sigma_high)
+        if self.samples_per_bit < MIN_TEST_SAMPLES:
+            raise ValueError(f"samples_per_bit must be at least {MIN_TEST_SAMPLES}")
         if self.bits < 1:
             raise ValueError("bits must be at least 1")
         if self.seed < 0:
@@ -121,9 +126,6 @@ class SessionOutcome:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
-    def records_to_csv(self, path: str | Path) -> None:
-        write_records_csv(self.records, path)
-
 
 _CSV_HEADER = "bit_index,alice_state,bob_state,classified_level,secure,discarded,key_bit,eve_decision"
 
@@ -147,12 +149,6 @@ def records_csv(records: tuple[BitRecord, ...]) -> str:
             )
         )
     return "\n".join(rows) + "\n"
-
-
-def write_records_csv(records: tuple[BitRecord, ...], path: str | Path) -> None:
-    """Write :func:`records_csv` to ``path``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(records_csv(records))
 
 
 def classify_level(
@@ -310,7 +306,7 @@ def leak_sweep(base: SessionConfig, multipliers: list[float]) -> list[SweepPoint
         raise ValueError("multipliers must be non-empty")
     if any(not math.isfinite(m) or m <= 0.0 for m in multipliers):
         raise ValueError("multipliers must be positive and finite")
-    ratio = math.sqrt(base.pair.r_high / base.pair.r_low)
+    ratio = security_sigma_ratio(base.pair)
     points: list[SweepPoint] = []
     for m in multipliers:
         config = replace(base, sigma_high=m * base.sigma_low * ratio)

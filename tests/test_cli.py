@@ -7,6 +7,7 @@ import pytest
 
 from kljn import DistributionKind, ResistorPair, SessionConfig, run_session
 from kljn.cli import main
+from kljn.protocol import records_csv
 
 
 def run(argv):
@@ -84,7 +85,8 @@ class TestSimulate:
             bits=15,
             seed=3,
         )
-        run_session(config).records_to_csv(tmp_path / "direct.csv")
+        direct = records_csv(run_session(config).records)
+        (tmp_path / "direct.csv").write_bytes(direct.encode("ascii"))
         written = (tmp_path / "bits.csv").read_bytes()
         assert written == (tmp_path / "direct.csv").read_bytes()
         assert hashlib.sha256(written).hexdigest() == (
@@ -113,6 +115,14 @@ class TestSimulate:
         assert run(["simulate", "--bits", "0", "--out", str(tmp_path)]) == 2
         assert run(["simulate", "--kind", "cauchy", "--out", str(tmp_path)]) == 2
         assert run(["simulate", "--samples-per-bit", "50", "--out", str(tmp_path)]) == 2
+
+    def test_overflowing_sigma_high_is_usage_error(self, tmp_path, capsys):
+        # the compliant sigma_high, 2e308, overflows to inf
+        out = tmp_path / "out"
+        argv = ["simulate", "--sigma-low", "1e308", "--bits", "5", "--samples-per-bit", "150"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "sigma_high must be positive and finite" in capsys.readouterr().err
 
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -181,6 +191,13 @@ class TestAttack:
         assert run(["attack", "--trials", "0", "--out", str(tmp_path)]) == 2
         assert run(["attack", "--samples", "50", "--out", str(tmp_path)]) == 2
         assert run(["attack", "--significance", "0", "--out", str(tmp_path)]) == 2
+
+    def test_infinite_sigma_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["attack", "--sigma-high", "inf", "--samples", "200", "--trials", "2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "sigma_high must be positive and finite" in capsys.readouterr().err
 
 
 class TestPdf:
@@ -284,3 +301,80 @@ class TestParser:
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
         assert "kljn" in capsys.readouterr().out
+
+
+# manifest.json holds the sha256 of every artifact, so its own digest pins
+# all of a command's output bytes.
+PINNED_MANIFESTS = [
+    pytest.param(
+        ["simulate", "--bits", "40", "--samples-per-bit", "150", "--seed", "3", "--csv"],
+        "32988f970e2f6651163670f569040f0d8b57e743bb6514be1972ba854ef4229a",
+        id="simulate",
+    ),
+    pytest.param(
+        ["attack", "--kind", "uniform", "--samples", "1000", "--trials", "6", "--seed", "5",
+         "--csv"],
+        "4ef50c2ba6e8e30fd2442fdab21012ed2d1a7a3f9726652b44bdf480da0d8529",
+        id="attack",
+    ),
+    pytest.param(
+        ["pdf", "--kind", "uniform"],
+        "ce35aa4900c3ee2c5870516a799dfd110dbbb45a2818656b48ae8f407f2e1aca",
+        id="pdf",
+    ),
+    pytest.param(
+        ["sweep", "--bits", "20", "--samples-per-bit", "300", "--multipliers", "1.0,2.0",
+         "--seed", "7"],
+        "6a98021b07b5cff3abbb9c1f60f90307b633e258a3d98f15ddb54586de49b6d2",
+        id="sweep",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_MANIFESTS)
+def test_manifest_digest_pins_every_artifact(tmp_path, argv, digest):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    check_manifest(tmp_path)
+    assert hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest() == digest
+
+
+# Every exit-2 command line above that takes --out, plus pdf --seed (pdf
+# draws no noise, so it takes no seed) and non-finite pdf grids; "{cfg}"
+# stands for a config file holding the paired text, or for a missing file
+# when it is None.
+USAGE_CASES = [
+    (["simulate", "--bits", "0"], None),
+    (["simulate", "--kind", "cauchy"], None),
+    (["simulate", "--samples-per-bit", "50"], None),
+    (["simulate", "--sigma-low", "1e308", "--bits", "5", "--samples-per-bit", "150"], None),
+    (["simulate", "--config", "{cfg}"], "{not json"),
+    (["simulate", "--config", "{cfg}"], json.dumps({"unknown_key": 1})),
+    (["simulate", "--config", "{cfg}"], None),
+    (["simulate", "--frombulate"], None),
+    (["simulate", "--kind", "poisson"], None),
+    (["attack", "--trials", "0"], None),
+    (["attack", "--samples", "50"], None),
+    (["attack", "--significance", "0"], None),
+    (["attack", "--sigma-high", "inf", "--samples", "200", "--trials", "2"], None),
+    (["pdf", "--kind", "cauchy"], None),
+    (["pdf", "--dx", "0"], None),
+    (["pdf", "--dx", "-1"], None),
+    (["pdf", "--dx", "nan"], None),
+    (["pdf", "--half-width", "inf"], None),
+    (["pdf", "--seed", "5"], None),
+    (["sweep", "--multipliers", ""], None),
+    (["sweep", "--multipliers", "1.0,-2.0"], None),
+    (["sweep", "--multipliers", "abc"], None),
+    (["sweep", "--kind", "cauchy"], None),
+]
+
+
+@pytest.mark.parametrize("argv, config_text", USAGE_CASES)
+def test_usage_errors_create_no_output_directory(tmp_path, argv, config_text):
+    cfg = tmp_path / "cfg.json"
+    if config_text is not None:
+        cfg.write_text(config_text)
+    out = tmp_path / "fresh"
+    argv = [str(cfg) if a == "{cfg}" else a for a in argv]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()

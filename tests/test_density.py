@@ -195,17 +195,6 @@ class TestPdfGrid:
         assert cdf[-1] == 1.0
         assert np.all(np.diff(cdf) >= 0.0)
 
-    def test_to_csv(self, tmp_path):
-        grid = analytic_pdf(DistributionKind.GAUSSIAN, 1.0, *symmetric_grid(4.0, 0.5))
-        path = tmp_path / "grid.csv"
-        grid.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,density"
-        assert len(lines) == grid.values.size + 1
-        x, density = lines[1].split(",")
-        assert float(x) == grid.x0
-        assert float(density) == grid.values[0]
-
 
 class TestConvolution:
     def test_gaussian_closure_reference_case(self):

@@ -9,7 +9,6 @@ import pytest
 from kljn import (
     DistributionKind,
     EveDecision,
-    Hypothesis,
     LineTrace,
     NoiseSpec,
     ResistorPair,
@@ -327,10 +326,6 @@ class TestAttack:
 
 
 class TestDecisions:
-    def test_hypothesis_must_be_mixed(self):
-        with pytest.raises(ValueError):
-            Hypothesis(SwitchState.LOW, SwitchState.LOW)
-
     def test_decision_credit(self):
         assert decision_credit(EveDecision.ALICE_LOW, SwitchState.LOW) == 1.0
         assert decision_credit(EveDecision.ALICE_LOW, SwitchState.HIGH) == 0.0

@@ -17,6 +17,7 @@ from kljn import (
     run_session,
     stream,
 )
+from kljn.protocol import records_csv
 
 PAIR = ResistorPair(1.0, 4.0)
 
@@ -149,7 +150,7 @@ class TestRunSession:
     def test_csv_dump(self, tmp_path):
         out = run_session(config(bits=5, samples_per_bit=150, seed=77))
         path = tmp_path / "bits.csv"
-        out.records_to_csv(path)
+        path.write_text(records_csv(out.records))
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "bit_index,alice_state,bob_state,classified_level,secure,discarded,key_bit,eve_decision"
@@ -173,6 +174,11 @@ class TestSessionConfig:
             config(sigma_low=0.0)
         with pytest.raises(ValueError):
             config(significance=1.0)
+
+    def test_non_finite_sigmas_refused(self):
+        for sigmas in ((math.inf, 2.0), (1.0, math.inf), (math.nan, 2.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                config(sigma_low=sigmas[0], sigma_high=sigmas[1])
 
     def test_kind_coercion(self):
         assert config(kind="uniform").kind is DistributionKind.UNIFORM
