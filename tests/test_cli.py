@@ -366,6 +366,7 @@ USAGE_CASES = [
     (["sweep", "--multipliers", "1.0,-2.0"], None),
     (["sweep", "--multipliers", "abc"], None),
     (["sweep", "--kind", "cauchy"], None),
+    (["sweep", "--bits", "10", "--samples-per-bit", "150", "--multipliers", "1.0,1e308"], None),
 ]
 
 

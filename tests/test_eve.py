@@ -29,6 +29,7 @@ from kljn import (
     weights,
     wrong_hypothesis_variance,
 )
+from kljn.eve import _ks_steps, _reference_cdf, _shape_rows
 
 PAIR = ResistorPair(1.0, 4.0)
 GAUSS_LOW = NoiseSpec(DistributionKind.GAUSSIAN, 1.0)
@@ -231,6 +232,18 @@ class TestShapeTest:
         object.__setattr__(ref, "values", ref.values * 2.0)
         with pytest.raises(ValueError):
             shape_test(sample(GAUSS_LOW, 1000, seed=1), ref, 0.01)
+
+    @pytest.mark.parametrize("rows, n", [(1, 100), (1, 4099), (9, 1000)])
+    def test_statistic_is_bitwise_the_plain_formula(self, rows, n):
+        reference = _reference_cdf(reference_grid(GAUSS_HIGH))
+        rng = np.random.default_rng(rows * n)
+        # Wide draws put some samples off the grid, where the CDF clamps.
+        x = np.sort(rng.standard_normal((rows, n)) * 7.0, axis=1)
+        cdf = np.interp(x, *reference)
+        i = np.arange(1, n + 1, dtype=np.float64)
+        plain = np.maximum(np.max(i / n - cdf, axis=1), np.max(cdf - (i - 1.0) / n, axis=1))
+        got = _shape_rows(x.copy(), reference, _ks_steps(n), 0.01).statistic
+        assert (got == plain).all()
 
     def test_preconditions(self):
         ref = reference_grid(GAUSS_LOW)

@@ -116,6 +116,13 @@ class TestTheoreticalVariance:
         with pytest.raises(ValueError):
             theoretical_line_variance(PAIR, 0.0, 2.0, SwitchState.LOW, SwitchState.LOW)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, bad):
+        with pytest.raises(ValueError, match="sigma_low must be positive and finite"):
+            theoretical_line_variance(PAIR, bad, 2.0, SwitchState.LOW, SwitchState.HIGH)
+        with pytest.raises(ValueError, match="sigma_high must be positive and finite"):
+            theoretical_line_variance(PAIR, 1.0, bad, SwitchState.LOW, SwitchState.HIGH)
+
     @pytest.mark.parametrize("kind", [DistributionKind.GAUSSIAN, DistributionKind.UNIFORM])
     @pytest.mark.parametrize(
         "state_a,state_b",

@@ -17,7 +17,7 @@ from kljn import (
     run_session,
     stream,
 )
-from kljn.protocol import records_csv
+from kljn.protocol import records_csv, sweep_configs
 
 PAIR = ResistorPair(1.0, 4.0)
 
@@ -223,3 +223,16 @@ class TestLeakSweep:
             leak_sweep(base, [-2.0])
         with pytest.raises(ValueError):
             leak_sweep(base, [math.inf])
+
+    def test_overflowing_sigma_high_is_refused_before_any_session(self):
+        base = config(bits=10, samples_per_bit=150)
+        with pytest.raises(ValueError, match="sigma_high must be positive and finite"):
+            sweep_configs(base, [1.0, 1e308])
+        with pytest.raises(ValueError, match="sigma_high must be positive and finite"):
+            leak_sweep(base, [1.0, 1e308])
+
+    def test_configs_scale_the_compliant_sigma_high(self):
+        base = config(bits=10, samples_per_bit=150, sigma_high=5.0)
+        configs = sweep_configs(base, [1.0, 1.5])
+        assert [c.sigma_high for c in configs] == [2.0, 3.0]
+        assert all(replace(c, sigma_high=5.0) == base for c in configs)
