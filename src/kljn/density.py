@@ -31,7 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+# Imported here, not on first use: numpy 2 loads numpy.fft lazily, which
+# would move its import cost from start-up into the first convolution.
+import numpy.fft  # noqa: F401
 
 from .noise import DistributionKind, ResistorPair, check_sigmas
 
@@ -42,6 +44,12 @@ HALF_WIDTH_SCALES = 8.0
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """``math.erfc`` of every element (numpy has no erfc ufunc)."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 class TruncationError(ValueError):
@@ -157,12 +165,16 @@ def family_pdf(kind: DistributionKind, scale: float, x: np.ndarray) -> np.ndarra
 
 
 def family_cdf(kind: DistributionKind, scale: float, x: np.ndarray) -> np.ndarray:
-    """Closed-form CDF of one family member, used for tail accounting."""
+    """Closed-form CDF of one family member, used for tail accounting.
+
+    The Gaussian branch, ``erfc(-x / (scale sqrt 2)) / 2``, is also the
+    normal CDF behind :mod:`kljn.eve`'s two-sided z p-values.
+    """
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     x = np.asarray(x, dtype=np.float64)
     if kind is DistributionKind.GAUSSIAN:
-        return special.ndtr(x / scale)
+        return 0.5 * _erfc(-(x / scale) * _SQRT1_2)
     if kind is DistributionKind.UNIFORM:
         half = _SQRT3 * scale
         return np.clip((x + half) / (2.0 * half), 0.0, 1.0)

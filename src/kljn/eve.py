@@ -20,9 +20,8 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
-from .density import PdfGrid, analytic_pdf, symmetric_grid, weights
+from .density import PdfGrid, analytic_pdf, family_cdf, symmetric_grid, weights
 from .line import LineTrace, SwitchState, blocks, line_block, resistance_for
 from .noise import BlockStreams, DistributionKind, NoiseSpec, ResistorPair, Trace
 # Unused here; bench/test_bench.py checks that its tracer wraps this binding.
@@ -38,6 +37,21 @@ _REFERENCE_POLICY = {
     DistributionKind.UNIFORM: (8.0, 1.0 / 2000.0),
     DistributionKind.CAUCHY: (800.0, 1.0 / 200.0),
 }
+
+# Kolmogorov survival function (see _kolmogorov_sf). Below the cutover it
+# is 1 minus the Jacobi theta form of the CDF,
+# sqrt(2 pi) / x * sum_k exp(-(2k - 1)^2 pi^2 / (8 x^2)) for k = 1, 2; from
+# the cutover up it is the alternating series
+# 2 * sum_k (-1)^(k - 1) exp(-2 k^2 x^2) for k = 1 .. 5. The first term left
+# out is below 1e-19 of the value on either side. At or below the floor the
+# theta form underflows to 0, so the function is exactly 1 there.
+_KS_CUTOVER = 0.82
+_KS_FLOOR = 0.04
+# One row per term; the values run along axis 1.
+_THETA_EXPONENTS = -(np.array([[1.0], [9.0]]) * math.pi**2 / 8.0)
+_SERIES_EXPONENTS = -2.0 * np.arange(1.0, 6.0).reshape(-1, 1) ** 2
+_SERIES_SIGNS = np.array([[2.0], [-2.0], [2.0], [-2.0], [2.0]])
+_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 class EveDecision(str, Enum):
@@ -183,7 +197,8 @@ def variance_test(samples: Trace, expected_sigma: float, significance: float) ->
     if expected_sigma <= 0.0:
         raise ValueError("expected_sigma must be positive")
     _check_significance(significance)
-    return _variance_rows(samples.samples[None, :], expected_sigma, significance).result(0)
+    moments = _variance_z(samples.samples[None, :], expected_sigma)
+    return _variance_results(n, [moments], significance)[0].result(0)
 
 
 def shape_test(samples: Trace, reference: PdfGrid, significance: float) -> ShapeTestResult:
@@ -251,13 +266,46 @@ class _ShapeRows(NamedTuple):
         )
 
 
-def _variance_rows(x: np.ndarray, expected_sigma: float, level: float) -> _VarianceRows:
+def _variance_z(x: np.ndarray, expected_sigma: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Expected variance, per-row mean square and per-row z score of zero-mean rows."""
     n = x.shape[1]
     expected = expected_sigma**2
     observed = np.mean(x**2, axis=1)
     z = (observed - expected) / (expected * math.sqrt(2.0 / n))
-    p = 2.0 * special.ndtr(-np.abs(z))
-    return _VarianceRows(n, expected, observed, z, p, p < level)
+    return expected, observed, z
+
+
+def _variance_results(
+    n: int, moments: list[tuple[float, np.ndarray, np.ndarray]], level: float
+) -> list[_VarianceRows]:
+    """Variance tests from :func:`_variance_z` outputs, all p-values in one kernel call."""
+    if not moments:
+        return []
+    p_values = _z_p_value(np.array([z for _, _, z in moments]))
+    return [
+        _VarianceRows(n, expected, observed, z, p, reject)
+        for (expected, observed, z), p, reject in zip(moments, p_values, p_values < level)
+    ]
+
+
+def _z_p_value(z: np.ndarray) -> np.ndarray:
+    """Two-sided p-value of standard normal scores, ``2 Phi(-|z|) = erfc(|z| / sqrt 2)``."""
+    return 2.0 * family_cdf(DistributionKind.GAUSSIAN, 1.0, -np.abs(z))
+
+
+def _kolmogorov_sf(x: np.ndarray) -> np.ndarray:
+    """Survival function ``P(K > x)`` of the Kolmogorov distribution, elementwise.
+
+    This is the asymptotic p-value of ``sqrt(n) * D``. Both series are
+    evaluated for every element and ``np.where`` picks one, so the cost is
+    a fixed handful of array operations whatever the values; NaN stays NaN.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    t = np.maximum(x, _KS_FLOOR).reshape(1, -1)
+    t2 = t * t
+    theta = np.add.reduce(np.exp(_THETA_EXPONENTS / t2)) * (_SQRT2PI / t[0])
+    series = np.add.reduce(np.exp(_SERIES_EXPONENTS * t2) * _SERIES_SIGNS)
+    return np.where(x < _KS_CUTOVER, 1.0 - theta.reshape(x.shape), series.reshape(x.shape))
 
 
 def _ks_steps(n: int) -> np.ndarray:
@@ -265,24 +313,34 @@ def _ks_steps(n: int) -> np.ndarray:
     return np.arange(n + 1, dtype=np.float64) / n
 
 
-def _shape_rows(
-    x: np.ndarray, reference: tuple[np.ndarray, np.ndarray], steps: np.ndarray, level: float
-) -> _ShapeRows:
-    """KS test of rows sorted in ascending order; ``x`` is reused as scratch and overwritten.
+def _ks_statistic(
+    x: np.ndarray, reference: tuple[np.ndarray, np.ndarray], steps: np.ndarray
+) -> np.ndarray:
+    """KS distance of rows sorted in ascending order; ``x`` is reused as scratch and overwritten.
 
     ``d+ = max(k/n - cdf) = -min(cdf - k/n)`` over ``k = 1 .. n`` and
     ``d- = max(cdf - (k-1)/n)``; IEEE subtraction is antisymmetric, so both
     are bitwise the plain formulas.
     """
-    n = x.shape[1]
     cdf = np.interp(x, *reference)
     diff = np.subtract(cdf, steps[1:], out=x)
     d_plus = -np.min(diff, axis=1)
     diff = np.subtract(cdf, steps[:-1], out=x)
     d_minus = np.max(diff, axis=1)
-    statistic = np.maximum(d_plus, d_minus)
-    p = special.kolmogorov(math.sqrt(n) * statistic)
-    return _ShapeRows(n, statistic, p, p < level)
+    return np.maximum(d_plus, d_minus)
+
+
+def _shape_results(n: int, statistics: list[np.ndarray], level: float) -> list[_ShapeRows]:
+    """KS tests from :func:`_ks_statistic` outputs, all p-values in one kernel call."""
+    p_values = _kolmogorov_sf(math.sqrt(n) * np.array(statistics))
+    return [_ShapeRows(n, *row) for row in zip(statistics, p_values, p_values < level)]
+
+
+def _shape_rows(
+    x: np.ndarray, reference: tuple[np.ndarray, np.ndarray], steps: np.ndarray, level: float
+) -> _ShapeRows:
+    """KS test of rows sorted in ascending order; ``x`` is overwritten as scratch."""
+    return _shape_results(x.shape[1], [_ks_statistic(x, reference, steps)], level)[0]
 
 
 def reference_grid(spec: NoiseSpec) -> PdfGrid:
@@ -323,37 +381,41 @@ class BlockAttack:
             SwitchState.LOW: (spec_low, _reference_cdf(references[0])),
             SwitchState.HIGH: (spec_high, _reference_cdf(references[1])),
         }
+        # Each hypothesis tests one low and one high party, so both share
+        # one Bonferroni level; Cauchy sources get a shape test only.
+        n_tests = sum(
+            1 if spec.kind is DistributionKind.CAUCHY else 2 for spec in (spec_low, spec_high)
+        )
+        self.level = significance / n_tests
 
     def tests(self, voltage: np.ndarray, current: np.ndarray) -> dict[EveDecision, _HypothesisRows]:
         """Every sub-test of both hypotheses on a block of line signals.
 
         The per-test level is the significance divided by the number of
-        sub-tests (Bonferroni); Cauchy sources get a shape test only.
+        sub-tests (Bonferroni). The block's p-values are computed once per
+        kind of test, over all of its rows and sub-tests together.
         """
-        steps = _ks_steps(voltage.shape[1])
-        out = {}
-        for decision, alice_state, bob_state in _HYPOTHESES:
-            parties = ((True, alice_state), (False, bob_state))
-            n_tests = sum(
-                1 if self.by_state[state][0].kind is DistributionKind.CAUCHY else 2
-                for _, state in parties
-            )
-            level = self.significance / n_tests
-            variances: list[_VarianceRows | None] = []
-            shapes: list[_ShapeRows] = []
-            rejected = np.zeros(voltage.shape[0], dtype=bool)
-            for alice, state in parties:
+        n = voltage.shape[1]
+        steps = _ks_steps(n)
+        moments: list[tuple[float, np.ndarray, np.ndarray] | None] = []
+        statistics: list[np.ndarray] = []
+        for _, alice_state, bob_state in _HYPOTHESES:
+            for alice, state in ((True, alice_state), (False, bob_state)):
                 spec, ref = self.by_state[state]
                 x = _reconstruct(voltage, current, resistance_for(self.pair, state), alice)
-                if spec.kind is DistributionKind.CAUCHY:
-                    variances.append(None)
-                else:
-                    variances.append(_variance_rows(x, spec.scale, level))
-                    rejected |= variances[-1].reject
+                cauchy = spec.kind is DistributionKind.CAUCHY
+                moments.append(None if cauchy else _variance_z(x, spec.scale))
                 x.sort(axis=1)
-                shapes.append(_shape_rows(x, ref, steps, level))
-                rejected |= shapes[-1].reject
-            out[decision] = _HypothesisRows(*variances, *shapes, rejected)
+                statistics.append(_ks_statistic(x, ref, steps))
+        tested = iter(_variance_results(n, [m for m in moments if m is not None], self.level))
+        variances = [None if m is None else next(tested) for m in moments]
+        shapes = _shape_results(n, statistics, self.level)
+        out = {}
+        for k, (decision, _, _) in enumerate(_HYPOTHESES):
+            parties = slice(2 * k, 2 * k + 2)
+            cells = [*variances[parties], *shapes[parties]]
+            rejected = np.logical_or.reduce([c.reject for c in cells if c is not None])
+            out[decision] = _HypothesisRows(*cells, rejected)
         return out
 
     def decisions(self, voltage: np.ndarray, current: np.ndarray) -> list[EveDecision]:

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.constants import Boltzmann
+# Imported here, not on first use: numpy 2 loads numpy.random lazily, which
+# would move its import cost from start-up into the first session.
+import numpy.random  # noqa: F401
+
+# J/K, exact by the 2019 SI definition.
+Boltzmann = 1.380649e-23
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -272,10 +277,10 @@ def _seed_pool(seed_words: list[int], consts: list[int]) -> tuple[list[int], int
 def johnson_sigma(resistance: float, temperature: float, bandwidth: float) -> float:
     """RMS voltage of thermal noise across a resistor.
 
-    Computes ``sqrt(4 k T R B)`` with the CODATA Boltzmann constant, so
-    the RMS amplitude grows with the square root of the resistance. All
-    three arguments must be strictly positive; the value tends to zero
-    continuously as any of them does.
+    Computes ``sqrt(4 k T R B)`` with the exact SI (2019) Boltzmann
+    constant, so the RMS amplitude grows with the square root of the
+    resistance. All three arguments must be strictly positive; the value
+    tends to zero continuously as any of them does.
     """
     if resistance <= 0.0:
         raise ValueError("resistance must be positive")

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from kljn import (
     DistributionKind,
@@ -192,6 +191,7 @@ def uniform_mixture_l1_oracle(alpha: float, beta: float) -> float:
     def matched_uniform(x: float) -> float:
         return 1.0 / (2.0 * c) if abs(x) <= c else 0.0
 
+    quad = pytest.importorskip("scipy.integrate").quad
     breaks = sorted({0.0, a - b, c, a + b})
     total = 0.0
     for lo, hi in zip(breaks[:-1], breaks[1:]):

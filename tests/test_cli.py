@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kljn
 from kljn import DistributionKind, ResistorPair, SessionConfig, run_session
 from kljn.cli import main
 from kljn.protocol import records_csv
@@ -379,3 +384,23 @@ def test_usage_errors_create_no_output_directory(tmp_path, argv, config_text):
     argv = [str(cfg) if a == "{cfg}" else a for a in argv]
     assert run(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test-only oracle; a fresh interpreter shows what the
+    # command line itself imports. A None entry is an import blocked on
+    # purpose, not a loaded module.
+    src = str(Path(kljn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, kljn.cli; print(sorted(name for name, module in sys.modules.items()"
+        " if module is not None and name.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

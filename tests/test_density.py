@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from kljn import (
     DistributionKind,
@@ -58,6 +57,7 @@ def uniform_mixture_l1_oracle(alpha: float, beta: float) -> float:
     def matched_uniform(x: float) -> float:
         return 1.0 / (2.0 * c) if abs(x) <= c else 0.0
 
+    quad = pytest.importorskip("scipy.integrate").quad
     breaks = sorted({0.0, a - b, c, a + b})
     total = 0.0
     for lo, hi in zip(breaks[:-1], breaks[1:]):
@@ -371,6 +371,7 @@ class TestCauchyScaleArithmetic:
         def cauchy(u, s):
             return s / (math.pi * (u * u + s * s))
 
+        quad = pytest.importorskip("scipy.integrate").quad
         got, _ = quad(lambda t: cauchy(t, alpha) * cauchy(x - t, beta), -np.inf, np.inf)
         want = cauchy(x, alpha + beta)
         assert got == pytest.approx(want, rel=1e-6)

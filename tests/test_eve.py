@@ -29,7 +29,9 @@ from kljn import (
     weights,
     wrong_hypothesis_variance,
 )
-from kljn.eve import _ks_steps, _reference_cdf, _shape_rows
+from kljn.eve import BlockAttack, _ks_steps, _reference_cdf, _shape_rows
+from kljn.line import line_block
+from kljn.noise import BlockStreams
 
 PAIR = ResistorPair(1.0, 4.0)
 GAUSS_LOW = NoiseSpec(DistributionKind.GAUSSIAN, 1.0)
@@ -232,6 +234,28 @@ class TestShapeTest:
         object.__setattr__(ref, "values", ref.values * 2.0)
         with pytest.raises(ValueError):
             shape_test(sample(GAUSS_LOW, 1000, seed=1), ref, 0.01)
+
+    def test_block_sub_tests_are_calibrated_under_the_null(self):
+        # Compliant Gaussian noise with Alice low on every row: under the
+        # true hypothesis each reconstruction is exactly that party's
+        # source, so all four of its sub-tests see the null. Significance
+        # 0.2 over four sub-tests puts each at level 0.05; the p-values
+        # come from the block's stacked kernels.
+        rows, n = 2000, 1000
+        alice_high = np.zeros(rows, dtype=bool)
+        voltage, current = line_block(
+            BlockStreams(77, range(rows)), alice_high, ~alice_high, PAIR, GAUSS_LOW, GAUSS_HIGH, n
+        )
+        references = (reference_grid(GAUSS_LOW), reference_grid(GAUSS_HIGH))
+        eve = BlockAttack(PAIR, GAUSS_LOW, GAUSS_HIGH, 0.2, references)
+        assert eve.level == pytest.approx(0.05, rel=1e-15)
+        true = eve.tests(voltage, current)[EveDecision.ALICE_LOW]
+        trials = 2 * rows
+        bound = 5.0 * math.sqrt(0.05 * 0.95 / trials)
+        pairs = ((true.alice_shape, true.bob_shape), (true.alice_variance, true.bob_variance))
+        for alice, bob in pairs:
+            rate = (np.count_nonzero(alice.reject) + np.count_nonzero(bob.reject)) / trials
+            assert abs(rate - 0.05) <= bound
 
     @pytest.mark.parametrize("rows, n", [(1, 100), (1, 4099), (9, 1000)])
     def test_statistic_is_bitwise_the_plain_formula(self, rows, n):
