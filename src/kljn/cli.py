@@ -32,12 +32,14 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .density import closure_pair, default_grid, l1_residual, weights
-from .eve import MIN_TEST_SAMPLES, attack_trials, decision_credit
+from .eve import attack_trials, check_trial_settings, decision_credit
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, scaled_sigma_high
 from .protocol import SessionConfig, leak_sweep, records_csv, run_session, sweep_configs
 
@@ -72,15 +74,41 @@ def _json_bytes(obj: object) -> bytes:
 
 
 def _csv_bytes(header: str, *columns: Iterable[str]) -> bytes:
-    """CSV text from pre-formatted columns: the header, then one row per index."""
-    return ("\n".join([header, *map(",".join, zip(*columns))]) + "\n").encode("ascii")
+    """CSV text from pre-formatted columns: the header, then one row per index.
+
+    Rows are joined ``_CSV_BLOCK`` (4096) at a time and then the blocks are
+    joined, so no list holding every row's string is ever built. Each row is
+    joined as ``zip`` yields it, which lets ``zip`` reuse its row tuple.
+    """
+    rows = map(",".join, zip(*columns))
+    texts = [header]
+    for first in rows:
+        texts.append("\n".join(chain((first,), islice(rows, _CSV_BLOCK - 1))))
+    texts.append("")  # the final newline
+    return "\n".join(texts).encode("ascii")
 
 
-def _float_column(values) -> Iterator[str]:
-    """``repr`` of each array value as a Python float, converted by ``tolist`` a
-    block at a time so that whole columns of floats never sit in memory at once."""
-    blocks = (values[i : i + _CSV_BLOCK].tolist() for i in range(0, values.size, _CSV_BLOCK))
-    return map(repr, chain.from_iterable(blocks))
+def _float_column(values: np.ndarray) -> Iterator[str]:
+    """``repr`` of each array value as a Python float, ``_CSV_BLOCK`` (4096) at a time.
+
+    Within a block, values are keyed by their 64-bit pattern, so ``repr`` runs
+    once per distinct pattern and its text is reused for every repeat. Bit
+    patterns keep ``-0.0`` apart from ``0.0``, unlike float equality, and a
+    per-block key keeps memory flat however long the column is.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return chain.from_iterable(
+        _block_texts(values[i : i + _CSV_BLOCK]) for i in range(0, values.size, _CSV_BLOCK)
+    )
+
+
+def _block_texts(block: np.ndarray) -> list[str]:
+    """The ``repr`` of each value in one block, one call per distinct bit pattern."""
+    keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+    if keys.size == block.size:  # no repeats: nothing to reuse, so skip the gather
+        return list(map(repr, block.tolist()))
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _load_config_file(path: str, allowed: set[str]) -> dict:
@@ -171,14 +199,7 @@ def _attack_inputs(s: dict) -> tuple[dict, tuple]:
     check_sigmas(sigma_low, sigma_high)
     samples, trials, seed = int(s["samples"]), int(s["trials"]), int(s["seed"])
     significance = float(s["significance"])
-    if samples < MIN_TEST_SAMPLES:
-        raise ValueError(f"samples must be at least {MIN_TEST_SAMPLES}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not 0.0 < significance < 1.0:
-        raise ValueError("significance must lie in (0, 1)")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    check_trial_settings(samples, trials, significance, seed)
     config = {
         "kind": kind.value,
         "r_high": pair.r_high,

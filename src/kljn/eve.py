@@ -516,6 +516,19 @@ class AttackTrialSummary:
         }
 
 
+def check_trial_settings(
+    samples_per_trial: int, trials: int, significance: float, seed: int
+) -> None:
+    """Refuse settings :func:`attack_trials` cannot run, before anything is drawn."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if samples_per_trial < MIN_TEST_SAMPLES:
+        raise ValueError(f"trials need at least {MIN_TEST_SAMPLES} samples each")
+    _check_significance(significance)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+
+
 def attack_trials(
     pair: ResistorPair,
     spec_low: NoiseSpec,
@@ -539,11 +552,7 @@ def attack_trials(
     Every trial keeps its own streams, so the outcome does not depend on
     the block size.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if samples_per_trial < MIN_TEST_SAMPLES:
-        raise ValueError(f"trials need at least {MIN_TEST_SAMPLES} samples each")
-    _check_significance(significance)
+    check_trial_settings(samples_per_trial, trials, significance, seed)
     references = (reference_grid(spec_low), reference_grid(spec_high))
     eve = BlockAttack(pair, spec_low, spec_high, significance, references)
     decisions: list[EveDecision] = []

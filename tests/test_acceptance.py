@@ -6,8 +6,6 @@ here and nowhere else; the seeds pin every random quantity so reruns are
 exact.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -33,9 +31,9 @@ from kljn import (
     theoretical_line_variance,
     wrong_hypothesis_variance,
 )
+from uniform_oracle import uniform_mixture_l1_oracle
 
 PAIR = ResistorPair(1.0, 4.0)
-SQRT3 = math.sqrt(3.0)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -171,33 +169,6 @@ def test_criterion_5_gaussian_mixture_closure():
         f"L1 residual {residual:.3e} <= 1e-6 and second moment {second:.6f} "
         f"within 0.5% of 25",
     )
-
-
-def uniform_mixture_l1_oracle(alpha: float, beta: float) -> float:
-    # Closed-form densities integrated by adaptive quadrature; no package
-    # code involved.
-    a = SQRT3 * max(alpha, beta)
-    b = SQRT3 * min(alpha, beta)
-    c = SQRT3 * math.hypot(alpha, beta)
-
-    def trapezoid(x: float) -> float:
-        x = abs(x)
-        if x <= a - b:
-            return 1.0 / (2.0 * a)
-        if x < a + b:
-            return (a + b - x) / (4.0 * a * b)
-        return 0.0
-
-    def matched_uniform(x: float) -> float:
-        return 1.0 / (2.0 * c) if abs(x) <= c else 0.0
-
-    quad = pytest.importorskip("scipy.integrate").quad
-    breaks = sorted({0.0, a - b, c, a + b})
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        piece, _ = quad(lambda x: abs(trapezoid(x) - matched_uniform(x)), lo, hi)
-        total += piece
-    return 2.0 * total
 
 
 def test_criterion_6_uniform_mixture_breaks_closure():

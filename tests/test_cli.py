@@ -7,11 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kljn
 from kljn import DistributionKind, ResistorPair, SessionConfig, run_session
-from kljn.cli import main
+from kljn.cli import _CSV_BLOCK, _csv_bytes, _float_column, main
 from kljn.protocol import records_csv
 
 
@@ -327,6 +328,18 @@ PINNED_MANIFESTS = [
         "ce35aa4900c3ee2c5870516a799dfd110dbbb45a2818656b48ae8f407f2e1aca",
         id="pdf",
     ),
+    # the benchmark's pdf: 70 405 rows, few distinct mixture and reference values
+    pytest.param(
+        ["pdf", "--kind", "uniform", "--r-low", "1.0", "--r-high", "1.1"],
+        "7a96125ac054d00064d0042c6a5e4d22578085d16bc1493b50875d92198310df",
+        id="pdf-near-equal",
+    ),
+    # Gaussian: most values in every column are distinct
+    pytest.param(
+        ["pdf"],
+        "415fb8b94df24ee969f9aa700d90a79c2bc3220cb828fdc6c836cc451ed1b27e",
+        id="pdf-gaussian",
+    ),
     pytest.param(
         ["sweep", "--bits", "20", "--samples-per-bit", "300", "--multipliers", "1.0,2.0",
          "--seed", "7"],
@@ -344,9 +357,9 @@ def test_manifest_digest_pins_every_artifact(tmp_path, argv, digest):
 
 
 # Every exit-2 command line above that takes --out, plus pdf --seed (pdf
-# draws no noise, so it takes no seed) and non-finite pdf grids; "{cfg}"
-# stands for a config file holding the paired text, or for a missing file
-# when it is None.
+# draws no noise, so it takes no seed), a negative attack seed and
+# non-finite pdf grids; "{cfg}" stands for a config file holding the
+# paired text, or for a missing file when it is None.
 USAGE_CASES = [
     (["simulate", "--bits", "0"], None),
     (["simulate", "--kind", "cauchy"], None),
@@ -361,6 +374,7 @@ USAGE_CASES = [
     (["attack", "--samples", "50"], None),
     (["attack", "--significance", "0"], None),
     (["attack", "--sigma-high", "inf", "--samples", "200", "--trials", "2"], None),
+    (["attack", "--seed", "-1"], None),
     (["pdf", "--kind", "cauchy"], None),
     (["pdf", "--dx", "0"], None),
     (["pdf", "--dx", "-1"], None),
@@ -384,6 +398,48 @@ def test_usage_errors_create_no_output_directory(tmp_path, argv, config_text):
     argv = [str(cfg) if a == "{cfg}" else a for a in argv]
     assert run(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def plain_csv(header, columns):
+    """The reference renderer: ``repr`` of every value, one row at a time."""
+    rows = zip(*(map(repr, c.tolist()) for c in columns))
+    return ("\n".join([header, *map(",".join, rows)]) + "\n").encode("ascii")
+
+
+def mixed_columns(rows):
+    # one distinct column, one with many repeats, one evenly spaced
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal(rows)
+    return (x, np.round(x, 1), np.linspace(-3.0, 3.0, rows))
+
+
+def one_column(*values):
+    return (np.array(values, dtype=np.float64),)
+
+
+def repeat_across_boundary():
+    # 0.1 fills the end of the first block and the start of the second
+    x = np.arange(2 * _CSV_BLOCK, dtype=np.float64)
+    x[_CSV_BLOCK - 3 : _CSV_BLOCK + 3] = 0.1
+    return (x, np.full(x.size, 0.1))
+
+
+RENDER_CASES = [
+    *(
+        pytest.param(mixed_columns(rows), id=f"rows-{rows}")
+        for rows in (0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 1)
+    ),
+    pytest.param(one_column(0.0, -0.0, 0.0, -0.0, -0.0, 1.0), id="signed-zeros"),
+    pytest.param(one_column(5e-324, 1e16, 1e-5, -5e-324, 1e16, 9999999999999998.0), id="formats"),
+    pytest.param(repeat_across_boundary(), id="repeat-across-blocks"),
+]
+
+
+@pytest.mark.parametrize("columns", RENDER_CASES)
+def test_block_renderer_matches_plain_repr(columns):
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    got = _csv_bytes(header, *map(_float_column, columns))
+    assert got == plain_csv(header, columns)
 
 
 def test_importing_the_cli_loads_no_scipy():

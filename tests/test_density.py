@@ -29,46 +29,22 @@ from kljn.density import (
     l1_residual,
     symmetric_grid,
 )
+from uniform_oracle import uniform_mixture_l1_by_quadrature, uniform_mixture_l1_oracle
 
 SQRT3 = math.sqrt(3.0)
 PAIR = ResistorPair(1.0, 4.0)
 
 
-def uniform_mixture_l1_oracle(alpha: float, beta: float) -> float:
-    """Closed-form L1 gap for the uniform family, via adaptive quadrature.
-
-    The sum of two centered uniform draws with half-widths a >= b has the
-    trapezoidal density: flat at 1/(2a) for |x| <= a - b, then linear to
-    zero at |x| = a + b. The comparison target is the centered uniform
-    with matching variance, half-width sqrt(3 (alpha^2 + beta^2)).
-    """
-    a = SQRT3 * max(alpha, beta)
-    b = SQRT3 * min(alpha, beta)
-    c = SQRT3 * math.hypot(alpha, beta)
-
-    def trapezoid(x: float) -> float:
-        x = abs(x)
-        if x <= a - b:
-            return 1.0 / (2.0 * a)
-        if x < a + b:
-            return (a + b - x) / (4.0 * a * b)
-        return 0.0
-
-    def matched_uniform(x: float) -> float:
-        return 1.0 / (2.0 * c) if abs(x) <= c else 0.0
-
-    quad = pytest.importorskip("scipy.integrate").quad
-    breaks = sorted({0.0, a - b, c, a + b})
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        piece, _ = quad(lambda x: abs(trapezoid(x) - matched_uniform(x)), lo, hi)
-        total += piece
-    return 2.0 * total  # symmetric about zero
-
-
 def test_oracle_value_is_frozen():
     # For scales (1.6, 1.2) the piecewise integral works out to 49/150.
     assert uniform_mixture_l1_oracle(1.6, 1.2) == pytest.approx(49.0 / 150.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.6, 1.2), (1.0, 1.0), (3.0, 0.2), (0.5, 2.0)])
+def test_oracle_matches_quadrature(alpha, beta):
+    quad = pytest.importorskip("scipy.integrate").quad
+    exact = uniform_mixture_l1_oracle(alpha, beta)
+    assert uniform_mixture_l1_by_quadrature(alpha, beta, quad) == pytest.approx(exact, rel=1e-9)
 
 
 class TestWeights:

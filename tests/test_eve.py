@@ -179,6 +179,15 @@ class TestVarianceTest:
         assert round_tripped["reject"] is False
 
 
+def compliant_null_block(rows, n=1000):
+    """Compliant Gaussian line signals with Alice low on every row, and the references."""
+    alice_high = np.zeros(rows, dtype=bool)
+    voltage, current = line_block(
+        BlockStreams(77, range(rows)), alice_high, ~alice_high, PAIR, GAUSS_LOW, GAUSS_HIGH, n
+    )
+    return voltage, current, (reference_grid(GAUSS_LOW), reference_grid(GAUSS_HIGH))
+
+
 class TestShapeTest:
     def test_rejection_rate_matches_significance(self):
         n, trials, significance = 10_000, 1000, 0.01
@@ -241,12 +250,8 @@ class TestShapeTest:
         # source, so all four of its sub-tests see the null. Significance
         # 0.2 over four sub-tests puts each at level 0.05; the p-values
         # come from the block's stacked kernels.
-        rows, n = 2000, 1000
-        alice_high = np.zeros(rows, dtype=bool)
-        voltage, current = line_block(
-            BlockStreams(77, range(rows)), alice_high, ~alice_high, PAIR, GAUSS_LOW, GAUSS_HIGH, n
-        )
-        references = (reference_grid(GAUSS_LOW), reference_grid(GAUSS_HIGH))
+        rows = 2000
+        voltage, current, references = compliant_null_block(rows)
         eve = BlockAttack(PAIR, GAUSS_LOW, GAUSS_HIGH, 0.2, references)
         assert eve.level == pytest.approx(0.05, rel=1e-15)
         true = eve.tests(voltage, current)[EveDecision.ALICE_LOW]
@@ -256,6 +261,21 @@ class TestShapeTest:
         for alice, bob in pairs:
             rate = (np.count_nonzero(alice.reject) + np.count_nonzero(bob.reject)) / trials
             assert abs(rate - 0.05) <= bound
+
+    def test_whole_attack_is_calibrated_under_the_null(self):
+        # The same compliant block at significance 0.05: each of the four
+        # sub-tests runs at 0.0125, so the true hypothesis, rejected when
+        # any of them rejects, is rejected at a rate between 0.0125 (the
+        # sub-tests always agree) and 0.05 (they never overlap; Bonferroni).
+        rows = 2000
+        voltage, current, references = compliant_null_block(rows)
+        eve = BlockAttack(PAIR, GAUSS_LOW, GAUSS_HIGH, 0.05, references)
+        rate = np.count_nonzero(eve.tests(voltage, current)[EveDecision.ALICE_LOW].rejected) / rows
+
+        def sigma(p):
+            return math.sqrt(p * (1.0 - p) / rows)
+
+        assert 0.0125 - 5.0 * sigma(0.0125) <= rate <= 0.05 + 5.0 * sigma(0.05)
 
     @pytest.mark.parametrize("rows, n", [(1, 100), (1, 4099), (9, 1000)])
     def test_statistic_is_bitwise_the_plain_formula(self, rows, n):
@@ -390,3 +410,7 @@ class TestAttackTrials:
             attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 1000, 0, seed=1)
         with pytest.raises(ValueError):
             attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 50, 5, seed=1)
+        with pytest.raises(ValueError, match="significance"):
+            attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 1000, 5, significance=1.0, seed=1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 1000, 5, seed=-1)
