@@ -14,7 +14,6 @@ from .noise import (
     DistributionKind,
     NoiseSpec,
     ResistorPair,
-    Trace,
     johnson_sigma,
     sample,
     scaled_sigma_high,
@@ -22,7 +21,6 @@ from .noise import (
     stream,
 )
 from .line import (
-    LineTrace,
     SwitchState,
     line_signals,
     resistance_for,
@@ -42,19 +40,11 @@ from .density import (
 )
 from .eve import (
     AttackTrialSummary,
+    BlockAttack,
     EveDecision,
-    EveVerdict,
-    HypothesisReport,
-    ShapeTestResult,
-    VarianceTestResult,
-    attack,
     attack_trials,
     decision_credit,
-    reconstruct_alice,
-    reconstruct_bob,
     reference_grid,
-    shape_test,
-    variance_test,
     wrong_hypothesis_variance,
 )
 from .protocol import (
@@ -63,7 +53,6 @@ from .protocol import (
     SessionConfig,
     SessionOutcome,
     SweepPoint,
-    classify_level,
     leak_sweep,
     run_session,
 )
@@ -71,29 +60,22 @@ from .protocol import (
 __all__ = [
     "AttackTrialSummary",
     "BitRecord",
+    "BlockAttack",
     "DistributionKind",
     "EveDecision",
-    "EveVerdict",
-    "HypothesisReport",
     "HypothesisWeights",
     "Level",
-    "LineTrace",
     "NoiseSpec",
     "PdfGrid",
     "ResistorPair",
     "SessionConfig",
     "SessionOutcome",
-    "ShapeTestResult",
     "SweepPoint",
     "SwitchState",
-    "Trace",
     "TruncationError",
-    "VarianceTestResult",
     "analytic_pdf",
-    "attack",
     "attack_trials",
     "cauchy_mixture_scale",
-    "classify_level",
     "closure_pair",
     "closure_residual",
     "convolve_scaled",
@@ -101,19 +83,15 @@ __all__ = [
     "johnson_sigma",
     "leak_sweep",
     "line_signals",
-    "reconstruct_alice",
-    "reconstruct_bob",
     "reference_grid",
     "resistance_for",
     "run_session",
     "sample",
     "scaled_sigma_high",
     "security_sigma_ratio",
-    "shape_test",
     "sigma_for",
     "stream",
     "theoretical_line_variance",
-    "variance_test",
     "weights",
     "wrong_hypothesis_variance",
     "__version__",

@@ -303,27 +303,22 @@ def _convolve_grids(a: PdfGrid, b: PdfGrid) -> PdfGrid:
 
 
 def convolve_scaled(
-    source: DistributionKind | tuple[PdfGrid, PdfGrid],
+    kind: DistributionKind,
     w: HypothesisWeights,
     *,
     dx: float | None = None,
     half_width: float | None = None,
 ) -> PdfGrid:
-    """Density of ``alpha * X + beta * Y`` for independent unit draws.
+    """Density of ``alpha * X + beta * Y`` for independent unit draws of ``kind``.
 
-    ``source`` is either a distribution kind, in which case the two
-    scaled component densities are tabulated internally, or a pair of
-    already tabulated grids sharing one spacing. With ``beta == 0`` the
-    second component is a point mass and the alpha-scaled density is
-    returned directly. The result is renormalized, with the deficit
-    recorded on the grid.
+    The two scaled component densities are tabulated on one spacing and
+    convolved. With ``beta == 0`` the second component is a point mass and
+    the alpha-scaled density is returned directly. The result is
+    renormalized, with the deficit recorded on the grid.
     """
-    if isinstance(source, DistributionKind):
-        a, b = _component_grids(source, w, dx, half_width)
-        if w.beta == 0.0:
-            return a
-        return _convolve_grids(a, b)
-    a, b = source
+    a, b = _component_grids(kind, w, dx, half_width)
+    if w.beta == 0.0:
+        return a
     return _convolve_grids(a, b)
 
 

@@ -9,7 +9,14 @@ Under the wrong one it is a scaled mixture of both sources, and whether
 that mixture is distinguishable from a legitimate source is precisely the
 security question: Gaussian shape plus the square-root amplitude law make
 it indistinguishable even in variance, and any deviation opens a gap that
-the two tests below can see.
+two tests can see. Per party and hypothesis, a variance z test checks the
+amplitude law and a Kolmogorov-Smirnov shape test checks Gaussianity.
+
+:class:`BlockAttack` is the one attack. It holds line signals one bit per
+row, so a single bit is a one-row block, and :meth:`BlockAttack.tests`
+returns every sub-test's statistic, p-value and verdict per row: the
+per-bit evidence behind each :class:`EveDecision`. :func:`attack_trials`
+runs it over fresh mixed-state bits and scores the decisions.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import PdfGrid, analytic_pdf, family_cdf, symmetric_grid, weights
-from .line import LineTrace, SwitchState, blocks, line_block, resistance_for
-from .noise import BlockStreams, DistributionKind, NoiseSpec, ResistorPair, Trace
+from .line import SwitchState, blocks, line_block, resistance_for
+from .noise import BlockStreams, DistributionKind, NoiseSpec, ResistorPair
 # Unused here; bench/test_bench.py checks that its tracer wraps this binding.
 from .noise import stream  # noqa: F401
 
@@ -62,113 +69,6 @@ class EveDecision(str, Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class VarianceTestResult:
-    """Two-sided z test of a sample second moment against a known variance.
-
-    The sources are zero-mean by construction, so the variance estimator
-    is the plain mean of squares and ``z`` compares it to the expected
-    variance in units of the Gaussian-sampling standard error
-    ``expected * sqrt(2 / n)``.
-    """
-
-    n: int
-    sample_variance: float
-    expected_variance: float
-    z: float
-    p_value: float
-    reject: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "expected_variance": self.expected_variance,
-            "n": self.n,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "sample_variance": self.sample_variance,
-            "z": self.z,
-        }
-
-
-@dataclass(frozen=True)
-class ShapeTestResult:
-    """One-sample Kolmogorov-Smirnov test against a tabulated density."""
-
-    n: int
-    statistic: float
-    p_value: float
-    reject: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "statistic": self.statistic,
-        }
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """All sub-test results for one candidate assignment.
-
-    Variance entries are ``None`` when the corresponding source is
-    Cauchy, which has no variance to test.
-    """
-
-    alice_variance: VarianceTestResult | None
-    bob_variance: VarianceTestResult | None
-    alice_shape: ShapeTestResult
-    bob_shape: ShapeTestResult
-    rejected: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "alice_shape": self.alice_shape.to_dict(),
-            "alice_variance": None if self.alice_variance is None else self.alice_variance.to_dict(),
-            "bob_shape": self.bob_shape.to_dict(),
-            "bob_variance": None if self.bob_variance is None else self.bob_variance.to_dict(),
-            "rejected": self.rejected,
-        }
-
-
-@dataclass(frozen=True)
-class EveVerdict:
-    """Attack outcome: a decision plus the evidence behind it.
-
-    The decision names the surviving hypothesis when exactly one of the
-    two was rejected at the configured significance; it is undecided when
-    both survive (the secure situation) and also when both are rejected,
-    which points at a non-mixed bit or a model mismatch rather than at
-    either mixed assignment.
-    """
-
-    decision: EveDecision
-    significance: float
-    reports: dict[str, HypothesisReport]
-
-    def to_dict(self) -> dict:
-        return {
-            "decision": self.decision.value,
-            "hypotheses": {k: v.to_dict() for k, v in sorted(self.reports.items())},
-            "significance": self.significance,
-        }
-
-
-def reconstruct_alice(line: LineTrace, r_alice: float) -> Trace:
-    """Invert the loop for Alice's source assuming she presents ``r_alice``."""
-    if r_alice <= 0.0:
-        raise ValueError("resistance must be positive")
-    return Trace(_reconstruct(line.voltage.samples, line.current.samples, r_alice, alice=True))
-
-
-def reconstruct_bob(line: LineTrace, r_bob: float) -> Trace:
-    """Invert the loop for Bob's source assuming he presents ``r_bob``."""
-    if r_bob <= 0.0:
-        raise ValueError("resistance must be positive")
-    return Trace(_reconstruct(line.voltage.samples, line.current.samples, r_bob, alice=False))
-
-
 def _reconstruct(voltage: np.ndarray, current: np.ndarray, r: float, alice: bool) -> np.ndarray:
     """Source estimate of Alice (or Bob) presenting ``r``, for arrays of any shape."""
     return voltage - current * r if alice else voltage + current * r
@@ -189,33 +89,6 @@ def wrong_hypothesis_variance(pair: ResistorPair, sigma_low: float, sigma_high: 
     return w.alpha**2 + w.beta**2
 
 
-def variance_test(samples: Trace, expected_sigma: float, significance: float) -> VarianceTestResult:
-    """Test whether a zero-mean trace has the claimed standard deviation."""
-    n = len(samples)
-    if n < MIN_TEST_SAMPLES:
-        raise ValueError(f"variance test needs at least {MIN_TEST_SAMPLES} samples")
-    if expected_sigma <= 0.0:
-        raise ValueError("expected_sigma must be positive")
-    _check_significance(significance)
-    moments = _variance_z(samples.samples[None, :], expected_sigma)
-    return _variance_results(n, [moments], significance)[0].result(0)
-
-
-def shape_test(samples: Trace, reference: PdfGrid, significance: float) -> ShapeTestResult:
-    """One-sample KS test of a trace against a tabulated reference density.
-
-    The reference CDF is the cumulative trapezoid of the grid; sample CDF
-    values outside the grid clamp to 0 or 1. The p-value uses the
-    asymptotic Kolmogorov distribution of ``sqrt(n) * D``.
-    """
-    n = len(samples)
-    if n < MIN_TEST_SAMPLES:
-        raise ValueError(f"shape test needs at least {MIN_TEST_SAMPLES} samples")
-    _check_significance(significance)
-    rows = np.sort(samples.samples[None, :], axis=1)
-    return _shape_rows(rows, _reference_cdf(reference), _ks_steps(n), significance).result(0)
-
-
 def _check_significance(significance: float) -> None:
     if not 0.0 < significance < 1.0:
         raise ValueError("significance must lie in (0, 1)")
@@ -229,7 +102,13 @@ def _reference_cdf(reference: PdfGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _VarianceRows(NamedTuple):
-    """Variance z test of every row of a block: one entry per row."""
+    """Two-sided variance z test of every row of a block: one entry per row.
+
+    The sources are zero-mean by construction, so the variance estimator
+    is the plain mean of squares (``observed``) and ``z`` compares it to
+    the expected variance in units of the Gaussian-sampling standard error
+    ``expected * sqrt(2 / n)``.
+    """
 
     n: int
     expected: float
@@ -238,32 +117,19 @@ class _VarianceRows(NamedTuple):
     p: np.ndarray
     reject: np.ndarray
 
-    def result(self, k: int) -> VarianceTestResult:
-        return VarianceTestResult(
-            n=self.n,
-            sample_variance=float(self.observed[k]),
-            expected_variance=self.expected,
-            z=float(self.z[k]),
-            p_value=float(self.p[k]),
-            reject=bool(self.reject[k]),
-        )
-
 
 class _ShapeRows(NamedTuple):
-    """KS test of every row of a block: one entry per row."""
+    """One-sample KS test of every row of a block against a tabulated density.
+
+    The reference CDF is the cumulative trapezoid of the grid; sample CDF
+    values outside the grid clamp to 0 or 1. The p-value uses the
+    asymptotic Kolmogorov distribution of ``sqrt(n) * D``.
+    """
 
     n: int
     statistic: np.ndarray
     p: np.ndarray
     reject: np.ndarray
-
-    def result(self, k: int) -> ShapeTestResult:
-        return ShapeTestResult(
-            n=self.n,
-            statistic=float(self.statistic[k]),
-            p_value=float(self.p[k]),
-            reject=bool(self.reject[k]),
-        )
 
 
 def _variance_z(x: np.ndarray, expected_sigma: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -336,13 +202,6 @@ def _shape_results(n: int, statistics: list[np.ndarray], level: float) -> list[_
     return [_ShapeRows(n, *row) for row in zip(statistics, p_values, p_values < level)]
 
 
-def _shape_rows(
-    x: np.ndarray, reference: tuple[np.ndarray, np.ndarray], steps: np.ndarray, level: float
-) -> _ShapeRows:
-    """KS test of rows sorted in ascending order; ``x`` is overwritten as scratch."""
-    return _shape_results(x.shape[1], [_ks_statistic(x, reference, steps)], level)[0]
-
-
 def reference_grid(spec: NoiseSpec) -> PdfGrid:
     """Tabulate the density of a noise spec for use as a shape reference."""
     widths, steps = _REFERENCE_POLICY[spec.kind]
@@ -364,7 +223,9 @@ class BlockAttack:
     """Both mixed-state hypotheses, tested on blocks of bits held one per row.
 
     Built once per attack, session or trial run, so each reference CDF is
-    built and checked for unit mass once rather than once per bit.
+    built and checked for unit mass once rather than once per bit. The
+    significance must lie in (0, 1) and each row must hold at least
+    ``MIN_TEST_SAMPLES`` samples.
     """
 
     def __init__(
@@ -375,6 +236,7 @@ class BlockAttack:
         significance: float,
         references: tuple[PdfGrid, PdfGrid],
     ) -> None:
+        _check_significance(significance)
         self.pair = pair
         self.significance = significance
         self.by_state = {
@@ -391,11 +253,16 @@ class BlockAttack:
     def tests(self, voltage: np.ndarray, current: np.ndarray) -> dict[EveDecision, _HypothesisRows]:
         """Every sub-test of both hypotheses on a block of line signals.
 
-        The per-test level is the significance divided by the number of
-        sub-tests (Bonferroni). The block's p-values are computed once per
+        Each hypothesis screens each party with a variance test and a shape
+        test (shape only for Cauchy sources). The per-test level is the
+        significance divided by the number of sub-tests (Bonferroni), so a
+        true hypothesis survives with probability at least
+        ``1 - significance``. The block's p-values are computed once per
         kind of test, over all of its rows and sub-tests together.
         """
         n = voltage.shape[1]
+        if n < MIN_TEST_SAMPLES:
+            raise ValueError(f"attack needs at least {MIN_TEST_SAMPLES} samples")
         steps = _ks_steps(n)
         moments: list[tuple[float, np.ndarray, np.ndarray] | None] = []
         statistics: list[np.ndarray] = []
@@ -419,7 +286,14 @@ class BlockAttack:
         return out
 
     def decisions(self, voltage: np.ndarray, current: np.ndarray) -> list[EveDecision]:
-        """One decision per row of a block of line signals."""
+        """One decision per row of a block of line signals.
+
+        A decision names the surviving hypothesis when exactly one of the
+        two was rejected; it is undecided when both survive (the secure
+        situation) and also when both are rejected, which points at a
+        non-mixed bit or a model mismatch rather than at either mixed
+        assignment.
+        """
         tests = self.tests(voltage, current)
         low_rejected = tests[EveDecision.ALICE_LOW].rejected.tolist()
         high_rejected = tests[EveDecision.ALICE_HIGH].rejected.tolist()
@@ -435,15 +309,6 @@ class _HypothesisRows(NamedTuple):
     bob_shape: _ShapeRows
     rejected: np.ndarray
 
-    def report(self, k: int) -> HypothesisReport:
-        return HypothesisReport(
-            alice_variance=None if self.alice_variance is None else self.alice_variance.result(k),
-            bob_variance=None if self.bob_variance is None else self.bob_variance.result(k),
-            alice_shape=self.alice_shape.result(k),
-            bob_shape=self.bob_shape.result(k),
-            rejected=bool(self.rejected[k]),
-        )
-
 
 def _decide(low_rejected: bool, high_rejected: bool) -> EveDecision:
     if low_rejected and not high_rejected:
@@ -451,38 +316,6 @@ def _decide(low_rejected: bool, high_rejected: bool) -> EveDecision:
     if high_rejected and not low_rejected:
         return EveDecision.ALICE_LOW
     return EveDecision.UNDECIDED
-
-
-def attack(
-    line: LineTrace,
-    pair: ResistorPair,
-    spec_low: NoiseSpec,
-    spec_high: NoiseSpec,
-    significance: float = 0.01,
-    references: tuple[PdfGrid, PdfGrid] | None = None,
-) -> EveVerdict:
-    """Try both mixed-state hypotheses against one bit's line signals.
-
-    Each hypothesis is screened with a variance test and a shape test per
-    party; the per-test level is the configured significance divided by
-    the number of sub-tests (Bonferroni), so a true hypothesis survives
-    with probability at least ``1 - significance``. ``references`` lets a
-    caller reuse pre-tabulated low and high reference densities across
-    many bits.
-    """
-    _check_significance(significance)
-    if len(line) < MIN_TEST_SAMPLES:
-        raise ValueError(f"attack needs at least {MIN_TEST_SAMPLES} samples")
-    if references is None:
-        references = (reference_grid(spec_low), reference_grid(spec_high))
-    eve = BlockAttack(pair, spec_low, spec_high, significance, references)
-    tests = eve.tests(line.voltage.samples[None, :], line.current.samples[None, :])
-    reports = {decision.value: rows.report(0) for decision, rows in tests.items()}
-    decision = _decide(
-        reports[EveDecision.ALICE_LOW.value].rejected,
-        reports[EveDecision.ALICE_HIGH.value].rejected,
-    )
-    return EveVerdict(decision=decision, significance=significance, reports=reports)
 
 
 def decision_credit(decision: EveDecision, true_alice_state: SwitchState) -> float:

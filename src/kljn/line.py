@@ -9,7 +9,6 @@ sees derives from these two public signals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,7 +17,6 @@ from .noise import (
     BlockStreams,
     NoiseSpec,
     ResistorPair,
-    Trace,
     check_finite,
     check_sigmas,
     draw_rows,
@@ -46,40 +44,20 @@ def sigma_for(state: SwitchState, sigma_low: float, sigma_high: float) -> float:
     return sigma_low if state is SwitchState.LOW else sigma_high
 
 
-@dataclass(frozen=True)
-class LineTrace:
-    """Simultaneously measured line voltage and loop current."""
-
-    voltage: Trace
-    current: Trace
-
-    def __post_init__(self) -> None:
-        if len(self.voltage) != len(self.current):
-            raise ValueError("voltage and current traces must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.voltage)
-
-
-def line_signals(v_alice: Trace, v_bob: Trace, r_alice: float, r_bob: float) -> LineTrace:
-    """Solve the two-source loop for the observable line signals.
+def line_signals(
+    v_alice: np.ndarray, v_bob: np.ndarray, r_alice, r_bob
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the two-source loop for the observable line voltage and current.
 
     Voltage is the divider mix ``(v_a * r_b + v_b * r_a) / (r_a + r_b)``;
     current is ``(v_b - v_a) / (r_a + r_b)``, positive when flowing from
-    Bob toward Alice.
+    Bob toward Alice. The sources are arrays of one shape; the positive
+    resistances (a :class:`ResistorPair` guarantees them on every engine
+    path) are scalars or arrays that broadcast against the sources, such
+    as one column entry per row of a block.
     """
-    if r_alice <= 0.0 or r_bob <= 0.0:
-        raise ValueError("resistances must be positive")
-    if len(v_alice) != len(v_bob):
-        raise ValueError("source traces must have equal length")
-    voltage, current = _divider(v_alice.samples, v_bob.samples, r_alice, r_bob)
-    return LineTrace(voltage=Trace(voltage), current=Trace(current))
-
-
-def _divider(a: np.ndarray, b: np.ndarray, r_alice, r_bob) -> tuple[np.ndarray, np.ndarray]:
-    """Voltage and current arrays; resistances are scalars or per-row columns."""
     denom = r_alice + r_bob
-    return (a * r_bob + b * r_alice) / denom, (b - a) / denom
+    return (v_alice * r_bob + v_bob * r_alice) / denom, (v_bob - v_alice) / denom
 
 
 def blocks(count: int, samples: int) -> list[range]:
@@ -109,7 +87,7 @@ def line_block(
     v_b = draw_rows([specs[h] for h in bob_high.tolist()], n, streams.each(2))
     r_a = np.where(alice_high, pair.r_high, pair.r_low)[:, None]
     r_b = np.where(bob_high, pair.r_high, pair.r_low)[:, None]
-    voltage, current = _divider(v_a, v_b, r_a, r_b)
+    voltage, current = line_signals(v_a, v_b, r_a, r_b)
     check_finite(voltage)
     check_finite(current)
     return voltage, current

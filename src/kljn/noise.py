@@ -14,9 +14,11 @@ paths ``(i, 0)``, ``(i, 1)`` and ``(i, 2)``. They derive the Philox keys of
 a whole block of bits in one pass (:func:`philox_keys`, a port of
 ``SeedSequence``'s entropy mixing to uint32 array arithmetic), which are
 the same keys ``SeedSequence`` gives, and re-key one reused generator per
-bit (:class:`BlockStreams`). Two streams with different paths are
-statistically independent, and the same ``(seed, path)`` always
-reproduces the same draws on every platform numpy supports.
+bit (:class:`BlockStreams`). Each row of a block is one :func:`sample`
+call on its bit's stream, stacked by :func:`draw_rows`. Two streams with
+different paths are statistically independent, and the same
+``(seed, path)`` always reproduces the same draws on every platform numpy
+supports.
 """
 
 from __future__ import annotations
@@ -92,32 +94,6 @@ class NoiseSpec:
             raise ValueError("scale must be positive and finite")
 
 
-@dataclass(frozen=True)
-class Trace:
-    """An immutable 1-D array of voltage samples.
-
-    The backing array is locked read-only at construction; downstream
-    arithmetic must copy rather than mutate.
-    """
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("a trace must be one-dimensional")
-        if arr.size < 1:
-            raise ValueError("a trace must hold at least one sample")
-        check_finite(arr)
-        if arr is self.samples:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
-
-
 def check_finite(samples: np.ndarray) -> None:
     """Refuse sample arrays, of any shape, that hold an infinity or NaN."""
     if not np.isfinite(samples).all():
@@ -141,14 +117,6 @@ def stream(seed: int, *path: int) -> np.random.Generator:
         raise ValueError("stream path entries must be non-negative")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def _as_generator(seed: int | np.random.SeedSequence | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return stream(int(seed))
 
 
 def philox_keys(seed: int, rows: range) -> np.ndarray:
@@ -319,11 +287,23 @@ def scaled_sigma_high(pair: ResistorPair, sigma_low: float) -> float:
     return sigma_low * security_sigma_ratio(pair)
 
 
-def sample(
-    spec: NoiseSpec,
-    n: int,
-    seed: int | np.random.SeedSequence | np.random.Generator,
-) -> Trace:
+def draw_rows(
+    specs: list[NoiseSpec], n: int, streams: Iterable[np.random.Generator]
+) -> np.ndarray:
+    """Sources of a block of bits, one row of ``n`` samples per bit.
+
+    Row ``k`` holds ``sample(specs[k], n, g)`` for the ``k``-th generator
+    ``g`` of ``streams`` (for example ``BlockStreams.each(channel)``); the
+    block is checked for finiteness once.
+    """
+    out = np.empty((len(specs), n))
+    for k, (spec, rng) in enumerate(zip(specs, streams)):
+        out[k] = sample(spec, n, rng)
+    check_finite(out)
+    return out
+
+
+def sample(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` independent samples from a noise source.
 
     Gaussian draws are ``scale`` times standard normals. Uniform draws
@@ -331,31 +311,12 @@ def sample(
     deviation equals ``scale``. Cauchy draws are ``scale`` times standard
     Cauchy variates; the rare non-finite values the inverse-CDF sampler
     can emit at the distribution's poles are redrawn from the same
-    stream, keeping the result deterministic for a given seed.
+    stream, keeping the result deterministic for a given generator state.
+    The draws are not checked for finiteness here; :func:`draw_rows`
+    checks a whole block at once.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
-    return Trace(_draw(spec, n, _as_generator(seed)))
-
-
-def draw_rows(
-    specs: list[NoiseSpec], n: int, streams: Iterable[np.random.Generator]
-) -> np.ndarray:
-    """Sources of a block of bits, one row of ``n`` samples per bit.
-
-    Row ``k`` holds ``sample(specs[k], n, g)`` for the ``k``-th generator
-    ``g`` of ``streams`` (for example ``BlockStreams.each(channel)``) bit for
-    bit; the block is checked for finiteness once.
-    """
-    out = np.empty((len(specs), n))
-    for k, (spec, rng) in enumerate(zip(specs, streams)):
-        out[k] = _draw(spec, n, rng)
-    check_finite(out)
-    return out
-
-
-def _draw(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The draw policy behind :func:`sample` and :func:`draw_rows`."""
     if spec.kind is DistributionKind.GAUSSIAN:
         return rng.standard_normal(n) * spec.scale
     if spec.kind is DistributionKind.UNIFORM:

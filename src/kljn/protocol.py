@@ -18,7 +18,14 @@ from enum import Enum
 
 import numpy as np
 
-from .eve import MIN_TEST_SAMPLES, BlockAttack, EveDecision, decision_credit, reference_grid
+from .eve import (
+    MIN_TEST_SAMPLES,
+    BlockAttack,
+    EveDecision,
+    _check_significance,
+    decision_credit,
+    reference_grid,
+)
 from .line import SwitchState, blocks, line_block, theoretical_line_variance
 from .noise import (
     BlockStreams,
@@ -63,8 +70,8 @@ class SessionConfig:
             raise ValueError("bits must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not 0.0 < self.significance < 1.0:
-            raise ValueError("significance must lie in (0, 1)")
+        _check_significance(self.significance)
+        _level_cuts(self.pair, self.sigma_low, self.sigma_high)
 
     def to_dict(self) -> dict:
         return {
@@ -153,24 +160,6 @@ def records_csv(records: tuple[BitRecord, ...]) -> str:
     return "\n".join(rows) + "\n"
 
 
-def classify_level(
-    measured_variance: float,
-    pair: ResistorPair,
-    sigma_low: float,
-    sigma_high: float,
-) -> Level:
-    """Assign a measured line-voltage variance to the nearest level.
-
-    The three theoretical variances (both-low, mixed, both-high) must be
-    strictly ordered; nearest is taken in log space, so the cut points
-    are the geometric means of adjacent levels and a value exactly on a
-    cut point falls to the lower level. The sigmas must be standard
-    deviations of the sources, which rules out Cauchy noise upstream.
-    """
-    cuts = _level_cuts(pair, sigma_low, sigma_high)
-    return _classify_rows(np.array([measured_variance], dtype=np.float64), cuts)[0]
-
-
 _LEVELS = (Level.LOW, Level.MID, Level.HIGH)
 
 
@@ -187,7 +176,10 @@ def _level_cuts(pair: ResistorPair, sigma_low: float, sigma_high: float) -> tupl
 
 
 def _classify_rows(measured: np.ndarray, cuts: tuple[float, float]) -> list[Level]:
-    """Level of each measured variance; a value on a cut falls to the lower level."""
+    """Level of each measured variance, nearest in log space.
+
+    A value exactly on a cut falls to the lower level.
+    """
     if not (np.isfinite(measured).all() and (measured >= 0.0).all()):
         raise ValueError("measured variance must be non-negative and finite")
     return [_LEVELS[k] for k in np.searchsorted(cuts, measured).tolist()]

@@ -10,18 +10,19 @@ import numpy as np
 import pytest
 
 from kljn import (
+    BlockAttack,
     DistributionKind,
+    EveDecision,
     HypothesisWeights,
     NoiseSpec,
     ResistorPair,
     SessionConfig,
     SwitchState,
-    attack,
     attack_trials,
     closure_residual,
     convolve_scaled,
     line_signals,
-    reconstruct_alice,
+    reference_grid,
     resistance_for,
     run_session,
     sample,
@@ -31,6 +32,7 @@ from kljn import (
     theoretical_line_variance,
     wrong_hypothesis_variance,
 )
+from kljn.eve import _reconstruct
 from uniform_oracle import uniform_mixture_l1_oracle
 
 PAIR = ResistorPair(1.0, 4.0)
@@ -64,9 +66,9 @@ def test_criterion_1_compliant_amplitude_is_invisible_in_variance():
     for idx, (pair, sigma_low, sigma_high) in enumerate(configs[:3]):
         v_a = sample(NoiseSpec(DistributionKind.GAUSSIAN, sigma_low), n, stream(101, idx, 1))
         v_b = sample(NoiseSpec(DistributionKind.GAUSSIAN, sigma_high), n, stream(101, idx, 2))
-        line = line_signals(v_a, v_b, pair.r_low, pair.r_high)
-        est = reconstruct_alice(line, pair.r_high)
-        observed = float(np.mean(est.samples**2))
+        voltage, current = line_signals(v_a, v_b, pair.r_low, pair.r_high)
+        est = _reconstruct(voltage, current, pair.r_high, alice=True)
+        observed = float(np.mean(est**2))
         worst_mc = max(worst_mc, abs(observed / sigma_high**2 - 1.0))
     mc_ok = worst_mc < 0.01
     report(
@@ -140,13 +142,14 @@ def test_criterion_4_uniform_noise_leaks_through_shape_alone():
     # screen.
     v_a = sample(spec_low, 100_000, stream(1005, 1))
     v_b = sample(spec_high, 100_000, stream(1005, 2))
-    line = line_signals(v_a, v_b, PAIR.r_low, PAIR.r_high)
-    verdict = attack(line, PAIR, spec_low, spec_high)
-    wrong = verdict.reports["alice_high"]
-    shape_driven = (
-        not wrong.alice_variance.reject
-        and not wrong.bob_variance.reject
-        and (wrong.alice_shape.reject or wrong.bob_shape.reject)
+    voltage, current = line_signals(v_a, v_b, PAIR.r_low, PAIR.r_high)
+    references = (reference_grid(spec_low), reference_grid(spec_high))
+    eve = BlockAttack(PAIR, spec_low, spec_high, 0.01, references)
+    wrong = eve.tests(voltage[None, :], current[None, :])[EveDecision.ALICE_HIGH]
+    shape_driven = bool(
+        not wrong.alice_variance.reject[0]
+        and not wrong.bob_variance.reject[0]
+        and (wrong.alice_shape.reject[0] or wrong.bob_shape.reject[0])
     )
     report(
         4,
@@ -209,10 +212,10 @@ def test_criterion_7_level_ladder():
             n,
             stream(107, idx, 2),
         )
-        line = line_signals(
+        voltage, _ = line_signals(
             v_a, v_b, resistance_for(PAIR, state_a), resistance_for(PAIR, state_b)
         )
-        observed = float(np.mean(line.voltage.samples**2))
+        observed = float(np.mean(voltage**2))
         rel = abs(observed / want - 1.0)
         worst = max(worst, rel)
         details.append(f"{state_a.value}/{state_b.value}={observed:.4f}")

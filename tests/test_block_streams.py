@@ -65,7 +65,7 @@ def test_block_draws_equal_stream_draws(kind, channel):
     specs = [NoiseSpec(kind, 0.5 + k) for k in range(len(rows))]
     block = draw_rows(specs, n, BlockStreams(seed, rows).each(channel))
     for k, i in enumerate(rows):
-        expected = sample(specs[k], n, stream(seed, i, channel)).samples
+        expected = sample(specs[k], n, stream(seed, i, channel))
         assert np.array_equal(block[k], expected)
 
 

@@ -1,6 +1,7 @@
 """Block engine: parity with the per-bit algorithm, pinned outputs, chunking invariance."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import kljn.line
 from kljn import (
     BitRecord,
+    BlockAttack,
     DistributionKind,
     Level,
     NoiseSpec,
@@ -16,9 +18,7 @@ from kljn import (
     SessionConfig,
     SessionOutcome,
     SwitchState,
-    attack,
     attack_trials,
-    classify_level,
     decision_credit,
     line_signals,
     reference_grid,
@@ -26,9 +26,33 @@ from kljn import (
     run_session,
     sample,
     stream,
+    theoretical_line_variance,
 )
 
 PAIR = ResistorPair(1.0, 4.0)
+
+
+def reference_level(measured: float, config: SessionConfig) -> Level:
+    """Nearest level in log space: cuts at the geometric means of the ladder, ties fall lower."""
+    low, mid, high = (
+        theoretical_line_variance(config.pair, config.sigma_low, config.sigma_high, a, b)
+        for a, b in (
+            (SwitchState.LOW, SwitchState.LOW),
+            (SwitchState.LOW, SwitchState.HIGH),
+            (SwitchState.HIGH, SwitchState.HIGH),
+        )
+    )
+    if measured <= math.sqrt(low * mid):
+        return Level.LOW
+    if measured <= math.sqrt(mid * high):
+        return Level.MID
+    return Level.HIGH
+
+
+def one_bit_decision(eve: BlockAttack, voltage, current):
+    """The attack's decision on one bit, held as a one-row block."""
+    [decision] = eve.decisions(voltage[None, :], current[None, :])
+    return decision
 
 
 def reference_session(config: SessionConfig) -> SessionOutcome:
@@ -37,6 +61,7 @@ def reference_session(config: SessionConfig) -> SessionOutcome:
     spec_high = NoiseSpec(config.kind, config.sigma_high)
     by_state = {SwitchState.LOW: spec_low, SwitchState.HIGH: spec_high}
     references = (reference_grid(spec_low), reference_grid(spec_high))
+    eve = BlockAttack(config.pair, spec_low, spec_high, config.significance, references)
     records, credits = [], []
     for i in range(config.bits):
         coins = stream(config.seed, i, 0).integers(0, 2, size=2)
@@ -44,11 +69,10 @@ def reference_session(config: SessionConfig) -> SessionOutcome:
         b_state = SwitchState.HIGH if coins[1] else SwitchState.LOW
         v_a = sample(by_state[a_state], config.samples_per_bit, stream(config.seed, i, 1))
         v_b = sample(by_state[b_state], config.samples_per_bit, stream(config.seed, i, 2))
-        line = line_signals(
+        voltage, current = line_signals(
             v_a, v_b, resistance_for(config.pair, a_state), resistance_for(config.pair, b_state)
         )
-        measured = float(np.mean(line.voltage.samples**2))
-        level = classify_level(measured, config.pair, config.sigma_low, config.sigma_high)
+        level = reference_level(float(np.mean(voltage**2)), config)
         secure = a_state is not b_state
         if secure:
             true_level = Level.MID
@@ -57,9 +81,7 @@ def reference_session(config: SessionConfig) -> SessionOutcome:
         discarded = level is not true_level
         decision = None
         if secure:
-            decision = attack(
-                line, config.pair, spec_low, spec_high, config.significance, references
-            ).decision
+            decision = one_bit_decision(eve, voltage, current)
             credits.append(decision_credit(decision, a_state))
         records.append(
             BitRecord(
@@ -85,6 +107,7 @@ def reference_trials(spec_low, spec_high, samples, trials, seed):
     """The per-trial attack loop: decisions and truths."""
     by_state = {SwitchState.LOW: spec_low, SwitchState.HIGH: spec_high}
     references = (reference_grid(spec_low), reference_grid(spec_high))
+    eve = BlockAttack(PAIR, spec_low, spec_high, 0.01, references)
     decisions, truths = [], []
     for t in range(trials):
         alice_low = bool(stream(seed, t, 0).integers(0, 2))
@@ -93,7 +116,7 @@ def reference_trials(spec_low, spec_high, samples, trials, seed):
         v_a = sample(by_state[a_state], samples, stream(seed, t, 1))
         v_b = sample(by_state[b_state], samples, stream(seed, t, 2))
         line = line_signals(v_a, v_b, resistance_for(PAIR, a_state), resistance_for(PAIR, b_state))
-        decisions.append(attack(line, PAIR, spec_low, spec_high, 0.01, references).decision)
+        decisions.append(one_bit_decision(eve, *line))
         truths.append(a_state)
     return tuple(decisions), tuple(truths)
 

@@ -386,6 +386,8 @@ USAGE_CASES = [
     (["sweep", "--multipliers", "abc"], None),
     (["sweep", "--kind", "cauchy"], None),
     (["sweep", "--bits", "10", "--samples-per-bit", "150", "--multipliers", "1.0,1e308"], None),
+    (["simulate", "--bits", "20", "--samples-per-bit", "150", "--sigma-high", "1.0"], None),
+    (["sweep", "--bits", "20", "--samples-per-bit", "150", "--multipliers", "0.5"], None),
 ]
 
 

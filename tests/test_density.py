@@ -196,7 +196,7 @@ class TestConvolution:
         # the narrower component spans as many of its own scales as the wider one
         a = analytic_pdf(DistributionKind.GAUSSIAN, 1.0, *symmetric_grid(half * 1 / 2, dx))
         b = analytic_pdf(DistributionKind.GAUSSIAN, 2.0, *symmetric_grid(half, dx))
-        via_grids = convolve_scaled((a, b), w)
+        via_grids = _convolve_grids(a, b)
         assert via_kind.x0 == via_grids.x0
         assert np.array_equal(via_kind.values, via_grids.values)
 
@@ -251,7 +251,7 @@ class TestConvolution:
         a = analytic_pdf(DistributionKind.GAUSSIAN, 1.0, *symmetric_grid(8.0, 0.01))
         b = analytic_pdf(DistributionKind.GAUSSIAN, 1.0, *symmetric_grid(8.0, 0.02))
         with pytest.raises(ValueError):
-            convolve_scaled((a, b), HypothesisWeights(1.0, 1.0))
+            _convolve_grids(a, b)
 
     def test_degenerate_beta_returns_scaled_component(self):
         w = HypothesisWeights(2.0, 0.0)

@@ -9,12 +9,12 @@ from kljn import (
     DistributionKind,
     NoiseSpec,
     ResistorPair,
-    Trace,
     johnson_sigma,
     sample,
     scaled_sigma_high,
     stream,
 )
+from kljn.noise import draw_rows
 
 BOLTZMANN = 1.380649e-23  # exact SI definition
 
@@ -83,46 +83,29 @@ class TestNoiseSpec:
         assert NoiseSpec("uniform", 1.0).kind is DistributionKind.UNIFORM
 
 
-class TestTrace:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Trace(np.array([]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Trace(np.array([1.0, math.nan]))
-        with pytest.raises(ValueError):
-            Trace(np.array([1.0, math.inf]))
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            Trace(np.zeros((2, 2)))
-
-    def test_samples_are_read_only(self):
-        t = Trace(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            t.samples[0] = 5.0
-
-    def test_len(self):
-        assert len(Trace(np.arange(7, dtype=float))) == 7
-
-
 class TestSampling:
     def test_deterministic_for_fixed_seed(self):
         spec = NoiseSpec(DistributionKind.GAUSSIAN, 2.0)
-        a = sample(spec, 1000, seed=123)
-        b = sample(spec, 1000, seed=123)
-        assert np.array_equal(a.samples, b.samples)
+        a = sample(spec, 1000, stream(123))
+        b = sample(spec, 1000, stream(123))
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         spec = NoiseSpec(DistributionKind.GAUSSIAN, 1.0)
-        a = sample(spec, 100, seed=1)
-        b = sample(spec, 100, seed=2)
-        assert not np.array_equal(a.samples, b.samples)
+        a = sample(spec, 100, stream(1))
+        b = sample(spec, 100, stream(2))
+        assert not np.array_equal(a, b)
+
+    def test_block_rejects_non_finite_draws(self):
+        # Draws are checked once per block: a scale large enough that
+        # scale * N(0, 1) overflows leaves infinities the block refuses.
+        spec = NoiseSpec(DistributionKind.GAUSSIAN, 1e308)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            draw_rows([spec], 1000, [stream(3)])
 
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
-            sample(NoiseSpec(DistributionKind.GAUSSIAN, 1.0), 0, seed=0)
+            sample(NoiseSpec(DistributionKind.GAUSSIAN, 1.0), 0, stream(0))
 
     @pytest.mark.parametrize("kind", [DistributionKind.GAUSSIAN, DistributionKind.UNIFORM])
     @pytest.mark.parametrize("n", [10_000, 1_000_000])
@@ -131,33 +114,33 @@ class TestSampling:
         # estimator; the uniform kurtosis is below Gaussian so the same
         # bound is conservative there.
         spec = NoiseSpec(kind, 1.7)
-        trace = sample(spec, n, seed=42)
-        observed = float(np.mean(trace.samples**2))
+        trace = sample(spec, n, stream(42))
+        observed = float(np.mean(trace**2))
         assert abs(observed / spec.scale**2 - 1.0) < 5.0 * math.sqrt(2.0 / n)
 
     def test_gaussian_mean_near_zero(self):
-        trace = sample(NoiseSpec(DistributionKind.GAUSSIAN, 1.0), 1_000_000, seed=7)
-        assert abs(float(np.mean(trace.samples))) < 5.0 / math.sqrt(1_000_000)
+        trace = sample(NoiseSpec(DistributionKind.GAUSSIAN, 1.0), 1_000_000, stream(7))
+        assert abs(float(np.mean(trace))) < 5.0 / math.sqrt(1_000_000)
 
     def test_uniform_support_is_sqrt3_scale(self):
         scale = 1.3
         bound = math.sqrt(3.0) * scale
-        trace = sample(NoiseSpec(DistributionKind.UNIFORM, scale), 1_000_000, seed=5)
-        assert float(np.max(trace.samples)) <= bound
-        assert float(np.min(trace.samples)) >= -bound
+        trace = sample(NoiseSpec(DistributionKind.UNIFORM, scale), 1_000_000, stream(5))
+        assert float(np.max(trace)) <= bound
+        assert float(np.min(trace)) >= -bound
         # mass actually reaches toward both edges
-        assert float(np.max(trace.samples)) > 0.999 * bound
-        assert float(np.min(trace.samples)) < -0.999 * bound
+        assert float(np.max(trace)) > 0.999 * bound
+        assert float(np.min(trace)) < -0.999 * bound
 
     def test_cauchy_draws_are_finite_with_heavy_tails(self):
         scale = 2.0
-        trace = sample(NoiseSpec(DistributionKind.CAUCHY, scale), 1_000_000, seed=11)
-        assert np.isfinite(trace.samples).all()
+        trace = sample(NoiseSpec(DistributionKind.CAUCHY, scale), 1_000_000, stream(11))
+        assert np.isfinite(trace).all()
         # |X| has median equal to the scale parameter.
-        assert float(np.median(np.abs(trace.samples))) == pytest.approx(scale, rel=0.01)
+        assert float(np.median(np.abs(trace))) == pytest.approx(scale, rel=0.01)
         # About 2/(10 pi) of the mass lies beyond 10 scales; a Gaussian
         # would put essentially nothing there.
-        far = float(np.mean(np.abs(trace.samples) > 10.0 * scale))
+        far = float(np.mean(np.abs(trace) > 10.0 * scale))
         assert 0.04 < far < 0.09
 
 
@@ -185,4 +168,4 @@ class TestStreams:
         first = sample(NoiseSpec(DistributionKind.GAUSSIAN, 1.0), 4, gen)
         second = sample(NoiseSpec(DistributionKind.GAUSSIAN, 1.0), 4, gen)
         # One generator advances across calls instead of restarting.
-        assert not np.array_equal(first.samples, second.samples)
+        assert not np.array_equal(first, second)

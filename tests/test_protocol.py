@@ -12,12 +12,11 @@ from kljn import (
     ResistorPair,
     SessionConfig,
     SwitchState,
-    classify_level,
     leak_sweep,
     run_session,
     stream,
 )
-from kljn.protocol import records_csv, sweep_configs
+from kljn.protocol import _classify_rows, _level_cuts, records_csv, sweep_configs
 
 PAIR = ResistorPair(1.0, 4.0)
 
@@ -37,34 +36,43 @@ def config(**overrides) -> SessionConfig:
     return SessionConfig(**base)
 
 
+def level_of(measured, pair, sigma_low, sigma_high):
+    """The level run_session gives one measured line-voltage variance."""
+    cuts = _level_cuts(pair, sigma_low, sigma_high)
+    return _classify_rows(np.array([measured], dtype=np.float64), cuts)[0]
+
+
 class TestClassifyLevel:
     def test_exact_levels(self):
-        assert classify_level(0.5, PAIR, 1.0, 2.0) is Level.LOW
-        assert classify_level(0.8, PAIR, 1.0, 2.0) is Level.MID
-        assert classify_level(2.0, PAIR, 1.0, 2.0) is Level.HIGH
+        assert level_of(0.5, PAIR, 1.0, 2.0) is Level.LOW
+        assert level_of(0.8, PAIR, 1.0, 2.0) is Level.MID
+        assert level_of(2.0, PAIR, 1.0, 2.0) is Level.HIGH
 
     def test_boundaries_fall_to_the_lower_level(self):
         low_mid = math.sqrt(0.5 * 0.8)
         mid_high = math.sqrt(0.8 * 2.0)
-        assert classify_level(low_mid, PAIR, 1.0, 2.0) is Level.LOW
-        assert classify_level(math.nextafter(low_mid, 2.0), PAIR, 1.0, 2.0) is Level.MID
-        assert classify_level(mid_high, PAIR, 1.0, 2.0) is Level.MID
-        assert classify_level(math.nextafter(mid_high, 3.0), PAIR, 1.0, 2.0) is Level.HIGH
+        assert level_of(low_mid, PAIR, 1.0, 2.0) is Level.LOW
+        assert level_of(math.nextafter(low_mid, 2.0), PAIR, 1.0, 2.0) is Level.MID
+        assert level_of(mid_high, PAIR, 1.0, 2.0) is Level.MID
+        assert level_of(math.nextafter(mid_high, 3.0), PAIR, 1.0, 2.0) is Level.HIGH
 
     def test_extremes(self):
-        assert classify_level(0.0, PAIR, 1.0, 2.0) is Level.LOW
-        assert classify_level(100.0, PAIR, 1.0, 2.0) is Level.HIGH
+        assert level_of(0.0, PAIR, 1.0, 2.0) is Level.LOW
+        assert level_of(100.0, PAIR, 1.0, 2.0) is Level.HIGH
 
     def test_rejects_negative_or_non_finite(self):
         with pytest.raises(ValueError):
-            classify_level(-0.1, PAIR, 1.0, 2.0)
+            level_of(-0.1, PAIR, 1.0, 2.0)
         with pytest.raises(ValueError):
-            classify_level(math.nan, PAIR, 1.0, 2.0)
+            level_of(math.nan, PAIR, 1.0, 2.0)
 
     def test_rejects_unordered_ladder(self):
-        # a tiny high-side amplitude collapses the ladder ordering
-        with pytest.raises(ValueError):
-            classify_level(0.5, PAIR, 1.0, 0.1)
+        # a tiny high-side amplitude collapses the ladder ordering, which
+        # a session refuses as soon as it is configured
+        with pytest.raises(ValueError, match="not strictly ordered"):
+            level_of(0.5, PAIR, 1.0, 0.1)
+        with pytest.raises(ValueError, match="not strictly ordered"):
+            config(sigma_high=0.1)
 
 
 class TestRunSession:
