@@ -130,6 +130,16 @@ class TestWrongHypothesisVariance:
         assert wrong_hypothesis_variance(PAIR, 1.0, 2.0) == pytest.approx(4.0, rel=1e-12)
         assert wrong_hypothesis_variance(PAIR, 1.0, 1.0) == pytest.approx(2.92, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "r_low,r_high,sigma_low",
+        [(1.0, 4.0, 1.0), (0.5, 2.0, 0.3), (3.0, 27.0, 2.0), (1.0, 1.0001, 5.0)],
+    )
+    def test_compliant_ratio_is_a_fixed_point(self, r_low, r_high, sigma_low):
+        pair = ResistorPair(r_low, r_high)
+        sigma_high = sigma_low * security_sigma_ratio(pair)
+        got = wrong_hypothesis_variance(pair, sigma_low, sigma_high)
+        assert abs(got - sigma_high**2) <= 1e-12 * sigma_high**2
+
     if given is not None:
 
         @settings(max_examples=300, deadline=None)
@@ -143,7 +153,7 @@ class TestWrongHypothesisVariance:
         @example(r_low=0.5, r_high=2.0, sigma_low=0.3, sigma_high=1.0)
         @example(r_low=3.0, r_high=27.0, sigma_low=2.0, sigma_high=1.0)
         @example(r_low=1.0, r_high=1.0001, sigma_low=5.0, sigma_high=1.0)
-        def test_compliant_ratio_is_a_fixed_point(self, r_low, r_high, sigma_low, sigma_high):
+        def test_amplitude_law_property(self, r_low, r_high, sigma_low, sigma_high):
             # The amplitude law is the fixed point of the alpha^2 + beta^2
             # identity: at the compliant sigma_high the wrong guess gives
             # back sigma_high^2, and at any sigma_high the closed form holds.
@@ -160,7 +170,7 @@ class TestWrongHypothesisVariance:
 
     else:
 
-        def test_compliant_ratio_is_a_fixed_point(self):
+        def test_amplitude_law_property(self):
             pytest.skip("needs hypothesis")
 
     @pytest.mark.parametrize("kind", [DistributionKind.GAUSSIAN, DistributionKind.UNIFORM])
