@@ -22,12 +22,16 @@ runs it over fresh mixed-state bits and scores the decisions.
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from functools import partial
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
+from . import line
 from .density import PdfGrid, analytic_pdf, family_cdf, symmetric_grid, weights
 from .line import SwitchState, blocks, line_block, resistance_for
 from .noise import BlockStreams, DistributionKind, NoiseSpec, ResistorPair
@@ -60,6 +64,8 @@ _SERIES_EXPONENTS = -2.0 * np.arange(1.0, 6.0).reshape(-1, 1) ** 2
 _SERIES_SIGNS = np.array([[2.0], [-2.0], [2.0], [-2.0], [2.0]])
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
+_T = TypeVar("_T")
+
 
 class EveDecision(str, Enum):
     """Outcome of one attack on one mixed-state bit."""
@@ -69,9 +75,16 @@ class EveDecision(str, Enum):
     UNDECIDED = "undecided"
 
 
-def _reconstruct(voltage: np.ndarray, current: np.ndarray, r: float, alice: bool) -> np.ndarray:
-    """Source estimate of Alice (or Bob) presenting ``r``, for arrays of any shape."""
-    return voltage - current * r if alice else voltage + current * r
+def _reconstruct(
+    voltage: np.ndarray, current: np.ndarray, r: float, alice: bool, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Source estimate of Alice (or Bob) presenting ``r``, for arrays of any shape.
+
+    This is ``voltage - current * r`` for Alice and ``voltage + current * r``
+    for Bob, written into ``out`` when it is given.
+    """
+    out = np.multiply(current, r, out=out)
+    return np.subtract(voltage, out, out=out) if alice else np.add(voltage, out, out=out)
 
 
 def wrong_hypothesis_variance(pair: ResistorPair, sigma_low: float, sigma_high: float) -> float:
@@ -133,10 +146,14 @@ class _ShapeRows(NamedTuple):
 
 
 def _variance_z(x: np.ndarray, expected_sigma: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Expected variance, per-row mean square and per-row z score of zero-mean rows."""
+    """Expected variance, per-row mean square and per-row z score of zero-mean rows.
+
+    ``x`` is squared in place, so it is overwritten; the mean square is
+    bitwise ``np.mean(x**2, axis=1)``.
+    """
     n = x.shape[1]
     expected = expected_sigma**2
-    observed = np.mean(x**2, axis=1)
+    observed = np.mean(np.square(x, out=x), axis=1)
     z = (observed - expected) / (expected * math.sqrt(2.0 / n))
     return expected, observed, z
 
@@ -174,26 +191,27 @@ def _kolmogorov_sf(x: np.ndarray) -> np.ndarray:
     return np.where(x < _KS_CUTOVER, 1.0 - theta.reshape(x.shape), series.reshape(x.shape))
 
 
-def _ks_steps(n: int) -> np.ndarray:
-    """Empirical CDF levels ``k / n`` for ``k = 0 .. n``, shared by a block's KS tests."""
-    return np.arange(n + 1, dtype=np.float64) / n
-
-
-def _ks_statistic(
-    x: np.ndarray, reference: tuple[np.ndarray, np.ndarray], steps: np.ndarray
-) -> np.ndarray:
+def _ks_statistic(x: np.ndarray, reference: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """KS distance of rows sorted in ascending order; ``x`` is reused as scratch and overwritten.
 
     ``d+ = max(k/n - cdf) = -min(cdf - k/n)`` over ``k = 1 .. n`` and
     ``d- = max(cdf - (k-1)/n)``; IEEE subtraction is antisymmetric, so both
-    are bitwise the plain formulas.
+    are bitwise the plain formulas. The columns go in chunks of
+    ``kljn.line.BLOCK_SAMPLES // rows`` (at least one), so the CDF and the
+    levels ``k / n`` are never held at full length; minima and maxima over
+    chunks are exact, so D does not depend on the chunking.
     """
-    cdf = np.interp(x, *reference)
-    diff = np.subtract(cdf, steps[1:], out=x)
-    d_plus = -np.min(diff, axis=1)
-    diff = np.subtract(cdf, steps[:-1], out=x)
-    d_minus = np.max(diff, axis=1)
-    return np.maximum(d_plus, d_minus)
+    rows, n = x.shape
+    width = max(1, line.BLOCK_SAMPLES // max(rows, 1))
+    lowest = np.full(rows, np.inf)
+    highest = np.full(rows, -np.inf)
+    for start in range(0, n, width):
+        part = x[:, start : start + width]
+        cdf = np.interp(part, *reference)
+        steps = np.arange(start, start + part.shape[1] + 1, dtype=np.float64) / n
+        np.minimum(lowest, np.min(np.subtract(cdf, steps[1:], out=part), axis=1), out=lowest)
+        np.maximum(highest, np.max(np.subtract(cdf, steps[:-1], out=part), axis=1), out=highest)
+    return np.maximum(-lowest, highest)
 
 
 def _shape_results(n: int, statistics: list[np.ndarray], level: float) -> list[_ShapeRows]:
@@ -225,7 +243,10 @@ class BlockAttack:
     Built once per attack, session or trial run, so each reference CDF is
     built and checked for unit mass once rather than once per bit. The
     significance must lie in (0, 1) and each row must hold at least
-    ``MIN_TEST_SAMPLES`` samples.
+    ``MIN_TEST_SAMPLES`` samples. A block whose rows are longer than
+    ``kljn.line.BLOCK_SAMPLES`` (a long trace, which runs alone) has its
+    two hypotheses tested on two threads, one buffer each; the outcome
+    does not depend on the threading.
     """
 
     def __init__(
@@ -259,21 +280,25 @@ class BlockAttack:
         true hypothesis survives with probability at least
         ``1 - significance``. The block's p-values are computed once per
         kind of test, over all of its rows and sub-tests together.
+
+        Each hypothesis works in one buffer of the block's shape. Rows
+        longer than ``kljn.line.BLOCK_SAMPLES`` test ``ALICE_HIGH`` on a
+        helper thread while ``ALICE_LOW`` runs on the calling thread; the
+        sort, interpolation and arithmetic kernels release the GIL. Shorter
+        rows hold the GIL too much of the time to gain, so they run the two
+        in turn. The results are bitwise the same either way.
         """
         n = voltage.shape[1]
         if n < MIN_TEST_SAMPLES:
             raise ValueError(f"attack needs at least {MIN_TEST_SAMPLES} samples")
-        steps = _ks_steps(n)
-        moments: list[tuple[float, np.ndarray, np.ndarray] | None] = []
-        statistics: list[np.ndarray] = []
-        for _, alice_state, bob_state in _HYPOTHESES:
-            for alice, state in ((True, alice_state), (False, bob_state)):
-                spec, ref = self.by_state[state]
-                x = _reconstruct(voltage, current, resistance_for(self.pair, state), alice)
-                cauchy = spec.kind is DistributionKind.CAUCHY
-                moments.append(None if cauchy else _variance_z(x, spec.scale))
-                x.sort(axis=1)
-                statistics.append(_ks_statistic(x, ref, steps))
+        # Allocated here, not on the helper thread, which would take them
+        # from a malloc arena of its own and raise peak memory.
+        jobs = [
+            partial(self._hypothesis, voltage, current, alice, bob, np.empty(voltage.shape))
+            for _, alice, bob in _HYPOTHESES
+        ]
+        hypotheses = _on_two_threads(*jobs) if n > line.BLOCK_SAMPLES else [job() for job in jobs]
+        moments, statistics = zip(*[party for hypothesis in hypotheses for party in hypothesis])
         tested = iter(_variance_results(n, [m for m in moments if m is not None], self.level))
         variances = [None if m is None else next(tested) for m in moments]
         shapes = _shape_results(n, statistics, self.level)
@@ -283,6 +308,33 @@ class BlockAttack:
             cells = [*variances[parties], *shapes[parties]]
             rejected = np.logical_or.reduce([c.reject for c in cells if c is not None])
             out[decision] = _HypothesisRows(*cells, rejected)
+        return out
+
+    def _hypothesis(
+        self,
+        voltage: np.ndarray,
+        current: np.ndarray,
+        alice_state: SwitchState,
+        bob_state: SwitchState,
+        buffer: np.ndarray,
+    ) -> list[tuple[tuple[float, np.ndarray, np.ndarray] | None, np.ndarray]]:
+        """Variance moments (None for Cauchy) and KS distance of Alice, then Bob, in one hypothesis.
+
+        Both parties work inside ``buffer``: the reconstruction is squared
+        in place for the variance, made again and sorted in place for the
+        shape test. This can run on a helper thread, so it calls none of
+        the functions ``bench/spans.py`` wraps: its tracer keeps one span
+        stack and assumes one thread.
+        """
+        out = []
+        for alice, state in ((True, alice_state), (False, bob_state)):
+            spec, ref = self.by_state[state]
+            r = resistance_for(self.pair, state)
+            moment = None
+            if spec.kind is not DistributionKind.CAUCHY:
+                moment = _variance_z(_reconstruct(voltage, current, r, alice, buffer), spec.scale)
+            _reconstruct(voltage, current, r, alice, buffer).sort(axis=1)
+            out.append((moment, _ks_statistic(buffer, ref)))
         return out
 
     def decisions(self, voltage: np.ndarray, current: np.ndarray) -> list[EveDecision]:
@@ -298,6 +350,31 @@ class BlockAttack:
         low_rejected = tests[EveDecision.ALICE_LOW].rejected.tolist()
         high_rejected = tests[EveDecision.ALICE_HIGH].rejected.tolist()
         return [_decide(low, high) for low, high in zip(low_rejected, high_rejected)]
+
+
+def _on_two_threads(first: Callable[[], _T], second: Callable[[], _T]) -> list[_T]:
+    """``[first(), second()]``, with ``second`` run on a helper thread meanwhile.
+
+    An exception raised on the helper thread is raised again here, once
+    both calls have ended.
+    """
+    outcome: dict[str, object] = {}
+
+    def helper() -> None:
+        try:
+            outcome["value"] = second()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=helper, name="kljn-hypothesis")
+    thread.start()
+    try:
+        value = first()
+    finally:
+        thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return [value, outcome["value"]]
 
 
 class _HypothesisRows(NamedTuple):
@@ -381,9 +458,11 @@ def attack_trials(
     Trials run in blocks of ``kljn.line.BLOCK_SAMPLES // samples_per_trial``
     (at least one), held as ``(trials, samples)`` arrays. The budget of
     2**15 float64 samples (256 KiB) per array keeps each array in L2 and
-    peak memory flat however many trials run; a long trace runs alone.
-    Every trial keeps its own streams, so the outcome does not depend on
-    the block size.
+    peak memory flat however many trials run. A longer trace runs alone
+    in its block, and its two hypotheses run on two threads, one buffer
+    each (see :meth:`BlockAttack.tests`). Every trial keeps its own
+    streams, so the outcome depends neither on the block size nor on the
+    threading.
     """
     check_trial_settings(samples_per_trial, trials, significance, seed)
     references = (reference_grid(spec_low), reference_grid(spec_high))

@@ -57,7 +57,12 @@ def line_signals(
     as one column entry per row of a block.
     """
     denom = r_alice + r_bob
-    return (v_alice * r_bob + v_bob * r_alice) / denom, (v_bob - v_alice) / denom
+    voltage = v_alice * r_bob
+    voltage += v_bob * r_alice
+    voltage /= denom
+    current = v_bob - v_alice
+    current /= denom
+    return voltage, current
 
 
 def blocks(count: int, samples: int) -> list[range]:

@@ -15,7 +15,7 @@ a whole block of bits in one pass (:func:`philox_keys`, a port of
 ``SeedSequence``'s entropy mixing to uint32 array arithmetic), which are
 the same keys ``SeedSequence`` gives, and re-key one reused generator per
 bit (:class:`BlockStreams`). Each row of a block is one :func:`sample`
-call on its bit's stream, stacked by :func:`draw_rows`. Two streams with
+call on its bit's stream, drawn in place by :func:`draw_rows`. Two streams with
 different paths are statistically independent, and the same
 ``(seed, path)`` always reproduces the same draws on every platform numpy
 supports.
@@ -293,17 +293,19 @@ def draw_rows(
     """Sources of a block of bits, one row of ``n`` samples per bit.
 
     Row ``k`` holds ``sample(specs[k], n, g)`` for the ``k``-th generator
-    ``g`` of ``streams`` (for example ``BlockStreams.each(channel)``); the
-    block is checked for finiteness once.
+    ``g`` of ``streams`` (for example ``BlockStreams.each(channel)``),
+    drawn in place; the block is checked for finiteness once.
     """
     out = np.empty((len(specs), n))
     for k, (spec, rng) in enumerate(zip(specs, streams)):
-        out[k] = sample(spec, n, rng)
+        sample(spec, n, rng, out=out[k])
     check_finite(out)
     return out
 
 
-def sample(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample(
+    spec: NoiseSpec, n: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw ``n`` independent samples from a noise source.
 
     Gaussian draws are ``scale`` times standard normals. Uniform draws
@@ -314,19 +316,30 @@ def sample(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     stream, keeping the result deterministic for a given generator state.
     The draws are not checked for finiteness here; :func:`draw_rows`
     checks a whole block at once.
+
+    The samples are written into ``out`` (a float64 array of ``n``
+    values) when it is given and returned; the values are the same.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
+    if out is None:
+        out = np.empty(n)
     if spec.kind is DistributionKind.GAUSSIAN:
-        return rng.standard_normal(n) * spec.scale
+        rng.standard_normal(out=out)
+        out *= spec.scale
+        return out
     if spec.kind is DistributionKind.UNIFORM:
+        # numpy's uniform(low, high) is low + (high - low) * random().
         bound = _SQRT3 * spec.scale
-        return rng.uniform(-bound, bound, n)
+        rng.random(out=out)
+        out *= bound - -bound
+        out += -bound
+        return out
     if spec.kind is DistributionKind.CAUCHY:
-        values = rng.standard_cauchy(n) * spec.scale
-        bad = ~np.isfinite(values)
+        np.multiply(rng.standard_cauchy(n), spec.scale, out=out)
+        bad = ~np.isfinite(out)
         while bad.any():
-            values[bad] = rng.standard_cauchy(int(bad.sum())) * spec.scale
-            bad = ~np.isfinite(values)
-        return values
+            out[bad] = rng.standard_cauchy(int(bad.sum())) * spec.scale
+            bad = ~np.isfinite(out)
+        return out
     raise ValueError(f"unknown distribution kind: {spec.kind!r}")  # pragma: no cover

@@ -1,7 +1,9 @@
 """Block engine: parity with the per-bit algorithm, pinned outputs, chunking invariance."""
 
+import functools
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,12 @@ from kljn import (
     stream,
     theoretical_line_variance,
 )
+
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is a test extra; its property test is skipped without it
+    given = None
 
 PAIR = ResistorPair(1.0, 4.0)
 
@@ -189,6 +197,48 @@ def test_outputs_do_not_depend_on_the_block_size(monkeypatch, bits_per_block):
     assert [len(b) for b in kljn.line.blocks(bits, samples)][0] == (bits_per_block or bits)
     assert run_session(config).to_json() == expected_session
     assert attack_trials(PAIR, spec_low, spec_high, samples, bits, seed=9) == expected_trials
+
+
+CHUNKED_SAMPLES, CHUNKED_BITS = 120, 30
+
+
+@functools.cache
+def unchunked_runs():
+    """Session JSON and attack trials of the chunking property at the default block size."""
+    config = session_config(DistributionKind.UNIFORM, 3.0, CHUNKED_SAMPLES, CHUNKED_BITS, seed=11)
+    spec_low, spec_high = NoiseSpec("uniform", 1.0), NoiseSpec("uniform", 2.0)
+    trials = attack_trials(PAIR, spec_low, spec_high, CHUNKED_SAMPLES, CHUNKED_BITS, seed=11)
+    return config, run_session(config).to_json(), trials
+
+
+if given is not None:
+
+    # Budgets below the row length put every row alone in its block and run
+    # the two hypotheses on two threads, with KS chunks of a few columns.
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(1, CHUNKED_SAMPLES),
+            st.integers(CHUNKED_SAMPLES + 1, 2 * CHUNKED_SAMPLES * CHUNKED_BITS),
+        )
+    )
+    @example(1)
+    @example(CHUNKED_SAMPLES - 1)
+    @example(CHUNKED_SAMPLES)
+    @example(CHUNKED_SAMPLES * 7 + 3)
+    def test_outputs_do_not_depend_on_any_chunking(block_samples):
+        config, session, trials = unchunked_runs()
+        spec_low, spec_high = NoiseSpec("uniform", 1.0), NoiseSpec("uniform", 2.0)
+        with mock.patch.object(kljn.line, "BLOCK_SAMPLES", block_samples):
+            assert run_session(config).to_json() == session
+            assert attack_trials(
+                PAIR, spec_low, spec_high, CHUNKED_SAMPLES, CHUNKED_BITS, seed=11
+            ) == trials
+
+else:
+
+    def test_outputs_do_not_depend_on_any_chunking():
+        pytest.skip("needs hypothesis")
 
 
 def test_reference_cdfs_are_built_once_per_session(monkeypatch):

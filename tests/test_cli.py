@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, manifests, determinism, exit codes."""
 
+import ast
 import hashlib
 import json
 import os
@@ -444,15 +445,17 @@ def test_block_renderer_matches_plain_repr(columns):
     assert got == plain_csv(header, columns)
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is a test-only oracle; a fresh interpreter shows what the
-    # command line itself imports. A None entry is an import blocked on
-    # purpose, not a loaded module.
+def modules_loaded_by_importing_the_cli(*packages: str) -> list[str]:
+    """Modules of ``packages`` that ``import kljn.cli`` loads in a fresh interpreter.
+
+    A None entry of ``sys.modules`` is an import blocked on purpose, not a
+    loaded module.
+    """
     src = str(Path(kljn.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, kljn.cli; print(sorted(name for name, module in sys.modules.items()"
-        " if module is not None and name.split('.')[0] == 'scipy'))"
+        f" if module is not None and name.split('.')[0] in {packages!r}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -461,4 +464,16 @@ def test_importing_the_cli_loads_no_scipy():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout.strip())
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test-only oracle; a fresh interpreter shows what the
+    # command line itself imports.
+    assert modules_loaded_by_importing_the_cli("scipy") == []
+
+
+def test_importing_the_cli_loads_no_thread_or_process_pool():
+    # A long trace's two hypotheses run on a plain threading.Thread, which
+    # numpy already loads, so start-up pays nothing for them.
+    assert modules_loaded_by_importing_the_cli("concurrent", "multiprocessing") == []

@@ -1,10 +1,13 @@
 """Eavesdropper: reconstruction algebra, tests, and hypothesis decisions."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import kljn.eve
+import kljn.line
 from kljn import (
     BlockAttack,
     DistributionKind,
@@ -16,6 +19,7 @@ from kljn import (
     decision_credit,
     line_signals,
     reference_grid,
+    resistance_for,
     sample,
     security_sigma_ratio,
     stream,
@@ -23,15 +27,15 @@ from kljn import (
     wrong_hypothesis_variance,
 )
 from kljn.eve import (
+    _HYPOTHESES,
     _ks_statistic,
-    _ks_steps,
     _reconstruct,
     _reference_cdf,
     _shape_results,
     _variance_results,
     _variance_z,
 )
-from kljn.line import line_block
+from kljn.line import BLOCK_SAMPLES, line_block
 from kljn.noise import BlockStreams
 
 try:
@@ -75,7 +79,7 @@ def variance_rows(x, expected_sigma, level):
 def shape_rows(x, reference, level):
     """The shape sub-test kernel of BlockAttack on rows ``x`` at per-test ``level``."""
     x = np.sort(x, axis=1)
-    statistic = _ks_statistic(x, _reference_cdf(reference), _ks_steps(x.shape[1]))
+    statistic = _ks_statistic(x, _reference_cdf(reference))
     return _shape_results(x.shape[1], [statistic], level)[0]
 
 
@@ -345,8 +349,27 @@ class TestShapeTest:
         cdf = np.interp(x, *reference)
         i = np.arange(1, n + 1, dtype=np.float64)
         plain = np.maximum(np.max(i / n - cdf, axis=1), np.max(cdf - (i - 1.0) / n, axis=1))
-        got = _ks_statistic(x.copy(), reference, _ks_steps(n))
+        got = _ks_statistic(x.copy(), reference)
         assert (got == plain).all()
+
+    @pytest.mark.parametrize("block_samples", [1, 7, 1000, 10**6])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_statistic_does_not_depend_on_the_column_chunks(
+        self, monkeypatch, rows, block_samples
+    ):
+        # The last two rows lie far below and far above the grid: a CDF of
+        # 0 puts D = 1 at k = n alone, a CDF of 1 at k = 1 alone, so a chunk
+        # loop that skips an end column shows. Chunks are
+        # BLOCK_SAMPLES // (rows + 2) columns wide, and 1001 is no multiple.
+        n = 1001
+        reference = _reference_cdf(reference_grid(GAUSS_HIGH))
+        x = np.sort(np.random.default_rng(rows).standard_normal((rows, n)) * 7.0, axis=1)
+        x = np.concatenate([x, np.full((1, n), -1e3), np.full((1, n), 1e3)])
+        whole = _ks_statistic(x.copy(), reference)
+        monkeypatch.setattr(kljn.line, "BLOCK_SAMPLES", block_samples)
+        got = _ks_statistic(x.copy(), reference)
+        assert np.array_equal(got, whole)
+        assert got[-2:] == pytest.approx([1.0, 1.0], abs=1e-6)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="at least 100 samples"):
@@ -420,6 +443,98 @@ class TestAttack:
     def test_short_line_rejected(self):
         with pytest.raises(ValueError, match="attack needs at least 100 samples"):
             block_attack().tests(np.ones((1, 10)), np.ones((1, 10)))
+
+
+def plain_tests(eve, voltage, current):
+    """Every ``BlockAttack.tests`` field from the plain formulas: full-length arrays, one thread.
+
+    Returns, per decision, the variance fields ``(observed, z, p, reject)``
+    of Alice and Bob (None for Cauchy), the shape fields ``(statistic, p,
+    reject)`` of Alice and Bob, and ``rejected``.
+    """
+    n = voltage.shape[1]
+    i = np.arange(1, n + 1, dtype=np.float64)
+    moments, statistics = [], []
+    for _, alice_state, bob_state in _HYPOTHESES:
+        for alice, state in ((True, alice_state), (False, bob_state)):
+            spec, reference = eve.by_state[state]
+            x = _reconstruct(voltage, current, resistance_for(PAIR, state), alice)
+            if spec.kind is DistributionKind.CAUCHY:
+                moments.append(None)
+            else:
+                expected = spec.scale**2
+                observed = np.mean(x**2, axis=1)
+                z = (observed - expected) / (expected * math.sqrt(2.0 / n))
+                moments.append((expected, observed, z))
+            cdf = np.interp(np.sort(x, axis=1), *reference)
+            d_plus = np.max(i / n - cdf, axis=1)
+            statistics.append(np.maximum(d_plus, np.max(cdf - (i - 1.0) / n, axis=1)))
+    tested = iter(_variance_results(n, [m for m in moments if m is not None], eve.level))
+    variances = [None if m is None else next(tested) for m in moments]
+    shapes = _shape_results(n, statistics, eve.level)
+    out = {}
+    for k, (decision, _, _) in enumerate(_HYPOTHESES):
+        cells = [*variances[2 * k : 2 * k + 2], *shapes[2 * k : 2 * k + 2]]
+        rejected = np.logical_or.reduce([c.reject for c in cells if c is not None])
+        out[decision] = (
+            [None if v is None else (v.observed, v.z, v.p, v.reject) for v in cells[:2]],
+            [(s.statistic, s.p, s.reject) for s in cells[2:]],
+            rejected,
+        )
+    return out
+
+
+def long_block(kind, rows, n, seed):
+    """A block of mixed-state line signals, Alice low on even rows, and its attack."""
+    spec_low, spec_high = NoiseSpec(kind, 1.0), NoiseSpec(kind, 2.0)
+    alice_high = np.arange(rows) % 2 == 1
+    voltage, current = line_block(
+        BlockStreams(seed, range(rows)), alice_high, ~alice_high, PAIR, spec_low, spec_high, n
+    )
+    return block_attack(spec_low, spec_high), voltage, current
+
+
+class TestThreadedPath:
+    """Rows longer than ``BLOCK_SAMPLES`` test the two hypotheses on two threads."""
+
+    @pytest.mark.parametrize(
+        "rows, n", [(2, BLOCK_SAMPLES + 1), (3, 3 * BLOCK_SAMPLES + 7), (0, BLOCK_SAMPLES + 1)]
+    )
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_every_field_is_bitwise_the_plain_formula(self, monkeypatch, kind, rows, n):
+        threaded = []
+        original = kljn.eve._on_two_threads
+        monkeypatch.setattr(
+            kljn.eve, "_on_two_threads", lambda *jobs: threaded.append(1) or original(*jobs)
+        )
+        eve, voltage, current = long_block(kind, rows, n, seed=rows * n)
+        got = eve.tests(voltage, current)
+        assert threaded == [1]
+        for decision, (variances, shapes, rejected) in plain_tests(eve, voltage, current).items():
+            rows_got = got[decision]
+            for cell, expected in zip((rows_got.alice_variance, rows_got.bob_variance), variances):
+                if expected is None:
+                    assert cell is None
+                else:
+                    for field, value in zip((cell.observed, cell.z, cell.p, cell.reject), expected):
+                        assert np.array_equal(field, value)
+            for cell, expected in zip((rows_got.alice_shape, rows_got.bob_shape), shapes):
+                for field, value in zip((cell.statistic, cell.p, cell.reject), expected):
+                    assert np.array_equal(field, value)
+            assert np.array_equal(rows_got.rejected, rejected)
+
+    def test_an_error_on_the_helper_thread_is_raised_by_the_caller(self, monkeypatch):
+        original = kljn.eve._ks_statistic
+
+        def failing(x, reference):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("kernel failed on the helper thread")
+            return original(x, reference)
+
+        monkeypatch.setattr(kljn.eve, "_ks_statistic", failing)
+        eve, voltage, current = long_block(DistributionKind.UNIFORM, 1, BLOCK_SAMPLES + 1, seed=3)
+        with pytest.raises(RuntimeError, match="helper thread"):
+            eve.tests(voltage, current)
 
 
 class TestDecisions:
