@@ -149,10 +149,8 @@ def _noise(s: dict) -> tuple[ResistorPair, DistributionKind, float, float]:
     return pair, kind, sigma_low, sigma_high
 
 
-def _session(s: dict, command: str) -> SessionConfig:
+def _session(s: dict) -> SessionConfig:
     pair, kind, sigma_low, sigma_high = _noise(s)
-    if kind is DistributionKind.CAUCHY:
-        raise ValueError(f"{command} needs finite-variance noise; choose gaussian or uniform")
     return SessionConfig(
         pair=pair,
         kind=kind,
@@ -177,7 +175,7 @@ def _multipliers(raw: str | list) -> list[float]:
 
 
 def _simulate_inputs(s: dict) -> tuple[dict, SessionConfig]:
-    config = _session(s, "simulate")
+    config = _session(s)
     return config.to_dict(), config
 
 
@@ -287,7 +285,7 @@ def _pdf(inputs: tuple, csv: bool) -> tuple[dict[str, bytes], str]:
 
 def _sweep_inputs(s: dict) -> tuple[dict, tuple[SessionConfig, list[float]]]:
     multipliers = _multipliers(s["multipliers"])
-    config = _session(s, "sweep")
+    config = _session(s)
     sweep_configs(config, multipliers)  # checks every point's sigma_high before --out exists
     return {**config.to_dict(), "multipliers": multipliers}, (config, multipliers)
 

@@ -14,9 +14,12 @@ amplitude law and a Kolmogorov-Smirnov shape test checks Gaussianity.
 
 :class:`BlockAttack` is the one attack. It holds line signals one bit per
 row, so a single bit is a one-row block, and :meth:`BlockAttack.tests`
-returns every sub-test's statistic, p-value and verdict per row: the
-per-bit evidence behind each :class:`EveDecision`. :func:`attack_trials`
-runs it over fresh mixed-state bits and scores the decisions.
+returns one :class:`Evidence` record per block: each sub-test's statistic
+and p-value as arrays indexed ``[hypothesis, party, row]``, and which
+hypotheses each row rejects. That is the per-bit evidence behind each
+:class:`EveDecision`, split into the variance channel and the shape
+channel. :func:`attack_trials` runs it over fresh mixed-state bits and
+scores the decisions.
 """
 
 from __future__ import annotations
@@ -107,68 +110,13 @@ def _check_significance(significance: float) -> None:
         raise ValueError("significance must lie in (0, 1)")
 
 
-def _reference_cdf(reference: PdfGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissae and CDF of a shape reference, checked for unit mass."""
-    if abs(reference.integral() - 1.0) > 1e-6:
-        raise ValueError("reference density is not normalized")
-    return reference.x, reference.cdf()
+def _mean_square(x: np.ndarray) -> np.ndarray:
+    """Per-row mean square of zero-mean rows, the variance estimator of the z test.
 
-
-class _VarianceRows(NamedTuple):
-    """Two-sided variance z test of every row of a block: one entry per row.
-
-    The sources are zero-mean by construction, so the variance estimator
-    is the plain mean of squares (``observed``) and ``z`` compares it to
-    the expected variance in units of the Gaussian-sampling standard error
-    ``expected * sqrt(2 / n)``.
+    ``x`` is squared in place, so it is overwritten; the result is bitwise
+    ``np.mean(x**2, axis=1)``.
     """
-
-    n: int
-    expected: float
-    observed: np.ndarray
-    z: np.ndarray
-    p: np.ndarray
-    reject: np.ndarray
-
-
-class _ShapeRows(NamedTuple):
-    """One-sample KS test of every row of a block against a tabulated density.
-
-    The reference CDF is the cumulative trapezoid of the grid; sample CDF
-    values outside the grid clamp to 0 or 1. The p-value uses the
-    asymptotic Kolmogorov distribution of ``sqrt(n) * D``.
-    """
-
-    n: int
-    statistic: np.ndarray
-    p: np.ndarray
-    reject: np.ndarray
-
-
-def _variance_z(x: np.ndarray, expected_sigma: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Expected variance, per-row mean square and per-row z score of zero-mean rows.
-
-    ``x`` is squared in place, so it is overwritten; the mean square is
-    bitwise ``np.mean(x**2, axis=1)``.
-    """
-    n = x.shape[1]
-    expected = expected_sigma**2
-    observed = np.mean(np.square(x, out=x), axis=1)
-    z = (observed - expected) / (expected * math.sqrt(2.0 / n))
-    return expected, observed, z
-
-
-def _variance_results(
-    n: int, moments: list[tuple[float, np.ndarray, np.ndarray]], level: float
-) -> list[_VarianceRows]:
-    """Variance tests from :func:`_variance_z` outputs, all p-values in one kernel call."""
-    if not moments:
-        return []
-    p_values = _z_p_value(np.array([z for _, _, z in moments]))
-    return [
-        _VarianceRows(n, expected, observed, z, p, reject)
-        for (expected, observed, z), p, reject in zip(moments, p_values, p_values < level)
-    ]
+    return np.mean(np.square(x, out=x), axis=1)
 
 
 def _z_p_value(z: np.ndarray) -> np.ndarray:
@@ -214,12 +162,6 @@ def _ks_statistic(x: np.ndarray, reference: tuple[np.ndarray, np.ndarray]) -> np
     return np.maximum(-lowest, highest)
 
 
-def _shape_results(n: int, statistics: list[np.ndarray], level: float) -> list[_ShapeRows]:
-    """KS tests from :func:`_ks_statistic` outputs, all p-values in one kernel call."""
-    p_values = _kolmogorov_sf(math.sqrt(n) * np.array(statistics))
-    return [_ShapeRows(n, *row) for row in zip(statistics, p_values, p_values < level)]
-
-
 def reference_grid(spec: NoiseSpec) -> PdfGrid:
     """Tabulate the density of a noise spec for use as a shape reference."""
     widths, steps = _REFERENCE_POLICY[spec.kind]
@@ -237,33 +179,55 @@ _HYPOTHESES = (
 )
 
 
+class Evidence(NamedTuple):
+    """Every sub-test of a block: arrays indexed ``[hypothesis, party, row]``.
+
+    Hypotheses are in ``_HYPOTHESES`` order (``ALICE_LOW``, then
+    ``ALICE_HIGH``) and Alice is party 0. ``z`` and ``variance_p`` are the
+    variance channel: the mean square of the reconstruction against the
+    claimed variance, in units of the Gaussian-sampling standard error
+    ``variance * sqrt(2 / n)``, and its two-sided p-value; both are NaN
+    for a Cauchy party, which has no variance. ``statistic`` (the KS
+    distance D from the reference CDF, which clamps to 0 or 1 off its
+    grid) and ``shape_p`` (the asymptotic Kolmogorov p-value of
+    ``sqrt(n) * D``) are the shape channel. ``rejected[hypothesis, row]``
+    is set when any p-value of that row is below the attack's level; a
+    NaN p-value never rejects.
+    """
+
+    z: np.ndarray
+    variance_p: np.ndarray
+    statistic: np.ndarray
+    shape_p: np.ndarray
+    rejected: np.ndarray
+
+
 class BlockAttack:
     """Both mixed-state hypotheses, tested on blocks of bits held one per row.
 
-    Built once per attack, session or trial run, so each reference CDF is
-    built and checked for unit mass once rather than once per bit. The
-    significance must lie in (0, 1) and each row must hold at least
-    ``MIN_TEST_SAMPLES`` samples. A block whose rows are longer than
-    ``kljn.line.BLOCK_SAMPLES`` (a long trace, which runs alone) has its
-    two hypotheses tested on two threads, one buffer each; the outcome
-    does not depend on the threading.
+    Built once per attack, session or trial run: each party's shape
+    reference (:func:`reference_grid`) and its CDF are built here once
+    rather than once per bit. The significance must lie in (0, 1) and each
+    row must hold at least ``MIN_TEST_SAMPLES`` samples. A block whose
+    rows are longer than ``kljn.line.BLOCK_SAMPLES`` (a long trace, which
+    runs alone) has its two hypotheses tested on two threads, one buffer
+    each; the outcome does not depend on the threading.
     """
 
     def __init__(
-        self,
-        pair: ResistorPair,
-        spec_low: NoiseSpec,
-        spec_high: NoiseSpec,
-        significance: float,
-        references: tuple[PdfGrid, PdfGrid],
+        self, pair: ResistorPair, spec_low: NoiseSpec, spec_high: NoiseSpec, significance: float
     ) -> None:
         _check_significance(significance)
         self.pair = pair
         self.significance = significance
-        self.by_state = {
-            SwitchState.LOW: (spec_low, _reference_cdf(references[0])),
-            SwitchState.HIGH: (spec_high, _reference_cdf(references[1])),
-        }
+        self.by_state = {}
+        for state, spec in ((SwitchState.LOW, spec_low), (SwitchState.HIGH, spec_high)):
+            reference = reference_grid(spec)
+            self.by_state[state] = (spec, (reference.x, reference.cdf()))
+        # The variance each party claims, shaped [hypothesis, party, 1].
+        self._variance = np.array(
+            [[self.by_state[s][0].scale ** 2 for s in parties] for _, *parties in _HYPOTHESES]
+        )[:, :, None]
         # Each hypothesis tests one low and one high party, so both share
         # one Bonferroni level; Cauchy sources get a shape test only.
         n_tests = sum(
@@ -271,15 +235,15 @@ class BlockAttack:
         )
         self.level = significance / n_tests
 
-    def tests(self, voltage: np.ndarray, current: np.ndarray) -> dict[EveDecision, _HypothesisRows]:
+    def tests(self, voltage: np.ndarray, current: np.ndarray) -> Evidence:
         """Every sub-test of both hypotheses on a block of line signals.
 
         Each hypothesis screens each party with a variance test and a shape
         test (shape only for Cauchy sources). The per-test level is the
         significance divided by the number of sub-tests (Bonferroni), so a
         true hypothesis survives with probability at least
-        ``1 - significance``. The block's p-values are computed once per
-        kind of test, over all of its rows and sub-tests together.
+        ``1 - significance``. Each kind of p-value is computed once per
+        block, over all of its hypotheses, parties and rows together.
 
         Each hypothesis works in one buffer of the block's shape. Rows
         longer than ``kljn.line.BLOCK_SAMPLES`` test ``ALICE_HIGH`` on a
@@ -298,17 +262,12 @@ class BlockAttack:
             for _, alice, bob in _HYPOTHESES
         ]
         hypotheses = _on_two_threads(*jobs) if n > line.BLOCK_SAMPLES else [job() for job in jobs]
-        moments, statistics = zip(*[party for hypothesis in hypotheses for party in hypothesis])
-        tested = iter(_variance_results(n, [m for m in moments if m is not None], self.level))
-        variances = [None if m is None else next(tested) for m in moments]
-        shapes = _shape_results(n, statistics, self.level)
-        out = {}
-        for k, (decision, _, _) in enumerate(_HYPOTHESES):
-            parties = slice(2 * k, 2 * k + 2)
-            cells = [*variances[parties], *shapes[parties]]
-            rejected = np.logical_or.reduce([c.reject for c in cells if c is not None])
-            out[decision] = _HypothesisRows(*cells, rejected)
-        return out
+        mean_square, statistic = map(np.array, zip(*hypotheses))
+        z = (mean_square - self._variance) / (self._variance * math.sqrt(2.0 / n))
+        variance_p = _z_p_value(z)
+        shape_p = _kolmogorov_sf(math.sqrt(n) * statistic)
+        rejected = ((variance_p < self.level) | (shape_p < self.level)).any(axis=1)
+        return Evidence(z, variance_p, statistic, shape_p, rejected)
 
     def _hypothesis(
         self,
@@ -317,25 +276,26 @@ class BlockAttack:
         alice_state: SwitchState,
         bob_state: SwitchState,
         buffer: np.ndarray,
-    ) -> list[tuple[tuple[float, np.ndarray, np.ndarray] | None, np.ndarray]]:
-        """Variance moments (None for Cauchy) and KS distance of Alice, then Bob, in one hypothesis.
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-row mean squares (NaN for Cauchy) and KS distances of Alice and Bob.
 
         Both parties work inside ``buffer``: the reconstruction is squared
-        in place for the variance, made again and sorted in place for the
+        in place for the mean square, made again and sorted in place for the
         shape test. This can run on a helper thread, so it calls none of
         the functions ``bench/spans.py`` wraps: its tracer keeps one span
         stack and assumes one thread.
         """
-        out = []
+        mean_squares, statistics = [], []
         for alice, state in ((True, alice_state), (False, bob_state)):
-            spec, ref = self.by_state[state]
+            spec, reference = self.by_state[state]
             r = resistance_for(self.pair, state)
-            moment = None
-            if spec.kind is not DistributionKind.CAUCHY:
-                moment = _variance_z(_reconstruct(voltage, current, r, alice, buffer), spec.scale)
+            if spec.kind is DistributionKind.CAUCHY:
+                mean_squares.append(np.full(len(buffer), np.nan))
+            else:
+                mean_squares.append(_mean_square(_reconstruct(voltage, current, r, alice, buffer)))
             _reconstruct(voltage, current, r, alice, buffer).sort(axis=1)
-            out.append((moment, _ks_statistic(buffer, ref)))
-        return out
+            statistics.append(_ks_statistic(buffer, reference))
+        return mean_squares, statistics
 
     def decisions(self, voltage: np.ndarray, current: np.ndarray) -> list[EveDecision]:
         """One decision per row of a block of line signals.
@@ -346,9 +306,7 @@ class BlockAttack:
         non-mixed bit or a model mismatch rather than at either mixed
         assignment.
         """
-        tests = self.tests(voltage, current)
-        low_rejected = tests[EveDecision.ALICE_LOW].rejected.tolist()
-        high_rejected = tests[EveDecision.ALICE_HIGH].rejected.tolist()
+        low_rejected, high_rejected = self.tests(voltage, current).rejected.tolist()
         return [_decide(low, high) for low, high in zip(low_rejected, high_rejected)]
 
 
@@ -375,16 +333,6 @@ def _on_two_threads(first: Callable[[], _T], second: Callable[[], _T]) -> list[_
     if "error" in outcome:
         raise outcome["error"]
     return [value, outcome["value"]]
-
-
-class _HypothesisRows(NamedTuple):
-    """All sub-tests of one hypothesis on a block; ``rejected`` flags each row."""
-
-    alice_variance: _VarianceRows | None
-    bob_variance: _VarianceRows | None
-    alice_shape: _ShapeRows
-    bob_shape: _ShapeRows
-    rejected: np.ndarray
 
 
 def _decide(low_rejected: bool, high_rejected: bool) -> EveDecision:
@@ -465,8 +413,7 @@ def attack_trials(
     threading.
     """
     check_trial_settings(samples_per_trial, trials, significance, seed)
-    references = (reference_grid(spec_low), reference_grid(spec_high))
-    eve = BlockAttack(pair, spec_low, spec_high, significance, references)
+    eve = BlockAttack(pair, spec_low, spec_high, significance)
     decisions: list[EveDecision] = []
     truths: list[SwitchState] = []
     for block in blocks(trials, samples_per_trial):

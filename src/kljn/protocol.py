@@ -24,7 +24,6 @@ from .eve import (
     EveDecision,
     _check_significance,
     decision_credit,
-    reference_grid,
 )
 from .line import SwitchState, blocks, line_block, theoretical_line_variance
 from .noise import (
@@ -63,6 +62,8 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, DistributionKind):
             object.__setattr__(self, "kind", DistributionKind(self.kind))
+        if self.kind is DistributionKind.CAUCHY:
+            raise ValueError("sessions need finite-variance noise for level classification")
         check_sigmas(self.sigma_low, self.sigma_high)
         if self.samples_per_bit < MIN_TEST_SAMPLES:
             raise ValueError(f"samples_per_bit must be at least {MIN_TEST_SAMPLES}")
@@ -210,25 +211,15 @@ def run_session(config: SessionConfig) -> SessionOutcome:
     pass, :class:`kljn.noise.BlockStreams`), so the outcome does not depend
     on the block size.
     """
-    if config.kind is DistributionKind.CAUCHY:
-        raise ValueError("sessions need finite-variance noise for level classification")
     pair = config.pair
     spec_low = NoiseSpec(config.kind, config.sigma_low)
     spec_high = NoiseSpec(config.kind, config.sigma_high)
-    eve = BlockAttack(
-        pair,
-        spec_low,
-        spec_high,
-        config.significance,
-        (reference_grid(spec_low), reference_grid(spec_high)),
-    )
+    eve = BlockAttack(pair, spec_low, spec_high, config.significance)
     cuts = _level_cuts(pair, config.sigma_low, config.sigma_high)
     samples = config.samples_per_bit
     states = (SwitchState.LOW, SwitchState.HIGH)
     records: list[BitRecord] = []
     credits: list[float] = []
-    disagreements = 0
-    agreements_possible = 0
     for bits in blocks(config.bits, samples):
         streams = BlockStreams(config.seed, bits)
         coins = np.array([rng.integers(0, 2, size=2) for rng in streams.each(0)], dtype=bool)
@@ -246,12 +237,7 @@ def run_session(config: SessionConfig) -> SessionOutcome:
             discarded = level is not _true_level(a_state, b_state)
             key_bit: int | None = None
             if secure and not discarded:
-                alice_bit = 0 if a_state is SwitchState.LOW else 1
-                bob_bit = 1 - (0 if b_state is SwitchState.LOW else 1)
-                agreements_possible += 1
-                if alice_bit != bob_bit:  # pragma: no cover - structurally impossible
-                    disagreements += 1
-                key_bit = alice_bit
+                key_bit = 0 if a_state is SwitchState.LOW else 1
             eve_decision: EveDecision | None = None
             if secure:
                 eve_decision = next(verdicts)
@@ -272,7 +258,7 @@ def run_session(config: SessionConfig) -> SessionOutcome:
     return SessionOutcome(
         records=tuple(records),
         secure_bit_fraction=n_secure / config.bits,
-        bit_error_rate=0.0 if agreements_possible == 0 else disagreements / agreements_possible,
+        bit_error_rate=0.0,  # sifting checks the true joint state, so every kept bit agrees
         eve_accuracy=None if n_secure == 0 else sum(credits) / n_secure,
     )
 

@@ -12,7 +12,6 @@ import pytest
 from kljn import (
     BlockAttack,
     DistributionKind,
-    EveDecision,
     HypothesisWeights,
     NoiseSpec,
     ResistorPair,
@@ -22,7 +21,6 @@ from kljn import (
     closure_residual,
     convolve_scaled,
     line_signals,
-    reference_grid,
     resistance_for,
     run_session,
     sample,
@@ -143,13 +141,12 @@ def test_criterion_4_uniform_noise_leaks_through_shape_alone():
     v_a = sample(spec_low, 100_000, stream(1005, 1))
     v_b = sample(spec_high, 100_000, stream(1005, 2))
     voltage, current = line_signals(v_a, v_b, PAIR.r_low, PAIR.r_high)
-    references = (reference_grid(spec_low), reference_grid(spec_high))
-    eve = BlockAttack(PAIR, spec_low, spec_high, 0.01, references)
-    wrong = eve.tests(voltage[None, :], current[None, :])[EveDecision.ALICE_HIGH]
+    eve = BlockAttack(PAIR, spec_low, spec_high, 0.01)
+    evidence = eve.tests(voltage[None, :], current[None, :])
+    alice_high = 1  # hypothesis ALICE_HIGH, the wrong one here; axes are [hypothesis, party, row]
     shape_driven = bool(
-        not wrong.alice_variance.reject[0]
-        and not wrong.bob_variance.reject[0]
-        and (wrong.alice_shape.reject[0] or wrong.bob_shape.reject[0])
+        not (evidence.variance_p[alice_high, :, 0] < eve.level).any()
+        and (evidence.shape_p[alice_high, :, 0] < eve.level).any()
     )
     report(
         4,

@@ -23,7 +23,6 @@ from kljn import (
     attack_trials,
     decision_credit,
     line_signals,
-    reference_grid,
     resistance_for,
     run_session,
     sample,
@@ -68,8 +67,7 @@ def reference_session(config: SessionConfig) -> SessionOutcome:
     spec_low = NoiseSpec(config.kind, config.sigma_low)
     spec_high = NoiseSpec(config.kind, config.sigma_high)
     by_state = {SwitchState.LOW: spec_low, SwitchState.HIGH: spec_high}
-    references = (reference_grid(spec_low), reference_grid(spec_high))
-    eve = BlockAttack(config.pair, spec_low, spec_high, config.significance, references)
+    eve = BlockAttack(config.pair, spec_low, spec_high, config.significance)
     records, credits = [], []
     for i in range(config.bits):
         coins = stream(config.seed, i, 0).integers(0, 2, size=2)
@@ -114,8 +112,7 @@ def reference_session(config: SessionConfig) -> SessionOutcome:
 def reference_trials(spec_low, spec_high, samples, trials, seed):
     """The per-trial attack loop: decisions and truths."""
     by_state = {SwitchState.LOW: spec_low, SwitchState.HIGH: spec_high}
-    references = (reference_grid(spec_low), reference_grid(spec_high))
-    eve = BlockAttack(PAIR, spec_low, spec_high, 0.01, references)
+    eve = BlockAttack(PAIR, spec_low, spec_high, 0.01)
     decisions, truths = [], []
     for t in range(trials):
         alice_low = bool(stream(seed, t, 0).integers(0, 2))

@@ -147,7 +147,7 @@ class TestRunSession:
         pytest.fail("no seed with a non-mixed first bit in range")
 
     def test_cauchy_sessions_refused(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sessions need finite-variance noise"):
             run_session(config(kind=DistributionKind.CAUCHY))
 
     def test_uniform_sessions_leak(self):
