@@ -144,19 +144,18 @@ def _ks_statistic(x: np.ndarray, reference: tuple[np.ndarray, np.ndarray]) -> np
 
     ``d+ = max(k/n - cdf) = -min(cdf - k/n)`` over ``k = 1 .. n`` and
     ``d- = max(cdf - (k-1)/n)``; IEEE subtraction is antisymmetric, so both
-    are bitwise the plain formulas. The columns go in chunks of
-    ``kljn.line.BLOCK_SAMPLES // rows`` (at least one), so the CDF and the
-    levels ``k / n`` are never held at full length; minima and maxima over
-    chunks are exact, so D does not depend on the chunking.
+    are bitwise the plain formulas. The columns go in
+    :func:`kljn.line.column_chunks`, so the CDF and the levels ``k / n`` are
+    never held at full length; minima and maxima over chunks are exact, so
+    D does not depend on the chunking.
     """
     rows, n = x.shape
-    width = max(1, line.BLOCK_SAMPLES // max(rows, 1))
     lowest = np.full(rows, np.inf)
     highest = np.full(rows, -np.inf)
-    for start in range(0, n, width):
-        part = x[:, start : start + width]
+    for cols in line.column_chunks(rows, n):
+        part = x[:, cols]
         cdf = np.interp(part, *reference)
-        steps = np.arange(start, start + part.shape[1] + 1, dtype=np.float64) / n
+        steps = np.arange(cols.start, cols.stop + 1, dtype=np.float64) / n
         np.minimum(lowest, np.min(np.subtract(cdf, steps[1:], out=part), axis=1), out=lowest)
         np.maximum(highest, np.max(np.subtract(cdf, steps[:-1], out=part), axis=1), out=highest)
     return np.maximum(-lowest, highest)
@@ -212,6 +211,13 @@ class BlockAttack:
     rows are longer than ``kljn.line.BLOCK_SAMPLES`` (a long trace, which
     runs alone) has its two hypotheses tested on two threads, one buffer
     each; the outcome does not depend on the threading.
+
+    The two hypothesis buffers belong to the instance and are kept from
+    one block to the next, so a run's blocks allocate nothing of their
+    length beyond them. They grow when a block has more rows or another
+    row length; the old pair is released before the new one is allocated.
+    Because the buffers are shared by its calls, an instance must not be
+    shared between threads.
     """
 
     def __init__(
@@ -234,6 +240,8 @@ class BlockAttack:
             1 if spec.kind is DistributionKind.CAUCHY else 2 for spec in (spec_low, spec_high)
         )
         self.level = significance / n_tests
+        # Scratch of the two hypotheses, shaped [hypothesis, row, sample].
+        self._buffers: np.ndarray | None = None
 
     def tests(self, voltage: np.ndarray, current: np.ndarray) -> Evidence:
         """Every sub-test of both hypotheses on a block of line signals.
@@ -245,21 +253,28 @@ class BlockAttack:
         ``1 - significance``. Each kind of p-value is computed once per
         block, over all of its hypotheses, parties and rows together.
 
-        Each hypothesis works in one buffer of the block's shape. Rows
+        Each hypothesis works in one buffer of the block's shape, the
+        leading rows of the instance's kept buffers; with the block's own
+        two arrays that is four arrays of the block's size at most. Rows
         longer than ``kljn.line.BLOCK_SAMPLES`` test ``ALICE_HIGH`` on a
         helper thread while ``ALICE_LOW`` runs on the calling thread; the
         sort, interpolation and arithmetic kernels release the GIL. Shorter
         rows hold the GIL too much of the time to gain, so they run the two
         in turn. The results are bitwise the same either way.
         """
-        n = voltage.shape[1]
+        rows, n = voltage.shape
         if n < MIN_TEST_SAMPLES:
             raise ValueError(f"attack needs at least {MIN_TEST_SAMPLES} samples")
-        # Allocated here, not on the helper thread, which would take them
-        # from a malloc arena of its own and raise peak memory.
+        buffers = self._buffers
+        if buffers is None or rows > buffers.shape[1] or n != buffers.shape[2]:
+            # Allocated here, not on the helper thread, which would take them
+            # from a malloc arena of its own and raise peak memory. The old
+            # pair goes first, so the two pairs are never held at once.
+            self._buffers = buffers = None
+            self._buffers = buffers = np.empty((2, rows, n))
         jobs = [
-            partial(self._hypothesis, voltage, current, alice, bob, np.empty(voltage.shape))
-            for _, alice, bob in _HYPOTHESES
+            partial(self._hypothesis, voltage, current, alice, bob, buffer[:rows])
+            for (_, alice, bob), buffer in zip(_HYPOTHESES, buffers)
         ]
         hypotheses = _on_two_threads(*jobs) if n > line.BLOCK_SAMPLES else [job() for job in jobs]
         mean_square, statistic = map(np.array, zip(*hypotheses))
@@ -406,21 +421,26 @@ def attack_trials(
     Trials run in blocks of ``kljn.line.BLOCK_SAMPLES // samples_per_trial``
     (at least one), held as ``(trials, samples)`` arrays. The budget of
     2**15 float64 samples (256 KiB) per array keeps each array in L2 and
-    peak memory flat however many trials run. A longer trace runs alone
-    in its block, and its two hypotheses run on two threads, one buffer
-    each (see :meth:`BlockAttack.tests`). Every trial keeps its own
-    streams, so the outcome depends neither on the block size nor on the
-    threading.
+    peak memory flat however many trials run. The run allocates its two
+    line arrays once, shaped like the first block, and each block is
+    drawn and solved in their leading rows (:func:`kljn.line.line_block`);
+    with the attack's two kept hypothesis buffers, a run holds four
+    arrays of its block's size at most. A longer trace runs alone in its
+    block, and its two hypotheses run on two threads, one buffer each
+    (see :meth:`BlockAttack.tests`). Every trial keeps its own streams, so
+    the outcome depends neither on the block size nor on the threading.
     """
     check_trial_settings(samples_per_trial, trials, significance, seed)
     eve = BlockAttack(pair, spec_low, spec_high, significance)
     decisions: list[EveDecision] = []
     truths: list[SwitchState] = []
-    for block in blocks(trials, samples_per_trial):
+    trial_blocks = blocks(trials, samples_per_trial)
+    line_arrays = np.empty((2, len(trial_blocks[0]), samples_per_trial))
+    for block in trial_blocks:
         streams = BlockStreams(seed, block)
         alice_low = np.array([bool(rng.integers(0, 2)) for rng in streams.each(0)])
         voltage, current = line_block(
-            streams, ~alice_low, alice_low, pair, spec_low, spec_high, samples_per_trial
+            streams, ~alice_low, alice_low, pair, spec_low, spec_high, line_arrays[:, : len(block)]
         )
         decisions += eve.decisions(voltage, current)
         truths += [SwitchState.LOW if low else SwitchState.HIGH for low in alice_low.tolist()]

@@ -288,15 +288,22 @@ def scaled_sigma_high(pair: ResistorPair, sigma_low: float) -> float:
 
 
 def draw_rows(
-    specs: list[NoiseSpec], n: int, streams: Iterable[np.random.Generator]
+    specs: list[NoiseSpec],
+    n: int,
+    streams: Iterable[np.random.Generator],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sources of a block of bits, one row of ``n`` samples per bit.
 
     Row ``k`` holds ``sample(specs[k], n, g)`` for the ``k``-th generator
     ``g`` of ``streams`` (for example ``BlockStreams.each(channel)``),
     drawn in place; the block is checked for finiteness once.
+
+    The rows are written into ``out`` (a float64 ``(len(specs), n)``
+    array) when it is given and returned; the values are the same.
     """
-    out = np.empty((len(specs), n))
+    if out is None:
+        out = np.empty((len(specs), n))
     for k, (spec, rng) in enumerate(zip(specs, streams)):
         sample(spec, n, rng, out=out[k])
     check_finite(out)

@@ -23,6 +23,7 @@ from .eve import (
     BlockAttack,
     EveDecision,
     _check_significance,
+    _mean_square,
     decision_credit,
 )
 from .line import SwitchState, blocks, line_block, theoretical_line_variance
@@ -206,10 +207,14 @@ def run_session(config: SessionConfig) -> SessionOutcome:
     Bits are processed in blocks of ``kljn.line.BLOCK_SAMPLES //
     samples_per_bit`` (at least one), held as ``(bits, samples)`` arrays.
     The budget of 2**15 float64 samples (256 KiB) per array keeps each
-    array in L2 and peak memory flat however many bits a session has.
-    Every bit keeps its own streams (a block's keys are derived in one
-    pass, :class:`kljn.noise.BlockStreams`), so the outcome does not depend
-    on the block size.
+    array in L2 and peak memory flat however many bits a session has. The
+    session allocates its two line arrays once, shaped like the first
+    block, and each block is drawn and solved in their leading rows
+    (:func:`kljn.line.line_block`); with the attack's two kept hypothesis
+    buffers, four arrays of the block's size at most. Every bit keeps its
+    own streams (a block's keys are derived in one pass,
+    :class:`kljn.noise.BlockStreams`), so the outcome does not depend on
+    the block size.
     """
     pair = config.pair
     spec_low = NoiseSpec(config.kind, config.sigma_low)
@@ -220,16 +225,21 @@ def run_session(config: SessionConfig) -> SessionOutcome:
     states = (SwitchState.LOW, SwitchState.HIGH)
     records: list[BitRecord] = []
     credits: list[float] = []
-    for bits in blocks(config.bits, samples):
+    bit_blocks = blocks(config.bits, samples)
+    line_arrays = np.empty((2, len(bit_blocks[0]), samples))
+    for bits in bit_blocks:
         streams = BlockStreams(config.seed, bits)
         coins = np.array([rng.integers(0, 2, size=2) for rng in streams.each(0)], dtype=bool)
         alice_high, bob_high = coins[:, 0], coins[:, 1]
         voltage, current = line_block(
-            streams, alice_high, bob_high, pair, spec_low, spec_high, samples
+            streams, alice_high, bob_high, pair, spec_low, spec_high, line_arrays[:, : len(bits)]
         )
-        levels = _classify_rows(np.mean(voltage**2, axis=1), cuts)
         mixed = alice_high != bob_high
-        verdicts = iter(eve.decisions(voltage[mixed], current[mixed]))
+        # A long bit runs alone in its block; when it is mixed, it needs no copy.
+        attacked = (voltage, current) if mixed.all() else (voltage[mixed], current[mixed])
+        verdicts = iter(eve.decisions(*attacked))
+        # Last use of the block's voltage, so it is squared in place.
+        levels = _classify_rows(_mean_square(voltage), cuts)
         for i, a_high, b_high, level in zip(bits, alice_high.tolist(), bob_high.tolist(), levels):
             a_state = states[a_high]
             b_state = states[b_high]

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -249,3 +250,42 @@ def test_reference_cdfs_are_built_once_per_session(monkeypatch):
     monkeypatch.setattr(PdfGrid, "cdf", counted)
     run_session(session_config(DistributionKind.GAUSSIAN, 2.0, 100, 700, seed=1))
     assert len(calls) == 2
+
+
+def traced_peak(run) -> int:
+    """Peak bytes ``tracemalloc`` sees while ``run()`` runs; numpy reports its buffers to it."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+LONG_TRACE = 1_000_000
+
+
+def long_attack():
+    spec_low, spec_high = NoiseSpec("uniform", 1.0), NoiseSpec("uniform", 2.0)
+    attack_trials(PAIR, spec_low, spec_high, LONG_TRACE, 2, seed=1)
+
+
+def long_session():
+    outcome = run_session(session_config(DistributionKind.GAUSSIAN, 2.0, LONG_TRACE, 2, seed=0))
+    assert [r.secure for r in outcome.records] == [True, False]
+
+
+@pytest.mark.parametrize("run", [long_attack, long_session], ids=["attack", "session"])
+def test_a_long_trace_peaks_below_five_trace_sizes(run):
+    # Each 1M-sample bit runs alone in its block. The run's two line arrays
+    # and the attack's two hypothesis buffers are the only arrays of the
+    # trace's length, and they are allocated once for both bits.
+    assert traced_peak(run) < 5 * 8 * LONG_TRACE
+
+
+def test_session_peak_does_not_grow_with_its_length():
+    peaks = [
+        traced_peak(lambda: run_session(session_config(DistributionKind.GAUSSIAN, 2.0, 1000, bits, 3)))
+        for bits in (64, 512)
+    ]
+    assert peaks[1] - peaks[0] < 8 * kljn.line.BLOCK_SAMPLES

@@ -262,7 +262,13 @@ def compliant_null_block(rows, n=1000):
     """Compliant Gaussian line signals with Alice low on every row."""
     alice_high = np.zeros(rows, dtype=bool)
     return line_block(
-        BlockStreams(77, range(rows)), alice_high, ~alice_high, PAIR, GAUSS_LOW, GAUSS_HIGH, n
+        BlockStreams(77, range(rows)),
+        alice_high,
+        ~alice_high,
+        PAIR,
+        GAUSS_LOW,
+        GAUSS_HIGH,
+        np.empty((2, rows, n)),
     )
 
 
@@ -346,6 +352,49 @@ class TestShapeTest:
             return math.sqrt(p * (1.0 - p) / rows)
 
         assert 0.0125 - 5.0 * sigma(0.0125) <= rate <= 0.05 + 5.0 * sigma(0.05)
+
+    if given is not None:
+
+        @settings(max_examples=10, deadline=None)
+        @given(
+            seed=st.integers(0, 2**64 - 1),
+            r_low=st.floats(1e-2, 1e2),
+            ratio=st.floats(1.1, 100.0),
+        )
+        @example(seed=0, r_low=1.0, ratio=4.0)
+        def test_whole_attack_type_one_rate_over_seeds_and_pairs(self, seed, r_low, ratio):
+            # Compliant Gaussian noise on any pair, Alice low on even rows and
+            # high on odd ones. The true hypothesis of a row is rejected when
+            # any of its four sub-tests rejects at significance / 4, so its
+            # rate lies between significance / 4 and significance.
+            rows, n, significance = 1000, 400, 0.2
+            pair = ResistorPair(r_low, r_low * ratio)
+            spec_low = GAUSS_LOW
+            spec_high = NoiseSpec(DistributionKind.GAUSSIAN, security_sigma_ratio(pair))
+            alice_high = np.arange(rows) % 2 == 1
+            voltage, current = line_block(
+                BlockStreams(seed, range(rows)),
+                alice_high,
+                ~alice_high,
+                pair,
+                spec_low,
+                spec_high,
+                np.empty((2, rows, n)),
+            )
+            evidence = BlockAttack(pair, spec_low, spec_high, significance).tests(voltage, current)
+            true_rejected = evidence.rejected[alice_high.astype(int), np.arange(rows)]
+            rate = np.count_nonzero(true_rejected) / rows
+
+            def sigma(p):
+                return math.sqrt(p * (1.0 - p) / rows)
+
+            low, high = significance / 4.0, significance
+            assert low - 5.0 * sigma(low) <= rate <= high + 5.0 * sigma(high)
+
+    else:
+
+        def test_whole_attack_type_one_rate_over_seeds_and_pairs(self):
+            pytest.skip("needs hypothesis")
 
     @pytest.mark.parametrize("rows, n", [(1, 100), (1, 4099), (9, 1000)])
     def test_statistic_is_bitwise_the_plain_formula(self, rows, n):
@@ -447,7 +496,13 @@ class TestAttack:
         spec_low = NoiseSpec(DistributionKind.CAUCHY, 1.0)
         alice_high = np.arange(8) % 2 == 1
         voltage, current = line_block(
-            BlockStreams(47, range(8)), alice_high, ~alice_high, PAIR, spec_low, GAUSS_HIGH, 2000
+            BlockStreams(47, range(8)),
+            alice_high,
+            ~alice_high,
+            PAIR,
+            spec_low,
+            GAUSS_HIGH,
+            np.empty((2, 8, 2000)),
         )
         eve = BlockAttack(PAIR, spec_low, GAUSS_HIGH, 0.03)
         assert eve.level == pytest.approx(0.01, rel=1e-15)
@@ -506,7 +561,13 @@ def long_block(kind, rows, n, seed):
     spec_low, spec_high = NoiseSpec(kind, 1.0), NoiseSpec(kind, 2.0)
     alice_high = np.arange(rows) % 2 == 1
     voltage, current = line_block(
-        BlockStreams(seed, range(rows)), alice_high, ~alice_high, PAIR, spec_low, spec_high, n
+        BlockStreams(seed, range(rows)),
+        alice_high,
+        ~alice_high,
+        PAIR,
+        spec_low,
+        spec_high,
+        np.empty((2, rows, n)),
     )
     return block_attack(spec_low, spec_high), voltage, current
 
@@ -543,6 +604,24 @@ class TestThreadedPath:
         eve, voltage, current = long_block(DistributionKind.UNIFORM, 1, BLOCK_SAMPLES + 1, seed=3)
         with pytest.raises(RuntimeError, match="helper thread"):
             eve.tests(voltage, current)
+
+
+class TestKeptBuffers:
+    """One attack keeps its hypothesis buffers from one block to the next."""
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_a_reused_attack_equals_a_fresh_one_per_block(self, kind):
+        # Fewer rows reuse the leading rows of the kept buffers, more rows or
+        # another row length grow them; the long rows run on two threads.
+        shapes = [(5, 1000), (2, 1000), (7, 1000), (2, BLOCK_SAMPLES + 1), (5, 1000)]
+        eve = block_attack(NoiseSpec(kind, 1.0), NoiseSpec(kind, 2.0))
+        for k, (rows, n) in enumerate(shapes):
+            fresh, voltage, current = long_block(kind, rows, n, seed=k)
+            expected = fresh.tests(voltage, current)
+            got = eve.tests(voltage, current)
+            for field, want in zip(got, expected):
+                assert field.shape == want.shape
+                assert np.array_equal(field, want, equal_nan=True)
 
 
 class TestDecisions:

@@ -17,6 +17,8 @@ from kljn import (
     stream,
     theoretical_line_variance,
 )
+from kljn.line import BLOCK_SAMPLES, line_block
+from kljn.noise import BlockStreams, draw_rows
 
 PAIR = ResistorPair(1.0, 4.0)
 
@@ -67,6 +69,37 @@ def test_swapping_parties_flips_current_only():
     rev_v, rev_i = line_signals(v_b, v_a, 4.0, 1.0)
     assert np.array_equal(fwd_v, rev_v)
     assert np.array_equal(fwd_i, -rev_i)
+
+
+@pytest.mark.parametrize("kind", [DistributionKind.GAUSSIAN, DistributionKind.UNIFORM])
+def test_block_solved_in_place_equals_the_whole_array_formula(kind):
+    # Two rows go in chunks of BLOCK_SAMPLES // 2 columns, so this n ends in
+    # a ragged chunk of 7. The block gets the leading rows of NaN-filled
+    # arrays; its rows must be overwritten and the rows after them untouched.
+    rows, n, seed = 2, 3 * BLOCK_SAMPLES + 7, 5
+    spec_low, spec_high = NoiseSpec(kind, 1.0), NoiseSpec(kind, 2.0)
+    alice_high = np.array([False, True])
+    out = np.full((2, rows + 1, n), np.nan)
+    voltage, current = line_block(
+        BlockStreams(seed, range(rows)),
+        alice_high,
+        ~alice_high,
+        PAIR,
+        spec_low,
+        spec_high,
+        out[:, :rows],
+    )
+    assert np.shares_memory(voltage, out[0]) and np.shares_memory(current, out[1])
+    specs = (spec_low, spec_high)
+    streams = BlockStreams(seed, range(rows))
+    v_a = draw_rows([specs[h] for h in alice_high.tolist()], n, streams.each(1))
+    v_b = draw_rows([specs[h] for h in (~alice_high).tolist()], n, streams.each(2))
+    r_a = np.where(alice_high, PAIR.r_high, PAIR.r_low)[:, None]
+    r_b = np.where(~alice_high, PAIR.r_high, PAIR.r_low)[:, None]
+    expected_voltage, expected_current = line_signals(v_a, v_b, r_a, r_b)
+    assert np.array_equal(voltage, expected_voltage)
+    assert np.array_equal(current, expected_current)
+    assert np.isnan(out[:, rows]).all()
 
 
 def test_state_helpers():

@@ -15,6 +15,7 @@ from kljn import (
     leak_sweep,
     run_session,
     stream,
+    theoretical_line_variance,
 )
 from kljn.protocol import _classify_rows, _level_cuts, records_csv, sweep_configs
 
@@ -135,6 +136,25 @@ class TestRunSession:
             coins = stream(cfg.seed, i, 0).integers(0, 2, size=2)
             assert r.alice_state is (SwitchState.HIGH if coins[0] else SwitchState.LOW)
             assert r.bob_state is (SwitchState.HIGH if coins[1] else SwitchState.LOW)
+
+    def test_discards_follow_the_chi_square_law(self):
+        # For Gaussian sources the line voltage of a bit is Gaussian with its
+        # level's variance v, so n * s^2 / v ~ chi^2_n and the chance that a
+        # level is misread follows exactly from the cut points.
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        n = 100
+        outcome = run_session(config(samples_per_bit=n, bits=4000, seed=11))
+        edges = (0.0, *_level_cuts(PAIR, 1.0, 2.0), math.inf)
+        low, high = SwitchState.LOW, SwitchState.HIGH
+        ladder = ([(low, low)], [(low, high), (high, low)], [(high, high)])
+        for k, true_states in enumerate(ladder):
+            variance = theoretical_line_variance(PAIR, 1.0, 2.0, *true_states[0])
+            lower, upper = (chi2.cdf(n * edge / variance, n) for edge in edges[k : k + 2])
+            misread = 1.0 - (upper - lower)
+            bits = [r for r in outcome.records if (r.alice_state, r.bob_state) in true_states]
+            discards = sum(r.discarded for r in bits)
+            spread = math.sqrt(len(bits) * misread * (1.0 - misread))
+            assert abs(discards - len(bits) * misread) <= 5.0 * spread
 
     def test_eve_accuracy_none_without_secure_bits(self):
         for seed in range(50):
