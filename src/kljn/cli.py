@@ -21,7 +21,10 @@ run's inputs, and a run that maps those inputs and ``--csv`` to its
 artifacts, keyed by file name, and the text to print.
 
 Exit codes: 0 on success, 2 for unusable arguments or configuration, 3
-for failures while computing or writing results.
+for failures while computing or writing results. A value error or an
+arithmetic error (such as a float overflow from amplitudes too large to
+square) is a usage error while the settings are validated, before
+``--out`` is created, and a run failure after that.
 """
 
 from __future__ import annotations
@@ -376,6 +379,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(exc: Exception) -> None:
+    """One ``error:`` line on stderr; an arithmetic error is named, its text alone says little."""
+    detail = f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError) else exc
+    print(f"error: {detail}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -384,8 +393,8 @@ def main(argv: list[str] | None = None) -> int:
     validate, run = _COMMANDS[args.command]
     try:
         config, inputs = validate(_resolve(args))
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        _print_error(exc)
         return 2
     try:
         out_dir = Path(args.out)
@@ -403,8 +412,8 @@ def main(argv: list[str] | None = None) -> int:
             "version": __version__,
         }
         (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        _print_error(exc)
         return 3
     print(report)
     return 0

@@ -18,15 +18,17 @@ returns one :class:`Evidence` record per block: each sub-test's statistic
 and p-value as arrays indexed ``[hypothesis, party, row]``, and which
 hypotheses each row rejects. That is the per-bit evidence behind each
 :class:`EveDecision`, split into the variance channel and the shape
-channel. :func:`attack_trials` runs it over fresh mixed-state bits and
-scores the decisions.
+channel. :func:`run_blocks` is the one run loop: it draws, solves and
+attacks a run's bits block by block for :func:`kljn.protocol.run_session`
+and for :func:`attack_trials`, which runs it over fresh mixed-state bits
+and scores the decisions.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -176,6 +178,14 @@ _HYPOTHESES = (
     (EveDecision.ALICE_LOW, SwitchState.LOW, SwitchState.HIGH),
     (EveDecision.ALICE_HIGH, SwitchState.HIGH, SwitchState.LOW),
 )
+# Decision by low_rejected + 2 * high_rejected: none or both rejected leaves
+# the bit undecided.
+_VERDICTS = (
+    EveDecision.UNDECIDED,
+    EveDecision.ALICE_HIGH,
+    EveDecision.ALICE_LOW,
+    EveDecision.UNDECIDED,
+)
 
 
 class Evidence(NamedTuple):
@@ -213,8 +223,7 @@ class BlockAttack:
     each; the outcome does not depend on the threading.
 
     The two hypothesis buffers belong to the instance and are kept from
-    one block to the next, so a run's blocks allocate nothing of their
-    length beyond them. They grow when a block has more rows or another
+    one block to the next. They grow when a block has more rows or another
     row length; the old pair is released before the new one is allocated.
     Because the buffers are shared by its calls, an instance must not be
     shared between threads.
@@ -254,11 +263,10 @@ class BlockAttack:
         block, over all of its hypotheses, parties and rows together.
 
         Each hypothesis works in one buffer of the block's shape, the
-        leading rows of the instance's kept buffers; with the block's own
-        two arrays that is four arrays of the block's size at most. Rows
-        longer than ``kljn.line.BLOCK_SAMPLES`` test ``ALICE_HIGH`` on a
-        helper thread while ``ALICE_LOW`` runs on the calling thread; the
-        sort, interpolation and arithmetic kernels release the GIL. Shorter
+        leading rows of the instance's kept buffers. Rows longer than
+        ``kljn.line.BLOCK_SAMPLES`` test ``ALICE_HIGH`` on a helper thread
+        while ``ALICE_LOW`` runs on the calling thread; the sort,
+        interpolation and arithmetic kernels release the GIL. Shorter
         rows hold the GIL too much of the time to gain, so they run the two
         in turn. The results are bitwise the same either way.
         """
@@ -321,8 +329,8 @@ class BlockAttack:
         non-mixed bit or a model mismatch rather than at either mixed
         assignment.
         """
-        low_rejected, high_rejected = self.tests(voltage, current).rejected.tolist()
-        return [_decide(low, high) for low, high in zip(low_rejected, high_rejected)]
+        low_rejected, high_rejected = self.tests(voltage, current).rejected
+        return [_VERDICTS[k] for k in (low_rejected + 2 * high_rejected).tolist()]
 
 
 def _on_two_threads(first: Callable[[], _T], second: Callable[[], _T]) -> list[_T]:
@@ -348,14 +356,6 @@ def _on_two_threads(first: Callable[[], _T], second: Callable[[], _T]) -> list[_
     if "error" in outcome:
         raise outcome["error"]
     return [value, outcome["value"]]
-
-
-def _decide(low_rejected: bool, high_rejected: bool) -> EveDecision:
-    if low_rejected and not high_rejected:
-        return EveDecision.ALICE_HIGH
-    if high_rejected and not low_rejected:
-        return EveDecision.ALICE_LOW
-    return EveDecision.UNDECIDED
 
 
 def decision_credit(decision: EveDecision, true_alice_state: SwitchState) -> float:
@@ -402,6 +402,54 @@ def check_trial_settings(
         raise ValueError("seed must be non-negative")
 
 
+def run_blocks(
+    pair: ResistorPair,
+    spec_low: NoiseSpec,
+    spec_high: NoiseSpec,
+    samples: int,
+    bits: int,
+    significance: float,
+    seed: int,
+    switches: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray, list[EveDecision]]]:
+    """Draw, solve and attack ``bits`` bits of ``samples`` samples each, one block at a time.
+
+    This is the one run loop of sessions and attack trials. Bit ``i`` draws
+    its two coins from stream ``(seed, i, 0)`` as ``integers(0, 2,
+    size=2)``; ``switches`` maps the block's ``(rows, 2)`` boolean coin
+    array to the switch states ``(alice_high, bob_high)``. The sources and
+    the line follow (:func:`kljn.line.line_block`), and the mixed rows are
+    attacked, without a copy when every row is mixed. Each block yields
+    ``(rows, alice_high, bob_high, voltage, verdicts)``: its bit indices,
+    its switch states, its line voltage (scratch once yielded; the next
+    block overwrites it) and one :class:`EveDecision` per mixed row.
+
+    Bits run in blocks of ``kljn.line.BLOCK_SAMPLES // samples`` (at least
+    one), held as ``(bits, samples)`` arrays. The run allocates its two
+    line arrays once, shaped like the first block, and each block is drawn
+    and solved in their leading rows; with the attack's two kept hypothesis
+    buffers, a run holds four arrays of its block's size at most. A longer
+    trace runs alone in its block, and its two hypotheses run on two
+    threads, one buffer each (see :meth:`BlockAttack.tests`). Every bit
+    keeps its own streams (a block's keys are derived in one pass,
+    :class:`kljn.noise.BlockStreams`), so the outcome depends neither on
+    the block size nor on the threading.
+    """
+    eve = BlockAttack(pair, spec_low, spec_high, significance)
+    bit_blocks = blocks(bits, samples)
+    line_arrays = np.empty((2, len(bit_blocks[0]), samples))
+    for rows in bit_blocks:
+        streams = BlockStreams(seed, rows)
+        coins = np.array([rng.integers(0, 2, size=2) for rng in streams.each(0)], dtype=bool)
+        alice_high, bob_high = switches(coins)
+        voltage, current = line_block(
+            streams, alice_high, bob_high, pair, spec_low, spec_high, line_arrays[:, : len(rows)]
+        )
+        mixed = alice_high != bob_high
+        attacked = (voltage, current) if mixed.all() else (voltage[mixed], current[mixed])
+        yield rows, alice_high, bob_high, voltage, eve.decisions(*attacked)
+
+
 def attack_trials(
     pair: ResistorPair,
     spec_low: NoiseSpec,
@@ -415,35 +463,24 @@ def attack_trials(
 
     Each trial draws a fresh random mixed state and fresh sources, runs
     the attack, and scores it with half credit for undecided outcomes, so
-    0.5 is the blind-guessing baseline. Streams are derived per trial
-    from ``seed`` exactly as the protocol derives per-bit streams.
-
-    Trials run in blocks of ``kljn.line.BLOCK_SAMPLES // samples_per_trial``
-    (at least one), held as ``(trials, samples)`` arrays. The budget of
-    2**15 float64 samples (256 KiB) per array keeps each array in L2 and
-    peak memory flat however many trials run. The run allocates its two
-    line arrays once, shaped like the first block, and each block is
-    drawn and solved in their leading rows (:func:`kljn.line.line_block`);
-    with the attack's two kept hypothesis buffers, a run holds four
-    arrays of its block's size at most. A longer trace runs alone in its
-    block, and its two hypotheses run on two threads, one buffer each
-    (see :meth:`BlockAttack.tests`). Every trial keeps its own streams, so
-    the outcome depends neither on the block size nor on the threading.
+    0.5 is the blind-guessing baseline. Trials run in :func:`run_blocks`
+    with the streams of a session's bits: trial ``i``'s first coin ``c0``
+    sets Alice low, so the switches are ``(~c0, c0)``.
     """
     check_trial_settings(samples_per_trial, trials, significance, seed)
-    eve = BlockAttack(pair, spec_low, spec_high, significance)
+    states = (SwitchState.LOW, SwitchState.HIGH)
     decisions: list[EveDecision] = []
     truths: list[SwitchState] = []
-    trial_blocks = blocks(trials, samples_per_trial)
-    line_arrays = np.empty((2, len(trial_blocks[0]), samples_per_trial))
-    for block in trial_blocks:
-        streams = BlockStreams(seed, block)
-        alice_low = np.array([bool(rng.integers(0, 2)) for rng in streams.each(0)])
-        voltage, current = line_block(
-            streams, ~alice_low, alice_low, pair, spec_low, spec_high, line_arrays[:, : len(block)]
-        )
-        decisions += eve.decisions(voltage, current)
-        truths += [SwitchState.LOW if low else SwitchState.HIGH for low in alice_low.tolist()]
+
+    def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return ~coins[:, 0], coins[:, 0]
+
+    run = run_blocks(
+        pair, spec_low, spec_high, samples_per_trial, trials, significance, seed, switches
+    )
+    for _, alice_high, _, _, verdicts in run:
+        decisions += verdicts
+        truths += [states[high] for high in alice_high.tolist()]
     credits = [decision_credit(d, s) for d, s in zip(decisions, truths)]
     n_correct = credits.count(1.0)
     n_undecided = decisions.count(EveDecision.UNDECIDED)

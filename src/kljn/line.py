@@ -13,23 +13,16 @@ from enum import Enum
 
 import numpy as np
 
-from .noise import (
-    BlockStreams,
-    NoiseSpec,
-    ResistorPair,
-    check_finite,
-    check_sigmas,
-    draw_rows,
-)
+from .noise import BlockStreams, NoiseSpec, ResistorPair, check_finite, check_sigmas, sample
 
 # Budget of float64 samples per block array: 256 KiB, which fits in L2
-# and keeps peak memory flat whatever the session length. A run allocates
-# its block arrays once, shaped like its first (largest) block: the two
-# line arrays of line_block and the two hypothesis buffers of
-# eve.BlockAttack. The rest is computed in place in them or one column
-# chunk of this budget at a time, so a long trace that runs alone peaks at
-# four float64 arrays of its own length (plus a one-byte-per-sample
-# finiteness mask of the draws).
+# and keeps peak memory flat whatever the session length. A run
+# (eve.run_blocks) allocates its block arrays once, shaped like its first
+# (largest) block: the two line arrays of line_block and the two
+# hypothesis buffers of eve.BlockAttack. The rest is computed in place in
+# them or one column chunk of this budget at a time, so a long trace that
+# runs alone peaks at four float64 arrays of its own length (plus a
+# one-byte-per-sample finiteness mask of one line array).
 BLOCK_SAMPLES = 2**15
 
 
@@ -110,27 +103,31 @@ def line_block(
     ``(seed, i, 1)`` and Bob's from ``(seed, i, 2)``, so each row equals
     what :func:`line_signals` gives for that bit alone.
 
-    ``out`` is a float64 ``(2, bits, n)`` array that the run allocates
-    once and hands in for every block (a leading-row view of it for a
-    shorter block). Alice's sources are drawn into ``out[0]`` and Bob's
-    into ``out[1]``; then :func:`line_signals` solves each
-    :func:`column_chunks` chunk in place, the voltage over Alice's sources
-    and the current over Bob's. The two arrays are returned as
-    ``(voltage, current)``. Beyond them, the solve allocates one chunk-sized
-    temporary and the draws' finiteness check one byte per sample.
+    ``out`` is a float64 ``(2, bits, n)`` array. Each row of Alice's
+    sources is one :func:`kljn.noise.sample` call drawn in place in
+    ``out[0]``, and Bob's in ``out[1]``; then :func:`line_signals` solves
+    each :func:`column_chunks` chunk in place, the voltage over Alice's
+    sources and the current over Bob's. The two arrays are returned as
+    ``(voltage, current)``, each checked for finiteness once. That one
+    check covers the draws too: a non-finite source always reaches the
+    current, ``(v_b - v_a) / (r_a + r_b)``.
     """
     voltage, current = out
     n = voltage.shape[1]
     specs = (spec_low, spec_high)
-    draw_rows([specs[h] for h in alice_high.tolist()], n, streams.each(1), out=voltage)
-    draw_rows([specs[h] for h in bob_high.tolist()], n, streams.each(2), out=current)
     r_a = np.where(alice_high, pair.r_high, pair.r_low)[:, None]
     r_b = np.where(bob_high, pair.r_high, pair.r_low)[:, None]
-    for cols in column_chunks(*voltage.shape):
-        v_chunk, i_chunk = voltage[:, cols], current[:, cols]
-        line_signals(v_chunk, i_chunk, r_a, r_b, out=(v_chunk, i_chunk))
-        check_finite(v_chunk)
-        check_finite(i_chunk)
+    # An overflow leaves an infinity or NaN that the check below refuses,
+    # so numpy need not warn of it as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, high, channel in ((voltage, alice_high, 1), (current, bob_high, 2)):
+            for row, h, rng in zip(rows, high.tolist(), streams.each(channel)):
+                sample(specs[h], n, rng, out=row)
+        for cols in column_chunks(*voltage.shape):
+            v_chunk, i_chunk = voltage[:, cols], current[:, cols]
+            line_signals(v_chunk, i_chunk, r_a, r_b, out=(v_chunk, i_chunk))
+    check_finite(voltage)
+    check_finite(current)
     return voltage, current
 
 

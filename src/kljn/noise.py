@@ -9,22 +9,22 @@ integer path; :func:`stream` is the single-stream form::
 
     Generator(Philox(SeedSequence(entropy=seed, spawn_key=path)))
 
-Sessions and attack trials (see :mod:`kljn.protocol`) give bit ``i`` the
-paths ``(i, 0)``, ``(i, 1)`` and ``(i, 2)``. They derive the Philox keys of
-a whole block of bits in one pass (:func:`philox_keys`, a port of
-``SeedSequence``'s entropy mixing to uint32 array arithmetic), which are
-the same keys ``SeedSequence`` gives, and re-key one reused generator per
-bit (:class:`BlockStreams`). Each row of a block is one :func:`sample`
-call on its bit's stream, drawn in place by :func:`draw_rows`. Two streams with
-different paths are statistically independent, and the same
-``(seed, path)`` always reproduces the same draws on every platform numpy
+Sessions and attack trials (see :func:`kljn.eve.run_blocks`) give bit
+``i`` the paths ``(i, 0)``, ``(i, 1)`` and ``(i, 2)``. They derive the
+Philox keys of a whole block of bits in one pass (:func:`philox_keys`, a
+port of ``SeedSequence``'s entropy mixing to uint32 array arithmetic),
+which are the same keys ``SeedSequence`` gives, and re-key one reused
+generator per bit (:class:`BlockStreams`). Each row of a block is one
+:func:`sample` call on its bit's stream, drawn in place. Two streams with
+different paths are statistically independent, and the same ``(seed,
+path)`` always reproduces the same draws on every platform numpy
 supports.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -287,29 +287,6 @@ def scaled_sigma_high(pair: ResistorPair, sigma_low: float) -> float:
     return sigma_low * security_sigma_ratio(pair)
 
 
-def draw_rows(
-    specs: list[NoiseSpec],
-    n: int,
-    streams: Iterable[np.random.Generator],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sources of a block of bits, one row of ``n`` samples per bit.
-
-    Row ``k`` holds ``sample(specs[k], n, g)`` for the ``k``-th generator
-    ``g`` of ``streams`` (for example ``BlockStreams.each(channel)``),
-    drawn in place; the block is checked for finiteness once.
-
-    The rows are written into ``out`` (a float64 ``(len(specs), n)``
-    array) when it is given and returned; the values are the same.
-    """
-    if out is None:
-        out = np.empty((len(specs), n))
-    for k, (spec, rng) in enumerate(zip(specs, streams)):
-        sample(spec, n, rng, out=out[k])
-    check_finite(out)
-    return out
-
-
 def sample(
     spec: NoiseSpec, n: int, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -321,8 +298,8 @@ def sample(
     Cauchy variates; the rare non-finite values the inverse-CDF sampler
     can emit at the distribution's poles are redrawn from the same
     stream, keeping the result deterministic for a given generator state.
-    The draws are not checked for finiteness here; :func:`draw_rows`
-    checks a whole block at once.
+    The draws are not checked for finiteness here;
+    :func:`kljn.line.line_block` checks the line they drive instead.
 
     The samples are written into ``out`` (a float64 array of ``n``
     values) when it is given and returned; the values are the same.

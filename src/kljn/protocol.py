@@ -20,21 +20,14 @@ import numpy as np
 
 from .eve import (
     MIN_TEST_SAMPLES,
-    BlockAttack,
     EveDecision,
     _check_significance,
     _mean_square,
     decision_credit,
+    run_blocks,
 )
-from .line import SwitchState, blocks, line_block, theoretical_line_variance
-from .noise import (
-    BlockStreams,
-    DistributionKind,
-    NoiseSpec,
-    ResistorPair,
-    check_sigmas,
-    security_sigma_ratio,
-)
+from .line import SwitchState, theoretical_line_variance
+from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, security_sigma_ratio
 # Unused here; bench/test_bench.py checks that its tracer wraps this binding.
 from .noise import stream  # noqa: F401
 
@@ -187,80 +180,58 @@ def _classify_rows(measured: np.ndarray, cuts: tuple[float, float]) -> list[Leve
     return [_LEVELS[k] for k in np.searchsorted(cuts, measured).tolist()]
 
 
-def _true_level(a_state: SwitchState, b_state: SwitchState) -> Level:
-    if a_state is b_state:
-        return Level.LOW if a_state is SwitchState.LOW else Level.HIGH
-    return Level.MID
-
-
 def run_session(config: SessionConfig) -> SessionOutcome:
     """Exchange ``config.bits`` bits and attack every secure one.
 
     Per bit ``i`` the streams are ``(seed, i, 0)`` for the two switch
     coins, ``(seed, i, 1)`` for Alice's source and ``(seed, i, 2)`` for
-    Bob's, making sessions reproducible and parallel-safe. A bit is
-    discarded when its classified level disagrees with the true joint
-    state. On a kept mid-level bit Alice's key bit is her own switch
-    (low is 0, high is 1) and Bob takes the complement of his switch;
-    the two derivations agree whenever the bit really is mixed.
-
-    Bits are processed in blocks of ``kljn.line.BLOCK_SAMPLES //
-    samples_per_bit`` (at least one), held as ``(bits, samples)`` arrays.
-    The budget of 2**15 float64 samples (256 KiB) per array keeps each
-    array in L2 and peak memory flat however many bits a session has. The
-    session allocates its two line arrays once, shaped like the first
-    block, and each block is drawn and solved in their leading rows
-    (:func:`kljn.line.line_block`); with the attack's two kept hypothesis
-    buffers, four arrays of the block's size at most. Every bit keeps its
-    own streams (a block's keys are derived in one pass,
-    :class:`kljn.noise.BlockStreams`), so the outcome does not depend on
-    the block size.
+    Bob's, making sessions reproducible and parallel-safe; the bits run in
+    blocks in :func:`kljn.eve.run_blocks`, and the coins ``(c0, c1)`` are
+    the switches of Alice and Bob, high when set. A bit is discarded when
+    its classified level disagrees with the true joint state. On a kept
+    mid-level bit Alice's key bit is her own switch (low is 0, high is 1)
+    and Bob takes the complement of his switch; the two derivations agree
+    whenever the bit really is mixed.
     """
-    pair = config.pair
-    spec_low = NoiseSpec(config.kind, config.sigma_low)
-    spec_high = NoiseSpec(config.kind, config.sigma_high)
-    eve = BlockAttack(pair, spec_low, spec_high, config.significance)
-    cuts = _level_cuts(pair, config.sigma_low, config.sigma_high)
-    samples = config.samples_per_bit
+    cuts = _level_cuts(config.pair, config.sigma_low, config.sigma_high)
     states = (SwitchState.LOW, SwitchState.HIGH)
     records: list[BitRecord] = []
     credits: list[float] = []
-    bit_blocks = blocks(config.bits, samples)
-    line_arrays = np.empty((2, len(bit_blocks[0]), samples))
-    for bits in bit_blocks:
-        streams = BlockStreams(config.seed, bits)
-        coins = np.array([rng.integers(0, 2, size=2) for rng in streams.each(0)], dtype=bool)
-        alice_high, bob_high = coins[:, 0], coins[:, 1]
-        voltage, current = line_block(
-            streams, alice_high, bob_high, pair, spec_low, spec_high, line_arrays[:, : len(bits)]
-        )
-        mixed = alice_high != bob_high
-        # A long bit runs alone in its block; when it is mixed, it needs no copy.
-        attacked = (voltage, current) if mixed.all() else (voltage[mixed], current[mixed])
-        verdicts = iter(eve.decisions(*attacked))
+
+    def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return coins[:, 0], coins[:, 1]
+
+    run = run_blocks(
+        config.pair,
+        NoiseSpec(config.kind, config.sigma_low),
+        NoiseSpec(config.kind, config.sigma_high),
+        config.samples_per_bit,
+        config.bits,
+        config.significance,
+        config.seed,
+        switches,
+    )
+    for bits, alice_high, bob_high, voltage, verdicts in run:
+        verdicts = iter(verdicts)
         # Last use of the block's voltage, so it is squared in place.
         levels = _classify_rows(_mean_square(voltage), cuts)
         for i, a_high, b_high, level in zip(bits, alice_high.tolist(), bob_high.tolist(), levels):
             a_state = states[a_high]
-            b_state = states[b_high]
-            secure = a_state is not b_state
-            discarded = level is not _true_level(a_state, b_state)
-            key_bit: int | None = None
-            if secure and not discarded:
-                key_bit = 0 if a_state is SwitchState.LOW else 1
-            eve_decision: EveDecision | None = None
+            secure = a_high != b_high
+            # The number of high switches indexes the true level.
+            discarded = level is not _LEVELS[a_high + b_high]
+            eve_decision = next(verdicts) if secure else None
             if secure:
-                eve_decision = next(verdicts)
                 credits.append(decision_credit(eve_decision, a_state))
             records.append(
                 BitRecord(
                     bit_index=i,
                     alice_state=a_state,
-                    bob_state=b_state,
+                    bob_state=states[b_high],
                     classified_level=level,
                     secure=secure,
                     discarded=discarded,
-                    key_bit=key_bit,
+                    key_bit=int(a_high) if secure and not discarded else None,
                     eve_decision=eve_decision,
                 )
             )

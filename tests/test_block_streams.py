@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kljn import DistributionKind, NoiseSpec, sample, stream
-from kljn.noise import BlockStreams, draw_rows, philox_keys
+from kljn.noise import BlockStreams, philox_keys
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -63,7 +63,8 @@ def test_rejects_negative_seed_and_non_consecutive_rows():
 def test_block_draws_equal_stream_draws(kind, channel):
     seed, rows, n = 2**40 + 17, range(2**32 - 3, 2**32 + 3), 257
     specs = [NoiseSpec(kind, 0.5 + k) for k in range(len(rows))]
-    block = draw_rows(specs, n, BlockStreams(seed, rows).each(channel))
+    streams = BlockStreams(seed, rows).each(channel)
+    block = [sample(spec, n, rng) for spec, rng in zip(specs, streams)]
     for k, i in enumerate(rows):
         expected = sample(specs[k], n, stream(seed, i, channel))
         assert np.array_equal(block[k], expected)
@@ -77,6 +78,8 @@ def test_block_coins_equal_stream_coins():
     for k, i in enumerate(rows):
         assert np.array_equal(pairs[k], stream(seed, i, 0).integers(0, 2, size=2))
         assert singles[k] == stream(seed, i, 0).integers(0, 2)
+        # Trials read the first of a session's two coins, so they share one draw.
+        assert singles[k] == pairs[k][0]
 
 
 def test_each_restarts_every_stream_from_its_first_draw():

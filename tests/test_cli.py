@@ -403,6 +403,32 @@ def test_usage_errors_create_no_output_directory(tmp_path, argv, config_text):
     assert not out.exists()
 
 
+# Finite settings whose squares, grid sizes or line products overflow a
+# float: a usage error where validation meets the overflow, a run failure
+# where the run does, and never a numpy warning.
+OVERFLOW_CASES = [
+    pytest.param(["simulate", "--sigma-low", "1e200"], 2, id="simulate"),
+    pytest.param(["sweep", "--sigma-low", "1e200"], 2, id="sweep"),
+    pytest.param(["attack", "--sigma-low", "1e200", "--samples", "200", "--trials", "2"], 3,
+                 id="attack"),
+    pytest.param(["pdf", "--sigma-low", "1e200"], 3, id="pdf"),
+    pytest.param(["pdf", "--sigma-low", "3e153"], 3, id="pdf-grid"),
+    pytest.param(["attack", "--r-high", "1e160", "--sigma-low", "1e150", "--sigma-high", "1e150",
+                  "--samples", "200", "--trials", "2"], 3, id="attack-line"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code", OVERFLOW_CASES)
+def test_float_overflow_is_a_one_line_error(tmp_path, capsys, argv, code):
+    out = tmp_path / "fresh"
+    assert run(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.exists() == (code == 3)
+    assert not out.exists() or not any(out.iterdir())
+
+
 def plain_csv(header, columns):
     """The reference renderer: ``repr`` of every value, one row at a time."""
     rows = zip(*(map(repr, c.tolist()) for c in columns))

@@ -18,7 +18,7 @@ from kljn import (
     theoretical_line_variance,
 )
 from kljn.line import BLOCK_SAMPLES, line_block
-from kljn.noise import BlockStreams, draw_rows
+from kljn.noise import BlockStreams
 
 PAIR = ResistorPair(1.0, 4.0)
 
@@ -92,14 +92,40 @@ def test_block_solved_in_place_equals_the_whole_array_formula(kind):
     assert np.shares_memory(voltage, out[0]) and np.shares_memory(current, out[1])
     specs = (spec_low, spec_high)
     streams = BlockStreams(seed, range(rows))
-    v_a = draw_rows([specs[h] for h in alice_high.tolist()], n, streams.each(1))
-    v_b = draw_rows([specs[h] for h in (~alice_high).tolist()], n, streams.each(2))
+    v_a, v_b = (
+        np.array([sample(specs[h], n, g) for h, g in zip(high.tolist(), streams.each(channel))])
+        for high, channel in ((alice_high, 1), (~alice_high, 2))
+    )
     r_a = np.where(alice_high, PAIR.r_high, PAIR.r_low)[:, None]
     r_b = np.where(~alice_high, PAIR.r_high, PAIR.r_low)[:, None]
     expected_voltage, expected_current = line_signals(v_a, v_b, r_a, r_b)
     assert np.array_equal(voltage, expected_voltage)
     assert np.array_equal(current, expected_current)
     assert np.isnan(out[:, rows]).all()
+
+
+def solve_one_mixed_bit(pair, spec_low, spec_high, n=1000):
+    """``line_block`` on one Alice-low, Bob-high bit of seed 3."""
+    high = np.array([False])
+    out = np.empty((2, 1, n))
+    return line_block(BlockStreams(3, range(1)), high, ~high, pair, spec_low, spec_high, out)
+
+
+def test_block_refuses_non_finite_draws():
+    # scale * N(0, 1) overflows at this scale; the infinities reach the current.
+    spec = NoiseSpec(DistributionKind.GAUSSIAN, 1e308)
+    with pytest.raises(ValueError, match="finite"):
+        solve_one_mixed_bit(PAIR, spec, spec)
+
+
+def test_block_refuses_a_divider_product_that_overflows():
+    # The uniform draws reach sqrt(3) * 1e307, finite, but times r_b = 100 they
+    # overflow in the voltage's divider mix.
+    pair, spec = ResistorPair(1.0, 100.0), NoiseSpec(DistributionKind.UNIFORM, 1e307)
+    for channel in (1, 2):
+        assert np.isfinite(sample(spec, 1000, stream(3, 0, channel))).all()
+    with pytest.raises(ValueError, match="finite"):
+        solve_one_mixed_bit(pair, spec, spec)
 
 
 def test_state_helpers():
