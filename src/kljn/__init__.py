@@ -42,13 +42,13 @@ from .eve import (
     AttackTrialSummary,
     BlockAttack,
     EveDecision,
+    VERDICTS,
     attack_trials,
-    decision_credit,
+    credits,
     reference_grid,
     wrong_hypothesis_variance,
 )
 from .protocol import (
-    BitRecord,
     Level,
     SessionConfig,
     SessionOutcome,
@@ -59,7 +59,6 @@ from .protocol import (
 
 __all__ = [
     "AttackTrialSummary",
-    "BitRecord",
     "BlockAttack",
     "DistributionKind",
     "EveDecision",
@@ -73,13 +72,14 @@ __all__ = [
     "SweepPoint",
     "SwitchState",
     "TruncationError",
+    "VERDICTS",
     "analytic_pdf",
     "attack_trials",
     "cauchy_mixture_scale",
     "closure_pair",
     "closure_residual",
     "convolve_scaled",
-    "decision_credit",
+    "credits",
     "johnson_sigma",
     "leak_sweep",
     "line_signals",

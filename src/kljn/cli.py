@@ -42,9 +42,10 @@ import numpy as np
 
 from . import __version__
 from .density import closure_pair, default_grid, l1_residual, weights
-from .eve import attack_trials, check_trial_settings, decision_credit
+from .eve import VERDICTS, attack_trials, check_trial_settings, credits
+from .line import SwitchState
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, scaled_sigma_high
-from .protocol import SessionConfig, leak_sweep, records_csv, run_session, sweep_configs
+from .protocol import SessionConfig, leak_sweep, run_session, sweep_configs
 
 _KIND_CHOICES = tuple(k.value for k in DistributionKind)
 _CSV_BLOCK = 4096
@@ -70,6 +71,9 @@ _DEFAULTS = {
     "pdf": {**_NOISE_DEFAULTS, "dx": None, "half_width": None},
     "sweep": {**_SESSION_DEFAULTS, "multipliers": "1.0,1.2,1.5,2.0"},
 }
+# Settings a --config file must give as JSON integers, as their flags take
+# only integers; a fraction would otherwise be truncated.
+_INTEGER_KEYS = {"bits", "samples_per_bit", "samples", "trials", "seed"}
 
 
 def _json_bytes(obj: object) -> bytes:
@@ -114,6 +118,13 @@ def _block_texts(block: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
+def _csv_cell(value: object) -> str:
+    """A per-bit field as ``bits.csv`` writes it: booleans as ``true``/``false``, None as nothing."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
 def _load_config_file(path: str, allowed: set[str]) -> dict:
     try:
         with open(path) as fh:
@@ -127,6 +138,12 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        # JSON true is no setting, though Python would read it as 1.
+        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+            raise ValueError(f"config key {key!r} must not be a boolean")
+        if key in _INTEGER_KEYS and not isinstance(value, int):
+            raise ValueError(f"config key {key!r} must be an integer")
     return raw
 
 
@@ -186,7 +203,10 @@ def _simulate(config: SessionConfig, csv: bool) -> tuple[dict[str, bytes], str]:
     outcome = run_session(config)
     artifacts = {"session.json": outcome.to_json().encode("ascii")}
     if csv:
-        artifacts["bits.csv"] = records_csv(outcome.records).encode("ascii")
+        fields = outcome.bit_fields()
+        artifacts["bits.csv"] = _csv_bytes(
+            ",".join(fields), *(map(_csv_cell, column) for column in fields.values())
+        )
     acc = outcome.eve_accuracy
     return artifacts, (
         f"bits={config.bits} secure_fraction={outcome.secure_bit_fraction:.6g} "
@@ -225,9 +245,9 @@ def _attack(inputs: tuple, csv: bool) -> tuple[dict[str, bytes], str]:
         artifacts["trials.csv"] = _csv_bytes(
             "trial,true_alice,decision,credit",
             map(str, range(summary.trials)),
-            [t.value for t in summary.truths],
-            [d.value for d in summary.decisions],
-            [repr(decision_credit(d, t)) for d, t in zip(summary.decisions, summary.truths)],
+            np.where(summary.alice_high, SwitchState.HIGH.value, SwitchState.LOW.value).tolist(),
+            [VERDICTS[k].value for k in summary.verdicts.tolist()],
+            map(repr, credits(summary.verdicts, summary.alice_high).tolist()),
         )
     return artifacts, (
         f"trials={summary.trials} accuracy={summary.accuracy:.6g} "

@@ -17,11 +17,13 @@ row, so a single bit is a one-row block, and :meth:`BlockAttack.tests`
 returns one :class:`Evidence` record per block: each sub-test's statistic
 and p-value as arrays indexed ``[hypothesis, party, row]``, and which
 hypotheses each row rejects. That is the per-bit evidence behind each
-:class:`EveDecision`, split into the variance channel and the shape
-channel. :func:`run_blocks` is the one run loop: it draws, solves and
-attacks a run's bits block by block for :func:`kljn.protocol.run_session`
-and for :func:`attack_trials`, which runs it over fresh mixed-state bits
-and scores the decisions.
+verdict, split into the variance channel and the shape channel. A verdict
+is an int code per row, :meth:`BlockAttack.verdicts`; :data:`VERDICTS`
+decodes it to an :class:`EveDecision` and :func:`credits` scores it.
+:func:`run_blocks` is the one run loop: it draws, solves and attacks a
+run's bits block by block for :func:`kljn.protocol.run_session` and for
+:func:`attack_trials`, which runs it over fresh mixed-state bits and
+scores the verdicts.
 """
 
 from __future__ import annotations
@@ -178,14 +180,17 @@ _HYPOTHESES = (
     (EveDecision.ALICE_LOW, SwitchState.LOW, SwitchState.HIGH),
     (EveDecision.ALICE_HIGH, SwitchState.HIGH, SwitchState.LOW),
 )
-# Decision by low_rejected + 2 * high_rejected: none or both rejected leaves
-# the bit undecided.
-_VERDICTS = (
+# Decision of each verdict code, low_rejected + 2 * high_rejected: none or
+# both rejected leaves the bit undecided.
+VERDICTS = (
     EveDecision.UNDECIDED,
     EveDecision.ALICE_HIGH,
     EveDecision.ALICE_LOW,
     EveDecision.UNDECIDED,
 )
+# Credit of each verdict code [code, alice_high]: 1 correct, 0 wrong, 0.5 undecided.
+_CREDITS = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+_CREDITS.setflags(write=False)
 
 
 class Evidence(NamedTuple):
@@ -320,17 +325,17 @@ class BlockAttack:
             statistics.append(_ks_statistic(buffer, reference))
         return mean_squares, statistics
 
-    def decisions(self, voltage: np.ndarray, current: np.ndarray) -> list[EveDecision]:
-        """One decision per row of a block of line signals.
+    def verdicts(self, voltage: np.ndarray, current: np.ndarray) -> np.ndarray:
+        """One verdict code per row of a block of line signals, decoded by :data:`VERDICTS`.
 
-        A decision names the surviving hypothesis when exactly one of the
-        two was rejected; it is undecided when both survive (the secure
-        situation) and also when both are rejected, which points at a
-        non-mixed bit or a model mismatch rather than at either mixed
-        assignment.
+        The code is ``low_rejected + 2 * high_rejected``. A verdict names the
+        surviving hypothesis when exactly one of the two was rejected; it is
+        undecided when both survive (the secure situation) and also when
+        both are rejected, which points at a non-mixed bit or a model
+        mismatch rather than at either mixed assignment.
         """
         low_rejected, high_rejected = self.tests(voltage, current).rejected
-        return [_VERDICTS[k] for k in (low_rejected + 2 * high_rejected).tolist()]
+        return low_rejected + 2 * high_rejected
 
 
 def _on_two_threads(first: Callable[[], _T], second: Callable[[], _T]) -> list[_T]:
@@ -358,26 +363,30 @@ def _on_two_threads(first: Callable[[], _T], second: Callable[[], _T]) -> list[_
     return [value, outcome["value"]]
 
 
-def decision_credit(decision: EveDecision, true_alice_state: SwitchState) -> float:
-    """Score one attack decision: 1 correct, 0 wrong, 0.5 undecided."""
-    if decision is EveDecision.UNDECIDED:
-        return 0.5
-    guessed_low = decision is EveDecision.ALICE_LOW
-    truly_low = true_alice_state is SwitchState.LOW
-    return 1.0 if guessed_low == truly_low else 0.0
+def credits(verdicts: np.ndarray, alice_high: np.ndarray) -> np.ndarray:
+    """Score verdict codes against Alice's true switches: 1 correct, 0 wrong, 0.5 undecided."""
+    return _CREDITS[verdicts, np.asarray(alice_high, dtype=np.intp)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackTrialSummary:
-    """Aggregate outcome of repeated attacks on fresh mixed-state bits."""
+    """Aggregate outcome of repeated attacks on fresh mixed-state bits.
+
+    ``alice_high`` (Alice's true switch) and ``verdicts`` (the attack's
+    verdict codes) are read-only columns, one entry per trial.
+    """
 
     trials: int
     correct: int
     wrong: int
     undecided: int
     accuracy: float
-    decisions: tuple[EveDecision, ...]
-    truths: tuple[SwitchState, ...]
+    alice_high: np.ndarray
+    verdicts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.alice_high, self.verdicts):
+            column.setflags(write=False)
 
     def to_dict(self) -> dict:
         return {
@@ -411,7 +420,7 @@ def run_blocks(
     significance: float,
     seed: int,
     switches: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray, list[EveDecision]]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Draw, solve and attack ``bits`` bits of ``samples`` samples each, one block at a time.
 
     This is the one run loop of sessions and attack trials. Bit ``i`` draws
@@ -420,9 +429,10 @@ def run_blocks(
     array to the switch states ``(alice_high, bob_high)``. The sources and
     the line follow (:func:`kljn.line.line_block`), and the mixed rows are
     attacked, without a copy when every row is mixed. Each block yields
-    ``(rows, alice_high, bob_high, voltage, verdicts)``: its bit indices,
-    its switch states, its line voltage (scratch once yielded; the next
-    block overwrites it) and one :class:`EveDecision` per mixed row.
+    ``(alice_high, bob_high, voltage, verdicts)``, in bit order: its switch
+    states, its line voltage (scratch once yielded; the next block
+    overwrites it) and the verdict code of each mixed row
+    (:meth:`BlockAttack.verdicts`).
 
     Bits run in blocks of ``kljn.line.BLOCK_SAMPLES // samples`` (at least
     one), held as ``(bits, samples)`` arrays. The run allocates its two
@@ -447,7 +457,7 @@ def run_blocks(
         )
         mixed = alice_high != bob_high
         attacked = (voltage, current) if mixed.all() else (voltage[mixed], current[mixed])
-        yield rows, alice_high, bob_high, voltage, eve.decisions(*attacked)
+        yield alice_high, bob_high, voltage, eve.verdicts(*attacked)
 
 
 def attack_trials(
@@ -468,9 +478,6 @@ def attack_trials(
     sets Alice low, so the switches are ``(~c0, c0)``.
     """
     check_trial_settings(samples_per_trial, trials, significance, seed)
-    states = (SwitchState.LOW, SwitchState.HIGH)
-    decisions: list[EveDecision] = []
-    truths: list[SwitchState] = []
 
     def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return ~coins[:, 0], coins[:, 0]
@@ -478,18 +485,16 @@ def attack_trials(
     run = run_blocks(
         pair, spec_low, spec_high, samples_per_trial, trials, significance, seed, switches
     )
-    for _, alice_high, _, _, verdicts in run:
-        decisions += verdicts
-        truths += [states[high] for high in alice_high.tolist()]
-    credits = [decision_credit(d, s) for d, s in zip(decisions, truths)]
-    n_correct = credits.count(1.0)
-    n_undecided = decisions.count(EveDecision.UNDECIDED)
+    alice_high, verdicts = (np.concatenate(c) for c in zip(*((a, v) for a, _, _, v in run)))
+    credit = credits(verdicts, alice_high)
+    n_correct = int(np.count_nonzero(credit == 1.0))
+    n_undecided = int(np.count_nonzero(credit == 0.5))
     return AttackTrialSummary(
         trials=trials,
         correct=n_correct,
         wrong=trials - n_correct - n_undecided,
         undecided=n_undecided,
-        accuracy=sum(credits) / trials,
-        decisions=tuple(decisions),
-        truths=tuple(truths),
+        accuracy=float(credit.mean()),
+        alice_high=alice_high,
+        verdicts=verdicts,
     )

@@ -90,8 +90,11 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, DistributionKind):
             object.__setattr__(self, "kind", DistributionKind(self.kind))
-        if not math.isfinite(self.scale) or self.scale <= 0.0:
-            raise ValueError("scale must be positive and finite")
+        # The attack squares each scale, so the square must be finite too.
+        # math.fabs gives a Python float, whose square overflows without a warning.
+        scale = math.fabs(self.scale)
+        if not (self.scale > 0.0 and math.isfinite(scale * scale)):
+            raise ValueError("scale must be positive and finite, and so must its square")
 
 
 def check_finite(samples: np.ndarray) -> None:

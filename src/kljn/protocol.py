@@ -7,6 +7,11 @@ expose both switch positions and are discarded; the middle level is the
 secure regime in which each party learns the other's bit by elimination.
 An eavesdropper instance attacks every truly mixed bit, and the session
 records how often she wins beyond the coin-flip baseline.
+
+A session's outcome is a table of read-only numpy columns: each party's
+switch and the classified level per bit, and the attack's verdict code per
+secure bit. :meth:`SessionOutcome.bit_fields` derives the per-bit records
+from them once, for ``session.json`` and ``bits.csv`` alike.
 """
 
 from __future__ import annotations
@@ -18,14 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .eve import (
-    MIN_TEST_SAMPLES,
-    EveDecision,
-    _check_significance,
-    _mean_square,
-    decision_credit,
-    run_blocks,
-)
+from .eve import MIN_TEST_SAMPLES, VERDICTS, _check_significance, _mean_square, credits, run_blocks
 from .line import SwitchState, theoretical_line_variance
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, security_sigma_ratio
 # Unused here; bench/test_bench.py checks that its tracer wraps this binding.
@@ -82,80 +80,66 @@ class SessionConfig:
         }
 
 
-@dataclass(frozen=True)
-class BitRecord:
-    """One exchanged bit as every observer bookkeeps it."""
-
-    bit_index: int
-    alice_state: SwitchState
-    bob_state: SwitchState
-    classified_level: Level
-    secure: bool
-    discarded: bool
-    key_bit: int | None
-    eve_decision: EveDecision | None
-
-    def to_dict(self) -> dict:
-        return {
-            "alice_state": self.alice_state.value,
-            "bit_index": self.bit_index,
-            "bob_state": self.bob_state.value,
-            "classified_level": self.classified_level.value,
-            "discarded": self.discarded,
-            "eve_decision": None if self.eve_decision is None else self.eve_decision.value,
-            "key_bit": self.key_bit,
-            "secure": self.secure,
-        }
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionOutcome:
-    """Session aggregates plus the full per-bit record."""
+    """Session aggregates plus the per-bit outcome as read-only columns.
 
-    records: tuple[BitRecord, ...]
+    ``alice_high``, ``bob_high`` (each party's switch, high when set) and
+    ``levels`` (the classified level's index in ``Level``, low to high)
+    hold one entry per bit. ``verdicts`` holds the attack's verdict code
+    (:data:`kljn.eve.VERDICTS`) of each secure bit, in bit order.
+    """
+
+    alice_high: np.ndarray
+    bob_high: np.ndarray
+    levels: np.ndarray
+    verdicts: np.ndarray
     secure_bit_fraction: float
     bit_error_rate: float
     eve_accuracy: float | None
 
+    def __post_init__(self) -> None:
+        for column in (self.alice_high, self.bob_high, self.levels, self.verdicts):
+            column.setflags(write=False)
+
+    def bit_fields(self) -> dict[str, list]:
+        """The eight per-bit fields of ``session.json`` and ``bits.csv``, each a list in bit order.
+
+        States, levels and decisions are their enum values. A bit's
+        ``key_bit`` (Alice's switch, low 0 and high 1) is None unless the
+        bit is secure and kept, and its ``eve_decision`` is None unless it
+        is secure.
+        """
+        secure = self.alice_high != self.bob_high
+        # The number of high switches indexes the true level.
+        discarded = self.levels != self.alice_high + self.bob_high.astype(np.intp)
+        decisions = np.full(len(secure), None)
+        decisions[secure] = [VERDICTS[k].value for k in self.verdicts.tolist()]
+        low, high = SwitchState.LOW.value, SwitchState.HIGH.value
+        return {
+            "bit_index": list(range(len(secure))),
+            "alice_state": np.where(self.alice_high, high, low).tolist(),
+            "bob_state": np.where(self.bob_high, high, low).tolist(),
+            "classified_level": np.array([level.value for level in Level])[self.levels].tolist(),
+            "secure": secure.tolist(),
+            "discarded": discarded.tolist(),
+            "key_bit": np.where(secure & ~discarded, self.alice_high.astype(np.intp), None).tolist(),
+            "eve_decision": decisions.tolist(),
+        }
+
     def to_dict(self) -> dict:
+        fields = self.bit_fields()
         return {
             "aggregates": {
                 "bit_error_rate": self.bit_error_rate,
                 "eve_accuracy": self.eve_accuracy,
                 "secure_bit_fraction": self.secure_bit_fraction,
             },
-            "bits": [r.to_dict() for r in self.records],
+            "bits": [dict(zip(fields, bit)) for bit in zip(*fields.values())],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-_CSV_HEADER = "bit_index,alice_state,bob_state,classified_level,secure,discarded,key_bit,eve_decision"
-
-
-def records_csv(records: tuple[BitRecord, ...]) -> str:
-    """Per-bit records as CSV text: comma separated, LF line endings."""
-    rows = [_CSV_HEADER]
-    for r in records:
-        rows.append(
-            ",".join(
-                (
-                    str(r.bit_index),
-                    r.alice_state.value,
-                    r.bob_state.value,
-                    r.classified_level.value,
-                    "true" if r.secure else "false",
-                    "true" if r.discarded else "false",
-                    "" if r.key_bit is None else str(r.key_bit),
-                    "" if r.eve_decision is None else r.eve_decision.value,
-                )
-            )
-        )
-    return "\n".join(rows) + "\n"
-
-
-_LEVELS = (Level.LOW, Level.MID, Level.HIGH)
 
 
 def _level_cuts(pair: ResistorPair, sigma_low: float, sigma_high: float) -> tuple[float, float]:
@@ -170,14 +154,14 @@ def _level_cuts(pair: ResistorPair, sigma_low: float, sigma_high: float) -> tupl
     return math.sqrt(v_low * v_mid), math.sqrt(v_mid * v_high)
 
 
-def _classify_rows(measured: np.ndarray, cuts: tuple[float, float]) -> list[Level]:
-    """Level of each measured variance, nearest in log space.
+def _classify_rows(measured: np.ndarray, cuts: tuple[float, float]) -> np.ndarray:
+    """Level index (in ``Level``, low to high) of each measured variance, nearest in log space.
 
     A value exactly on a cut falls to the lower level.
     """
     if not (np.isfinite(measured).all() and (measured >= 0.0).all()):
         raise ValueError("measured variance must be non-negative and finite")
-    return [_LEVELS[k] for k in np.searchsorted(cuts, measured).tolist()]
+    return np.searchsorted(cuts, measured)
 
 
 def run_session(config: SessionConfig) -> SessionOutcome:
@@ -194,9 +178,6 @@ def run_session(config: SessionConfig) -> SessionOutcome:
     whenever the bit really is mixed.
     """
     cuts = _level_cuts(config.pair, config.sigma_low, config.sigma_high)
-    states = (SwitchState.LOW, SwitchState.HIGH)
-    records: list[BitRecord] = []
-    credits: list[float] = []
 
     def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return coins[:, 0], coins[:, 1]
@@ -211,36 +192,19 @@ def run_session(config: SessionConfig) -> SessionOutcome:
         config.seed,
         switches,
     )
-    for bits, alice_high, bob_high, voltage, verdicts in run:
-        verdicts = iter(verdicts)
-        # Last use of the block's voltage, so it is squared in place.
-        levels = _classify_rows(_mean_square(voltage), cuts)
-        for i, a_high, b_high, level in zip(bits, alice_high.tolist(), bob_high.tolist(), levels):
-            a_state = states[a_high]
-            secure = a_high != b_high
-            # The number of high switches indexes the true level.
-            discarded = level is not _LEVELS[a_high + b_high]
-            eve_decision = next(verdicts) if secure else None
-            if secure:
-                credits.append(decision_credit(eve_decision, a_state))
-            records.append(
-                BitRecord(
-                    bit_index=i,
-                    alice_state=a_state,
-                    bob_state=states[b_high],
-                    classified_level=level,
-                    secure=secure,
-                    discarded=discarded,
-                    key_bit=int(a_high) if secure and not discarded else None,
-                    eve_decision=eve_decision,
-                )
-            )
-    n_secure = len(credits)
+    # The block's voltage is scratch past its block, so it is squared in place.
+    blocks = [(a, b, _classify_rows(_mean_square(v), cuts), d) for a, b, v, d in run]
+    alice_high, bob_high, levels, verdicts = (np.concatenate(c) for c in zip(*blocks))
+    n_secure = len(verdicts)
+    secure_credits = credits(verdicts, alice_high[alice_high != bob_high])
     return SessionOutcome(
-        records=tuple(records),
+        alice_high=alice_high,
+        bob_high=bob_high,
+        levels=levels,
+        verdicts=verdicts,
         secure_bit_fraction=n_secure / config.bits,
         bit_error_rate=0.0,  # sifting checks the true joint state, so every kept bit agrees
-        eve_accuracy=None if n_secure == 0 else sum(credits) / n_secure,
+        eve_accuracy=None if n_secure == 0 else float(secure_credits.mean()),
     )
 
 

@@ -1,4 +1,4 @@
-"""Public API: every exported name resolves, and the README lists only real names."""
+"""Public API: every exported name resolves, and the README table and ``kljn.__all__`` agree."""
 
 import importlib
 import re
@@ -38,3 +38,8 @@ def test_readme_library_table_names_exist():
         module = importlib.import_module(module_name)
         missing += [f"{module_name}.{name}" for name in names if not hasattr(module, name)]
     assert missing == []
+
+
+def test_every_exported_name_is_in_the_readme_library_table():
+    listed = {name for names in library_table().values() for name in names}
+    assert sorted(set(kljn.__all__) - listed - {"__version__"}) == []

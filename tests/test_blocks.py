@@ -1,7 +1,9 @@
 """Block engine: parity with the per-bit algorithm, pinned outputs, chunking invariance."""
 
+import dataclasses
 import functools
 import hashlib
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -11,7 +13,6 @@ import pytest
 
 import kljn.line
 from kljn import (
-    BitRecord,
     BlockAttack,
     DistributionKind,
     Level,
@@ -21,8 +22,9 @@ from kljn import (
     SessionConfig,
     SessionOutcome,
     SwitchState,
+    VERDICTS,
     attack_trials,
-    decision_credit,
+    credits,
     line_signals,
     resistance_for,
     run_session,
@@ -57,19 +59,23 @@ def reference_level(measured: float, config: SessionConfig) -> Level:
     return Level.HIGH
 
 
-def one_bit_decision(eve: BlockAttack, voltage, current):
-    """The attack's decision on one bit, held as a one-row block."""
-    [decision] = eve.decisions(voltage[None, :], current[None, :])
-    return decision
+def one_bit_verdict(eve: BlockAttack, voltage, current) -> int:
+    """The attack's verdict code on one bit, held as a one-row block."""
+    [verdict] = eve.verdicts(voltage[None, :], current[None, :]).tolist()
+    return verdict
 
 
-def reference_session(config: SessionConfig) -> SessionOutcome:
-    """The per-bit session loop, one bit at a time through the public API."""
+def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict]]:
+    """The per-bit session loop, one bit at a time through the public API.
+
+    Returns the outcome and, derived here bit by bit, its per-bit records
+    as ``session.json`` holds them.
+    """
     spec_low = NoiseSpec(config.kind, config.sigma_low)
     spec_high = NoiseSpec(config.kind, config.sigma_high)
     by_state = {SwitchState.LOW: spec_low, SwitchState.HIGH: spec_high}
     eve = BlockAttack(config.pair, spec_low, spec_high, config.significance)
-    records, credits = [], []
+    alice_high, bob_high, levels, verdicts, secure_alice_high, bits = [], [], [], [], [], []
     for i in range(config.bits):
         coins = stream(config.seed, i, 0).integers(0, 2, size=2)
         a_state = SwitchState.HIGH if coins[0] else SwitchState.LOW
@@ -87,34 +93,43 @@ def reference_session(config: SessionConfig) -> SessionOutcome:
             true_level = Level.LOW if a_state is SwitchState.LOW else Level.HIGH
         discarded = level is not true_level
         decision = None
+        alice_high.append(a_state is SwitchState.HIGH)
+        bob_high.append(b_state is SwitchState.HIGH)
+        levels.append(list(Level).index(level))
         if secure:
-            decision = one_bit_decision(eve, voltage, current)
-            credits.append(decision_credit(decision, a_state))
-        records.append(
-            BitRecord(
-                bit_index=i,
-                alice_state=a_state,
-                bob_state=b_state,
-                classified_level=level,
-                secure=secure,
-                discarded=discarded,
-                key_bit=None if discarded or not secure else int(a_state is SwitchState.HIGH),
-                eve_decision=decision,
-            )
+            verdicts.append(one_bit_verdict(eve, voltage, current))
+            secure_alice_high.append(a_state is SwitchState.HIGH)
+            decision = VERDICTS[verdicts[-1]].value
+        bits.append(
+            {
+                "alice_state": a_state.value,
+                "bit_index": i,
+                "bob_state": b_state.value,
+                "classified_level": level.value,
+                "discarded": discarded,
+                "eve_decision": decision,
+                "key_bit": None if discarded or not secure else int(a_state is SwitchState.HIGH),
+                "secure": secure,
+            }
         )
-    return SessionOutcome(
-        records=tuple(records),
-        secure_bit_fraction=len(credits) / config.bits,
+    credit = credits(np.array(verdicts, dtype=np.intp), np.array(secure_alice_high, dtype=bool))
+    outcome = SessionOutcome(
+        alice_high=np.array(alice_high),
+        bob_high=np.array(bob_high),
+        levels=np.array(levels, dtype=np.intp),
+        verdicts=np.array(verdicts, dtype=np.intp),
+        secure_bit_fraction=len(verdicts) / config.bits,
         bit_error_rate=0.0,
-        eve_accuracy=sum(credits) / len(credits) if credits else None,
+        eve_accuracy=float(credit.mean()) if verdicts else None,
     )
+    return outcome, bits
 
 
 def reference_trials(spec_low, spec_high, samples, trials, seed):
-    """The per-trial attack loop: decisions and truths."""
+    """The per-trial attack loop: Alice's true switches and the verdict codes."""
     by_state = {SwitchState.LOW: spec_low, SwitchState.HIGH: spec_high}
     eve = BlockAttack(PAIR, spec_low, spec_high, 0.01)
-    decisions, truths = [], []
+    alice_high, verdicts = [], []
     for t in range(trials):
         alice_low = bool(stream(seed, t, 0).integers(0, 2))
         a_state = SwitchState.LOW if alice_low else SwitchState.HIGH
@@ -122,9 +137,25 @@ def reference_trials(spec_low, spec_high, samples, trials, seed):
         v_a = sample(by_state[a_state], samples, stream(seed, t, 1))
         v_b = sample(by_state[b_state], samples, stream(seed, t, 2))
         line = line_signals(v_a, v_b, resistance_for(PAIR, a_state), resistance_for(PAIR, b_state))
-        decisions.append(one_bit_decision(eve, *line))
-        truths.append(a_state)
-    return tuple(decisions), tuple(truths)
+        verdicts.append(one_bit_verdict(eve, *line))
+        alice_high.append(not alice_low)
+    return np.array(alice_high), np.array(verdicts, dtype=np.intp)
+
+
+def assert_same_outcome(got, want):
+    """Every column (values and dtype) and every aggregate of two run outcomes agree.
+
+    The outcome types compare by identity (their columns are arrays), so
+    this compares field by field, then the serialised form.
+    """
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and np.array_equal(g, w), field.name
+        else:
+            assert g == w, field.name
+    assert got.to_dict() == want.to_dict()
 
 
 def session_config(kind, sigma_high, samples, bits, seed) -> SessionConfig:
@@ -149,7 +180,11 @@ def digest(outcome: SessionOutcome) -> str:
 @pytest.mark.parametrize("kind", [DistributionKind.GAUSSIAN, DistributionKind.UNIFORM])
 def test_session_matches_per_bit_loop(kind, sigma_high, samples, bits):
     config = session_config(kind, sigma_high, samples, bits, seed=samples + bits)
-    assert run_session(config).to_json() == reference_session(config).to_json()
+    outcome = run_session(config)
+    reference, bits = reference_session(config)
+    assert_same_outcome(outcome, reference)
+    # JSON text, so a bool where an int belongs (True == 1) shows too
+    assert json.dumps(outcome.to_dict()["bits"], sort_keys=True) == json.dumps(bits, sort_keys=True)
 
 
 @pytest.mark.parametrize(
@@ -165,9 +200,11 @@ def test_session_matches_per_bit_loop(kind, sigma_high, samples, bits):
 def test_attack_trials_match_per_trial_loop(kind, sigma_high, samples, trials):
     spec_low, spec_high = NoiseSpec(kind, 1.0), NoiseSpec(kind, sigma_high)
     summary = attack_trials(PAIR, spec_low, spec_high, samples, trials, seed=trials)
-    decisions, truths = reference_trials(spec_low, spec_high, samples, trials, seed=trials)
-    assert summary.decisions == decisions
-    assert summary.truths == truths
+    alice_high, verdicts = reference_trials(spec_low, spec_high, samples, trials, seed=trials)
+    assert summary.alice_high.dtype == alice_high.dtype
+    assert np.array_equal(summary.alice_high, alice_high)
+    assert summary.verdicts.dtype == verdicts.dtype
+    assert np.array_equal(summary.verdicts, verdicts)
 
 
 def test_criterion_8_session_digest_is_pinned():
@@ -189,12 +226,13 @@ def test_outputs_do_not_depend_on_the_block_size(monkeypatch, bits_per_block):
     samples, bits = 150, 60
     config = session_config(DistributionKind.UNIFORM, 3.0, samples, bits, seed=9)
     spec_low, spec_high = NoiseSpec("uniform", 1.0), NoiseSpec("uniform", 2.0)
-    expected_session = run_session(config).to_json()
+    expected_session = run_session(config)
     expected_trials = attack_trials(PAIR, spec_low, spec_high, samples, bits, seed=9)
     monkeypatch.setattr(kljn.line, "BLOCK_SAMPLES", samples * (bits_per_block or bits))
     assert [len(b) for b in kljn.line.blocks(bits, samples)][0] == (bits_per_block or bits)
-    assert run_session(config).to_json() == expected_session
-    assert attack_trials(PAIR, spec_low, spec_high, samples, bits, seed=9) == expected_trials
+    assert_same_outcome(run_session(config), expected_session)
+    trials = attack_trials(PAIR, spec_low, spec_high, samples, bits, seed=9)
+    assert_same_outcome(trials, expected_trials)
 
 
 CHUNKED_SAMPLES, CHUNKED_BITS = 120, 30
@@ -202,11 +240,11 @@ CHUNKED_SAMPLES, CHUNKED_BITS = 120, 30
 
 @functools.cache
 def unchunked_runs():
-    """Session JSON and attack trials of the chunking property at the default block size."""
+    """Session and attack trials of the chunking property at the default block size."""
     config = session_config(DistributionKind.UNIFORM, 3.0, CHUNKED_SAMPLES, CHUNKED_BITS, seed=11)
     spec_low, spec_high = NoiseSpec("uniform", 1.0), NoiseSpec("uniform", 2.0)
     trials = attack_trials(PAIR, spec_low, spec_high, CHUNKED_SAMPLES, CHUNKED_BITS, seed=11)
-    return config, run_session(config).to_json(), trials
+    return config, run_session(config), trials
 
 
 if given is not None:
@@ -228,10 +266,11 @@ if given is not None:
         config, session, trials = unchunked_runs()
         spec_low, spec_high = NoiseSpec("uniform", 1.0), NoiseSpec("uniform", 2.0)
         with mock.patch.object(kljn.line, "BLOCK_SAMPLES", block_samples):
-            assert run_session(config).to_json() == session
-            assert attack_trials(
-                PAIR, spec_low, spec_high, CHUNKED_SAMPLES, CHUNKED_BITS, seed=11
-            ) == trials
+            assert_same_outcome(run_session(config), session)
+            assert_same_outcome(
+                attack_trials(PAIR, spec_low, spec_high, CHUNKED_SAMPLES, CHUNKED_BITS, seed=11),
+                trials,
+            )
 
 else:
 
@@ -272,7 +311,7 @@ def long_attack():
 
 def long_session():
     outcome = run_session(session_config(DistributionKind.GAUSSIAN, 2.0, LONG_TRACE, 2, seed=0))
-    assert [r.secure for r in outcome.records] == [True, False]
+    assert (outcome.alice_high != outcome.bob_high).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("run", [long_attack, long_session], ids=["attack", "session"])

@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 import kljn
-from kljn import DistributionKind, ResistorPair, SessionConfig, run_session
 from kljn.cli import _CSV_BLOCK, _csv_bytes, _float_column, main
-from kljn.protocol import records_csv
 
 
 def run(argv):
@@ -80,22 +78,20 @@ class TestSimulate:
         for name in ("session.json", "bits.csv", "manifest.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
-    def test_csv_artifact_matches_records_to_csv(self, tmp_path):
+    def test_csv_artifact_matches_session_json(self, tmp_path):
         args = ["simulate", "--bits", "15", "--samples-per-bit", "150", "--seed", "3", "--csv"]
         assert run(args + ["--out", str(tmp_path)]) == 0
-        config = SessionConfig(
-            pair=ResistorPair(1.0, 4.0),
-            kind=DistributionKind.GAUSSIAN,
-            sigma_low=1.0,
-            sigma_high=2.0,
-            samples_per_bit=150,
-            bits=15,
-            seed=3,
-        )
-        direct = records_csv(run_session(config).records)
-        (tmp_path / "direct.csv").write_bytes(direct.encode("ascii"))
+        header = "bit_index,alice_state,bob_state,classified_level,secure,discarded,key_bit,eve_decision"
+
+        def cell(value):
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return "" if value is None else str(value)
+
+        bits = read_json(tmp_path / "session.json")["bits"]
+        rows = [",".join(cell(r[name]) for name in header.split(",")) for r in bits]
         written = (tmp_path / "bits.csv").read_bytes()
-        assert written == (tmp_path / "direct.csv").read_bytes()
+        assert written == "\n".join([header, *rows, ""]).encode("ascii")
         assert hashlib.sha256(written).hexdigest() == (
             "e767b4c4d2c694b99e4f80881c30535a49cd6105da706c282da615d17995c55f"
         )
@@ -389,6 +385,17 @@ USAGE_CASES = [
     (["sweep", "--bits", "10", "--samples-per-bit", "150", "--multipliers", "1.0,1e308"], None),
     (["simulate", "--bits", "20", "--samples-per-bit", "150", "--sigma-high", "1.0"], None),
     (["sweep", "--bits", "20", "--samples-per-bit", "150", "--multipliers", "0.5"], None),
+    # config integers are JSON integers, and no setting is a JSON boolean
+    (["simulate", "--config", "{cfg}"], json.dumps({"bits": 2.9})),
+    (["simulate", "--config", "{cfg}"], json.dumps({"samples_per_bit": 150.5})),
+    (["simulate", "--config", "{cfg}"], json.dumps({"seed": True})),
+    (["simulate", "--config", "{cfg}"], json.dumps({"bits": "12"})),
+    (["simulate", "--config", "{cfg}"], json.dumps({"sigma_low": True})),
+    (["attack", "--config", "{cfg}"], json.dumps({"samples": 200.5})),
+    (["attack", "--config", "{cfg}"], json.dumps({"trials": 2.5})),
+    (["attack", "--config", "{cfg}"], json.dumps({"sigma_high": True})),
+    (["pdf", "--config", "{cfg}"], json.dumps({"dx": True})),
+    (["sweep", "--config", "{cfg}"], json.dumps({"multipliers": [1.0, True]})),
 ]
 
 
@@ -409,7 +416,7 @@ def test_usage_errors_create_no_output_directory(tmp_path, argv, config_text):
 OVERFLOW_CASES = [
     pytest.param(["simulate", "--sigma-low", "1e200"], 2, id="simulate"),
     pytest.param(["sweep", "--sigma-low", "1e200"], 2, id="sweep"),
-    pytest.param(["attack", "--sigma-low", "1e200", "--samples", "200", "--trials", "2"], 3,
+    pytest.param(["attack", "--sigma-low", "1e200", "--samples", "200", "--trials", "2"], 2,
                  id="attack"),
     pytest.param(["pdf", "--sigma-low", "1e200"], 3, id="pdf"),
     pytest.param(["pdf", "--sigma-low", "3e153"], 3, id="pdf-grid"),

@@ -1,7 +1,8 @@
-"""Eavesdropper: reconstruction algebra, tests, and hypothesis decisions."""
+"""Eavesdropper: reconstruction algebra, tests, verdicts and their credit."""
 
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +15,15 @@ from kljn import (
     EveDecision,
     NoiseSpec,
     ResistorPair,
+    SessionConfig,
     SwitchState,
+    VERDICTS,
     attack_trials,
-    decision_credit,
+    credits,
     line_signals,
     reference_grid,
     resistance_for,
+    run_session,
     sample,
     security_sigma_ratio,
     stream,
@@ -440,7 +444,7 @@ class TestAttack:
         undecided = 0
         for t in range(30):
             _, _, line = mixed_line(GAUSS_LOW, GAUSS_HIGH, 5000, seed=600 + t, alice_low=bool(t % 2))
-            if eve.decisions(*one_row(line))[0] is EveDecision.UNDECIDED:
+            if VERDICTS[eve.verdicts(*one_row(line))[0]] is EveDecision.UNDECIDED:
                 undecided += 1
         assert undecided >= 25
 
@@ -454,7 +458,7 @@ class TestAttack:
         spec_high = NoiseSpec(DistributionKind.UNIFORM, 2.0)
         _, _, line = mixed_line(spec_low, spec_high, 100_000, seed=37)
         eve = block_attack(spec_low, spec_high)
-        assert eve.decisions(*one_row(line)) == [EveDecision.ALICE_LOW]
+        assert [VERDICTS[k] for k in eve.verdicts(*one_row(line))] == [EveDecision.ALICE_LOW]
         evidence = eve.tests(*one_row(line))
         # amplitudes comply, so the variance screens stay quiet and the
         # shape screens must carry the detection
@@ -474,7 +478,7 @@ class TestAttack:
         v_b = sample(GAUSS_LOW, n, stream(41, 2))
         line = line_signals(v_a, v_b, PAIR.r_low, PAIR.r_low)
         eve = block_attack()
-        assert eve.decisions(*one_row(line)) == [EveDecision.UNDECIDED]
+        assert [VERDICTS[k] for k in eve.verdicts(*one_row(line))] == [EveDecision.UNDECIDED]
         rejected = eve.tests(*one_row(line)).rejected
         assert rejected[LOW, 0]
         assert rejected[HIGH, 0]
@@ -625,13 +629,45 @@ class TestKeptBuffers:
 
 
 class TestDecisions:
-    def test_decision_credit(self):
-        assert decision_credit(EveDecision.ALICE_LOW, SwitchState.LOW) == 1.0
-        assert decision_credit(EveDecision.ALICE_LOW, SwitchState.HIGH) == 0.0
-        assert decision_credit(EveDecision.ALICE_HIGH, SwitchState.HIGH) == 1.0
-        assert decision_credit(EveDecision.ALICE_HIGH, SwitchState.LOW) == 0.0
-        assert decision_credit(EveDecision.UNDECIDED, SwitchState.LOW) == 0.5
-        assert decision_credit(EveDecision.UNDECIDED, SwitchState.HIGH) == 0.5
+    def test_credit_table_matches_the_scalar_rule(self):
+        def rule(decision: EveDecision, true_alice_state: SwitchState) -> float:
+            """1 correct, 0 wrong, 0.5 undecided."""
+            if decision is EveDecision.UNDECIDED:
+                return 0.5
+            guessed_low = decision is EveDecision.ALICE_LOW
+            return 1.0 if guessed_low == (true_alice_state is SwitchState.LOW) else 0.0
+
+        cells = [(code, high) for code in range(len(VERDICTS)) for high in (False, True)]
+        assert len(cells) == 8
+        codes, alice_high = map(np.array, zip(*cells))
+        states = (SwitchState.LOW, SwitchState.HIGH)
+        expected = [rule(VERDICTS[code], states[high]) for code, high in cells]
+        assert credits(codes, alice_high).tolist() == expected
+
+    def test_verdict_codes_decode_both_rejection_flags(self):
+        rows = 4
+        eve = block_attack()
+        rejected = np.array([[False, True, False, True], [False, False, True, True]])
+        with mock.patch.object(eve, "tests", return_value=mock.Mock(rejected=rejected)):
+            codes = eve.verdicts(np.zeros((rows, 100)), np.zeros((rows, 100)))
+        assert [VERDICTS[k] for k in codes] == [
+            EveDecision.UNDECIDED,
+            EveDecision.ALICE_HIGH,
+            EveDecision.ALICE_LOW,
+            EveDecision.UNDECIDED,
+        ]
+
+    def test_every_outcome_column_is_read_only(self):
+        summary = attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 200, 4, seed=2)
+        outcome = run_session(
+            SessionConfig(PAIR, DistributionKind.GAUSSIAN, 1.0, 2.0, 150, bits=6, seed=2)
+        )
+        columns = [summary.alice_high, summary.verdicts]
+        columns += [outcome.alice_high, outcome.bob_high, outcome.levels, outcome.verdicts]
+        for column in columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = 0
 
 
 class TestAttackTrials:
@@ -639,8 +675,8 @@ class TestAttackTrials:
         a = attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 1000, 10, seed=5)
         b = attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 1000, 10, seed=5)
         assert a.accuracy == b.accuracy
-        assert a.decisions == b.decisions
-        assert a.truths == b.truths
+        assert np.array_equal(a.alice_high, b.alice_high)
+        assert np.array_equal(a.verdicts, b.verdicts)
 
     def test_counts_are_consistent(self):
         s = attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 1000, 25, seed=6)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kljn.line
 from kljn import (
     DistributionKind,
     NoiseSpec,
@@ -111,17 +112,26 @@ def solve_one_mixed_bit(pair, spec_low, spec_high, n=1000):
     return line_block(BlockStreams(3, range(1)), high, ~high, pair, spec_low, spec_high, out)
 
 
-def test_block_refuses_non_finite_draws():
-    # scale * N(0, 1) overflows at this scale; the infinities reach the current.
-    spec = NoiseSpec(DistributionKind.GAUSSIAN, 1e308)
+def test_block_refuses_non_finite_draws(monkeypatch):
+    # A NoiseSpec's scale has a finite square, so no real draw overflows;
+    # an infinity planted in one of Bob's draws must still be refused.
+    low, high = NoiseSpec(DistributionKind.GAUSSIAN, 1.0), NoiseSpec(DistributionKind.GAUSSIAN, 2.0)
+
+    def overflowing(spec, n, rng, out):
+        sample(spec, n, rng, out=out)
+        if spec is high:
+            out[7] = math.inf
+        return out
+
+    monkeypatch.setattr(kljn.line, "sample", overflowing)
     with pytest.raises(ValueError, match="finite"):
-        solve_one_mixed_bit(PAIR, spec, spec)
+        solve_one_mixed_bit(PAIR, low, high)
 
 
 def test_block_refuses_a_divider_product_that_overflows():
-    # The uniform draws reach sqrt(3) * 1e307, finite, but times r_b = 100 they
-    # overflow in the voltage's divider mix.
-    pair, spec = ResistorPair(1.0, 100.0), NoiseSpec(DistributionKind.UNIFORM, 1e307)
+    # The uniform draws reach sqrt(3) * 1e150, finite, but times r_b = 1e160
+    # they overflow in the voltage's divider mix.
+    pair, spec = ResistorPair(1.0, 1e160), NoiseSpec(DistributionKind.UNIFORM, 1e150)
     for channel in (1, 2):
         assert np.isfinite(sample(spec, 1000, stream(3, 0, channel))).all()
     with pytest.raises(ValueError, match="finite"):

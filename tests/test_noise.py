@@ -74,7 +74,8 @@ class TestResistorPair:
 
 class TestNoiseSpec:
     def test_rejects_nonpositive_scale(self):
-        for bad in (0.0, -2.0, math.inf, math.nan):
+        # 1e200 is finite, but its square, which the attack takes, is not
+        for bad in (0.0, -2.0, math.inf, math.nan, 1e200):
             with pytest.raises(ValueError):
                 NoiseSpec(DistributionKind.GAUSSIAN, bad)
 

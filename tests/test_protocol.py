@@ -17,7 +17,8 @@ from kljn import (
     stream,
     theoretical_line_variance,
 )
-from kljn.protocol import _classify_rows, _level_cuts, records_csv, sweep_configs
+from kljn.cli import _simulate
+from kljn.protocol import _classify_rows, _level_cuts, sweep_configs
 
 PAIR = ResistorPair(1.0, 4.0)
 
@@ -40,7 +41,12 @@ def config(**overrides) -> SessionConfig:
 def level_of(measured, pair, sigma_low, sigma_high):
     """The level run_session gives one measured line-voltage variance."""
     cuts = _level_cuts(pair, sigma_low, sigma_high)
-    return _classify_rows(np.array([measured], dtype=np.float64), cuts)[0]
+    return list(Level)[_classify_rows(np.array([measured], dtype=np.float64), cuts)[0]]
+
+
+def records(outcome):
+    """Per-bit records of a session, as ``session.json`` holds them."""
+    return outcome.to_dict()["bits"]
 
 
 class TestClassifyLevel:
@@ -86,36 +92,37 @@ class TestRunSession:
 
     def test_bit_bookkeeping_invariants(self):
         out = run_session(config(bits=200, seed=99))
-        for r in out.records:
-            mixed = r.alice_state is not r.bob_state
-            assert r.secure == mixed
-            assert (r.eve_decision is not None) == r.secure
-            if r.key_bit is not None:
-                assert r.secure and not r.discarded
-                assert r.classified_level is Level.MID
-            if r.secure and not r.discarded:
-                assert r.key_bit is not None
+        for r in records(out):
+            mixed = r["alice_state"] != r["bob_state"]
+            assert r["secure"] == mixed
+            assert (r["eve_decision"] is not None) == r["secure"]
+            if r["key_bit"] is not None:
+                assert r["secure"] and not r["discarded"]
+                assert r["classified_level"] == Level.MID.value
+            if r["secure"] and not r["discarded"]:
+                assert r["key_bit"] is not None
+        assert len(out.verdicts) == np.count_nonzero(out.alice_high != out.bob_high)
 
     def test_parties_agree_on_every_kept_bit(self):
         out = run_session(config(bits=300, seed=7))
-        kept = [r for r in out.records if r.key_bit is not None]
+        kept = [r for r in records(out) if r["key_bit"] is not None]
         assert kept, "expected some key bits at these settings"
         for r in kept:
-            alice_bit = 0 if r.alice_state is SwitchState.LOW else 1
-            bob_bit = 1 - (0 if r.bob_state is SwitchState.LOW else 1)
-            assert r.key_bit == alice_bit == bob_bit
+            alice_bit = 0 if r["alice_state"] == SwitchState.LOW.value else 1
+            bob_bit = 1 - (0 if r["bob_state"] == SwitchState.LOW.value else 1)
+            assert r["key_bit"] == alice_bit == bob_bit
         assert out.bit_error_rate == 0.0
 
     def test_non_mixed_bits_never_carry_key_material(self):
         out = run_session(config(bits=300, seed=8))
-        for r in out.records:
-            if r.alice_state is r.bob_state:
-                assert r.key_bit is None
-                assert r.eve_decision is None
+        for r in records(out):
+            if r["alice_state"] == r["bob_state"]:
+                assert r["key_bit"] is None
+                assert r["eve_decision"] is None
 
     def test_secure_fraction_counts_mixed_bits(self):
         out = run_session(config(bits=250, seed=13))
-        mixed = sum(1 for r in out.records if r.alice_state is not r.bob_state)
+        mixed = sum(1 for r in records(out) if r["alice_state"] != r["bob_state"])
         assert out.secure_bit_fraction == mixed / 250
 
     def test_deterministic_replay(self):
@@ -132,10 +139,10 @@ class TestRunSession:
     def test_switch_coins_match_stream_contract(self):
         cfg = config(bits=20, samples_per_bit=150, seed=321)
         out = run_session(cfg)
-        for i, r in enumerate(out.records):
+        for i, (alice_high, bob_high) in enumerate(zip(out.alice_high, out.bob_high)):
             coins = stream(cfg.seed, i, 0).integers(0, 2, size=2)
-            assert r.alice_state is (SwitchState.HIGH if coins[0] else SwitchState.LOW)
-            assert r.bob_state is (SwitchState.HIGH if coins[1] else SwitchState.LOW)
+            assert alice_high == bool(coins[0])
+            assert bob_high == bool(coins[1])
 
     def test_discards_follow_the_chi_square_law(self):
         # For Gaussian sources the line voltage of a bit is Gaussian with its
@@ -151,8 +158,12 @@ class TestRunSession:
             variance = theoretical_line_variance(PAIR, 1.0, 2.0, *true_states[0])
             lower, upper = (chi2.cdf(n * edge / variance, n) for edge in edges[k : k + 2])
             misread = 1.0 - (upper - lower)
-            bits = [r for r in outcome.records if (r.alice_state, r.bob_state) in true_states]
-            discards = sum(r.discarded for r in bits)
+            bits = [
+                r
+                for r in records(outcome)
+                if (SwitchState(r["alice_state"]), SwitchState(r["bob_state"])) in true_states
+            ]
+            discards = sum(r["discarded"] for r in bits)
             spread = math.sqrt(len(bits) * misread * (1.0 - misread))
             assert abs(discards - len(bits) * misread) <= 5.0 * spread
 
@@ -176,9 +187,9 @@ class TestRunSession:
         assert out.eve_accuracy > 0.9
 
     def test_csv_dump(self, tmp_path):
-        out = run_session(config(bits=5, samples_per_bit=150, seed=77))
+        artifacts, _ = _simulate(config(bits=5, samples_per_bit=150, seed=77), csv=True)
         path = tmp_path / "bits.csv"
-        path.write_text(records_csv(out.records))
+        path.write_bytes(artifacts["bits.csv"])
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "bit_index,alice_state,bob_state,classified_level,secure,discarded,key_bit,eve_decision"
