@@ -14,11 +14,15 @@ order: built-in defaults, then a ``--config`` JSON file, then explicit
 flags.
 
 All four commands take one path through :func:`main`: resolve settings,
-validate them, create ``--out``, run, write and digest the artifacts,
-write the manifest, print. A command supplies only its defaults, a
-validator that maps resolved settings to the manifest's config and the
-run's inputs, and a run that maps those inputs and ``--csv`` to its
-artifacts, keyed by file name, and the text to print.
+validate them, create ``--out``, run, write the artifacts, write the
+manifest, print. A command supplies only its defaults, a validator that
+maps resolved settings to the manifest's config and the run's inputs, and
+a run that maps those inputs and ``--csv`` to its artifacts, keyed by file
+name, and the text to print. An artifact is an iterable of encoded byte
+chunks (a JSON summary is one chunk), which :func:`main` writes and feeds
+to the artifact's sha256 as they arrive. The large artifacts are rendered
+a block of rows or bits at a time, so none is ever held whole and a run's
+memory does not grow with its output.
 
 Exit codes: 0 on success, 2 for unusable arguments or configuration, 3
 for failures while computing or writing results. A value error or an
@@ -45,7 +49,7 @@ from .density import closure_pair, default_grid, l1_residual, weights
 from .eve import VERDICTS, attack_trials, check_trial_settings, credits
 from .line import SwitchState
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, scaled_sigma_high
-from .protocol import SessionConfig, leak_sweep, run_session, sweep_configs
+from .protocol import BIT_FIELDS, SessionConfig, leak_sweep, run_session, sweep_configs
 
 _KIND_CHOICES = tuple(k.value for k in DistributionKind)
 _CSV_BLOCK = 4096
@@ -80,19 +84,17 @@ def _json_bytes(obj: object) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
-def _csv_bytes(header: str, *columns: Iterable[str]) -> bytes:
-    """CSV text from pre-formatted columns: the header, then one row per index.
+def _csv_bytes(header: str, rows: Iterable[Iterable[str]]) -> Iterator[bytes]:
+    """CSV text of pre-formatted rows, encoded: the header line, then one chunk per 4096 rows.
 
-    Rows are joined ``_CSV_BLOCK`` (4096) at a time and then the blocks are
-    joined, so no list holding every row's string is ever built. Each row is
-    joined as ``zip`` yields it, which lets ``zip`` reuse its row tuple.
+    Every chunk ends in a newline, and only one block of ``_CSV_BLOCK``
+    (4096) rows is held at a time, so the whole text never is. Each row is
+    joined as it arrives, which lets ``zip`` reuse its row tuple.
     """
-    rows = map(",".join, zip(*columns))
-    texts = [header]
-    for first in rows:
-        texts.append("\n".join(chain((first,), islice(rows, _CSV_BLOCK - 1))))
-    texts.append("")  # the final newline
-    return "\n".join(texts).encode("ascii")
+    yield (header + "\n").encode("ascii")
+    lines = map(",".join, rows)
+    for first in lines:
+        yield "\n".join(chain((first,), islice(lines, _CSV_BLOCK - 1), ("",))).encode("ascii")
 
 
 def _float_column(values: np.ndarray) -> Iterator[str]:
@@ -123,6 +125,12 @@ def _csv_cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return "" if value is None else str(value)
+
+
+def _csv_cells(column: list) -> Iterator[str]:
+    """The :func:`_csv_cell` of each value in a column, computed once per distinct value."""
+    cells = {value: _csv_cell(value) for value in set(column)}
+    return map(cells.__getitem__, column)
 
 
 def _load_config_file(path: str, allowed: set[str]) -> dict:
@@ -199,14 +207,16 @@ def _simulate_inputs(s: dict) -> tuple[dict, SessionConfig]:
     return config.to_dict(), config
 
 
-def _simulate(config: SessionConfig, csv: bool) -> tuple[dict[str, bytes], str]:
+def _simulate(config: SessionConfig, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
     outcome = run_session(config)
-    artifacts = {"session.json": outcome.to_json().encode("ascii")}
+    artifacts = {"session.json": map(str.encode, outcome.json_chunks())}
     if csv:
-        fields = outcome.bit_fields()
-        artifacts["bits.csv"] = _csv_bytes(
-            ",".join(fields), *(map(_csv_cell, column) for column in fields.values())
+        # Each block's cells; bit_index, whose values are all distinct, needs no table.
+        rows = chain.from_iterable(
+            zip(*(map(str, c) if name == "bit_index" else _csv_cells(c) for name, c in f.items()))
+            for f in outcome.bit_blocks()
         )
+        artifacts["bits.csv"] = _csv_bytes(",".join(BIT_FIELDS), rows)
     acc = outcome.eve_accuracy
     return artifacts, (
         f"bits={config.bits} secure_fraction={outcome.secure_bit_fraction:.6g} "
@@ -235,20 +245,20 @@ def _attack_inputs(s: dict) -> tuple[dict, tuple]:
     return config, (pair, NoiseSpec(kind, sigma_low), NoiseSpec(kind, sigma_high), config)
 
 
-def _attack(inputs: tuple, csv: bool) -> tuple[dict[str, bytes], str]:
+def _attack(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
     pair, spec_low, spec_high, c = inputs
     summary = attack_trials(
         pair, spec_low, spec_high, c["samples"], c["trials"], c["significance"], c["seed"]
     )
-    artifacts = {"attack.json": _json_bytes(summary.to_dict())}
+    artifacts = {"attack.json": (_json_bytes(summary.to_dict()),)}
     if csv:
-        artifacts["trials.csv"] = _csv_bytes(
-            "trial,true_alice,decision,credit",
+        columns = (
             map(str, range(summary.trials)),
             np.where(summary.alice_high, SwitchState.HIGH.value, SwitchState.LOW.value).tolist(),
             [VERDICTS[k].value for k in summary.verdicts.tolist()],
             map(repr, credits(summary.verdicts, summary.alice_high).tolist()),
         )
+        artifacts["trials.csv"] = _csv_bytes("trial,true_alice,decision,credit", zip(*columns))
     return artifacts, (
         f"trials={summary.trials} accuracy={summary.accuracy:.6g} "
         f"correct={summary.correct} wrong={summary.wrong} undecided={summary.undecided}"
@@ -267,6 +277,11 @@ def _pdf_inputs(s: dict) -> tuple[dict, tuple]:
     half_width = half_width if s["half_width"] is None else float(s["half_width"])
     if not (0.0 < dx < math.inf and 0.0 < half_width < math.inf):
         raise ValueError("dx and half-width must be positive and finite")
+    # PdfGrid.second_moment squares x, and each component's grid spans the
+    # half width times its weight over the larger weight, so neither the
+    # half width nor the larger weight may have a square that overflows.
+    if not all(math.isfinite(v * v) for v in (half_width, max(w.alpha, w.beta))):
+        raise ValueError("half-width and mixture weights must have finite squares")
     config = {
         "dx": dx,
         "half_width": half_width,
@@ -279,7 +294,7 @@ def _pdf_inputs(s: dict) -> tuple[dict, tuple]:
     return config, (kind, w, dx, half_width)
 
 
-def _pdf(inputs: tuple, csv: bool) -> tuple[dict[str, bytes], str]:
+def _pdf(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
     kind, w, dx, half_width = inputs
     mixture, reference = closure_pair(kind, w, dx=dx, half_width=half_width)
     residual = l1_residual(mixture, reference)
@@ -297,8 +312,8 @@ def _pdf(inputs: tuple, csv: bool) -> tuple[dict[str, bytes], str]:
     }
     columns = (mixture.x, mixture.values, reference.values)
     artifacts = {
-        "pdf.csv": _csv_bytes("x,p_a,p_h", *map(_float_column, columns)),
-        "pdf.json": _json_bytes(summary),
+        "pdf.csv": _csv_bytes("x,p_a,p_h", zip(*map(_float_column, columns))),
+        "pdf.json": (_json_bytes(summary),),
     }
     return artifacts, (
         f"kind={kind.value} alpha={w.alpha:.6g} beta={w.beta:.6g} "
@@ -313,17 +328,21 @@ def _sweep_inputs(s: dict) -> tuple[dict, tuple[SessionConfig, list[float]]]:
     return {**config.to_dict(), "multipliers": multipliers}, (config, multipliers)
 
 
-def _sweep(inputs: tuple[SessionConfig, list[float]], csv: bool) -> tuple[dict[str, bytes], str]:
+def _sweep(
+    inputs: tuple[SessionConfig, list[float]], csv: bool
+) -> tuple[dict[str, Iterable[bytes]], str]:
     config, multipliers = inputs
     points = leak_sweep(config, multipliers)
     summary = {"base_config": config.to_dict(), "points": [p.to_dict() for p in points]}
     artifacts = {
         "sweep.csv": _csv_bytes(
             "multiplier,eve_accuracy",
-            [repr(p.multiplier) for p in points],
-            ["" if p.eve_accuracy is None else repr(p.eve_accuracy) for p in points],
+            zip(
+                [repr(p.multiplier) for p in points],
+                ["" if p.eve_accuracy is None else repr(p.eve_accuracy) for p in points],
+            ),
         ),
-        "sweep.json": _json_bytes(summary),
+        "sweep.json": (_json_bytes(summary),),
     }
     return artifacts, "\n".join(
         f"multiplier={p.multiplier:.6g} "
@@ -421,9 +440,13 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         artifacts, report = run(inputs, getattr(args, "csv", False))
         outputs = {}
-        for name, data in artifacts.items():
-            (out_dir / name).write_bytes(data)
-            outputs[name] = hashlib.sha256(data).hexdigest()
+        for name, chunks in artifacts.items():
+            digest = hashlib.sha256()
+            with open(out_dir / name, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+                    digest.update(chunk)
+            outputs[name] = digest.hexdigest()
         manifest = {
             "command": args.command,
             "config": config,

@@ -21,8 +21,7 @@ from .noise import BlockStreams, NoiseSpec, ResistorPair, check_finite, check_si
 # (largest) block: the two line arrays of line_block and the two
 # hypothesis buffers of eve.BlockAttack. The rest is computed in place in
 # them or one column chunk of this budget at a time, so a long trace that
-# runs alone peaks at four float64 arrays of its own length (plus a
-# one-byte-per-sample finiteness mask of one line array).
+# runs alone peaks at four float64 arrays of its own length.
 BLOCK_SAMPLES = 2**15
 
 

@@ -98,8 +98,12 @@ class NoiseSpec:
 
 
 def check_finite(samples: np.ndarray) -> None:
-    """Refuse sample arrays, of any shape, that hold an infinity or NaN."""
-    if not np.isfinite(samples).all():
+    """Refuse sample arrays, of any shape, that hold an infinity or NaN.
+
+    A NaN propagates through both ``min`` and ``max``, and an infinity is
+    one of them, so checking the two needs no one-byte-per-sample mask.
+    """
+    if samples.size and not (math.isfinite(samples.min()) and math.isfinite(samples.max())):
         raise ValueError("trace samples must be finite")
 
 

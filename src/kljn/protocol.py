@@ -10,14 +10,17 @@ records how often she wins beyond the coin-flip baseline.
 
 A session's outcome is a table of read-only numpy columns: each party's
 switch and the classified level per bit, and the attack's verdict code per
-secure bit. :meth:`SessionOutcome.bit_fields` derives the per-bit records
-from them once, for ``session.json`` and ``bits.csv`` alike.
+secure bit. :meth:`SessionOutcome.bit_blocks` derives the per-bit records
+from them one block of bits at a time, for ``session.json`` and
+``bits.csv`` alike, so rendering a session holds one block's records, not
+the session's.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -36,6 +39,40 @@ class Level(str, Enum):
     LOW = "low"
     MID = "mid"
     HIGH = "high"
+
+
+# Object arrays, so every list taken from them shares these few strings.
+_LEVEL_VALUES = np.array([level.value for level in Level], dtype=object)
+_STATE_VALUES = np.array([SwitchState.LOW.value, SwitchState.HIGH.value], dtype=object)
+_DECISION_VALUES = np.array([decision.value for decision in VERDICTS], dtype=object)
+# The per-bit fields of a session's records, in the column order of bits.csv.
+BIT_FIELDS = (
+    "bit_index",
+    "alice_state",
+    "bob_state",
+    "classified_level",
+    "secure",
+    "discarded",
+    "key_bit",
+    "eve_decision",
+)
+# Bits per block of per-bit fields: a session's records are derived and
+# rendered one block at a time, so their memory is flat in the bit count.
+_BIT_BLOCK = 4096
+# One record of session.json's "bits" list as json.dumps(indent=2,
+# sort_keys=True) lays it out: fields in sorted order, bit_index an int
+# and every other value its JSON text.
+_JSON_RECORD = """\
+    {
+      "alice_state": %s,
+      "bit_index": %d,
+      "bob_state": %s,
+      "classified_level": %s,
+      "discarded": %s,
+      "eve_decision": %s,
+      "key_bit": %s,
+      "secure": %s
+    }"""
 
 
 @dataclass(frozen=True)
@@ -88,6 +125,11 @@ class SessionOutcome:
     ``levels`` (the classified level's index in ``Level``, low to high)
     hold one entry per bit. ``verdicts`` holds the attack's verdict code
     (:data:`kljn.eve.VERDICTS`) of each secure bit, in bit order.
+
+    The per-bit records are derived from the columns a block of bits at a
+    time (:meth:`bit_blocks`): :meth:`json_chunks` streams ``session.json``
+    from them and the CLI's ``bits.csv`` takes its cells from them.
+    :meth:`to_dict` is the whole outcome as one dict.
     """
 
     alice_high: np.ndarray
@@ -102,44 +144,101 @@ class SessionOutcome:
         for column in (self.alice_high, self.bob_high, self.levels, self.verdicts):
             column.setflags(write=False)
 
-    def bit_fields(self) -> dict[str, list]:
-        """The eight per-bit fields of ``session.json`` and ``bits.csv``, each a list in bit order.
+    def bit_fields(self, start: int, stop: int, first_verdict: int) -> dict[str, list | range]:
+        """The per-bit fields (``BIT_FIELDS``) of the block of bits ``start`` to ``stop``.
 
-        States, levels and decisions are their enum values. A bit's
-        ``key_bit`` (Alice's switch, low 0 and high 1) is None unless the
-        bit is secure and kept, and its ``eve_decision`` is None unless it
-        is secure.
+        Each field is a list in bit order, except ``bit_index``, a range.
+        ``first_verdict`` is the number of secure bits before ``start``,
+        which is where the block's entries of ``verdicts`` begin. States,
+        levels and decisions are their enum values. A bit's ``key_bit``
+        (Alice's switch, low 0 and high 1) is None unless the bit is secure
+        and kept, and its ``eve_decision`` is None unless it is secure.
         """
-        secure = self.alice_high != self.bob_high
+        alice_high, bob_high = self.alice_high[start:stop], self.bob_high[start:stop]
+        secure = alice_high != bob_high
         # The number of high switches indexes the true level.
-        discarded = self.levels != self.alice_high + self.bob_high.astype(np.intp)
+        discarded = self.levels[start:stop] != alice_high + bob_high.astype(np.intp)
+        verdicts = self.verdicts[first_verdict : first_verdict + np.count_nonzero(secure)]
         decisions = np.full(len(secure), None)
-        decisions[secure] = [VERDICTS[k].value for k in self.verdicts.tolist()]
-        low, high = SwitchState.LOW.value, SwitchState.HIGH.value
+        decisions[secure] = _DECISION_VALUES[verdicts]
+        columns = (
+            range(start, start + len(secure)),
+            _STATE_VALUES[alice_high.astype(np.intp)].tolist(),
+            _STATE_VALUES[bob_high.astype(np.intp)].tolist(),
+            _LEVEL_VALUES[self.levels[start:stop]].tolist(),
+            secure.tolist(),
+            discarded.tolist(),
+            np.where(secure & ~discarded, alice_high.astype(np.intp), None).tolist(),
+            decisions.tolist(),
+        )
+        return dict(zip(BIT_FIELDS, columns))
+
+    def bit_blocks(self) -> Iterator[dict[str, list | range]]:
+        """:meth:`bit_fields` of each block of ``_BIT_BLOCK`` (4096) bits, in bit order.
+
+        The number of secure bits before a block is carried from block to
+        block, so no field of the whole session is ever built.
+        """
+        first_verdict = 0
+        for start in range(0, len(self.alice_high), _BIT_BLOCK):
+            fields = self.bit_fields(start, start + _BIT_BLOCK, first_verdict)
+            first_verdict += fields["secure"].count(True)
+            yield fields
+
+    def _aggregates(self) -> dict:
         return {
-            "bit_index": list(range(len(secure))),
-            "alice_state": np.where(self.alice_high, high, low).tolist(),
-            "bob_state": np.where(self.bob_high, high, low).tolist(),
-            "classified_level": np.array([level.value for level in Level])[self.levels].tolist(),
-            "secure": secure.tolist(),
-            "discarded": discarded.tolist(),
-            "key_bit": np.where(secure & ~discarded, self.alice_high.astype(np.intp), None).tolist(),
-            "eve_decision": decisions.tolist(),
+            "bit_error_rate": self.bit_error_rate,
+            "eve_accuracy": self.eve_accuracy,
+            "secure_bit_fraction": self.secure_bit_fraction,
         }
 
     def to_dict(self) -> dict:
-        fields = self.bit_fields()
         return {
-            "aggregates": {
-                "bit_error_rate": self.bit_error_rate,
-                "eve_accuracy": self.eve_accuracy,
-                "secure_bit_fraction": self.secure_bit_fraction,
-            },
-            "bits": [dict(zip(fields, bit)) for bit in zip(*fields.values())],
+            "aggregates": self._aggregates(),
+            "bits": [
+                dict(zip(fields, bit))
+                for fields in self.bit_blocks()
+                for bit in zip(*fields.values())
+            ],
         }
 
+    def json_chunks(self) -> Iterator[str]:
+        """The text of :meth:`to_json` in pieces: the aggregates, then one piece per bit record.
+
+        The text is ``json.dumps(self.to_dict(), indent=2, sort_keys=True)``
+        and a final newline. Records come from :meth:`bit_blocks`, so a
+        consumer that writes each piece holds one block's fields and one
+        record's text at a time; a piece per block would hold a block's
+        records twice, as a list and as their join. Within a block each
+        field's distinct values are encoded once with ``json.dumps``, and
+        ``bit_index``, an int, is formatted as its digits.
+        """
+        empty = json.dumps(
+            {"aggregates": self._aggregates(), "bits": []}, indent=2, sort_keys=True
+        )
+        head, tail = empty.split("[]")  # the bits list is the only list
+        if not len(self.alice_high):
+            yield empty + "\n"
+            return
+        separator = head + "[\n"
+        for fields in self.bit_blocks():
+            columns = [
+                column if name == "bit_index" else _json_texts(column)
+                for name, column in sorted(fields.items())
+            ]
+            for record in zip(*columns):
+                yield separator + _JSON_RECORD % record
+                separator = ",\n"
+        yield "\n  ]" + tail + "\n"
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return "".join(self.json_chunks())
+
+
+def _json_texts(column: list) -> Iterator[str]:
+    """The JSON text of each value, ``json.dumps`` run once per distinct value."""
+    texts = {value: json.dumps(value) for value in set(column)}
+    return map(texts.__getitem__, column)
 
 
 def _level_cuts(pair: ResistorPair, sigma_low: float, sigma_high: float) -> tuple[float, float]:

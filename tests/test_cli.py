@@ -6,13 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kljn
-from kljn.cli import _CSV_BLOCK, _csv_bytes, _float_column, main
+import kljn.cli
+from kljn.cli import _COMMANDS, _CSV_BLOCK, _csv_bytes, _float_column, main
+from test_protocol import random_outcome
 
 
 def run(argv):
@@ -244,6 +247,12 @@ class TestPdf:
         # a grid too narrow for the tails is a computation failure
         assert run(["pdf", "--half-width", "1.0", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_largest_squarable_grid_still_runs(self, tmp_path):
+        # the default half width at sigma_low 1e150 is 1.6e151, whose square is finite
+        assert run(["pdf", "--sigma-low", "1e150", "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "pdf.json")["residual"] <= 1e-6
+
 
 class TestSweep:
     def test_writes_points(self, tmp_path, capsys):
@@ -396,6 +405,9 @@ USAGE_CASES = [
     (["attack", "--config", "{cfg}"], json.dumps({"sigma_high": True})),
     (["pdf", "--config", "{cfg}"], json.dumps({"dx": True})),
     (["sweep", "--config", "{cfg}"], json.dumps({"multipliers": [1.0, True]})),
+    # a pdf grid whose half width, or larger weight, has an overflowing square
+    (["pdf", "--half-width", "1e160"], None),
+    (["pdf", "--sigma-low", "1e200", "--half-width", "1e150"], None),
 ]
 
 
@@ -418,8 +430,8 @@ OVERFLOW_CASES = [
     pytest.param(["sweep", "--sigma-low", "1e200"], 2, id="sweep"),
     pytest.param(["attack", "--sigma-low", "1e200", "--samples", "200", "--trials", "2"], 2,
                  id="attack"),
-    pytest.param(["pdf", "--sigma-low", "1e200"], 3, id="pdf"),
-    pytest.param(["pdf", "--sigma-low", "3e153"], 3, id="pdf-grid"),
+    pytest.param(["pdf", "--sigma-low", "1e200"], 2, id="pdf"),
+    pytest.param(["pdf", "--sigma-low", "3e153"], 2, id="pdf-grid"),
     pytest.param(["attack", "--r-high", "1e160", "--sigma-low", "1e150", "--sigma-high", "1e150",
                   "--samples", "200", "--trials", "2"], 3, id="attack-line"),
 ]
@@ -434,6 +446,43 @@ def test_float_overflow_is_a_one_line_error(tmp_path, capsys, argv, code):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out.exists() == (code == 3)
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_renderer_failing_mid_artifact_is_a_run_failure(monkeypatch, tmp_path, capsys):
+    def failing_chunks():
+        yield b"{\n"
+        raise ValueError("renderer failed")
+
+    validate, _ = _COMMANDS["simulate"]
+    monkeypatch.setitem(
+        _COMMANDS, "simulate", (validate, lambda inputs, csv: ({"session.json": failing_chunks()}, "done"))
+    )
+    assert run(["simulate", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: renderer failed\n"
+    assert captured.out == ""
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def artifact_peak(monkeypatch, out_dir, bits, csv):
+    """Peak bytes ``tracemalloc`` sees while ``main`` writes the artifacts of a random session."""
+    outcome = random_outcome(bits)
+    monkeypatch.setattr(kljn.cli, "run_session", lambda config: outcome)
+    argv = ["simulate", "--bits", str(bits), "--samples-per-bit", "150", "--out", str(out_dir)]
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--csv"] * csv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["json", "json-and-csv"])
+def test_artifact_peak_does_not_grow_with_the_session(monkeypatch, tmp_path, capsys, csv):
+    # 2 000 bits are one block of records and 40 000 are ten, and a whole
+    # session.json of 40 000 bits is ~9 MB
+    small, large = (artifact_peak(monkeypatch, tmp_path / str(b), b, csv) for b in (2000, 40_000))
+    assert large - small < 2**20
 
 
 def plain_csv(header, columns):
@@ -474,7 +523,7 @@ RENDER_CASES = [
 @pytest.mark.parametrize("columns", RENDER_CASES)
 def test_block_renderer_matches_plain_repr(columns):
     header = ",".join(f"c{k}" for k in range(len(columns)))
-    got = _csv_bytes(header, *map(_float_column, columns))
+    got = b"".join(_csv_bytes(header, zip(*map(_float_column, columns))))
     assert got == plain_csv(header, columns)
 
 

@@ -14,6 +14,7 @@ from kljn import (
     scaled_sigma_high,
     stream,
 )
+from kljn.noise import check_finite
 
 BOLTZMANN = 1.380649e-23  # exact SI definition
 
@@ -135,6 +136,31 @@ class TestSampling:
         # would put essentially nothing there.
         far = float(np.mean(np.abs(trace) > 10.0 * scale))
         assert 0.04 < far < 0.09
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    def test_refuses_a_non_finite_value_anywhere(self, bad, where):
+        x = np.linspace(-1.0, 1.0, 7)
+        x[where] = bad
+        with pytest.raises(ValueError, match="trace samples must be finite"):
+            check_finite(x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_value_in_two_dimensions(self, bad):
+        x = np.zeros((3, 5))
+        x[1, 2] = bad
+        with pytest.raises(ValueError, match="trace samples must be finite"):
+            check_finite(x)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (3, 0)])
+    def test_accepts_an_empty_array(self, shape):
+        check_finite(np.empty(shape))
+
+    def test_accepts_the_largest_finite_values(self):
+        big = np.finfo(np.float64).max
+        check_finite(np.array([[-big, 0.0], [5e-324, big]]))
 
 
 class TestStreams:

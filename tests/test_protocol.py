@@ -1,5 +1,6 @@
 """Sessions: level sifting, key agreement, leak accounting, sweeps."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -17,8 +18,10 @@ from kljn import (
     stream,
     theoretical_line_variance,
 )
+import kljn.cli
+import kljn.protocol
 from kljn.cli import _simulate
-from kljn.protocol import _classify_rows, _level_cuts, sweep_configs
+from kljn.protocol import SessionOutcome, _classify_rows, _level_cuts, sweep_configs
 
 PAIR = ResistorPair(1.0, 4.0)
 
@@ -189,7 +192,7 @@ class TestRunSession:
     def test_csv_dump(self, tmp_path):
         artifacts, _ = _simulate(config(bits=5, samples_per_bit=150, seed=77), csv=True)
         path = tmp_path / "bits.csv"
-        path.write_bytes(artifacts["bits.csv"])
+        path.write_bytes(b"".join(artifacts["bits.csv"]))
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "bit_index,alice_state,bob_state,classified_level,secure,discarded,key_bit,eve_decision"
@@ -199,6 +202,65 @@ class TestRunSession:
         assert fields[0] == "0"
         assert fields[1] in ("low", "high")
         assert fields[4] in ("true", "false")
+
+
+def random_outcome(bits: int) -> SessionOutcome:
+    """An outcome of random columns, any level and verdict for any bit, with no engine run."""
+    rng = np.random.default_rng(bits)
+    alice_high = rng.integers(0, 2, bits).astype(bool)
+    bob_high = rng.integers(0, 2, bits).astype(bool)
+    verdicts = rng.integers(0, 4, int(np.count_nonzero(alice_high != bob_high)))
+    levels = rng.integers(0, 3, bits)
+    return SessionOutcome(alice_high, bob_high, levels, verdicts, verdicts.size / bits, 0.0, 0.5)
+
+
+def simulate_artifacts(outcome: SessionOutcome, monkeypatch) -> dict[str, bytes]:
+    """The bytes of each artifact ``simulate --csv`` writes for ``outcome``."""
+    monkeypatch.setattr(kljn.cli, "run_session", lambda cfg: outcome)
+    artifacts, _ = _simulate(config(), csv=True)
+    return {name: b"".join(chunks) for name, chunks in artifacts.items()}
+
+
+RENDERED_OUTCOMES = [
+    *(
+        pytest.param(lambda bits=bits: run_session(config(bits=bits, samples_per_bit=150, seed=bits)),
+                     id=f"bits-{bits}")
+        for bits in (1, 2, 5, 13)
+    ),
+    pytest.param(lambda: run_session(config(bits=2, samples_per_bit=150, seed=2)), id="no-secure-bit"),
+    pytest.param(
+        lambda: run_session(
+            config(kind=DistributionKind.UNIFORM, sigma_high=3.0, bits=13, samples_per_bit=2000, seed=0)
+        ),
+        id="uniform-off-law",
+    ),
+    pytest.param(lambda: random_outcome(13), id="random-columns"),
+]
+
+
+class TestRendering:
+    @pytest.mark.parametrize("make", RENDERED_OUTCOMES)
+    def test_blocks_of_four_bits_render_what_one_block_does(self, make, monkeypatch):
+        outcome = make()
+        whole_dict = outcome.to_dict()
+        whole = simulate_artifacts(outcome, monkeypatch)
+        monkeypatch.setattr(kljn.protocol, "_BIT_BLOCK", 4)
+        # the rule to_json followed before it streamed its records
+        assert outcome.to_json() == json.dumps(outcome.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert outcome.to_dict() == whole_dict
+        assert simulate_artifacts(outcome, monkeypatch) == whole
+        assert whole["session.json"] == outcome.to_json().encode("ascii")
+
+    def test_a_session_with_no_secure_bit_has_no_accuracy(self):
+        outcome = run_session(config(bits=2, samples_per_bit=150, seed=2))
+        assert outcome.eve_accuracy is None
+        assert '"eve_accuracy": null' in outcome.to_json()
+
+    def test_an_empty_outcome_renders_an_empty_bits_list(self):
+        columns = (np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.intp))
+        outcome = SessionOutcome(*columns, np.zeros(0, dtype=np.int64), 0.0, 0.0, None)
+        assert outcome.to_json() == json.dumps(outcome.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert outcome.to_dict()["bits"] == []
 
 
 class TestSessionConfig:
