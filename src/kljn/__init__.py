@@ -32,7 +32,6 @@ from .density import (
     PdfGrid,
     TruncationError,
     analytic_pdf,
-    cauchy_mixture_scale,
     closure_pair,
     closure_residual,
     convolve_scaled,
@@ -75,7 +74,6 @@ __all__ = [
     "VERDICTS",
     "analytic_pdf",
     "attack_trials",
-    "cauchy_mixture_scale",
     "closure_pair",
     "closure_residual",
     "convolve_scaled",

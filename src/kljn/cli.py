@@ -22,7 +22,10 @@ name, and the text to print. An artifact is an iterable of encoded byte
 chunks (a JSON summary is one chunk), which :func:`main` writes and feeds
 to the artifact's sha256 as they arrive. The large artifacts are rendered
 a block of rows or bits at a time, so none is ever held whole and a run's
-memory does not grow with its output.
+memory does not grow with its output. Each artifact is written under a
+temporary name in ``--out`` and renamed once every digest is taken, before
+the manifest is written; a run that fails removes the files it staged, so
+it leaves no partial artifact behind.
 
 Exit codes: 0 on success, 2 for unusable arguments or configuration, 3
 for failures while computing or writing results. A value error or an
@@ -45,10 +48,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import closure_pair, default_grid, l1_residual, weights
+from .density import check_grid, closure_pair, default_grid, l1_residual, weights
 from .eve import VERDICTS, attack_trials, check_trial_settings, credits
 from .line import SwitchState
-from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, scaled_sigma_high
+from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, check_variance
+from .noise import scaled_sigma_high
 from .protocol import BIT_FIELDS, SessionConfig, leak_sweep, run_session, sweep_configs
 
 _KIND_CHOICES = tuple(k.value for k in DistributionKind)
@@ -267,21 +271,12 @@ def _attack(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
 
 def _pdf_inputs(s: dict) -> tuple[dict, tuple]:
     pair, kind, sigma_low, sigma_high = _noise(s)
-    if kind is DistributionKind.CAUCHY:
-        raise ValueError(
-            "pdf compares against a variance-matched reference, which the Cauchy family lacks"
-        )
+    check_variance(kind, "variance-matched pdf comparisons")
     w = weights(pair, sigma_low, sigma_high)
     dx, half_width = default_grid(w)
     dx = dx if s["dx"] is None else float(s["dx"])
     half_width = half_width if s["half_width"] is None else float(s["half_width"])
-    if not (0.0 < dx < math.inf and 0.0 < half_width < math.inf):
-        raise ValueError("dx and half-width must be positive and finite")
-    # PdfGrid.second_moment squares x, and each component's grid spans the
-    # half width times its weight over the larger weight, so neither the
-    # half width nor the larger weight may have a square that overflows.
-    if not all(math.isfinite(v * v) for v in (half_width, max(w.alpha, w.beta))):
-        raise ValueError("half-width and mixture weights must have finite squares")
+    check_grid(w, dx, half_width)
     config = {
         "dx": dx,
         "half_width": half_width,
@@ -435,18 +430,23 @@ def main(argv: list[str] | None = None) -> int:
     except (TypeError, ValueError, ArithmeticError) as exc:
         _print_error(exc)
         return 2
+    out_dir = Path(args.out)
+    staged = {}  # artifact name -> the temporary path it is written under
     try:
-        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         artifacts, report = run(inputs, getattr(args, "csv", False))
         outputs = {}
         for name, chunks in artifacts.items():
             digest = hashlib.sha256()
-            with open(out_dir / name, "wb") as fh:
+            staged[name] = out_dir / f".{name}.part"
+            with open(staged[name], "wb") as fh:
                 for chunk in chunks:
                     fh.write(chunk)
                     digest.update(chunk)
             outputs[name] = digest.hexdigest()
+        for name, path in staged.items():
+            path.replace(out_dir / name)
+        staged.clear()
         manifest = {
             "command": args.command,
             "config": config,
@@ -458,6 +458,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         _print_error(exc)
         return 3
+    finally:
+        for path in staged.values():
+            path.unlink(missing_ok=True)
     print(report)
     return 0
 

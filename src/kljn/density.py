@@ -23,6 +23,10 @@ narrower one the same number of its own scale units, which keeps Gaussian
 and uniform tail loss far below the rejection threshold. Cauchy tails
 decay only quadratically, so Cauchy grids must be requested much wider
 explicitly. Convolutions run as zero-padded real FFTs.
+
+A family's closed-form density and CDF are its entry of
+:data:`kljn.noise.LAWS`, and so is whether it has a variance to match, so
+nothing here depends on which family it is.
 """
 
 from __future__ import annotations
@@ -35,21 +39,12 @@ import numpy as np
 # would move its import cost from start-up into the first convolution.
 import numpy.fft  # noqa: F401
 
-from .noise import DistributionKind, ResistorPair, check_sigmas
+from .noise import LAWS, DistributionKind, ResistorPair, check_sigmas, check_variance
 
 NORMALIZATION_TOL = 1e-6
 TRUNCATION_BUDGET = 1e-3
 POINTS_PER_SCALE = 200
 HALF_WIDTH_SCALES = 8.0
-
-_SQRT3 = math.sqrt(3.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-_SQRT1_2 = math.sqrt(0.5)
-
-
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """``math.erfc`` of every element (numpy has no erfc ufunc)."""
-    return np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 class TruncationError(ValueError):
@@ -141,48 +136,6 @@ def weights(pair: ResistorPair, sigma_low: float, sigma_high: float) -> Hypothes
     return HypothesisWeights(alpha=alpha, beta=beta)
 
 
-def family_pdf(kind: DistributionKind, scale: float, x: np.ndarray) -> np.ndarray:
-    """Closed-form density of one family member, evaluated pointwise.
-
-    The uniform density takes the midpoint value at its two jump points,
-    which keeps trapezoidal integrals of grids whose endpoints straddle
-    the jumps as close to exact as the grid permits.
-    """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    if kind is DistributionKind.GAUSSIAN:
-        return np.exp(-0.5 * (x / scale) ** 2) / (scale * _SQRT2PI)
-    if kind is DistributionKind.UNIFORM:
-        half = _SQRT3 * scale
-        height = 1.0 / (2.0 * half)
-        at_edge = np.isclose(np.abs(x), half, rtol=1e-12, atol=0.0)
-        inside = np.abs(x) < half
-        return np.select([at_edge, inside], [0.5 * height, height], default=0.0)
-    if kind is DistributionKind.CAUCHY:
-        return scale / (math.pi * (x * x + scale * scale))
-    raise ValueError(f"unknown distribution kind: {kind!r}")
-
-
-def family_cdf(kind: DistributionKind, scale: float, x: np.ndarray) -> np.ndarray:
-    """Closed-form CDF of one family member, used for tail accounting.
-
-    The Gaussian branch, ``erfc(-x / (scale sqrt 2)) / 2``, is also the
-    normal CDF behind :mod:`kljn.eve`'s two-sided z p-values.
-    """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    if kind is DistributionKind.GAUSSIAN:
-        return 0.5 * _erfc(-(x / scale) * _SQRT1_2)
-    if kind is DistributionKind.UNIFORM:
-        half = _SQRT3 * scale
-        return np.clip((x + half) / (2.0 * half), 0.0, 1.0)
-    if kind is DistributionKind.CAUCHY:
-        return 0.5 + np.arctan(x / scale) / math.pi
-    raise ValueError(f"unknown distribution kind: {kind!r}")
-
-
 def symmetric_grid(half_width: float, dx: float) -> tuple[float, float, int]:
     """Grid parameters ``(x0, dx, m)`` covering ``[-half_width, half_width]``."""
     if half_width <= 0.0 or dx <= 0.0:
@@ -194,7 +147,7 @@ def symmetric_grid(half_width: float, dx: float) -> tuple[float, float, int]:
 
 
 def analytic_pdf(kind: DistributionKind, scale: float, x0: float, dx: float, m: int) -> PdfGrid:
-    """Tabulate a family density on an explicit grid and renormalize.
+    """Tabulate a family density (``LAWS[kind].pdf``) on an explicit grid and renormalize.
 
     Raises
     ------
@@ -203,21 +156,22 @@ def analytic_pdf(kind: DistributionKind, scale: float, x0: float, dx: float, m: 
         least ``TRUNCATION_BUDGET``; such a grid would hide real tail
         probability behind renormalization.
     """
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
     if m < 2:
         raise ValueError("grid needs at least two points")
     if dx <= 0.0:
         raise ValueError("dx must be positive")
+    law = LAWS[kind]
     x_end = x0 + dx * (m - 1)
-    inside = float(family_cdf(kind, scale, np.array([x_end]))[0]) - float(
-        family_cdf(kind, scale, np.array([x0]))[0]
-    )
-    missing = 1.0 - inside
+    first, last = law.cdf(np.array([x0, x_end]), scale).tolist()
+    missing = 1.0 - (last - first)
     if missing >= TRUNCATION_BUDGET:
         raise TruncationError(
             f"grid [{x0}, {x_end}] misses {missing:.3e} of the {kind.value} mass; widen it"
         )
     xs = x0 + dx * np.arange(m)
-    raw = family_pdf(kind, scale, xs)
+    raw = law.pdf(xs, scale)
     total = float(np.trapezoid(raw, dx=dx))
     if total <= 0.0:
         raise TruncationError("grid holds no probability mass")
@@ -233,6 +187,20 @@ def default_grid(w: HypothesisWeights) -> tuple[float, float]:
     """
     finer = w.alpha if w.beta == 0.0 else min(w.alpha, w.beta)
     return finer / POINTS_PER_SCALE, HALF_WIDTH_SCALES * math.hypot(w.alpha, w.beta)
+
+
+def check_grid(w: HypothesisWeights, dx: float, half_width: float) -> None:
+    """Refuse a spacing and half width that cannot tabulate the mixture of ``w``.
+
+    Both must be positive and finite. :meth:`PdfGrid.second_moment`
+    squares x, and each component's grid spans the half width times its
+    weight over the larger weight, so neither the half width nor the larger
+    weight may have a square that overflows.
+    """
+    if not (0.0 < dx < math.inf and 0.0 < half_width < math.inf):
+        raise ValueError("dx and half-width must be positive and finite")
+    if not all(math.isfinite(v * v) for v in (half_width, max(w.alpha, w.beta))):
+        raise ValueError("half-width and mixture weights must have finite squares")
 
 
 def _component_grids(
@@ -252,6 +220,7 @@ def _component_grids(
     default_dx, default_half_width = default_grid(w)
     dx = default_dx if dx is None else dx
     half_width = default_half_width if half_width is None else half_width
+    check_grid(w, dx, half_width)
     if w.beta == 0.0:
         grid = analytic_pdf(kind, w.alpha, *symmetric_grid(half_width, dx))
         return grid, grid
@@ -333,15 +302,10 @@ def closure_pair(
 
     Returns ``(mixture, reference)`` on one common grid, where the
     reference has scale ``sqrt(alpha^2 + beta^2)``. The family is closed
-    under the mixture exactly when these two coincide. Cauchy is refused
-    because no variance exists to match; see
-    :func:`cauchy_mixture_scale` for its scale arithmetic.
+    under the mixture exactly when these two coincide. A family without a
+    variance (Cauchy) is refused, as there is none to match.
     """
-    if kind is DistributionKind.CAUCHY:
-        raise ValueError(
-            "closure comparison matches variances, which the Cauchy family lacks; "
-            "use cauchy_mixture_scale for its additive scale identity"
-        )
+    check_variance(kind, "closure comparisons")
     sigma_mix = math.hypot(w.alpha, w.beta)
     mixture = convolve_scaled(kind, w, dx=dx, half_width=half_width)
     reference = analytic_pdf(kind, sigma_mix, mixture.x0, mixture.dx, mixture.values.size)
@@ -374,17 +338,3 @@ def closure_residual(
     not, and the residual is their detectable signature.
     """
     return l1_residual(*closure_pair(kind, w, dx=dx, half_width=half_width))
-
-
-def cauchy_mixture_scale(w: HypothesisWeights, gamma: float = 1.0) -> float:
-    """Scale of a sum of independent scaled Cauchy draws.
-
-    Cauchy scales add linearly under convolution, so the mixture is again
-    Cauchy with scale ``(alpha + beta) * gamma``. The family is closed in
-    shape, but matching also the observed scale imposes a different
-    amplitude law than the finite-variance families, and the absent
-    variance rules the Cauchy out for the level-based protocol anyway.
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    return (w.alpha + w.beta) * gamma

@@ -11,6 +11,9 @@ security question: Gaussian shape plus the square-root amplitude law make
 it indistinguishable even in variance, and any deviation opens a gap that
 two tests can see. Per party and hypothesis, a variance z test checks the
 amplitude law and a Kolmogorov-Smirnov shape test checks Gaussianity.
+What the attack needs of a source family comes from its entry of
+:data:`kljn.noise.LAWS`: its shape reference grid, and whether it has a
+variance to test, which also sets the Bonferroni count.
 
 :class:`BlockAttack` is the one attack. It holds line signals one bit per
 row, so a single bit is a one-row block, and :meth:`BlockAttack.tests`
@@ -39,22 +42,13 @@ from typing import NamedTuple, TypeVar
 import numpy as np
 
 from . import line
-from .density import PdfGrid, analytic_pdf, family_cdf, symmetric_grid, weights
+from .density import PdfGrid, analytic_pdf, symmetric_grid, weights
 from .line import SwitchState, blocks, line_block, resistance_for
-from .noise import BlockStreams, DistributionKind, NoiseSpec, ResistorPair
+from .noise import LAWS, BlockStreams, DistributionKind, NoiseSpec, ResistorPair
 # Unused here; bench/test_bench.py checks that its tracer wraps this binding.
 from .noise import stream  # noqa: F401
 
 MIN_TEST_SAMPLES = 100
-
-# Tabulation policy for reference densities handed to the shape test.
-# Uniform gets a finer grid because its jump discontinuities dominate
-# the CDF interpolation error; Cauchy needs width, not resolution.
-_REFERENCE_POLICY = {
-    DistributionKind.GAUSSIAN: (8.0, 1.0 / 200.0),
-    DistributionKind.UNIFORM: (8.0, 1.0 / 2000.0),
-    DistributionKind.CAUCHY: (800.0, 1.0 / 200.0),
-}
 
 # Kolmogorov survival function (see _kolmogorov_sf). Below the cutover it
 # is 1 minus the Jacobi theta form of the CDF,
@@ -125,7 +119,7 @@ def _mean_square(x: np.ndarray) -> np.ndarray:
 
 def _z_p_value(z: np.ndarray) -> np.ndarray:
     """Two-sided p-value of standard normal scores, ``2 Phi(-|z|) = erfc(|z| / sqrt 2)``."""
-    return 2.0 * family_cdf(DistributionKind.GAUSSIAN, 1.0, -np.abs(z))
+    return 2.0 * LAWS[DistributionKind.GAUSSIAN].cdf(-np.abs(z), 1.0)
 
 
 def _kolmogorov_sf(x: np.ndarray) -> np.ndarray:
@@ -166,13 +160,10 @@ def _ks_statistic(x: np.ndarray, reference: tuple[np.ndarray, np.ndarray]) -> np
 
 
 def reference_grid(spec: NoiseSpec) -> PdfGrid:
-    """Tabulate the density of a noise spec for use as a shape reference."""
-    widths, steps = _REFERENCE_POLICY[spec.kind]
-    return analytic_pdf(
-        spec.kind,
-        spec.scale,
-        *symmetric_grid(widths * spec.scale, steps * spec.scale),
-    )
+    """Tabulate a noise spec's density on its law's ``reference`` grid, for the shape test."""
+    widths, steps = LAWS[spec.kind].reference
+    grid = symmetric_grid(widths * spec.scale, steps * spec.scale)
+    return analytic_pdf(spec.kind, spec.scale, *grid)
 
 
 # The two mixed assignments: (decision if it survives, Alice's state, Bob's state).
@@ -201,7 +192,7 @@ class Evidence(NamedTuple):
     variance channel: the mean square of the reconstruction against the
     claimed variance, in units of the Gaussian-sampling standard error
     ``variance * sqrt(2 / n)``, and its two-sided p-value; both are NaN
-    for a Cauchy party, which has no variance. ``statistic`` (the KS
+    for a party whose law has no variance (Cauchy). ``statistic`` (the KS
     distance D from the reference CDF, which clamps to 0 or 1 off its
     grid) and ``shape_p`` (the asymptotic Kolmogorov p-value of
     ``sqrt(n) * D``) are the shape channel. ``rejected[hypothesis, row]``
@@ -249,10 +240,8 @@ class BlockAttack:
             [[self.by_state[s][0].scale ** 2 for s in parties] for _, *parties in _HYPOTHESES]
         )[:, :, None]
         # Each hypothesis tests one low and one high party, so both share
-        # one Bonferroni level; Cauchy sources get a shape test only.
-        n_tests = sum(
-            1 if spec.kind is DistributionKind.CAUCHY else 2 for spec in (spec_low, spec_high)
-        )
+        # one Bonferroni level; a source without a variance gets a shape test only.
+        n_tests = sum(1 + LAWS[spec.kind].variance for spec in (spec_low, spec_high))
         self.level = significance / n_tests
         # Scratch of the two hypotheses, shaped [hypothesis, row, sample].
         self._buffers: np.ndarray | None = None
@@ -261,10 +250,10 @@ class BlockAttack:
         """Every sub-test of both hypotheses on a block of line signals.
 
         Each hypothesis screens each party with a variance test and a shape
-        test (shape only for Cauchy sources). The per-test level is the
-        significance divided by the number of sub-tests (Bonferroni), so a
-        true hypothesis survives with probability at least
-        ``1 - significance``. Each kind of p-value is computed once per
+        test (shape only for sources without a variance). The per-test
+        level is the significance divided by the number of sub-tests
+        (Bonferroni), so a true hypothesis survives with probability at
+        least ``1 - significance``. Each kind of p-value is computed once per
         block, over all of its hypotheses, parties and rows together.
 
         Each hypothesis works in one buffer of the block's shape, the
@@ -305,7 +294,7 @@ class BlockAttack:
         bob_state: SwitchState,
         buffer: np.ndarray,
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-row mean squares (NaN for Cauchy) and KS distances of Alice and Bob.
+        """Per-row mean squares (NaN without a variance) and KS distances of Alice and Bob.
 
         Both parties work inside ``buffer``: the reconstruction is squared
         in place for the mean square, made again and sorted in place for the
@@ -317,10 +306,10 @@ class BlockAttack:
         for alice, state in ((True, alice_state), (False, bob_state)):
             spec, reference = self.by_state[state]
             r = resistance_for(self.pair, state)
-            if spec.kind is DistributionKind.CAUCHY:
-                mean_squares.append(np.full(len(buffer), np.nan))
-            else:
+            if LAWS[spec.kind].variance:
                 mean_squares.append(_mean_square(_reconstruct(voltage, current, r, alice, buffer)))
+            else:
+                mean_squares.append(np.full(len(buffer), np.nan))
             _reconstruct(voltage, current, r, alice, buffer).sort(axis=1)
             statistics.append(_ks_statistic(buffer, reference))
         return mean_squares, statistics

@@ -24,7 +24,7 @@ supports.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +37,8 @@ import numpy.random  # noqa: F401
 Boltzmann = 1.380649e-23
 
 _SQRT3 = math.sqrt(3.0)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
 
 # Stream channels of a bit: (i, 0) the two switch coins, (i, 1) Alice's
 # source, (i, 2) Bob's source.
@@ -299,14 +301,14 @@ def sample(
 ) -> np.ndarray:
     """Draw ``n`` independent samples from a noise source.
 
-    Gaussian draws are ``scale`` times standard normals. Uniform draws
-    cover ``[-sqrt(3) * scale, sqrt(3) * scale]`` so that the standard
-    deviation equals ``scale``. Cauchy draws are ``scale`` times standard
-    Cauchy variates; the rare non-finite values the inverse-CDF sampler
-    can emit at the distribution's poles are redrawn from the same
-    stream, keeping the result deterministic for a given generator state.
-    The draws are not checked for finiteness here;
-    :func:`kljn.line.line_block` checks the line they drive instead.
+    The draws are ``LAWS[spec.kind].draw``'s (see :data:`LAWS`): ``scale``
+    times standard normals, uniforms on ``[-sqrt(3) * scale, sqrt(3) *
+    scale]`` so that the standard deviation equals ``scale``, or ``scale``
+    times standard Cauchy variates, the rare non-finite values at the
+    inverse-CDF sampler's poles redrawn from the same stream, so the result
+    stays deterministic for a given generator state. The draws are not
+    checked for finiteness here; :func:`kljn.line.line_block` checks the
+    line they drive instead.
 
     The samples are written into ``out`` (a float64 array of ``n``
     values) when it is given and returned; the values are the same.
@@ -315,22 +317,100 @@ def sample(
         raise ValueError("sample count must be at least 1")
     if out is None:
         out = np.empty(n)
-    if spec.kind is DistributionKind.GAUSSIAN:
-        rng.standard_normal(out=out)
-        out *= spec.scale
-        return out
-    if spec.kind is DistributionKind.UNIFORM:
-        # numpy's uniform(low, high) is low + (high - low) * random().
-        bound = _SQRT3 * spec.scale
-        rng.random(out=out)
-        out *= bound - -bound
-        out += -bound
-        return out
-    if spec.kind is DistributionKind.CAUCHY:
-        np.multiply(rng.standard_cauchy(n), spec.scale, out=out)
+    LAWS[spec.kind].draw(rng, spec.scale, out)
+    return out
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """``math.erfc`` of every element (numpy has no erfc ufunc)."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+def _draw_gaussian(rng: np.random.Generator, scale: float, out: np.ndarray) -> None:
+    rng.standard_normal(out=out)
+    out *= scale
+
+
+def _draw_uniform(rng: np.random.Generator, scale: float, out: np.ndarray) -> None:
+    # numpy's uniform(low, high) is low + (high - low) * random().
+    bound = _SQRT3 * scale
+    rng.random(out=out)
+    out *= bound - -bound
+    out += -bound
+
+
+def _draw_cauchy(rng: np.random.Generator, scale: float, out: np.ndarray) -> None:
+    np.multiply(rng.standard_cauchy(out.size), scale, out=out)
+    bad = ~np.isfinite(out)
+    while bad.any():
+        out[bad] = rng.standard_cauchy(int(bad.sum())) * scale
         bad = ~np.isfinite(out)
-        while bad.any():
-            out[bad] = rng.standard_cauchy(int(bad.sum())) * spec.scale
-            bad = ~np.isfinite(out)
-        return out
-    raise ValueError(f"unknown distribution kind: {spec.kind!r}")  # pragma: no cover
+
+
+def _uniform_pdf(x: np.ndarray, scale: float) -> np.ndarray:
+    """The uniform density, with the midpoint value at its two jump points.
+
+    The midpoint keeps trapezoidal integrals of grids whose endpoints
+    straddle the jumps as close to exact as the grid permits.
+    """
+    half = _SQRT3 * scale
+    height = 1.0 / (2.0 * half)
+    at_edge = np.isclose(np.abs(x), half, rtol=1e-12, atol=0.0)
+    inside = np.abs(x) < half
+    return np.select([at_edge, inside], [0.5 * height, height], default=0.0)
+
+
+@dataclass(frozen=True)
+class SourceLaw:
+    """Everything the package knows about one source family, centred at zero.
+
+    ``draw(rng, scale, out)`` fills the float64 array ``out`` with draws.
+    ``pdf(x, scale)`` and ``cdf(x, scale)`` are the closed-form density and
+    CDF at the points of a float64 array. ``variance`` is False for a
+    family without one, which the level-based protocol and the
+    variance-matched closure comparison refuse, and whose parties the
+    attack screens by shape only. ``reference`` is the shape reference
+    grid's ``(half width, step)`` in scale units (see
+    :func:`kljn.eve.reference_grid`).
+    """
+
+    draw: Callable[[np.random.Generator, float, np.ndarray], None]
+    pdf: Callable[[np.ndarray, float], np.ndarray]
+    cdf: Callable[[np.ndarray, float], np.ndarray]
+    variance: bool
+    reference: tuple[float, float]
+
+
+# The one table of source laws: no other module branches on a kind. The
+# uniform reference is finer because its jumps dominate the CDF
+# interpolation error; Cauchy's needs width, not resolution. The Gaussian
+# CDF is also the normal CDF behind kljn.eve's two-sided z p-values.
+LAWS = {
+    DistributionKind.GAUSSIAN: SourceLaw(
+        draw=_draw_gaussian,
+        pdf=lambda x, scale: np.exp(-0.5 * (x / scale) ** 2) / (scale * _SQRT2PI),
+        cdf=lambda x, scale: 0.5 * _erfc(-(x / scale) * _SQRT1_2),
+        variance=True,
+        reference=(8.0, 1.0 / 200.0),
+    ),
+    DistributionKind.UNIFORM: SourceLaw(
+        draw=_draw_uniform,
+        pdf=_uniform_pdf,
+        cdf=lambda x, scale: np.clip((x + _SQRT3 * scale) / (2.0 * _SQRT3 * scale), 0.0, 1.0),
+        variance=True,
+        reference=(8.0, 1.0 / 2000.0),
+    ),
+    DistributionKind.CAUCHY: SourceLaw(
+        draw=_draw_cauchy,
+        pdf=lambda x, scale: scale / (math.pi * (x * x + scale * scale)),
+        cdf=lambda x, scale: 0.5 + np.arctan(x / scale) / math.pi,
+        variance=False,
+        reference=(800.0, 1.0 / 200.0),
+    ),
+}
+
+
+def check_variance(kind: DistributionKind, use: str) -> None:
+    """Refuse a family without a variance for ``use``, which needs one."""
+    if not LAWS[kind].variance:
+        raise ValueError(f"{use} need finite-variance noise, which the {kind.value} family lacks")

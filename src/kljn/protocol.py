@@ -28,7 +28,8 @@ import numpy as np
 
 from .eve import MIN_TEST_SAMPLES, VERDICTS, _check_significance, _mean_square, credits, run_blocks
 from .line import SwitchState, theoretical_line_variance
-from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, security_sigma_ratio
+from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, check_variance
+from .noise import security_sigma_ratio
 # Unused here; bench/test_bench.py checks that its tracer wraps this binding.
 from .noise import stream  # noqa: F401
 
@@ -91,8 +92,7 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, DistributionKind):
             object.__setattr__(self, "kind", DistributionKind(self.kind))
-        if self.kind is DistributionKind.CAUCHY:
-            raise ValueError("sessions need finite-variance noise for level classification")
+        check_variance(self.kind, "sessions")
         check_sigmas(self.sigma_low, self.sigma_high)
         if self.samples_per_bit < MIN_TEST_SAMPLES:
             raise ValueError(f"samples_per_bit must be at least {MIN_TEST_SAMPLES}")

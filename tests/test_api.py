@@ -1,5 +1,6 @@
 """Public API: every exported name resolves, and the README table and ``kljn.__all__`` agree."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import kljn
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "kljn"
 MODULES = {"kljn.noise", "kljn.line", "kljn.density", "kljn.eve", "kljn.protocol", "kljn.cli"}
 
 
@@ -43,3 +45,56 @@ def test_readme_library_table_names_exist():
 def test_every_exported_name_is_in_the_readme_library_table():
     listed = {name for names in library_table().values() for name in names}
     assert sorted(set(kljn.__all__) - listed - {"__version__"}) == []
+
+
+def _names_a_kind(node: ast.AST) -> bool:
+    """Whether ``node`` contains ``DistributionKind.<member>``."""
+    return any(
+        isinstance(n, ast.Attribute)
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "DistributionKind"
+        for n in ast.walk(node)
+    )
+
+
+def kind_branches(source: str) -> list[int]:
+    """Lines that branch on a named kind: a comparison, a dict key or a match case naming one."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            named = any(_names_a_kind(n) for n in [node.left, *node.comparators])
+        elif isinstance(node, ast.Dict):
+            named = any(key is not None and _names_a_kind(key) for key in node.keys)
+        elif isinstance(node, ast.match_case):
+            named = _names_a_kind(node.pattern)
+            node = node.pattern
+        else:
+            continue
+        if named:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_kind_branch_detector_sees_each_form():
+    source = """
+a = kind is DistributionKind.CAUCHY
+b = kind == DistributionKind.UNIFORM
+c = kind != DistributionKind.GAUSSIAN
+d = {DistributionKind.GAUSSIAN: 1}
+match kind:
+    case DistributionKind.UNIFORM:
+        pass
+e = LAWS[DistributionKind.GAUSSIAN]
+f = isinstance(kind, DistributionKind)
+"""
+    assert kind_branches(source) == [2, 3, 4, 5, 7]
+
+
+def test_only_the_law_table_branches_on_a_kind():
+    """A source family's facts live in ``noise.LAWS``; no other module names a kind to branch on."""
+    found = {
+        path.name: kind_branches(path.read_text())
+        for path in sorted(SOURCES.glob("*.py"))
+        if path.name != "noise.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

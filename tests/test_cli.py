@@ -72,6 +72,8 @@ class TestSimulate:
         assert lines[0].startswith("bit_index,")
         manifest = check_manifest(tmp_path)
         assert set(manifest["outputs"]) == {"session.json", "bits.csv"}
+        # Staged artifacts were renamed, so no temporary file is left beside them.
+        assert {p.name for p in tmp_path.iterdir()} == {"session.json", "bits.csv", "manifest.json"}
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", "--bits", "15", "--samples-per-bit", "150", "--seed", "3", "--csv"]
@@ -461,7 +463,8 @@ def test_a_renderer_failing_mid_artifact_is_a_run_failure(monkeypatch, tmp_path,
     captured = capsys.readouterr()
     assert captured.err == "error: renderer failed\n"
     assert captured.out == ""
-    assert not (tmp_path / "manifest.json").exists()
+    # The artifact was staged under a temporary name, which the failure removed.
+    assert list(tmp_path.iterdir()) == []
 
 
 def artifact_peak(monkeypatch, out_dir, bits, csv):

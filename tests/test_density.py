@@ -13,7 +13,6 @@ from kljn import (
     ResistorPair,
     TruncationError,
     analytic_pdf,
-    cauchy_mixture_scale,
     closure_pair,
     closure_residual,
     convolve_scaled,
@@ -24,11 +23,10 @@ from kljn.density import (
     _convolve_grids,
     _fast_len,
     default_grid,
-    family_cdf,
-    family_pdf,
     l1_residual,
     symmetric_grid,
 )
+from kljn.noise import LAWS
 from uniform_oracle import uniform_mixture_l1_by_quadrature, uniform_mixture_l1_oracle
 
 SQRT3 = math.sqrt(3.0)
@@ -127,20 +125,20 @@ class TestFamilyShapes:
 
     def test_family_cdf_limits(self):
         for kind in DistributionKind:
-            lo, hi = family_cdf(kind, 1.0, np.array([-1e9, 1e9]))
+            lo, hi = LAWS[kind].cdf(np.array([-1e9, 1e9]), 1.0)
             assert lo == pytest.approx(0.0, abs=1e-6)
             assert hi == pytest.approx(1.0, abs=1e-6)
 
     def test_family_pdf_uniform_edge_midpoint(self):
         half = SQRT3 * 1.0
-        vals = family_pdf(DistributionKind.UNIFORM, 1.0, np.array([-half, 0.0, half]))
+        vals = LAWS[DistributionKind.UNIFORM].pdf(np.array([-half, 0.0, half]), 1.0)
         assert vals[1] == pytest.approx(1.0 / (2.0 * half))
         assert vals[0] == pytest.approx(0.5 / (2.0 * half))
         assert vals[2] == vals[0]
 
     def test_unknown_scale_rejected(self):
-        with pytest.raises(ValueError):
-            family_pdf(DistributionKind.GAUSSIAN, 0.0, np.array([0.0]))
+        with pytest.raises(ValueError, match="scale must be positive"):
+            analytic_pdf(DistributionKind.GAUSSIAN, 0.0, *symmetric_grid(8.0, 0.01))
 
 
 class TestPdfGrid:
@@ -238,7 +236,7 @@ class TestConvolution:
         w = HypothesisWeights(1.6, 1.2)
         mixture = convolve_scaled(DistributionKind.CAUCHY, w, dx=0.02, half_width=800.0 * 1.6)
         core = np.abs(mixture.x) <= 3.0 * 2.8
-        want = family_pdf(DistributionKind.CAUCHY, 2.8, mixture.x[core])
+        want = LAWS[DistributionKind.CAUCHY].pdf(mixture.x[core], 2.8)
         assert np.max(np.abs(mixture.values[core] / want - 1.0)) < 3e-3
 
     def test_component_narrower_than_a_step_acts_as_point_mass(self):
@@ -327,17 +325,24 @@ class TestClosureResidual:
         with pytest.raises(ValueError, match="[Cc]auchy"):
             closure_residual(DistributionKind.CAUCHY, HypothesisWeights(1.0, 1.0))
 
+    def test_oversized_default_grid_is_a_named_refusal(self):
+        # The default half width times the larger weight overflows to inf.
+        w = weights(PAIR, 3e153, 6e153)
+        with pytest.raises(ValueError, match="finite squares"):
+            closure_pair(DistributionKind.GAUSSIAN, w)
+
+    @pytest.mark.parametrize(
+        "dx,half_width",
+        [(0.0, 8.0), (math.inf, 8.0), (math.nan, 8.0), (0.01, -1.0), (0.01, math.inf), (0.01, 1e160)],
+    )
+    def test_unusable_grid_refused(self, dx, half_width):
+        with pytest.raises(ValueError, match="half-width"):
+            convolve_scaled(
+                DistributionKind.UNIFORM, HypothesisWeights(1.0, 1.0), dx=dx, half_width=half_width
+            )
+
 
 class TestCauchyScaleArithmetic:
-    def test_scales_add(self):
-        w = HypothesisWeights(1.6, 1.2)
-        assert cauchy_mixture_scale(w) == pytest.approx(2.8, rel=1e-12)
-        assert cauchy_mixture_scale(w, gamma=0.5) == pytest.approx(1.4, rel=1e-12)
-
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            cauchy_mixture_scale(HypothesisWeights(1.0, 1.0), gamma=0.0)
-
     @pytest.mark.parametrize("x", [0.0, 0.7, 2.5])
     def test_convolution_identity_by_quadrature(self, x):
         # Independent check that two scaled Cauchy shapes convolve to the

@@ -14,7 +14,9 @@ from kljn import (
     scaled_sigma_high,
     stream,
 )
-from kljn.noise import check_finite
+from kljn.density import TRUNCATION_BUDGET, symmetric_grid
+from kljn.eve import _kolmogorov_sf
+from kljn.noise import LAWS, check_finite, check_variance
 
 BOLTZMANN = 1.380649e-23  # exact SI definition
 
@@ -188,3 +190,47 @@ class TestStreams:
         second = sample(NoiseSpec(DistributionKind.GAUSSIAN, 1.0), 4, gen)
         # One generator advances across calls instead of restarting.
         assert not np.array_equal(first, second)
+
+
+LAW_SCALE = 2.5
+
+
+def test_every_kind_has_one_law():
+    assert set(LAWS) == set(DistributionKind)
+
+
+@pytest.mark.parametrize("kind", list(DistributionKind), ids=lambda kind: kind.value)
+class TestSourceLaws:
+    """Checks every entry of the law table gets, so a new law needs only its entry."""
+
+    def test_draws_pass_a_ks_test_against_the_cdf(self, kind):
+        n = 20_000
+        x = np.sort(sample(NoiseSpec(kind, LAW_SCALE), n, stream(11, 0)))
+        cdf = LAWS[kind].cdf(x, LAW_SCALE)
+        d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert _kolmogorov_sf(np.array([math.sqrt(n) * d]))[0] > 1e-6
+
+    def test_pdf_trapezoid_matches_cdf_differences(self, kind):
+        law = LAWS[kind]
+        half, step = law.reference
+        x0, dx, m = symmetric_grid(half * LAW_SCALE, step * LAW_SCALE)
+        x = x0 + dx * np.arange(m)
+        p = law.pdf(x, LAW_SCALE)
+        cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * dx)))
+        cdf = law.cdf(x, LAW_SCALE)
+        # The trapezoid errs by at most half a cell's mass at each jump of a density.
+        assert np.max(np.abs(cumulative - (cdf - cdf[0]))) <= p.max() * dx
+        # The shape reference grid holds all but the truncation budget.
+        assert cdf[-1] - cdf[0] > 1.0 - TRUNCATION_BUDGET
+
+    def test_variance_flag_matches_the_draws(self, kind):
+        x = sample(NoiseSpec(kind, LAW_SCALE), 200_000, stream(12, 0))
+        tracks_scale = abs(np.mean(x * x) / LAW_SCALE**2 - 1.0) < 0.05
+        assert tracks_scale == LAWS[kind].variance
+
+    def test_refusal_follows_the_variance_flag(self, kind):
+        if LAWS[kind].variance:
+            check_variance(kind, "sessions")
+        else:
+            with pytest.raises(ValueError, match=f"sessions need finite-variance noise.*{kind.value}"):
+                check_variance(kind, "sessions")

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from kljn import DistributionKind
-from kljn.density import family_cdf
 from kljn.eve import _kolmogorov_sf, _z_p_value
-from kljn.noise import Boltzmann
+from kljn.noise import LAWS, Boltzmann
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -73,7 +72,7 @@ def test_boltzmann_is_scipys_codata_value():
 def test_gaussian_family_cdf_matches_scipy(scale):
     special = pytest.importorskip("scipy.special")
     x = np.linspace(-40.0, 40.0, 40_001)
-    got, want = family_cdf(DistributionKind.GAUSSIAN, scale, x), special.ndtr(x / scale)
+    got, want = LAWS[DistributionKind.GAUSSIAN].cdf(x, scale), special.ndtr(x / scale)
     assert np.abs(got - want).max() <= 1e-15
     normal = want >= TINY
     assert (np.abs(got[normal] - want[normal]) / want[normal]).max() <= 1e-12
