@@ -13,19 +13,25 @@ byte for byte given the same configuration. Settings resolve in the
 order: built-in defaults, then a ``--config`` JSON file, then explicit
 flags.
 
+Each setting is declared once, in ``_SETTINGS`` (its type, default and
+flag help), and ``_COMMAND_FLAGS`` names each command's settings. The
+flags, the type check of each ``--config`` value and the keys of the
+manifest's config all come from these two tables.
+
 All four commands take one path through :func:`main`: resolve settings,
 validate them, create ``--out``, run, write the artifacts, write the
-manifest, print. A command supplies only its defaults, a validator that
-maps resolved settings to the manifest's config and the run's inputs, and
-a run that maps those inputs and ``--csv`` to its artifacts, keyed by file
-name, and the text to print. An artifact is an iterable of encoded byte
-chunks (a JSON summary is one chunk), which :func:`main` writes and feeds
-to the artifact's sha256 as they arrive. The large artifacts are rendered
-a block of rows or bits at a time, so none is ever held whole and a run's
-memory does not grow with its output. Each artifact is written under a
-temporary name in ``--out`` and renamed once every digest is taken, before
-the manifest is written; a run that fails removes the files it staged, so
-it leaves no partial artifact behind.
+manifest, print. A command supplies only a validator, which fills in the
+settings derived from the others and maps them to the manifest's config
+and the run's inputs, and a run that maps those inputs and ``--csv`` to
+its artifacts, keyed by file name, and the text to print. An artifact is
+an iterable of encoded byte chunks (a JSON summary is one chunk), which
+:func:`main` writes and feeds to the artifact's sha256 as they arrive.
+The large artifacts are rendered a block of rows or bits at a time, so
+none is ever held whole and a run's memory does not grow with its output.
+Each artifact is written under a temporary name in ``--out`` and renamed
+once every digest is taken, before the manifest is written; a run that
+fails removes the files it staged, so it leaves no partial artifact
+behind.
 
 Exit codes: 0 on success, 2 for unusable arguments or configuration, 3
 for failures while computing or writing results. A value error or an
@@ -44,6 +50,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,33 +62,72 @@ from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, chec
 from .noise import scaled_sigma_high
 from .protocol import BIT_FIELDS, SessionConfig, leak_sweep, run_session, sweep_configs
 
-_KIND_CHOICES = tuple(k.value for k in DistributionKind)
 _CSV_BLOCK = 4096
 
-_NOISE_DEFAULTS = {
-    "r_low": 1.0,
-    "r_high": 4.0,
-    "kind": "gaussian",
-    "sigma_low": 1.0,
-    "sigma_high": None,
+
+class _Setting(NamedTuple):
+    """A setting's type, built-in default, flag help and, for ``kind``, its choices.
+
+    ``type`` is ``int``, ``float``, ``str`` or ``list``; a ``list`` setting
+    is a comma-separated string on the command line. A default of None
+    means the value is derived from the other settings, and only such a
+    setting may be ``null`` in a ``--config`` file.
+    """
+
+    type: type
+    default: object
+    help: str | None = None
+    choices: list[str] | None = None
+
+
+# Every setting of every command: the one place each is declared.
+_SETTINGS = {
+    "seed": _Setting(int, 0, "session seed (default 0)"),
+    "r_low": _Setting(float, 1.0, "low resistance in ohms"),
+    "r_high": _Setting(float, 4.0, "high resistance in ohms"),
+    "kind": _Setting(str, "gaussian", "noise shape family", [k.value for k in DistributionKind]),
+    "sigma_low": _Setting(float, 1.0, "low-side noise scale"),
+    "sigma_high": _Setting(
+        float, None, "high-side noise scale (default: the value the security condition demands)"
+    ),
+    "samples_per_bit": _Setting(int, 1000),
+    "bits": _Setting(int, 100),
+    "samples": _Setting(int, 10000, "samples per trial (default 10000)"),
+    "trials": _Setting(int, 200, "number of trials (default 200)"),
+    "significance": _Setting(float, 0.01),
+    "dx": _Setting(float, None, "grid spacing (default: finer scale / 200)"),
+    "half_width": _Setting(
+        float, None, "half width of the wider component's grid (default: 8 mixture scales)"
+    ),
+    "multipliers": _Setting(
+        list,
+        "1.0,1.2,1.5,2.0",
+        "comma-separated factors applied to the compliant amplitude (default 1.0,1.2,1.5,2.0)",
+    ),
 }
-_SESSION_DEFAULTS = {
-    **_NOISE_DEFAULTS,
-    "samples_per_bit": 1000,
-    "bits": 100,
-    "seed": 0,
-    "significance": 0.01,
+_NOISE = ("r_low", "r_high", "kind", "sigma_low", "sigma_high")
+_SESSION = ("seed", *_NOISE, "samples_per_bit", "bits", "significance")
+# Each command's help, its settings in flag order (exactly the keys its
+# --config file may set and its manifest records), and the help of its
+# --csv flag, None where it has none.
+_COMMAND_FLAGS = {
+    "simulate": ("run a full key-exchange session", _SESSION, "also write per-bit records as CSV"),
+    "attack": (
+        "attack fresh mixed-state bits and report accuracy",
+        ("seed", *_NOISE, "samples", "trials", "significance"),
+        "also write per-trial decisions as CSV",
+    ),
+    "pdf": ("tabulate the wrong-hypothesis mixture density", (*_NOISE, "dx", "half_width"), None),
+    "sweep": ("rerun sessions at scaled amplitude violations", (*_SESSION, "multipliers"), None),
 }
-# Built-in settings of each command; a --config file may set exactly these keys.
-_DEFAULTS = {
-    "simulate": _SESSION_DEFAULTS,
-    "attack": {**_NOISE_DEFAULTS, "samples": 10000, "trials": 200, "seed": 0, "significance": 0.01},
-    "pdf": {**_NOISE_DEFAULTS, "dx": None, "half_width": None},
-    "sweep": {**_SESSION_DEFAULTS, "multipliers": "1.0,1.2,1.5,2.0"},
+# The JSON a --config value of each setting type must be: the Python types
+# json.load gives for it, and its name in a refusal. A list holds numbers.
+_JSON_FORMS = {
+    int: (int, "a JSON integer"),
+    float: ((int, float), "a JSON number"),
+    str: (str, "a JSON string"),
+    list: ((str, list), "a comma-separated JSON string or a JSON list of numbers"),
 }
-# Settings a --config file must give as JSON integers, as their flags take
-# only integers; a fraction would otherwise be truncated.
-_INTEGER_KEYS = {"bits", "samples_per_bit", "samples", "trials", "seed"}
 
 
 def _json_bytes(obj: object) -> bytes:
@@ -137,7 +183,14 @@ def _csv_cells(column: list) -> Iterator[str]:
     return map(cells.__getitem__, column)
 
 
-def _load_config_file(path: str, allowed: set[str]) -> dict:
+def _is_json_form(value: object, setting_type: type) -> bool:
+    """Whether a config value is the JSON a setting of ``setting_type`` takes; no boolean is."""
+    if isinstance(value, list):
+        return setting_type is list and all(_is_json_form(v, float) for v in value)
+    return not isinstance(value, bool) and isinstance(value, _JSON_FORMS[setting_type][0])
+
+
+def _load_config_file(path: str, names: tuple[str, ...]) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -147,68 +200,57 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
         raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(names)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
-        # JSON true is no setting, though Python would read it as 1.
-        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
-            raise ValueError(f"config key {key!r} must not be a boolean")
-        if key in _INTEGER_KEYS and not isinstance(value, int):
-            raise ValueError(f"config key {key!r} must be an integer")
+        setting = _SETTINGS[key]
+        if not (value is None and setting.default is None or _is_json_form(value, setting.type)):
+            form = _JSON_FORMS[setting.type][1] + (" or null" if setting.default is None else "")
+            raise ValueError(f"config key {key!r} must be {form}")
     return raw
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    defaults = _DEFAULTS[args.command]
-    resolved = dict(defaults)
+    """The command's settings from defaults, then ``--config``, then flags; float ones as floats."""
+    names = _COMMAND_FLAGS[args.command][1]
+    resolved = {name: _SETTINGS[name].default for name in names}
     if args.config:
-        resolved.update(_load_config_file(args.config, set(defaults)))
-    for key in defaults:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-    return resolved
+        resolved.update(_load_config_file(args.config, names))
+    resolved.update((name, v) for name in names if (v := getattr(args, name)) is not None)
+    return {
+        name: float(v) if v is not None and _SETTINGS[name].type is float else v
+        for name, v in resolved.items()
+    }
 
 
-def _noise(s: dict) -> tuple[ResistorPair, DistributionKind, float, float]:
-    """Pair, family and both amplitudes; an unset ``sigma_high`` follows the amplitude law."""
-    pair = ResistorPair(r_low=float(s["r_low"]), r_high=float(s["r_high"]))
-    kind = DistributionKind(s["kind"])
-    sigma_low = float(s["sigma_low"])
-    sigma_high = s["sigma_high"]
-    sigma_high = scaled_sigma_high(pair, sigma_low) if sigma_high is None else float(sigma_high)
-    return pair, kind, sigma_low, sigma_high
+def _noise(s: dict) -> ResistorPair:
+    """The resistor pair; an unset ``sigma_high`` is filled in from the amplitude law."""
+    pair = ResistorPair(s["r_low"], s["r_high"])
+    if s["sigma_high"] is None:
+        s["sigma_high"] = scaled_sigma_high(pair, s["sigma_low"])
+    return pair
 
 
 def _session(s: dict) -> SessionConfig:
-    pair, kind, sigma_low, sigma_high = _noise(s)
-    return SessionConfig(
-        pair=pair,
-        kind=kind,
-        sigma_low=sigma_low,
-        sigma_high=sigma_high,
-        samples_per_bit=int(s["samples_per_bit"]),
-        bits=int(s["bits"]),
-        seed=int(s["seed"]),
-        significance=float(s["significance"]),
-    )
+    """The session; its fields are the session settings, the two resistances joined as ``pair``."""
+    pair = _noise(s)
+    return SessionConfig(pair=pair, **{k: s[k] for k in _SESSION if k not in ("r_low", "r_high")})
 
 
 def _multipliers(raw: str | list) -> list[float]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()] if isinstance(raw, str) else raw
-    if not parts:
-        raise ValueError("multipliers must be a non-empty comma-separated list")
+    """The factors in a comma-separated string or a list; ``sweep_configs`` checks their values."""
+    parts = [p for p in raw.split(",") if p.strip()] if isinstance(raw, str) else raw
     try:
-        values = [float(p) for p in parts]
+        return [float(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"bad multiplier: {exc}") from exc
-    return values
 
 
+# Each validator maps the resolved settings to the manifest's config (the
+# same settings, derived values filled in) and the run's inputs.
 def _simulate_inputs(s: dict) -> tuple[dict, SessionConfig]:
-    config = _session(s)
-    return config.to_dict(), config
+    return s, _session(s)
 
 
 def _simulate(config: SessionConfig, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
@@ -230,30 +272,16 @@ def _simulate(config: SessionConfig, csv: bool) -> tuple[dict[str, Iterable[byte
 
 
 def _attack_inputs(s: dict) -> tuple[dict, tuple]:
-    pair, kind, sigma_low, sigma_high = _noise(s)
-    check_sigmas(sigma_low, sigma_high)
-    samples, trials, seed = int(s["samples"]), int(s["trials"]), int(s["seed"])
-    significance = float(s["significance"])
-    check_trial_settings(samples, trials, significance, seed)
-    config = {
-        "kind": kind.value,
-        "r_high": pair.r_high,
-        "r_low": pair.r_low,
-        "samples": samples,
-        "seed": seed,
-        "sigma_high": sigma_high,
-        "sigma_low": sigma_low,
-        "significance": significance,
-        "trials": trials,
-    }
-    return config, (pair, NoiseSpec(kind, sigma_low), NoiseSpec(kind, sigma_high), config)
+    pair = _noise(s)
+    check_sigmas(s["sigma_low"], s["sigma_high"])
+    trial = s["samples"], s["trials"], s["significance"], s["seed"]
+    check_trial_settings(*trial)
+    specs = NoiseSpec(s["kind"], s["sigma_low"]), NoiseSpec(s["kind"], s["sigma_high"])
+    return s, (pair, *specs, *trial)  # the arguments of attack_trials
 
 
 def _attack(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
-    pair, spec_low, spec_high, c = inputs
-    summary = attack_trials(
-        pair, spec_low, spec_high, c["samples"], c["trials"], c["significance"], c["seed"]
-    )
+    summary = attack_trials(*inputs)
     artifacts = {"attack.json": (_json_bytes(summary.to_dict()),)}
     if csv:
         columns = (
@@ -270,23 +298,15 @@ def _attack(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
 
 
 def _pdf_inputs(s: dict) -> tuple[dict, tuple]:
-    pair, kind, sigma_low, sigma_high = _noise(s)
+    pair = _noise(s)
+    kind = DistributionKind(s["kind"])
     check_variance(kind, "variance-matched pdf comparisons")
-    w = weights(pair, sigma_low, sigma_high)
-    dx, half_width = default_grid(w)
-    dx = dx if s["dx"] is None else float(s["dx"])
-    half_width = half_width if s["half_width"] is None else float(s["half_width"])
-    check_grid(w, dx, half_width)
-    config = {
-        "dx": dx,
-        "half_width": half_width,
-        "kind": kind.value,
-        "r_high": pair.r_high,
-        "r_low": pair.r_low,
-        "sigma_high": sigma_high,
-        "sigma_low": sigma_low,
-    }
-    return config, (kind, w, dx, half_width)
+    w = weights(pair, s["sigma_low"], s["sigma_high"])
+    for key, default in zip(("dx", "half_width"), default_grid(w)):
+        if s[key] is None:
+            s[key] = default
+    check_grid(w, s["dx"], s["half_width"])
+    return s, (kind, w, s["dx"], s["half_width"])
 
 
 def _pdf(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
@@ -317,10 +337,10 @@ def _pdf(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
 
 
 def _sweep_inputs(s: dict) -> tuple[dict, tuple[SessionConfig, list[float]]]:
-    multipliers = _multipliers(s["multipliers"])
+    s["multipliers"] = _multipliers(s["multipliers"])
     config = _session(s)
-    sweep_configs(config, multipliers)  # checks every point's sigma_high before --out exists
-    return {**config.to_dict(), "multipliers": multipliers}, (config, multipliers)
+    sweep_configs(config, s["multipliers"])  # checks every point's sigma_high before --out exists
+    return s, (config, s["multipliers"])
 
 
 def _sweep(
@@ -354,25 +374,6 @@ _COMMANDS = {
 }
 
 
-def _add_command(commands, name: str, help_text: str) -> argparse.ArgumentParser:
-    sub = commands.add_parser(name, help=help_text)
-    sub.add_argument("--config", help="JSON file with settings, overridden by explicit flags")
-    sub.add_argument("--out", default=".", help="directory for artifacts (default: current)")
-    if "seed" in _DEFAULTS[name]:
-        sub.add_argument("--seed", type=int, help="session seed (default 0)")
-    sub.add_argument("--r-low", dest="r_low", type=float, help="low resistance in ohms")
-    sub.add_argument("--r-high", dest="r_high", type=float, help="high resistance in ohms")
-    sub.add_argument("--kind", choices=_KIND_CHOICES, help="noise shape family")
-    sub.add_argument("--sigma-low", dest="sigma_low", type=float, help="low-side noise scale")
-    sub.add_argument(
-        "--sigma-high",
-        dest="sigma_high",
-        type=float,
-        help="high-side noise scale (default: the value the security condition demands)",
-    )
-    return sub
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kljn",
@@ -380,36 +381,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sim = _add_command(commands, "simulate", "run a full key-exchange session")
-    sim.add_argument("--samples-per-bit", dest="samples_per_bit", type=int)
-    sim.add_argument("--bits", type=int)
-    sim.add_argument("--significance", type=float)
-    sim.add_argument("--csv", action="store_true", help="also write per-bit records as CSV")
-
-    atk = _add_command(commands, "attack", "attack fresh mixed-state bits and report accuracy")
-    atk.add_argument("--samples", type=int, help="samples per trial (default 10000)")
-    atk.add_argument("--trials", type=int, help="number of trials (default 200)")
-    atk.add_argument("--significance", type=float)
-    atk.add_argument("--csv", action="store_true", help="also write per-trial decisions as CSV")
-
-    pdf = _add_command(commands, "pdf", "tabulate the wrong-hypothesis mixture density")
-    pdf.add_argument("--dx", type=float, help="grid spacing (default: finer scale / 200)")
-    pdf.add_argument(
-        "--half-width",
-        dest="half_width",
-        type=float,
-        help="half width of the wider component's grid (default: 8 mixture scales)",
-    )
-
-    swp = _add_command(commands, "sweep", "rerun sessions at scaled amplitude violations")
-    swp.add_argument("--samples-per-bit", dest="samples_per_bit", type=int)
-    swp.add_argument("--bits", type=int)
-    swp.add_argument("--significance", type=float)
-    swp.add_argument(
-        "--multipliers",
-        help="comma-separated factors applied to the compliant amplitude (default 1.0,1.2,1.5,2.0)",
-    )
+    for command, (help_text, names, csv_help) in _COMMAND_FLAGS.items():
+        sub = commands.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="JSON file with settings, overridden by explicit flags")
+        sub.add_argument("--out", default=".", help="directory for artifacts (default: current)")
+        for name in names:
+            setting = _SETTINGS[name]
+            sub.add_argument(
+                "--" + name.replace("_", "-"),
+                type=str if setting.type is list else setting.type,
+                choices=setting.choices,
+                help=setting.help,
+            )
+        if csv_help is not None:
+            sub.add_argument("--csv", action="store_true", help=csv_help)
     return parser
 
 

@@ -98,3 +98,45 @@ def test_only_the_law_table_branches_on_a_kind():
         if path.name != "noise.py"
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def add_argument_calls(source: str) -> dict[str, list[int]]:
+    """Lines of each ``add_argument`` call, keyed by the top-level definition that holds it.
+
+    A call outside every function or class is keyed ``<module>``.
+    """
+    calls = {}
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if called == "add_argument":
+                    calls.setdefault(owner, []).append(node.lineno)
+    return calls
+
+
+def test_flag_detector_sees_each_form():
+    source = """
+parser.add_argument("--a")
+def build(p):
+    p.add_argument("--b")
+    def inner():
+        sub.add_argument("--c")
+class Commands:
+    def extend(self):
+        self.parser.add_argument("--d")
+add_argument("--e")
+p.add_argument_group("g")
+"""
+    assert add_argument_calls(source) == {"<module>": [2, 10], "build": [4, 6], "Commands": [9]}
+
+
+def test_only_the_parser_builder_declares_flags():
+    """Every flag comes from the CLI's settings table, so ``cli._build_parser`` alone adds any."""
+    found = {
+        (path.name, owner)
+        for path in sorted(SOURCES.glob("*.py"))
+        for owner in add_argument_calls(path.read_text())
+    }
+    assert found == {("cli.py", "_build_parser")}

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,8 @@ import pytest
 
 import kljn
 import kljn.cli
-from kljn.cli import _COMMANDS, _CSV_BLOCK, _csv_bytes, _float_column, main
+from kljn.cli import _COMMAND_FLAGS, _COMMANDS, _CSV_BLOCK, _SETTINGS, _csv_bytes, _float_column
+from kljn.cli import main
 from test_protocol import random_outcome
 
 
@@ -410,6 +412,15 @@ USAGE_CASES = [
     # a pdf grid whose half width, or larger weight, has an overflowing square
     (["pdf", "--half-width", "1e160"], None),
     (["pdf", "--sigma-low", "1e200", "--half-width", "1e150"], None),
+    # a float setting is a JSON number, kind a string, multipliers a string
+    # or a list of numbers, and null only where the default is derived
+    (["simulate", "--config", "{cfg}"], json.dumps({"sigma_low": "2", "r_high": "9"})),
+    (["attack", "--config", "{cfg}"], json.dumps({"significance": "0.05"})),
+    (["sweep", "--config", "{cfg}"], json.dumps({"multipliers": ["1.0", "2"]})),
+    (["sweep", "--config", "{cfg}"], json.dumps({"multipliers": [[1.0]]})),
+    (["pdf", "--config", "{cfg}"], json.dumps({"kind": 1})),
+    (["pdf", "--config", "{cfg}"], json.dumps({"r_low": None})),
+    (["simulate", "--config", "{cfg}"], json.dumps({"bits": None})),
 ]
 
 
@@ -422,6 +433,85 @@ def test_usage_errors_create_no_output_directory(tmp_path, argv, config_text):
     argv = [str(cfg) if a == "{cfg}" else a for a in argv]
     assert run(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+MISTYPED_CONFIGS = [
+    ("simulate", {"sigma_low": "2", "r_high": "9"}, "'sigma_low' must be a JSON number"),
+    ("simulate", {"bits": 2.9}, "'bits' must be a JSON integer"),
+    ("attack", {"r_low": None}, "'r_low' must be a JSON number"),
+    ("pdf", {"dx": "0.1"}, "'dx' must be a JSON number or null"),
+    ("pdf", {"kind": 1}, "'kind' must be a JSON string"),
+    ("sweep", {"multipliers": ["1.0", "2"]},
+     "'multipliers' must be a comma-separated JSON string or a JSON list of numbers"),
+]
+
+
+@pytest.mark.parametrize("command, config, message", MISTYPED_CONFIGS)
+def test_a_mistyped_config_value_names_its_key_and_json_type(tmp_path, capsys, command, config,
+                                                             message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "fresh")]) == 2
+    assert capsys.readouterr().err == f"error: config key {message}\n"
+
+
+# A config value writes the manifest that the same value as a flag does;
+# null is the derived default, and a list of multipliers a comma-separated one.
+CONFIG_AS_FLAGS = [
+    pytest.param(["simulate", "--bits", "5", "--samples-per-bit", "150"], ["--r-low", "1"],
+                 {"r_low": 1}, id="int-as-float"),
+    pytest.param(["pdf", "--kind", "uniform"], [], {"sigma_high": None, "dx": None,
+                                                    "half_width": None}, id="null-derived"),
+    pytest.param(["sweep", "--bits", "5", "--samples-per-bit", "150"],
+                 ["--multipliers", "1,2.0"], {"multipliers": [1, 2.0]}, id="multiplier-list"),
+]
+
+
+@pytest.mark.parametrize("argv, flags, config", CONFIG_AS_FLAGS)
+def test_a_config_value_writes_the_manifest_of_its_flag(tmp_path, argv, flags, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(argv + flags + ["--out", str(tmp_path / "flags")]) == 0
+    assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "config")]) == 0
+    manifests = [(tmp_path / d / "manifest.json").read_bytes() for d in ("flags", "config")]
+    assert manifests[0] == manifests[1]
+
+
+# A small run of each command, for the keys of its manifest's config.
+SMALL_RUNS = {
+    "simulate": ["--bits", "5", "--samples-per-bit", "150"],
+    "attack": ["--samples", "200", "--trials", "2"],
+    "pdf": [],
+    "sweep": ["--bits", "5", "--samples-per-bit", "150", "--multipliers", "1.0"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+def test_the_settings_table_gives_the_flags_and_the_manifest_config(tmp_path, capsys, command):
+    _, names, csv_help = _COMMAND_FLAGS[command]
+    assert run([command, "--help"]) == 0
+    options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+    flags = re.findall(r"^  (?:-h, )?(--[a-z-]+)", options, flags=re.MULTILINE)
+    settings = ["--" + name.replace("_", "-") for name in names]
+    assert flags == ["--help", "--config", "--out", *settings, *["--csv"] * (csv_help is not None)]
+    assert run([command, *SMALL_RUNS[command], "--out", str(tmp_path)]) == 0
+    assert sorted(read_json(tmp_path / "manifest.json")["config"]) == sorted(names)
+
+
+def readme_setting_list(label: str) -> list[str]:
+    """The backticked names in the parenthesis after ``label`` in README's config typing rule."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.search(re.escape(label) + r"\s+\(([^)]*)\)", section)
+    assert listed, f"README's Command line section has no {label!r} list"
+    return sorted(re.findall(r"`(\w+)`", listed[1]))
+
+
+def test_readme_names_the_settings_of_each_config_type():
+    ints = sorted(name for name, setting in _SETTINGS.items() if setting.type is int)
+    nullable = sorted(name for name, setting in _SETTINGS.items() if setting.default is None)
+    assert readme_setting_list("integer settings") == ints
+    assert readme_setting_list("derived default") == nullable
 
 
 # Finite settings whose squares, grid sizes or line products overflow a
