@@ -37,7 +37,9 @@ Exit codes: 0 on success, 2 for unusable arguments or configuration, 3
 for failures while computing or writing results. A value error or an
 arithmetic error (such as a float overflow from amplitudes too large to
 square) is a usage error while the settings are validated, before
-``--out`` is created, and a run failure after that.
+``--out`` is created, and a run failure after that. A run that cannot
+get the memory it asks for (a trace or grid too large to hold) is a run
+failure too.
 """
 
 from __future__ import annotations
@@ -208,20 +210,28 @@ def _load_config_file(path: str, names: tuple[str, ...]) -> dict:
         if not (value is None and setting.default is None or _is_json_form(value, setting.type)):
             form = _JSON_FORMS[setting.type][1] + (" or null" if setting.default is None else "")
             raise ValueError(f"config key {key!r} must be {form}")
+        if setting.choices and value not in setting.choices:
+            raise ValueError(f"config key {key!r} must be one of {setting.choices}")
+        if setting.type is float and value is not None:
+            try:
+                raw[key] = float(value)
+            except OverflowError:
+                raise ValueError(f"config key {key!r} is too large for a float") from None
     return raw
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """The command's settings from defaults, then ``--config``, then flags; float ones as floats."""
+    """The command's settings from defaults, then ``--config``, then flags.
+
+    Float settings are floats from every source: the defaults and flags
+    already, and :func:`_load_config_file` converts JSON integers.
+    """
     names = _COMMAND_FLAGS[args.command][1]
     resolved = {name: _SETTINGS[name].default for name in names}
     if args.config:
         resolved.update(_load_config_file(args.config, names))
     resolved.update((name, v) for name in names if (v := getattr(args, name)) is not None)
-    return {
-        name: float(v) if v is not None and _SETTINGS[name].type is float else v
-        for name, v in resolved.items()
-    }
+    return resolved
 
 
 def _noise(s: dict) -> ResistorPair:
@@ -243,7 +253,7 @@ def _multipliers(raw: str | list) -> list[float]:
     parts = [p for p in raw.split(",") if p.strip()] if isinstance(raw, str) else raw
     try:
         return [float(p) for p in parts]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"bad multiplier: {exc}") from exc
 
 
@@ -399,8 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_error(exc: Exception) -> None:
-    """One ``error:`` line on stderr; an arithmetic error is named, its text alone says little."""
-    detail = f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError) else exc
+    """One ``error:`` line on stderr, naming an arithmetic or memory error, whose text is terse."""
+    named = isinstance(exc, (ArithmeticError, MemoryError))
+    detail = f"{type(exc).__name__}: {exc}" if named else exc
     print(f"error: {detail}", file=sys.stderr)
 
 
@@ -440,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
             "version": __version__,
         }
         (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         _print_error(exc)
         return 3
     finally:

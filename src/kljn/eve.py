@@ -166,10 +166,10 @@ def reference_grid(spec: NoiseSpec) -> PdfGrid:
     return analytic_pdf(spec.kind, spec.scale, *grid)
 
 
-# The two mixed assignments: (decision if it survives, Alice's state, Bob's state).
+# The two mixed assignments, (Alice's state, Bob's state): ALICE_LOW, then ALICE_HIGH.
 _HYPOTHESES = (
-    (EveDecision.ALICE_LOW, SwitchState.LOW, SwitchState.HIGH),
-    (EveDecision.ALICE_HIGH, SwitchState.HIGH, SwitchState.LOW),
+    (SwitchState.LOW, SwitchState.HIGH),
+    (SwitchState.HIGH, SwitchState.LOW),
 )
 # Decision of each verdict code, low_rejected + 2 * high_rejected: none or
 # both rejected leaves the bit undecided.
@@ -237,7 +237,7 @@ class BlockAttack:
             self.by_state[state] = (spec, (reference.x, reference.cdf()))
         # The variance each party claims, shaped [hypothesis, party, 1].
         self._variance = np.array(
-            [[self.by_state[s][0].scale ** 2 for s in parties] for _, *parties in _HYPOTHESES]
+            [[self.by_state[s][0].scale ** 2 for s in parties] for parties in _HYPOTHESES]
         )[:, :, None]
         # Each hypothesis tests one low and one high party, so both share
         # one Bonferroni level; a source without a variance gets a shape test only.
@@ -276,7 +276,7 @@ class BlockAttack:
             self._buffers = buffers = np.empty((2, rows, n))
         jobs = [
             partial(self._hypothesis, voltage, current, alice, bob, buffer[:rows])
-            for (_, alice, bob), buffer in zip(_HYPOTHESES, buffers)
+            for (alice, bob), buffer in zip(_HYPOTHESES, buffers)
         ]
         hypotheses = _on_two_threads(*jobs) if n > line.BLOCK_SAMPLES else [job() for job in jobs]
         mean_square, statistic = map(np.array, zip(*hypotheses))
@@ -430,8 +430,8 @@ def run_blocks(
     buffers, a run holds four arrays of its block's size at most. A longer
     trace runs alone in its block, and its two hypotheses run on two
     threads, one buffer each (see :meth:`BlockAttack.tests`). Every bit
-    keeps its own streams (a block's keys are derived in one pass,
-    :class:`kljn.noise.BlockStreams`), so the outcome depends neither on
+    keeps its own streams, addressed by its index under the run's one key
+    (:class:`kljn.noise.BlockStreams`), so the outcome depends neither on
     the block size nor on the threading.
     """
     eve = BlockAttack(pair, spec_low, spec_high, significance)

@@ -2,28 +2,32 @@
 
 Randomness policy
 -----------------
-All sampling goes through numpy's counter-based Philox bit generator so
-that independent streams can be derived from a single session seed without
-any shared state. A stream is addressed by the session seed plus an
-integer path; :func:`stream` is the single-stream form::
+All sampling goes through numpy's counter-based Philox bit generator, so
+that independent streams come from a single session seed without any
+shared state. A stream is addressed by the seed, a bit index and a
+channel, each of the last two in ``[0, 2**64)``; the counter itself names
+the stream (:func:`stream`)::
 
-    Generator(Philox(SeedSequence(entropy=seed, spawn_key=path)))
+    Generator(Philox(seed, counter=bit << 128 | channel << 192))
+
+The key is the seed's ordinary ``Philox(seed)`` key; the bit fills counter
+word 2 and the channel word 3. That is ``Philox(seed).jumped(bit + channel
+* 2**64)``: numpy documents jumps of ``2**128`` draws as non-overlapping
+sequences, and a stream would need ``2**130`` draws to reach the next.
 
 Sessions and attack trials (see :func:`kljn.eve.run_blocks`) give bit
-``i`` the paths ``(i, 0)``, ``(i, 1)`` and ``(i, 2)``. They derive the
-Philox keys of a whole block of bits in one pass (:func:`philox_keys`, a
-port of ``SeedSequence``'s entropy mixing to uint32 array arithmetic),
-which are the same keys ``SeedSequence`` gives, and re-key one reused
-generator per bit (:class:`BlockStreams`). Each row of a block is one
-:func:`sample` call on its bit's stream, drawn in place. Two streams with
-different paths are statistically independent, and the same ``(seed,
-path)`` always reproduces the same draws on every platform numpy
+``i`` channel 0 for its two switch coins, 1 for Alice's source and 2 for
+Bob's. A block of bits re-keys one reused generator per bit by setting its
+counter (:class:`BlockStreams`), and each row of a block is one
+:func:`sample` call on its bit's stream, drawn in place. The same ``(seed,
+bit, channel)`` always reproduces the same draws on every platform numpy
 supports.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -39,19 +43,6 @@ Boltzmann = 1.380649e-23
 _SQRT3 = math.sqrt(3.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
-
-# Stream channels of a bit: (i, 0) the two switch coins, (i, 1) Alice's
-# source, (i, 2) Bob's source.
-CHANNELS = 3
-
-# numpy's SeedSequence constants: the running hash constant of the entropy
-# mixing (A) and of generate_state (B), and the two mix multipliers.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-
 
 class DistributionKind(str, Enum):
     """Shape family of a noise source, all centered at zero."""
@@ -109,146 +100,60 @@ def check_finite(samples: np.ndarray) -> None:
         raise ValueError("trace samples must be finite")
 
 
-def stream(seed: int, *path: int) -> np.random.Generator:
-    """Derive an independent Philox generator for ``(seed, path)``.
+def stream(seed: int, bit: int = 0, channel: int = 0) -> np.random.Generator:
+    """The Philox generator of stream ``(seed, bit, channel)``.
 
-    Parameters
-    ----------
-    seed:
-        Session-level entropy, any non-negative integer (u64 range in
-        practice).
-    path:
-        Zero or more non-negative integers naming the substream.
+    ``seed`` is any non-negative integer; ``bit`` and ``channel`` lie in
+    ``[0, 2**64)`` and set counter words 2 and 3 (see the module notes).
+    The counter goes to numpy as one integer: given as a list of words,
+    numpy would round a word of ``2**63`` or more through float64.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if any(p < 0 for p in path):
-        raise ValueError("stream path entries must be non-negative")
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(seq))
-
-
-def philox_keys(seed: int, rows: range) -> np.ndarray:
-    """Philox keys of the streams ``(seed, i, ch)``, ``i`` in ``rows``, for every channel.
-
-    Entry ``[ch, k]`` equals ``SeedSequence(entropy=seed, spawn_key=(rows[k],
-    ch)).generate_state(2, np.uint64)``, the key :func:`stream` seeds its
-    Philox with. The seed's words fill the first four pool words, so the
-    pool after the first two mixing passes is shared by every stream of the
-    seed; each index word and the channel word are then mixed in for all
-    rows at once. numpy mixes in every uint32 word of an index, so a block
-    that crosses 2**32 is keyed in runs of equal word count.
-    """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if rows.step != 1 or rows.start < 0:
-        raise ValueError("rows must be consecutive non-negative indices")
-    seed_words = _uint32_words(seed)
-    seed_words += [0] * (_POOL_SIZE - len(seed_words))
-    index_words = len(_uint32_words(max(rows.stop - 1, 0)))
-    steps_a = _POOL_SIZE * (len(seed_words) + index_words + 1)
-    consts_a = _running_constants(_INIT_A, _MULT_A, steps_a)
-    consts_b = np.array(_running_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint32)
-    shared, step = _seed_pool(seed_words, consts_a)
-    channel_words = np.arange(CHANNELS, dtype=np.uint32)[:, None, None]
-    keys = np.empty((CHANNELS, len(rows), 2), dtype=np.uint64)
-    start = rows.start
-    while start < rows.stop:
-        n_words = len(_uint32_words(start))
-        stop = min(rows.stop, 1 << 32 * n_words)
-        index = np.arange(start, stop, dtype=np.uint64 if stop <= 1 << 64 else object)
-        pool = np.array(shared, dtype=np.uint32)
-        at = step
-        for j in range(n_words):
-            word = (index >> 32 * j & _MASK32).astype(np.uint32)
-            pool = _mix_word(pool, word[:, None], consts_a[at : at + _POOL_SIZE + 1])
-            at += _POOL_SIZE
-        pool = _mix_word(pool, channel_words, consts_a[at : at + _POOL_SIZE + 1])
-        state = _hash(pool, consts_b[:-1], consts_b[1:])
-        keys[:, start - rows.start : stop - rows.start] = state.astype("<u4").view("<u8")
-        start = stop
-    return keys
+    _check_stream(seed, bit, channel)
+    counter = operator.index(bit) << 128 | operator.index(channel) << 192
+    return np.random.Generator(np.random.Philox(seed, counter=counter))
 
 
 class BlockStreams:
-    """The streams ``(seed, i, channel)`` of a block of bits, keyed in one pass.
+    """The streams ``(seed, i, channel)`` of the bits ``i`` in ``rows``, under one key.
 
-    :meth:`each` re-keys one reused Philox generator for every bit in turn,
-    with a zero counter and an empty buffer: the state a fresh
-    ``stream(seed, i, channel)`` starts from, so its draws are the same.
+    The key is the seed's ``Philox(seed)`` key, derived once. :meth:`each`
+    re-keys one reused Philox generator for every bit in turn, setting the
+    counter ``[0, 0, i, channel]`` and emptying the buffer: the state a
+    fresh ``stream(seed, i, channel)`` starts from, so its draws are the
+    same.
     """
 
     def __init__(self, seed: int, rows: range) -> None:
-        self._keys = philox_keys(seed, rows).tolist()
-        self._bitgen = np.random.Philox(0)
+        # A range's first and last entries are its extremes.
+        _check_stream(seed, *rows[:1], *rows[-1:])
+        self._rows = rows
+        self._bitgen = np.random.Philox(seed)
         self._rng = np.random.Generator(self._bitgen)
+        self._key = self._bitgen.state["state"]["key"].tolist()
 
     def each(self, channel: int) -> Iterator[np.random.Generator]:
         """Stream ``(seed, i, channel)`` for each bit ``i`` in turn, valid until the next."""
+        counter = [0, 0, 0, channel]
         state = {
             "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": None},
+            "state": {"counter": counter, "key": self._key},
             "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        for key in self._keys[channel]:
-            state["state"]["key"] = key
+        for i in self._rows:
+            counter[2] = i
             self._bitgen.state = state
             yield self._rng
 
 
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative int, as numpy splits entropy (0 is one word)."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _running_constants(init: int, mult: int, steps: int) -> list[int]:
-    """The hash constant before and after each of ``steps`` hash steps."""
-    consts = [init]
-    for _ in range(steps):
-        consts.append(consts[-1] * mult & _MASK32)
-    return consts
-
-
-def _hash(value, const, next_const):
-    """SeedSequence's hash step on Python ints or uint32 arrays (numpy's ``hashmix``)."""
-    value = (value ^ const) * next_const & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two uint32 words, on Python ints or uint32 arrays."""
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _mix_word(pool: np.ndarray, word: np.ndarray, consts: list[int]) -> np.ndarray:
-    """Mix one entropy word into each of the four pool words, one hash step each."""
-    consts = np.array(consts, dtype=np.uint32)
-    return _mix(pool, _hash(word, consts[:-1], consts[1:]))
-
-
-def _seed_pool(seed_words: list[int], consts: list[int]) -> tuple[list[int], int]:
-    """The pool once the seed's words are mixed in, and the hash steps used so far."""
-    pool = [_hash(w, consts[k], consts[k + 1]) for k, w in enumerate(seed_words[:_POOL_SIZE])]
-    step = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], consts[step], consts[step + 1]))
-                step += 1
-    for word in seed_words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(word, consts[step], consts[step + 1]))
-            step += 1
-    return pool, step
+def _check_stream(seed: int, *words: int) -> None:
+    """Refuse a negative seed, or a bit or channel outside ``[0, 2**64)``."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if not all(0 <= word < 2**64 for word in words):
+        raise ValueError("stream bit and channel must lie in [0, 2**64)")
 
 
 def johnson_sigma(resistance: float, temperature: float, bandwidth: float) -> float:

@@ -1,61 +1,77 @@
-"""Block stream keys: the vectorised SeedSequence port against numpy itself."""
+"""Stream addressing: the counter rule against numpy's own Philox jumps."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from kljn import DistributionKind, NoiseSpec, sample, stream
-from kljn.noise import BlockStreams, philox_keys
+from kljn.noise import BlockStreams
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-# Bit indices on both sides of 2**32, where an index grows a second
-# spawn_key word, and up to the end of the two-word range.
-INDICES = st.one_of(
-    st.integers(0, 2**32 - 1),
-    st.integers(2**32 - 8, 2**32 + 8),
-    st.integers(2**32, 2**64 - 8),
+# Counter words of 2**63 and above are where numpy, given the counter as a
+# list of words, would round through float64; 2**32 is where a bit index
+# outgrows one uint32 word.
+WORDS = st.one_of(
+    st.integers(0, 2**32 + 8),
+    st.integers(2**63 - 2, 2**63 + 2),
+    st.integers(2**64 - 8, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
 )
 
 
-def numpy_key(seed, i, channel):
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(i, channel))
-    return seq.generate_state(2, np.uint64)
+def jumped(seed, i, channel):
+    return np.random.Generator(np.random.Philox(seed).jumped(i + channel * 2**64))
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(seed=st.integers(0, 2**128 - 1), start=INDICES, width=st.integers(1, 6))
-def test_block_keys_equal_seed_sequence_keys(seed, start, width):
-    rows = range(start, start + width)
-    keys = philox_keys(seed, rows)
-    assert keys.shape == (3, width, 2)
-    for k, i in enumerate(rows):
-        for channel in range(3):
-            assert np.array_equal(keys[channel, k], numpy_key(seed, i, channel))
+@hypothesis.given(seed=st.integers(0, 2**200), i=WORDS, channel=WORDS)
+def test_stream_equals_philox_jumped_by_bit_and_channel(seed, i, channel):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = stream(seed, i, channel).random(6)
+    assert np.array_equal(draws, jumped(seed, i, channel).random(6))
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**32 + 7, 2**64 - 1, 2**73 + 12345, 2**200 + 3])
 def test_keys_of_long_seeds_and_indices_beyond_two_words(seed):
-    # Seeds past four words and indices past 2**64 take numpy's extra
-    # mixing rounds; a block crossing a word boundary is split in runs.
-    for rows in (range(2**32 - 2, 2**32 + 2), range(2**64 - 2, 2**64 + 2)):
-        keys = philox_keys(seed, rows)
-        for k, i in enumerate(rows):
-            for channel in range(3):
-                assert np.array_equal(keys[channel, k], numpy_key(seed, i, channel))
+    # A seed of any length gives one key. Bit indices run through two uint32
+    # words, one counter word, across 2**32 and 2**63 up to 2**64 - 1;
+    # a block that reaches 2**64 is refused.
+    for rows in (range(2**32 - 2, 2**32 + 2), range(2**63 - 2, 2**63 + 2), range(2**64 - 4, 2**64)):
+        for channel in range(3):
+            block = [rng.random(5) for rng in BlockStreams(seed, rows).each(channel)]
+            assert len(block) == len(rows)
+            for k, i in enumerate(rows):
+                assert np.array_equal(block[k], stream(seed, i, channel).random(5))
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        BlockStreams(seed, range(2**64 - 2, 2**64 + 2))
 
 
-def test_empty_block_has_no_keys():
-    assert philox_keys(3, range(5, 5)).shape == (3, 0, 2)
+def test_streams_default_to_bit_and_channel_zero():
+    assert np.array_equal(stream(8).random(4), stream(8, 0, 0).random(4))
+    assert np.array_equal(stream(8).random(4), np.random.Generator(np.random.Philox(8)).random(4))
 
 
-def test_rejects_negative_seed_and_non_consecutive_rows():
-    with pytest.raises(ValueError):
-        philox_keys(-1, range(3))
-    with pytest.raises(ValueError):
-        philox_keys(1, range(0, 10, 2))
-    with pytest.raises(ValueError):
+def test_empty_block_has_no_streams():
+    assert list(BlockStreams(3, range(5, 5)).each(1)) == []
+
+
+@pytest.mark.parametrize("bit, channel", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (2**70, 1)])
+def test_rejects_bit_or_channel_outside_one_counter_word(bit, channel):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        stream(1, bit, channel)
+
+
+def test_rejects_negative_seed_and_blocks_outside_one_counter_word():
+    with pytest.raises(ValueError, match="seed"):
+        stream(-1)
+    with pytest.raises(ValueError, match="seed"):
         BlockStreams(-1, range(3))
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        BlockStreams(1, range(-1, 3))
 
 
 @pytest.mark.parametrize("kind", list(DistributionKind))

@@ -100,7 +100,7 @@ class TestSimulate:
         written = (tmp_path / "bits.csv").read_bytes()
         assert written == "\n".join([header, *rows, ""]).encode("ascii")
         assert hashlib.sha256(written).hexdigest() == (
-            "e767b4c4d2c694b99e4f80881c30535a49cd6105da706c282da615d17995c55f"
+            "62b3e34667ef7ae81e83d0d10425abfe2a025dfdead0e76b5d7d396a7590836d"
         )
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -324,13 +324,13 @@ class TestParser:
 PINNED_MANIFESTS = [
     pytest.param(
         ["simulate", "--bits", "40", "--samples-per-bit", "150", "--seed", "3", "--csv"],
-        "32988f970e2f6651163670f569040f0d8b57e743bb6514be1972ba854ef4229a",
+        "52a21300e0e7653fdd692a542cc45192ae42ee22f2f676dfafe9e457af6b12e3",
         id="simulate",
     ),
     pytest.param(
         ["attack", "--kind", "uniform", "--samples", "1000", "--trials", "6", "--seed", "5",
          "--csv"],
-        "4ef50c2ba6e8e30fd2442fdab21012ed2d1a7a3f9726652b44bdf480da0d8529",
+        "9f003be8be394d0baf7efad2c76e0e417deb8a4437899709f60f464ceab7014b",
         id="attack",
     ),
     pytest.param(
@@ -421,6 +421,7 @@ USAGE_CASES = [
     (["pdf", "--config", "{cfg}"], json.dumps({"kind": 1})),
     (["pdf", "--config", "{cfg}"], json.dumps({"r_low": None})),
     (["simulate", "--config", "{cfg}"], json.dumps({"bits": None})),
+    (["sweep", "--config", "{cfg}"], json.dumps({"multipliers": [1.0, 10**400]})),
 ]
 
 
@@ -443,6 +444,8 @@ MISTYPED_CONFIGS = [
     ("pdf", {"kind": 1}, "'kind' must be a JSON string"),
     ("sweep", {"multipliers": ["1.0", "2"]},
      "'multipliers' must be a comma-separated JSON string or a JSON list of numbers"),
+    ("pdf", {"kind": "Gaussian"}, f"'kind' must be one of {_SETTINGS['kind'].choices}"),
+    ("simulate", {"r_low": 10**400}, "'r_low' is too large for a float"),
 ]
 
 
@@ -554,6 +557,24 @@ def test_a_renderer_failing_mid_artifact_is_a_run_failure(monkeypatch, tmp_path,
     assert captured.err == "error: renderer failed\n"
     assert captured.out == ""
     # The artifact was staged under a temporary name, which the failure removed.
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_running_out_of_memory_is_a_run_failure(monkeypatch, tmp_path, capsys):
+    # Raised, not provoked: where memory is overcommitted, a huge allocation
+    # can succeed and the process be killed later.
+    def exhausted_chunks():
+        yield b"trial,true_alice,decision,credit\n"
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    validate, _ = _COMMANDS["attack"]
+    monkeypatch.setitem(
+        _COMMANDS, "attack", (validate, lambda inputs, csv: ({"trials.csv": exhausted_chunks()}, "done"))
+    )
+    assert run(["attack", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: MemoryError: Unable to allocate 7.28 TiB\n"
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 

@@ -543,7 +543,7 @@ def plain_tests(eve, voltage, current):
     rows, n = voltage.shape
     i = np.arange(1, n + 1, dtype=np.float64)
     z, statistic = np.empty((2, 2, rows)), np.empty((2, 2, rows))
-    for h, (_, alice_state, bob_state) in enumerate(_HYPOTHESES):
+    for h, (alice_state, bob_state) in enumerate(_HYPOTHESES):
         for party, (alice, state) in enumerate(((True, alice_state), (False, bob_state))):
             spec, reference = eve.by_state[state]
             x = _reconstruct(voltage, current, resistance_for(PAIR, state), alice)
