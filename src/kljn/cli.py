@@ -26,8 +26,9 @@ and the run's inputs, and a run that maps those inputs and ``--csv`` to
 its artifacts, keyed by file name, and the text to print. An artifact is
 an iterable of encoded byte chunks (a JSON summary is one chunk), which
 :func:`main` writes and feeds to the artifact's sha256 as they arrive.
-The large artifacts are rendered a block of rows or bits at a time, so
-none is ever held whole and a run's memory does not grow with its output.
+The large artifacts are rendered a block of CSV rows or a session record
+at a time, so none is ever held whole and a run's memory does not grow
+with its output.
 Each artifact is written under a temporary name in ``--out`` and renamed
 once every digest is taken, before the manifest is written; a run that
 fails removes the files it staged, so it leaves no partial artifact
@@ -50,7 +51,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,11 +59,11 @@ import numpy as np
 
 from . import __version__
 from .density import check_grid, closure_pair, default_grid, l1_residual, weights
-from .eve import VERDICTS, attack_trials, check_trial_settings, credits
+from .eve import VERDICTS, attack_trials, check_run_settings, credits
 from .line import SwitchState
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, check_variance
 from .noise import scaled_sigma_high
-from .protocol import BIT_FIELDS, SessionConfig, leak_sweep, run_session, sweep_configs
+from .protocol import BIT_FIELDS, RECORDS, SessionConfig, leak_sweep, run_session, sweep_configs
 
 _CSV_BLOCK = 4096
 
@@ -179,12 +180,6 @@ def _csv_cell(value: object) -> str:
     return "" if value is None else str(value)
 
 
-def _csv_cells(column: list) -> Iterator[str]:
-    """The :func:`_csv_cell` of each value in a column, computed once per distinct value."""
-    cells = {value: _csv_cell(value) for value in set(column)}
-    return map(cells.__getitem__, column)
-
-
 def _is_json_form(value: object, setting_type: type) -> bool:
     """Whether a config value is the JSON a setting of ``setting_type`` takes; no boolean is."""
     if isinstance(value, list):
@@ -267,11 +262,8 @@ def _simulate(config: SessionConfig, csv: bool) -> tuple[dict[str, Iterable[byte
     outcome = run_session(config)
     artifacts = {"session.json": map(str.encode, outcome.json_chunks())}
     if csv:
-        # Each block's cells; bit_index, whose values are all distinct, needs no table.
-        rows = chain.from_iterable(
-            zip(*(map(str, c) if name == "bit_index" else _csv_cells(c) for name, c in f.items()))
-            for f in outcome.bit_blocks()
-        )
+        cells = [",".join(map(_csv_cell, record)) for record in RECORDS]
+        rows = zip(map(str, count()), map(cells.__getitem__, outcome.codes().tobytes()))
         artifacts["bits.csv"] = _csv_bytes(",".join(BIT_FIELDS), rows)
     acc = outcome.eve_accuracy
     return artifacts, (
@@ -285,7 +277,7 @@ def _attack_inputs(s: dict) -> tuple[dict, tuple]:
     pair = _noise(s)
     check_sigmas(s["sigma_low"], s["sigma_high"])
     trial = s["samples"], s["trials"], s["significance"], s["seed"]
-    check_trial_settings(*trial)
+    check_run_settings(*trial, ("samples", "trials"))
     specs = NoiseSpec(s["kind"], s["sigma_low"]), NoiseSpec(s["kind"], s["sigma_high"])
     return s, (pair, *specs, *trial)  # the arguments of attack_trials
 

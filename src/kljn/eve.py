@@ -387,14 +387,25 @@ class AttackTrialSummary:
         }
 
 
-def check_trial_settings(
-    samples_per_trial: int, trials: int, significance: float, seed: int
+def check_run_settings(
+    samples: int,
+    bits: int,
+    significance: float,
+    seed: int,
+    names: tuple[str, str] = ("samples", "bits"),
 ) -> None:
-    """Refuse settings :func:`attack_trials` cannot run, before anything is drawn."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if samples_per_trial < MIN_TEST_SAMPLES:
-        raise ValueError(f"trials need at least {MIN_TEST_SAMPLES} samples each")
+    """Refuse settings :func:`run_blocks` cannot run, naming the one at fault.
+
+    ``names`` are the caller's names for ``samples`` and ``bits``. Sessions
+    (:class:`kljn.protocol.SessionConfig`), :func:`attack_trials`, the
+    CLI's ``attack`` validator and :func:`run_blocks` itself call this
+    before anything is drawn.
+    """
+    samples_name, bits_name = names
+    if bits < 1:
+        raise ValueError(f"{bits_name} must be at least 1")
+    if samples < MIN_TEST_SAMPLES:
+        raise ValueError(f"{samples_name} must be at least {MIN_TEST_SAMPLES}")
     _check_significance(significance)
     if seed < 0:
         raise ValueError("seed must be non-negative")
@@ -412,7 +423,9 @@ def run_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Draw, solve and attack ``bits`` bits of ``samples`` samples each, one block at a time.
 
-    This is the one run loop of sessions and attack trials. Bit ``i`` draws
+    This is the one run loop of sessions and attack trials. Its settings
+    are checked (:func:`check_run_settings`) when the first block is asked
+    for, before anything is drawn. Bit ``i`` draws
     its two coins from stream ``(seed, i, 0)`` as ``integers(0, 2,
     size=2)``; ``switches`` maps the block's ``(rows, 2)`` boolean coin
     array to the switch states ``(alice_high, bob_high)``. The sources and
@@ -434,10 +447,11 @@ def run_blocks(
     (:class:`kljn.noise.BlockStreams`), so the outcome depends neither on
     the block size nor on the threading.
     """
+    check_run_settings(samples, bits, significance, seed)
     eve = BlockAttack(pair, spec_low, spec_high, significance)
-    bit_blocks = blocks(bits, samples)
-    line_arrays = np.empty((2, len(bit_blocks[0]), samples))
-    for rows in bit_blocks:
+    row_blocks = blocks(bits, samples)
+    line_arrays = np.empty((2, len(row_blocks[0]), samples))
+    for rows in row_blocks:
         streams = BlockStreams(seed, rows)
         coins = np.array([rng.integers(0, 2, size=2) for rng in streams.each(0)], dtype=bool)
         alice_high, bob_high = switches(coins)
@@ -466,7 +480,9 @@ def attack_trials(
     with the streams of a session's bits: trial ``i``'s first coin ``c0``
     sets Alice low, so the switches are ``(~c0, c0)``.
     """
-    check_trial_settings(samples_per_trial, trials, significance, seed)
+    check_run_settings(
+        samples_per_trial, trials, significance, seed, ("samples_per_trial", "trials")
+    )
 
     def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return ~coins[:, 0], coins[:, 0]

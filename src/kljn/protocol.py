@@ -10,23 +10,27 @@ records how often she wins beyond the coin-flip baseline.
 
 A session's outcome is a table of read-only numpy columns: each party's
 switch and the classified level per bit, and the attack's verdict code per
-secure bit. :meth:`SessionOutcome.bit_blocks` derives the per-bit records
-from them one block of bits at a time, for ``session.json`` and
-``bits.csv`` alike, so rendering a session holds one block's records, not
-the session's.
+secure bit. Apart from its index, a bit's record is one of a few
+categorical values, so it is one code: :meth:`SessionOutcome.codes` gives
+each bit's code and :data:`RECORDS` the record of each code, derived once by
+:func:`_record`. ``session.json`` and ``bits.csv`` render a bit as its
+index and its code's text, so rendering a session holds one code per bit,
+never the session's records.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
-from .eve import MIN_TEST_SAMPLES, VERDICTS, _check_significance, _mean_square, credits, run_blocks
+from .eve import VERDICTS, _mean_square, check_run_settings, credits, run_blocks
 from .line import SwitchState, theoretical_line_variance
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, check_variance
 from .noise import security_sigma_ratio
@@ -42,10 +46,6 @@ class Level(str, Enum):
     HIGH = "high"
 
 
-# Object arrays, so every list taken from them shares these few strings.
-_LEVEL_VALUES = np.array([level.value for level in Level], dtype=object)
-_STATE_VALUES = np.array([SwitchState.LOW.value, SwitchState.HIGH.value], dtype=object)
-_DECISION_VALUES = np.array([decision.value for decision in VERDICTS], dtype=object)
 # The per-bit fields of a session's records, in the column order of bits.csv.
 BIT_FIELDS = (
     "bit_index",
@@ -57,23 +57,56 @@ BIT_FIELDS = (
     "key_bit",
     "eve_decision",
 )
-# Bits per block of per-bit fields: a session's records are derived and
-# rendered one block at a time, so their memory is flat in the bit count.
-_BIT_BLOCK = 4096
-# One record of session.json's "bits" list as json.dumps(indent=2,
-# sort_keys=True) lays it out: fields in sorted order, bit_index an int
-# and every other value its JSON text.
-_JSON_RECORD = """\
-    {
-      "alice_state": %s,
-      "bit_index": %d,
-      "bob_state": %s,
-      "classified_level": %s,
-      "discarded": %s,
-      "eve_decision": %s,
-      "key_bit": %s,
-      "secure": %s
-    }"""
+
+
+def _record(alice_high: int, bob_high: int, level: int, verdict: int) -> tuple:
+    """A bit's fields after ``bit_index`` (``BIT_FIELDS[1:]``): the one rule that derives them.
+
+    ``alice_high`` and ``bob_high`` are the switches (1 when high), ``level``
+    the classified level's index in ``Level`` and ``verdict`` the attack's
+    verdict code (:data:`kljn.eve.VERDICTS`), -1 for a bit that is not
+    secure. States, levels and decisions are their enum values. A bit is
+    discarded when its level is not the true one, which the number of high
+    switches indexes. Its ``key_bit`` (Alice's switch, low 0 and high 1) is
+    None unless it is secure and kept, and its ``eve_decision`` is None
+    unless it is secure.
+    """
+    secure = alice_high != bob_high
+    discarded = level != alice_high + bob_high
+    states = (SwitchState.LOW, SwitchState.HIGH)
+    return (
+        states[alice_high].value,
+        states[bob_high].value,
+        list(Level)[level].value,
+        secure,
+        discarded,
+        alice_high if secure and not discarded else None,
+        None if verdict < 0 else VERDICTS[verdict].value,
+    )
+
+
+# The record of each code ((alice_high * 2 + bob_high) * 3 + level) * 5 +
+# verdict + 1, which SessionOutcome.codes gives per bit. A bit has a verdict
+# exactly when it is secure, so 30 of the 60 codes occur.
+RECORDS = tuple(
+    itertools.starmap(_record, itertools.product(range(2), range(2), range(3), range(-1, 4)))
+)
+
+
+@cache
+def _json_records() -> tuple[str, ...]:
+    """Each code's record as an item of session.json's "bits" list, ``%d`` for its ``bit_index``.
+
+    The text is ``json.dumps(indent=2, sort_keys=True)`` of the record,
+    indented to the depth of the list's items. Built on first use, so a
+    command that renders no session does not pay for it.
+    """
+    texts = []
+    for record in RECORDS:
+        text = json.dumps(dict(zip(BIT_FIELDS, (0, *record))), indent=2, sort_keys=True)
+        text = text.replace('"bit_index": 0', '"bit_index": %d')
+        texts.append("    " + text.replace("\n", "\n    "))
+    return tuple(texts)
 
 
 @dataclass(frozen=True)
@@ -94,13 +127,8 @@ class SessionConfig:
             object.__setattr__(self, "kind", DistributionKind(self.kind))
         check_variance(self.kind, "sessions")
         check_sigmas(self.sigma_low, self.sigma_high)
-        if self.samples_per_bit < MIN_TEST_SAMPLES:
-            raise ValueError(f"samples_per_bit must be at least {MIN_TEST_SAMPLES}")
-        if self.bits < 1:
-            raise ValueError("bits must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        _check_significance(self.significance)
+        names = ("samples_per_bit", "bits")
+        check_run_settings(self.samples_per_bit, self.bits, self.significance, self.seed, names)
         _level_cuts(self.pair, self.sigma_low, self.sigma_high)
 
     def to_dict(self) -> dict:
@@ -126,9 +154,9 @@ class SessionOutcome:
     hold one entry per bit. ``verdicts`` holds the attack's verdict code
     (:data:`kljn.eve.VERDICTS`) of each secure bit, in bit order.
 
-    The per-bit records are derived from the columns a block of bits at a
-    time (:meth:`bit_blocks`): :meth:`json_chunks` streams ``session.json``
-    from them and the CLI's ``bits.csv`` takes its cells from them.
+    A bit's record is its index and the record (:data:`RECORDS`) of its
+    code (:meth:`codes`): :meth:`json_chunks` streams ``session.json`` from
+    the codes and the CLI's ``bits.csv`` takes its cells from them.
     :meth:`to_dict` is the whole outcome as one dict.
     """
 
@@ -144,46 +172,13 @@ class SessionOutcome:
         for column in (self.alice_high, self.bob_high, self.levels, self.verdicts):
             column.setflags(write=False)
 
-    def bit_fields(self, start: int, stop: int, first_verdict: int) -> dict[str, list | range]:
-        """The per-bit fields (``BIT_FIELDS``) of the block of bits ``start`` to ``stop``.
-
-        Each field is a list in bit order, except ``bit_index``, a range.
-        ``first_verdict`` is the number of secure bits before ``start``,
-        which is where the block's entries of ``verdicts`` begin. States,
-        levels and decisions are their enum values. A bit's ``key_bit``
-        (Alice's switch, low 0 and high 1) is None unless the bit is secure
-        and kept, and its ``eve_decision`` is None unless it is secure.
-        """
-        alice_high, bob_high = self.alice_high[start:stop], self.bob_high[start:stop]
-        secure = alice_high != bob_high
-        # The number of high switches indexes the true level.
-        discarded = self.levels[start:stop] != alice_high + bob_high.astype(np.intp)
-        verdicts = self.verdicts[first_verdict : first_verdict + np.count_nonzero(secure)]
-        decisions = np.full(len(secure), None)
-        decisions[secure] = _DECISION_VALUES[verdicts]
-        columns = (
-            range(start, start + len(secure)),
-            _STATE_VALUES[alice_high.astype(np.intp)].tolist(),
-            _STATE_VALUES[bob_high.astype(np.intp)].tolist(),
-            _LEVEL_VALUES[self.levels[start:stop]].tolist(),
-            secure.tolist(),
-            discarded.tolist(),
-            np.where(secure & ~discarded, alice_high.astype(np.intp), None).tolist(),
-            decisions.tolist(),
-        )
-        return dict(zip(BIT_FIELDS, columns))
-
-    def bit_blocks(self) -> Iterator[dict[str, list | range]]:
-        """:meth:`bit_fields` of each block of ``_BIT_BLOCK`` (4096) bits, in bit order.
-
-        The number of secure bits before a block is carried from block to
-        block, so no field of the whole session is ever built.
-        """
-        first_verdict = 0
-        for start in range(0, len(self.alice_high), _BIT_BLOCK):
-            fields = self.bit_fields(start, start + _BIT_BLOCK, first_verdict)
-            first_verdict += fields["secure"].count(True)
-            yield fields
+    def codes(self) -> np.ndarray:
+        """Each bit's code, the index of its record in :data:`RECORDS`, as a ``uint8`` column."""
+        secure = self.alice_high != self.bob_high
+        verdict = np.zeros(len(secure), dtype=np.uint8)  # verdict + 1, 0 unless secure
+        verdict[secure] = self.verdicts + 1
+        switches = self.alice_high * np.uint8(2) + self.bob_high
+        return (switches * 3 + self.levels.astype(np.uint8)) * 5 + verdict
 
     def _aggregates(self) -> dict:
         return {
@@ -196,9 +191,8 @@ class SessionOutcome:
         return {
             "aggregates": self._aggregates(),
             "bits": [
-                dict(zip(fields, bit))
-                for fields in self.bit_blocks()
-                for bit in zip(*fields.values())
+                dict(zip(BIT_FIELDS, (i, *RECORDS[code])))
+                for i, code in enumerate(self.codes().tobytes())
             ],
         }
 
@@ -206,12 +200,10 @@ class SessionOutcome:
         """The text of :meth:`to_json` in pieces: the aggregates, then one piece per bit record.
 
         The text is ``json.dumps(self.to_dict(), indent=2, sort_keys=True)``
-        and a final newline. Records come from :meth:`bit_blocks`, so a
-        consumer that writes each piece holds one block's fields and one
-        record's text at a time; a piece per block would hold a block's
-        records twice, as a list and as their join. Within a block each
-        field's distinct values are encoded once with ``json.dumps``, and
-        ``bit_index``, an int, is formatted as its digits.
+        and a final newline. A bit's record is its code's text
+        (:func:`_json_records`) with its index filled in, so a consumer that
+        writes each piece holds the codes, one byte per bit, and one
+        record's text at a time.
         """
         empty = json.dumps(
             {"aggregates": self._aggregates(), "bits": []}, indent=2, sort_keys=True
@@ -220,25 +212,15 @@ class SessionOutcome:
         if not len(self.alice_high):
             yield empty + "\n"
             return
+        texts = _json_records()
         separator = head + "[\n"
-        for fields in self.bit_blocks():
-            columns = [
-                column if name == "bit_index" else _json_texts(column)
-                for name, column in sorted(fields.items())
-            ]
-            for record in zip(*columns):
-                yield separator + _JSON_RECORD % record
-                separator = ",\n"
+        for i, code in enumerate(self.codes().tobytes()):
+            yield separator + texts[code] % i
+            separator = ",\n"
         yield "\n  ]" + tail + "\n"
 
     def to_json(self) -> str:
         return "".join(self.json_chunks())
-
-
-def _json_texts(column: list) -> Iterator[str]:
-    """The JSON text of each value, ``json.dumps`` run once per distinct value."""
-    texts = {value: json.dumps(value) for value in set(column)}
-    return map(texts.__getitem__, column)
 
 
 def _level_cuts(pair: ResistorPair, sigma_low: float, sigma_high: float) -> tuple[float, float]:

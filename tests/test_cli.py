@@ -356,6 +356,14 @@ PINNED_MANIFESTS = [
         "6a98021b07b5cff3abbb9c1f60f90307b633e258a3d98f15ddb54586de49b6d2",
         id="sweep",
     ),
+    # 1.1 gives an accuracy of 0.5625, strictly between the extremes, so this
+    # pin follows the session streams, the coins and the attack
+    pytest.param(
+        ["sweep", "--bits", "20", "--samples-per-bit", "300", "--multipliers", "1.0,1.1,2.0",
+         "--seed", "7"],
+        "2a4146d70363501467cdac5e0df27447ba31a25bc50ff2e6a6325a2c09b8f74c",
+        id="sweep-between",
+    ),
 ]
 
 

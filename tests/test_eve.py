@@ -2,6 +2,7 @@
 
 import math
 import threading
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -692,3 +693,29 @@ class TestAttackTrials:
             attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 1000, 5, significance=1.0, seed=1)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 1000, 5, seed=-1)
+
+    def test_run_blocks_refuses_a_run_it_cannot_make_before_drawing(self):
+        def switches(coins):
+            return coins[:, 0], coins[:, 1]
+
+        run = partial(kljn.eve.run_blocks, PAIR, GAUSS_LOW, GAUSS_HIGH)
+        with mock.patch.object(kljn.eve, "BlockStreams", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match="bits must be at least 1"):
+                list(run(1000, 0, 0.01, 1, switches))
+            with pytest.raises(ValueError, match="samples must be at least 100"):
+                list(run(99, 5, 0.01, 1, switches))
+            with pytest.raises(ValueError, match="significance must lie in"):
+                list(run(1000, 5, 0.0, 1, switches))
+            with pytest.raises(ValueError, match="seed must be non-negative"):
+                list(run(1000, 5, 0.01, -1, switches))
+
+    def test_each_caller_names_its_own_setting(self):
+        with pytest.raises(ValueError, match="^trials must be at least 1$"):
+            attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 1000, 0, seed=1)
+        with pytest.raises(ValueError, match="^samples_per_trial must be at least 100$"):
+            attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 99, 5, seed=1)
+        session = partial(SessionConfig, PAIR, DistributionKind.GAUSSIAN, 1.0, 2.0)
+        with pytest.raises(ValueError, match="^bits must be at least 1$"):
+            session(150, bits=0, seed=1)
+        with pytest.raises(ValueError, match="^samples_per_bit must be at least 100$"):
+            session(99, bits=5, seed=1)

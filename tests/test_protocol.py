@@ -20,7 +20,6 @@ from kljn import (
     theoretical_line_variance,
 )
 import kljn.cli
-import kljn.protocol
 from kljn.cli import _simulate
 from kljn.protocol import SessionOutcome, _classify_rows, _level_cuts, sweep_configs
 
@@ -230,6 +229,55 @@ def simulate_artifacts(outcome: SessionOutcome, monkeypatch) -> dict[str, bytes]
     return {name: b"".join(chunks) for name, chunks in artifacts.items()}
 
 
+def every_record_outcome() -> tuple[SessionOutcome, list[dict]]:
+    """An outcome with each reachable (alice, bob, level, verdict) twice, shuffled, and its records.
+
+    The records are written out from the columns field by field, in
+    ``bits.csv`` column order, with no use of the package's record table.
+    """
+    combos = [
+        (alice, bob, level, verdict)
+        for alice, bob, level in itertools.product((0, 1), (0, 1), range(3))
+        for verdict in (range(4) if alice != bob else [None])
+    ]
+    assert len(combos) == 30
+    bits = [combos[k] for k in np.random.default_rng(30).permutation(2 * len(combos)) % len(combos)]
+    alice_high, bob_high, levels, verdicts = zip(*bits)
+    outcome = SessionOutcome(
+        np.array(alice_high, dtype=bool),
+        np.array(bob_high, dtype=bool),
+        np.array(levels, dtype=np.intp),
+        np.array([v for v in verdicts if v is not None], dtype=np.int64),
+        0.5,
+        0.0,
+        0.5,
+    )
+    states = ("low", "high")
+    decisions = ("undecided", "alice_high", "alice_low", "undecided")
+    expected = []
+    for i, (alice, bob, level, verdict) in enumerate(bits):
+        secure = alice != bob
+        kept = secure and level == 1
+        expected.append({
+            "bit_index": i,
+            "alice_state": states[alice],
+            "bob_state": states[bob],
+            "classified_level": ("low", "mid", "high")[level],
+            "secure": secure,
+            "discarded": level != alice + bob,
+            "key_bit": alice if kept else None,
+            "eve_decision": None if verdict is None else decisions[verdict],
+        })
+    return outcome, expected
+
+
+def csv_cell(value) -> str:
+    """A record value as ``bits.csv`` writes it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
 RENDERED_OUTCOMES = [
     *(
         pytest.param(lambda bits=bits: run_session(config(bits=bits, samples_per_bit=150, seed=bits)),
@@ -249,16 +297,26 @@ RENDERED_OUTCOMES = [
 
 class TestRendering:
     @pytest.mark.parametrize("make", RENDERED_OUTCOMES)
-    def test_blocks_of_four_bits_render_what_one_block_does(self, make, monkeypatch):
+    def test_streamed_artifacts_are_the_dumps_of_to_dict(self, make, monkeypatch):
         outcome = make()
         whole_dict = outcome.to_dict()
         whole = simulate_artifacts(outcome, monkeypatch)
-        monkeypatch.setattr(kljn.protocol, "_BIT_BLOCK", 4)
         # the rule to_json followed before it streamed its records
         assert outcome.to_json() == json.dumps(outcome.to_dict(), indent=2, sort_keys=True) + "\n"
         assert outcome.to_dict() == whole_dict
         assert simulate_artifacts(outcome, monkeypatch) == whole
         assert whole["session.json"] == outcome.to_json().encode("ascii")
+
+    def test_every_reachable_record_renders_as_its_columns_say(self, monkeypatch):
+        outcome, expected = every_record_outcome()
+        assert len(set(outcome.codes().tolist())) == 30
+        assert outcome.to_dict()["bits"] == expected
+        document = {"aggregates": outcome.to_dict()["aggregates"], "bits": expected}
+        assert outcome.to_json() == json.dumps(document, indent=2, sort_keys=True) + "\n"
+        header = ",".join(expected[0])
+        rows = [",".join(csv_cell(value) for value in record.values()) for record in expected]
+        csv = "\n".join([header, *rows, ""]).encode("ascii")
+        assert simulate_artifacts(outcome, monkeypatch)["bits.csv"] == csv
 
     def test_a_session_with_no_secure_bit_has_no_accuracy(self):
         seed = first_seed_mixing([False, False])
