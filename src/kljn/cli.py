@@ -40,7 +40,8 @@ arithmetic error (such as a float overflow from amplitudes too large to
 square) is a usage error while the settings are validated, before
 ``--out`` is created, and a run failure after that. A run that cannot
 get the memory it asks for (a trace or grid too large to hold) is a run
-failure too.
+failure too, and so is a worker process of the run that ends without a
+result (:class:`kljn.eve.WorkerError`).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import numpy as np
 
 from . import __version__
 from .density import check_grid, closure_pair, default_grid, l1_residual, weights
-from .eve import VERDICTS, attack_trials, check_run_settings, credits
+from .eve import VERDICTS, WorkerError, attack_trials, check_run_settings, credits
 from .line import SwitchState
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, check_variance
 from .noise import scaled_sigma_high
@@ -443,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
             "version": __version__,
         }
         (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
-    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError, WorkerError) as exc:
         _print_error(exc)
         return 3
     finally:

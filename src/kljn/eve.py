@@ -24,20 +24,25 @@ verdict, split into the variance channel and the shape channel. A verdict
 is an int code per row, :meth:`BlockAttack.verdicts`; :data:`VERDICTS`
 decodes it to an :class:`EveDecision` and :func:`credits` scores it.
 :func:`run_blocks` is the one run loop: it draws, solves and attacks a
-run's bits block by block for :func:`kljn.protocol.run_session` and for
+range of bits block by block for :func:`kljn.protocol.run_session` and for
 :func:`attack_trials`, which runs it over fresh mixed-state bits and
-scores the verdicts.
+scores the verdicts. :func:`run_shares` is the one parallel path: it
+splits a run's bits into contiguous shares of whole blocks, runs the first
+in this process and each other one in a forked worker, and joins the
+per-bit columns that the caller reduces each block to, in bit order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import NamedTuple, TypeVar
+from itertools import chain
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -65,7 +70,6 @@ _SERIES_EXPONENTS = -2.0 * np.arange(1.0, 6.0).reshape(-1, 1) ** 2
 _SERIES_SIGNS = np.array([[2.0], [-2.0], [2.0], [-2.0], [2.0]])
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
-_T = TypeVar("_T")
 
 
 class EveDecision(str, Enum):
@@ -210,19 +214,16 @@ class Evidence(NamedTuple):
 class BlockAttack:
     """Both mixed-state hypotheses, tested on blocks of bits held one per row.
 
-    Built once per attack, session or trial run: each party's shape
+    Built once per run of bits (:func:`run_blocks`): each party's shape
     reference (:func:`reference_grid`) and its CDF are built here once
     rather than once per bit. The significance must lie in (0, 1) and each
-    row must hold at least ``MIN_TEST_SAMPLES`` samples. A block whose
-    rows are longer than ``kljn.line.BLOCK_SAMPLES`` (a long trace, which
-    runs alone) has its two hypotheses tested on two threads, one buffer
-    each; the outcome does not depend on the threading.
+    row must hold at least ``MIN_TEST_SAMPLES`` samples.
 
-    The two hypothesis buffers belong to the instance and are kept from
-    one block to the next. They grow when a block has more rows or another
-    row length; the old pair is released before the new one is allocated.
-    Because the buffers are shared by its calls, an instance must not be
-    shared between threads.
+    The two hypotheses are tested in turn in one ``(rows, n)`` buffer that
+    belongs to the instance and is kept from one block to the next. It
+    grows when a block has more rows or another row length; the old buffer
+    is released before the new one is allocated. Because the buffer is
+    shared by its calls, an instance must not be shared between threads.
     """
 
     def __init__(
@@ -243,8 +244,8 @@ class BlockAttack:
         # one Bonferroni level; a source without a variance gets a shape test only.
         n_tests = sum(1 + LAWS[spec.kind].variance for spec in (spec_low, spec_high))
         self.level = significance / n_tests
-        # Scratch of the two hypotheses, shaped [hypothesis, row, sample].
-        self._buffers: np.ndarray | None = None
+        # Scratch of both hypotheses, shaped [row, sample].
+        self._buffer: np.ndarray | None = None
 
     def tests(self, voltage: np.ndarray, current: np.ndarray) -> Evidence:
         """Every sub-test of both hypotheses on a block of line signals.
@@ -254,31 +255,22 @@ class BlockAttack:
         level is the significance divided by the number of sub-tests
         (Bonferroni), so a true hypothesis survives with probability at
         least ``1 - significance``. Each kind of p-value is computed once per
-        block, over all of its hypotheses, parties and rows together.
-
-        Each hypothesis works in one buffer of the block's shape, the
-        leading rows of the instance's kept buffers. Rows longer than
-        ``kljn.line.BLOCK_SAMPLES`` test ``ALICE_HIGH`` on a helper thread
-        while ``ALICE_LOW`` runs on the calling thread; the sort,
-        interpolation and arithmetic kernels release the GIL. Shorter
-        rows hold the GIL too much of the time to gain, so they run the two
-        in turn. The results are bitwise the same either way.
+        block, over all of its hypotheses, parties and rows together. Both
+        hypotheses work in turn in the leading rows of the instance's kept
+        buffer.
         """
         rows, n = voltage.shape
         if n < MIN_TEST_SAMPLES:
             raise ValueError(f"attack needs at least {MIN_TEST_SAMPLES} samples")
-        buffers = self._buffers
-        if buffers is None or rows > buffers.shape[1] or n != buffers.shape[2]:
-            # Allocated here, not on the helper thread, which would take them
-            # from a malloc arena of its own and raise peak memory. The old
-            # pair goes first, so the two pairs are never held at once.
-            self._buffers = buffers = None
-            self._buffers = buffers = np.empty((2, rows, n))
-        jobs = [
-            partial(self._hypothesis, voltage, current, alice, bob, buffer[:rows])
-            for (alice, bob), buffer in zip(_HYPOTHESES, buffers)
+        buffer = self._buffer
+        if buffer is None or rows > len(buffer) or n != buffer.shape[1]:
+            # The old buffer goes first, so two are never held at once.
+            self._buffer = buffer = None
+            self._buffer = buffer = np.empty((rows, n))
+        hypotheses = [
+            self._hypothesis(voltage, current, alice, bob, buffer[:rows])
+            for alice, bob in _HYPOTHESES
         ]
-        hypotheses = _on_two_threads(*jobs) if n > line.BLOCK_SAMPLES else [job() for job in jobs]
         mean_square, statistic = map(np.array, zip(*hypotheses))
         z = (mean_square - self._variance) / (self._variance * math.sqrt(2.0 / n))
         variance_p = _z_p_value(z)
@@ -298,9 +290,7 @@ class BlockAttack:
 
         Both parties work inside ``buffer``: the reconstruction is squared
         in place for the mean square, made again and sorted in place for the
-        shape test. This can run on a helper thread, so it calls none of
-        the functions ``bench/spans.py`` wraps: its tracer keeps one span
-        stack and assumes one thread.
+        shape test.
         """
         mean_squares, statistics = [], []
         for alice, state in ((True, alice_state), (False, bob_state)):
@@ -325,31 +315,6 @@ class BlockAttack:
         """
         low_rejected, high_rejected = self.tests(voltage, current).rejected
         return low_rejected + 2 * high_rejected
-
-
-def _on_two_threads(first: Callable[[], _T], second: Callable[[], _T]) -> list[_T]:
-    """``[first(), second()]``, with ``second`` run on a helper thread meanwhile.
-
-    An exception raised on the helper thread is raised again here, once
-    both calls have ended.
-    """
-    outcome: dict[str, object] = {}
-
-    def helper() -> None:
-        try:
-            outcome["value"] = second()
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=helper, name="kljn-hypothesis")
-    thread.start()
-    try:
-        value = first()
-    finally:
-        thread.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return [value, outcome["value"]]
 
 
 def credits(verdicts: np.ndarray, alice_high: np.ndarray) -> np.ndarray:
@@ -416,16 +381,17 @@ def run_blocks(
     spec_low: NoiseSpec,
     spec_high: NoiseSpec,
     samples: int,
-    bits: int,
+    bits: int | range,
     significance: float,
     seed: int,
     switches: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Draw, solve and attack ``bits`` bits of ``samples`` samples each, one block at a time.
+    """Draw, solve and attack a range of bits of ``samples`` samples each, one block at a time.
 
-    This is the one run loop of sessions and attack trials. Its settings
-    are checked (:func:`check_run_settings`) when the first block is asked
-    for, before anything is drawn. Bit ``i`` draws
+    This is the one run loop of sessions and attack trials. ``bits`` is
+    the range of bit indices to run, or a count of bits from 0. Its
+    settings are checked (:func:`check_run_settings`) when the first block
+    is asked for, before anything is drawn. Bit ``i`` draws
     its two coins from stream ``(seed, i, 0)`` as ``integers(0, 2,
     size=2)``; ``switches`` maps the block's ``(rows, 2)`` boolean coin
     array to the switch states ``(alice_high, bob_high)``. The sources and
@@ -439,17 +405,18 @@ def run_blocks(
     Bits run in blocks of ``kljn.line.BLOCK_SAMPLES // samples`` (at least
     one), held as ``(bits, samples)`` arrays. The run allocates its two
     line arrays once, shaped like the first block, and each block is drawn
-    and solved in their leading rows; with the attack's two kept hypothesis
-    buffers, a run holds four arrays of its block's size at most. A longer
-    trace runs alone in its block, and its two hypotheses run on two
-    threads, one buffer each (see :meth:`BlockAttack.tests`). Every bit
-    keeps its own streams, addressed by its index under the run's one key
+    and solved in their leading rows; with the attack's kept hypothesis
+    buffer, a run holds three arrays of its block's size at most, and a
+    longer trace runs alone in its block. Every bit keeps its own streams,
+    addressed by its index under the run's one key
     (:class:`kljn.noise.BlockStreams`), so the outcome depends neither on
-    the block size nor on the threading.
+    the block size nor on how the bits are split between runs
+    (:func:`run_shares`).
     """
-    check_run_settings(samples, bits, significance, seed)
+    span = bits if isinstance(bits, range) else range(bits)
+    check_run_settings(samples, len(span), significance, seed)
     eve = BlockAttack(pair, spec_low, spec_high, significance)
-    row_blocks = blocks(bits, samples)
+    row_blocks = blocks(span.stop, samples, span.start)
     line_arrays = np.empty((2, len(row_blocks[0]), samples))
     for rows in row_blocks:
         streams = BlockStreams(seed, rows)
@@ -461,6 +428,153 @@ def run_blocks(
         mixed = alice_high != bob_high
         attacked = (voltage, current) if mixed.all() else (voltage[mixed], current[mixed])
         yield alice_high, bob_high, voltage, eve.verdicts(*attacked)
+
+
+class WorkerError(RuntimeError):
+    """A worker ended without a result, or raised an exception that cannot be sent back."""
+
+
+def _shares(bits: int, samples: int) -> list[range]:
+    """Split ``range(bits)`` into contiguous shares of whole blocks, one per process.
+
+    There are as many shares as cores this process may run on, and at most
+    one per block (:func:`kljn.line.blocks`). There is one share where
+    ``os.fork`` is missing, and where another Python thread runs: a fork
+    copies only the calling thread, so a lock another thread holds would
+    stay held in the worker.
+    """
+    row_blocks = blocks(bits, samples)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    workers = max(1, min(cores, len(row_blocks)))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    starts = [row_blocks[len(row_blocks) * k // workers].start for k in range(1, workers)]
+    cuts = [0, *starts, bits]
+    return [range(start, stop) for start, stop in zip(cuts, cuts[1:])]
+
+
+def run_shares(
+    bits: int, samples: int, columns: Callable[[range], Iterable[Sequence[np.ndarray]]]
+) -> list[np.ndarray]:
+    """The per-bit columns of ``range(bits)``, run in shares on forked workers.
+
+    ``columns(share)`` runs a range of bits (through :func:`run_blocks`)
+    and yields each block's columns, in bit order: arrays of one entry per
+    bit, or per some of its bits. The bits are split into contiguous shares
+    of whole blocks, one per core (:func:`_shares`). This process runs the
+    first share; each other share runs in a worker forked from it, which
+    pickles its columns back over a pipe. The columns are joined in bit
+    order. Every bit draws from its own streams, so the result is bitwise
+    the same for any number of workers.
+
+    An exception raised in a worker is raised here with its type and
+    message. One that cannot be pickled, and a worker that ends without a
+    result (killed by a signal, or out of memory), is a
+    :class:`WorkerError`. Every worker is reaped before this returns, and
+    killed first if the run fails or is interrupted.
+    """
+    first, *rest = _shares(bits, samples)
+    parent = os.getpid()
+    workers: dict[int, int] = {}  # pid -> read end of its pipe, while not reaped
+    try:
+        for share in rest:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(columns, share, write, parent)  # never returns
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            workers[pid] = read
+        parts = [list(columns(first))]
+        for pid, read in list(workers.items()):
+            with open(read, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(workers.pop(pid))
+            parts.append(_received(pid, sent, status))
+    finally:
+        _kill(workers)
+    return [np.concatenate(column) for column in zip(*chain.from_iterable(parts))]
+
+
+def _work(
+    columns: Callable[[range], Iterable[Sequence[np.ndarray]]], share: range, pipe: int, parent: int
+) -> NoReturn:
+    """Run one share in a forked worker, send its columns or its exception, and exit.
+
+    The worker leaves only through ``os._exit``, so it runs no atexit
+    handler and flushes no output buffer it inherited. It stops between
+    blocks once ``parent`` has gone, so a killed run leaves no worker.
+    """
+    status = 1
+    try:
+        try:
+            sent = []
+            for block in columns(share):
+                if os.getppid() != parent:
+                    os._exit(1)
+                sent.append(block)
+            message = (True, sent)
+        except BaseException as exc:
+            message = (False, _portable(exc, share))
+        with open(pipe, "wb") as out:
+            pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _portable(exc: BaseException, share: range) -> BaseException:
+    """``exc`` with its traceback as a note, or a :class:`WorkerError` if it does not pickle."""
+    import traceback  # only a failing worker pays for it
+
+    if hasattr(exc, "add_note"):  # Python 3.11 and later
+        where = f"raised in the worker that ran bits {share.start} to {share.stop - 1}:\n"
+        exc.add_note(where + "".join(traceback.format_tb(exc.__traceback__)))
+    try:
+        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return WorkerError(f"a worker raised {exc!r}")
+    return exc
+
+
+def _received(pid: int, sent: bytes, status: int) -> list:
+    """The block columns a reaped worker sent; what it raised is raised here.
+
+    A worker exits with status 0 only once its whole message is written,
+    so any other status means that ``sent`` is missing or cut short.
+    """
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise WorkerError(f"worker {pid} ended without a result ({how})")
+    ok, value = pickle.loads(sent)
+    if not ok:
+        raise value
+    return value
+
+
+def _kill(workers: dict[int, int]) -> None:
+    """Kill, reap and close every worker of a run that failed or was interrupted."""
+    if not workers:
+        return
+    import signal  # only a failed run pays for it
+
+    for pid, read in workers.items():
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+        os.close(read)
+    workers.clear()
 
 
 def attack_trials(
@@ -478,7 +592,9 @@ def attack_trials(
     the attack, and scores it with half credit for undecided outcomes, so
     0.5 is the blind-guessing baseline. Trials run in :func:`run_blocks`
     with the streams of a session's bits: trial ``i``'s first coin ``c0``
-    sets Alice low, so the switches are ``(~c0, c0)``.
+    sets Alice low, so the switches are ``(~c0, c0)``. They run in shares
+    on forked workers (:func:`run_shares`), each reduced to its
+    ``alice_high`` and ``verdicts`` columns.
     """
     check_run_settings(
         samples_per_trial, trials, significance, seed, ("samples_per_trial", "trials")
@@ -487,10 +603,13 @@ def attack_trials(
     def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return ~coins[:, 0], coins[:, 0]
 
-    run = run_blocks(
-        pair, spec_low, spec_high, samples_per_trial, trials, significance, seed, switches
-    )
-    alice_high, verdicts = (np.concatenate(c) for c in zip(*((a, v) for a, _, _, v in run)))
+    def columns(share: range) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        run = run_blocks(
+            pair, spec_low, spec_high, samples_per_trial, share, significance, seed, switches
+        )
+        return ((a, v) for a, _, _, v in run)
+
+    alice_high, verdicts = run_shares(trials, samples_per_trial, columns)
     credit = credits(verdicts, alice_high)
     n_correct = int(np.count_nonzero(credit == 1.0))
     n_undecided = int(np.count_nonzero(credit == 0.5))

@@ -18,10 +18,10 @@ from .noise import BlockStreams, NoiseSpec, ResistorPair, check_finite, check_si
 # Budget of float64 samples per block array: 256 KiB, which fits in L2
 # and keeps peak memory flat whatever the session length. A run
 # (eve.run_blocks) allocates its block arrays once, shaped like its first
-# (largest) block: the two line arrays of line_block and the two
-# hypothesis buffers of eve.BlockAttack. The rest is computed in place in
-# them or one column chunk of this budget at a time, so a long trace that
-# runs alone peaks at four float64 arrays of its own length.
+# (largest) block: the two line arrays of line_block and the hypothesis
+# buffer of eve.BlockAttack. The rest is computed in place in them or one
+# column chunk of this budget at a time, so a long trace that runs alone
+# peaks at three float64 arrays of its own length in each process.
 BLOCK_SAMPLES = 2**15
 
 
@@ -74,10 +74,10 @@ def line_signals(
     return voltage, current
 
 
-def blocks(count: int, samples: int) -> list[range]:
-    """Split ``range(count)`` into blocks of ``BLOCK_SAMPLES // samples`` bits (at least 1)."""
+def blocks(stop: int, samples: int, start: int = 0) -> list[range]:
+    """``range(start, stop)`` in blocks of ``BLOCK_SAMPLES // samples`` bits (at least 1)."""
     step = max(1, BLOCK_SAMPLES // samples)
-    return [range(start, min(start + step, count)) for start in range(0, count, step)]
+    return [range(first, min(first + step, stop)) for first in range(start, stop, step)]
 
 
 def column_chunks(rows: int, n: int) -> list[slice]:

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -250,23 +251,27 @@ def unchunked_runs():
 
 if given is not None:
 
-    # Budgets below the row length put every row alone in its block and run
-    # the two hypotheses on two threads, with KS chunks of a few columns.
+    # Budgets below the row length put every row alone in its block, with KS
+    # chunks of a few columns. The cores split the blocks into worker shares.
     @settings(max_examples=25, deadline=None)
     @given(
         st.one_of(
             st.integers(1, CHUNKED_SAMPLES),
             st.integers(CHUNKED_SAMPLES + 1, 2 * CHUNKED_SAMPLES * CHUNKED_BITS),
-        )
+        ),
+        st.integers(1, 4),
     )
-    @example(1)
-    @example(CHUNKED_SAMPLES - 1)
-    @example(CHUNKED_SAMPLES)
-    @example(CHUNKED_SAMPLES * 7 + 3)
-    def test_outputs_do_not_depend_on_any_chunking(block_samples):
+    @example(1, 1)
+    @example(CHUNKED_SAMPLES - 1, 3)
+    @example(CHUNKED_SAMPLES, 2)
+    @example(CHUNKED_SAMPLES * 7 + 3, 4)
+    def test_outputs_do_not_depend_on_any_chunking(block_samples, cores):
         config, session, trials = unchunked_runs()
         spec_low, spec_high = NoiseSpec("uniform", 1.0), NoiseSpec("uniform", 2.0)
-        with mock.patch.object(kljn.line, "BLOCK_SAMPLES", block_samples):
+        affinity = mock.patch.object(
+            os, "sched_getaffinity", lambda pid: set(range(cores)), create=True
+        )
+        with mock.patch.object(kljn.line, "BLOCK_SAMPLES", block_samples), affinity:
             assert_same_outcome(run_session(config), session)
             assert_same_outcome(
                 attack_trials(PAIR, spec_low, spec_high, CHUNKED_SAMPLES, CHUNKED_BITS, seed=11),
@@ -318,11 +323,13 @@ def long_session():
 
 
 @pytest.mark.parametrize("run", [long_attack, long_session], ids=["attack", "session"])
-def test_a_long_trace_peaks_below_five_trace_sizes(run):
-    # Each 1M-sample bit runs alone in its block. The run's two line arrays
-    # and the attack's two hypothesis buffers are the only arrays of the
+def test_a_long_trace_peaks_below_four_trace_sizes(monkeypatch, run):
+    # One core, so this process runs both bits and tracemalloc sees all of
+    # it. Each 1M-sample bit runs alone in its block. The run's two line
+    # arrays and the attack's hypothesis buffer are the only arrays of the
     # trace's length, and they are allocated once for both bits.
-    assert traced_peak(run) < 5 * 8 * LONG_TRACE
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert traced_peak(run) < 4 * 8 * LONG_TRACE
 
 
 def test_session_peak_does_not_grow_with_its_length():

@@ -537,6 +537,9 @@ OVERFLOW_CASES = [
     pytest.param(["pdf", "--sigma-low", "3e153"], 2, id="pdf-grid"),
     pytest.param(["attack", "--r-high", "1e160", "--sigma-low", "1e150", "--sigma-high", "1e150",
                   "--samples", "200", "--trials", "2"], 3, id="attack-line"),
+    # Five blocks of 163 trials, so the run splits into worker shares.
+    pytest.param(["attack", "--r-high", "1e160", "--sigma-low", "1e150", "--sigma-high", "1e150",
+                  "--samples", "200", "--trials", "800"], 3, id="attack-line-blocks"),
 ]
 
 
@@ -601,8 +604,8 @@ def artifact_peak(monkeypatch, out_dir, bits, csv):
 
 @pytest.mark.parametrize("csv", [False, True], ids=["json", "json-and-csv"])
 def test_artifact_peak_does_not_grow_with_the_session(monkeypatch, tmp_path, capsys, csv):
-    # 2 000 bits are one block of records and 40 000 are ten, and a whole
-    # session.json of 40 000 bits is ~9 MB
+    # A session is rendered from one code per bit, one record's text at a
+    # time, and a whole session.json of 40 000 bits is ~9 MB
     small, large = (artifact_peak(monkeypatch, tmp_path / str(b), b, csv) for b in (2000, 40_000))
     assert large - small < 2**20
 

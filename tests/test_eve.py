@@ -1,8 +1,15 @@
 """Eavesdropper: reconstruction algebra, tests, verdicts and their credit."""
 
 import math
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -31,6 +38,7 @@ from kljn import (
     weights,
     wrong_hypothesis_variance,
 )
+from kljn.cli import main
 from kljn.eve import (
     _HYPOTHESES,
     _kolmogorov_sf,
@@ -41,6 +49,7 @@ from kljn.eve import (
 )
 from kljn.line import BLOCK_SAMPLES, line_block
 from kljn.noise import BlockStreams
+from test_blocks import assert_same_outcome
 
 try:
     from hypothesis import assume, example, given, settings
@@ -577,47 +586,277 @@ def long_block(kind, rows, n, seed):
     return block_attack(spec_low, spec_high), voltage, current
 
 
-class TestThreadedPath:
-    """Rows longer than ``BLOCK_SAMPLES`` test the two hypotheses on two threads."""
+class TestLongRows:
+    """Rows longer than ``BLOCK_SAMPLES`` test the two hypotheses in turn in one buffer."""
 
     @pytest.mark.parametrize(
         "rows, n", [(2, BLOCK_SAMPLES + 1), (3, 3 * BLOCK_SAMPLES + 7), (0, BLOCK_SAMPLES + 1)]
     )
     @pytest.mark.parametrize("kind", list(DistributionKind))
-    def test_every_field_is_bitwise_the_plain_formula(self, monkeypatch, kind, rows, n):
-        threaded = []
-        original = kljn.eve._on_two_threads
-        monkeypatch.setattr(
-            kljn.eve, "_on_two_threads", lambda *jobs: threaded.append(1) or original(*jobs)
-        )
+    def test_every_field_is_bitwise_the_plain_formula(self, kind, rows, n):
         eve, voltage, current = long_block(kind, rows, n, seed=rows * n)
         got = eve.tests(voltage, current)
-        assert threaded == [1]
+        assert eve._buffer.shape == (rows, n)
         for field, expected in zip(got, plain_tests(eve, voltage, current)):
             assert field.shape == expected.shape
             assert np.array_equal(field, expected, equal_nan=True)
 
-    def test_an_error_on_the_helper_thread_is_raised_by_the_caller(self, monkeypatch):
-        original = kljn.eve._ks_statistic
 
-        def failing(x, reference):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("kernel failed on the helper thread")
-            return original(x, reference)
+def use_cores(monkeypatch, cores):
+    """Let this process see ``cores`` cores, which sets how many shares a run splits into."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
-        monkeypatch.setattr(kljn.eve, "_ks_statistic", failing)
-        eve, voltage, current = long_block(DistributionKind.UNIFORM, 1, BLOCK_SAMPLES + 1, seed=3)
-        with pytest.raises(RuntimeError, match="helper thread"):
-            eve.tests(voltage, current)
+
+def count_forks(monkeypatch) -> list[int]:
+    """A list that gains an entry each time ``os.fork`` is called from this process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def in_worker(kernel):
+    """``kernel`` in a forked worker of this process; the original function elsewhere."""
+    original, parent = kljn.eve._ks_statistic, os.getpid()
+
+    def patched(x, reference):
+        if os.getpid() != parent:
+            kernel()
+        return original(x, reference)
+
+    return patched
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Uniform rows of 150 samples, ten bits a block: 40 bits are four blocks.
+WORKER_SAMPLES, WORKER_BITS = 150, 40
+UNIFORM_LOW, UNIFORM_HIGH = NoiseSpec("uniform", 1.0), NoiseSpec("uniform", 2.0)
+
+
+def worker_runs():
+    session = run_session(
+        SessionConfig(PAIR, "uniform", 1.0, 3.0, WORKER_SAMPLES, WORKER_BITS, seed=5)
+    )
+    trials = attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=5)
+    return session, trials
+
+
+def worker_artifacts(out_dir):
+    """The bytes of every file of a ``simulate --csv`` and an ``attack --csv`` of four blocks."""
+    common = ["--kind", "uniform", "--seed", "5", "--csv"]
+    files = {}
+    for command, size in (("simulate", "--samples-per-bit"), ("attack", "--samples")):
+        out = out_dir / command
+        argv = [command, size, str(WORKER_SAMPLES), "--out", str(out), *common]
+        count_flag = "--bits" if command == "simulate" else "--trials"
+        assert main(argv + [count_flag, str(WORKER_BITS)]) == 0
+        files.update((f"{command}/{p.name}", p.read_bytes()) for p in sorted(out.iterdir()))
+    return files
+
+
+class TestWorkers:
+    """A run's bits split into shares of whole blocks; each share after the first runs in a fork."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kljn.line, "BLOCK_SAMPLES", 10 * WORKER_SAMPLES)
+
+    @pytest.mark.parametrize("cores", [2, 3, 7])
+    def test_every_field_and_artifact_is_bitwise_the_same_for_any_worker_count(
+        self, monkeypatch, tmp_path, capsys, cores
+    ):
+        use_cores(monkeypatch, 1)
+        forks = count_forks(monkeypatch)
+        (session, trials), files = worker_runs(), worker_artifacts(tmp_path / "one")
+        assert forks == []
+        use_cores(monkeypatch, cores)
+        got_session, got_trials = worker_runs()
+        assert_same_outcome(got_session, session)
+        assert_same_outcome(got_trials, trials)
+        assert worker_artifacts(tmp_path / "many") == files
+        # Four runs of four blocks each: min(cores, 4) shares, all but one forked.
+        assert len(forks) == 4 * (min(cores, 4) - 1)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("bits, samples", [(1, 100), (40, 150), (41, 150), (7, 1000), (9, 33)])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 64])
+    def test_shares_are_contiguous_runs_of_whole_blocks(self, monkeypatch, bits, samples, cores):
+        use_cores(monkeypatch, cores)
+        row_blocks = kljn.line.blocks(bits, samples)
+        shares = kljn.eve._shares(bits, samples)
+        assert len(shares) == min(cores, len(row_blocks))
+        assert [i for share in shares for i in share] == list(range(bits))
+        assert {share.start for share in shares} <= {rows.start for rows in row_blocks}
+
+    def test_one_share_without_fork_or_beside_another_thread(self, monkeypatch):
+        use_cores(monkeypatch, 4)
+        run = partial(attack_trials, PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS)
+        expected = run(seed=2)
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            beside_a_thread = run(seed=2)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        monkeypatch.delattr(os, "fork")
+        without_fork = run(seed=2)
+        assert_same_outcome(beside_a_thread, expected)
+        assert_same_outcome(without_fork, expected)
+
+    def test_a_kernel_failing_in_a_worker_raises_in_the_caller(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+
+        def fail():
+            raise FloatingPointError("kernel failed in a worker")
+
+        monkeypatch.setattr(kljn.eve, "_ks_statistic", in_worker(fail))
+        with pytest.raises(FloatingPointError) as raised:
+            attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
+        assert str(raised.value) == "kernel failed in a worker"
+        if sys.version_info >= (3, 11):  # the worker's traceback goes with it as a note
+            assert "raised in the worker that ran bits 20 to 39" in raised.value.__notes__[0]
+        assert_no_child_left()
+
+    def test_a_worker_error_is_the_cli_one_line_error(self, monkeypatch, tmp_path, capsys):
+        use_cores(monkeypatch, 2)
+
+        def fail():
+            raise FloatingPointError("overflow encountered in multiply")
+
+        monkeypatch.setattr(kljn.eve, "_ks_statistic", in_worker(fail))
+        out = tmp_path / "out"
+        argv = ["attack", "--kind", "uniform", "--samples", str(WORKER_SAMPLES), "--csv"]
+        assert main(argv + ["--trials", str(WORKER_BITS), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: FloatingPointError: overflow encountered in multiply\n"
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+        assert_no_child_left()
+
+    def test_an_exception_that_does_not_pickle_arrives_as_its_repr(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+
+        class Local(Exception):
+            pass
+
+        def fail():
+            raise Local("not importable")
+
+        monkeypatch.setattr(kljn.eve, "_ks_statistic", in_worker(fail))
+        refused = r"a worker raised .*Local\('not importable'\)"
+        with pytest.raises(kljn.eve.WorkerError, match=refused):
+            attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
+        assert_no_child_left()
+
+    def test_a_killed_worker_is_an_error(self, monkeypatch, tmp_path, capsys):
+        use_cores(monkeypatch, 2)
+        kill = in_worker(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        monkeypatch.setattr(kljn.eve, "_ks_statistic", kill)
+        killed = r"ended without a result \(killed by signal 9\)"
+        with pytest.raises(kljn.eve.WorkerError, match=killed):
+            attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
+        assert_no_child_left()
+        out = tmp_path / "out"
+        argv = ["simulate", "--kind", "uniform", "--samples-per-bit", str(WORKER_SAMPLES)]
+        assert main(argv + ["--bits", str(WORKER_BITS), "--csv", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: worker \d+ " + killed + "\n", err)
+        assert list(out.iterdir()) == []
+        assert_no_child_left()
+
+    def test_an_interrupt_kills_and_reaps_every_worker(self, monkeypatch):
+        use_cores(monkeypatch, 3)
+        parent = os.getpid()
+
+        def interrupted(x, reference):
+            if os.getpid() != parent:
+                time.sleep(60)  # a worker still busy when the run is interrupted
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(kljn.eve, "_ks_statistic", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_no_run_leaves_a_child_process(self, monkeypatch, tmp_path, capsys):
+        use_cores(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        worker_runs()
+        assert_no_child_left()
+        argv = ["simulate", "--bits", str(WORKER_BITS), "--samples-per-bit", str(WORKER_SAMPLES)]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert_no_child_left()
+        assert len(forks) == 3
+
+    def test_a_worker_stops_once_the_run_that_forked_it_has_gone(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+        read, write = os.pipe()
+
+        def slow_columns(share):
+            # The worker writes a byte per bit; the pipe ends when the worker does.
+            for i in share:
+                if share.start:
+                    os.write(write, b".")
+                time.sleep(0.25)
+                yield (np.array([i]),)
+
+        run = os.fork()
+        if run == 0:  # the run, which forks a worker for bits 20 to 39 (five seconds of blocks)
+            try:
+                kljn.eve.run_shares(WORKER_BITS, WORKER_SAMPLES, slow_columns)
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            assert os.read(read, 1) == b"."  # the worker is running
+            os.kill(run, signal.SIGKILL)
+            os.waitpid(run, 0)
+            start = time.monotonic()
+            while os.read(read, 64):
+                pass
+            assert time.monotonic() - start < 2.5
+        finally:
+            os.close(read)
+
+
+def test_the_cli_prints_its_summary_once_from_a_forking_subprocess(tmp_path):
+    # Two cores and four blocks, so one worker is forked. A worker that left
+    # other than through os._exit would go on through main and print the
+    # summary again, or flush the stdout buffer it inherited.
+    src = str(Path(kljn.eve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; import kljn.cli; "
+        "sys.exit(kljn.cli.main(sys.argv[1:]))"
+    )
+    argv = ["simulate", "--bits", "100", "--samples-per-bit", "1000", "--out", str(tmp_path)]
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stderr == ""
+    assert len(out.stdout.splitlines()) == 1 and out.stdout.startswith("bits=100 ")
 
 
 class TestKeptBuffers:
-    """One attack keeps its hypothesis buffers from one block to the next."""
+    """One attack keeps its hypothesis buffer from one block to the next."""
 
     @pytest.mark.parametrize("kind", list(DistributionKind))
     def test_a_reused_attack_equals_a_fresh_one_per_block(self, kind):
-        # Fewer rows reuse the leading rows of the kept buffers, more rows or
-        # another row length grow them; the long rows run on two threads.
+        # Fewer rows reuse the leading rows of the kept buffer, more rows or
+        # another row length grow it, and the long rows reuse it in turn.
         shapes = [(5, 1000), (2, 1000), (7, 1000), (2, BLOCK_SAMPLES + 1), (5, 1000)]
         eve = block_attack(NoiseSpec(kind, 1.0), NoiseSpec(kind, 2.0))
         for k, (rows, n) in enumerate(shapes):
