@@ -69,7 +69,11 @@ _THETA_EXPONENTS = -(np.array([[1.0], [9.0]]) * math.pi**2 / 8.0)
 _SERIES_EXPONENTS = -2.0 * np.arange(1.0, 6.0).reshape(-1, 1) ** 2
 _SERIES_SIGNS = np.array([[2.0], [-2.0], [2.0], [-2.0], [2.0]])
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-
+# The KS statistic prunes a row once its sub-blocks are this many columns
+# wide, and keeps a sub-block whose bound comes this close to D (see
+# _ks_statistic).
+_KS_MIN_WIDTH = 64
+_KS_MARGIN = 1e-12
 
 
 class EveDecision(str, Enum):
@@ -141,25 +145,103 @@ def _kolmogorov_sf(x: np.ndarray) -> np.ndarray:
     return np.where(x < _KS_CUTOVER, 1.0 - theta.reshape(x.shape), series.reshape(x.shape))
 
 
+def _interp(x: np.ndarray, reference: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``np.interp(x, *reference)`` of rows sorted in ascending order, on the grid slice they span.
+
+    The slice runs from the last grid point at or below the rows' smallest
+    head to the first one at or above their largest tail, so each value
+    falls between the same two grid points as on the whole grid, and a
+    value off the slice is off the grid too and clamps to the same end.
+    The result is bitwise that of the whole grid, but ``np.interp`` builds
+    its slope table for the slice alone.
+    """
+    xp, fp = reference
+    lo = max(int(np.searchsorted(xp, x[:, 0].min(), "right")) - 1, 0)
+    hi = int(np.searchsorted(xp, x[:, -1].max())) + 1
+    return np.interp(x, xp[lo:hi], fp[lo:hi])
+
+
+def _fold_ks(
+    part: np.ndarray,
+    start: int,
+    n: int,
+    reference: tuple[np.ndarray, np.ndarray],
+    lowest: np.ndarray,
+    highest: np.ndarray,
+) -> None:
+    """Fold the KS terms of columns ``start ..`` of sorted rows into ``lowest`` and ``highest``.
+
+    ``lowest`` takes the per-row minimum of ``cdf - k/n`` and ``highest``
+    the maximum of ``cdf - (k-1)/n``, for the 1-based column numbers ``k``
+    of ``part``; ``part`` is overwritten.
+    """
+    cdf = _interp(part, reference)
+    steps = np.arange(start, start + part.shape[1] + 1, dtype=np.float64)
+    steps /= n
+    np.minimum(lowest, np.min(np.subtract(cdf, steps[1:], out=part), axis=1), out=lowest)
+    np.maximum(highest, np.max(np.subtract(cdf, steps[:-1], out=part), axis=1), out=highest)
+
+
 def _ks_statistic(x: np.ndarray, reference: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """KS distance of rows sorted in ascending order; ``x`` is reused as scratch and overwritten.
 
     ``d+ = max(k/n - cdf) = -min(cdf - k/n)`` over ``k = 1 .. n`` and
     ``d- = max(cdf - (k-1)/n)``; IEEE subtraction is antisymmetric, so both
-    are bitwise the plain formulas. The columns go in
-    :func:`kljn.line.column_chunks`, so the CDF and the levels ``k / n`` are
-    never held at full length; minima and maxima over chunks are exact, so
-    D does not depend on the chunking.
+    are bitwise the plain formulas. The CDF is :func:`_interp` of one run
+    of columns at a time, on the grid slice the run spans, so neither it
+    nor the levels ``k/n`` are held at full length. Rows shorter than 65536
+    go whole, in :func:`kljn.line.column_chunks`. A longer row of ``n``
+    values is pruned, in sub-blocks ``[s, e)`` of ``w = isqrt(n) // 4``
+    columns (64 or more); below that length a row's Python loop over its
+    runs costs more than the values it skips:
+
+    - The row is sorted and the CDF F is non-decreasing, so in a sub-block
+      every ``d+`` term ``(i+1)/n - F(x_i)`` is at most ``e/n - F(x_s)``
+      and every ``d-`` term ``F(x_i) - i/n`` at most ``F(x_e) - s/n``,
+      where ``x_e`` is the next sub-block's head, or the row's last value.
+    - F is first computed at the sub-block heads and the last value. Their
+      terms are terms of D, so their maximum is a lower bound on it.
+    - Only the sub-blocks whose bound plus ``_KS_MARGIN`` (1e-12) exceeds
+      that lower bound are computed in full, in runs of consecutive
+      sub-blocks. The margin covers F's rounding, which keeps it monotone
+      only to a few ulps, so every term of a skipped sub-block is at most
+      D. A row far from its reference keeps few sub-blocks: on a 1M-sample
+      uniform trial a wrong hypothesis keeps ~4 of 4000, a true one a few
+      hundred.
+    - A run goes in batches of ``BLOCK_SAMPLES // 4`` columns. A batch's
+      CDF and levels, 64 KiB each, stay below the 128 KiB at which glibc's
+      malloc maps or trims memory, so batches of any length reuse the same
+      pages instead of faulting in new ones.
+
+    Minima and maxima are exact whatever terms they see and in whatever
+    order, so D is bitwise the plain formula on either path.
     """
     rows, n = x.shape
+    if not rows:
+        return np.empty(0)
     lowest = np.full(rows, np.inf)
     highest = np.full(rows, -np.inf)
-    for cols in line.column_chunks(rows, n):
-        part = x[:, cols]
-        cdf = np.interp(part, *reference)
-        steps = np.arange(cols.start, cols.stop + 1, dtype=np.float64) / n
-        np.minimum(lowest, np.min(np.subtract(cdf, steps[1:], out=part), axis=1), out=lowest)
-        np.maximum(highest, np.max(np.subtract(cdf, steps[:-1], out=part), axis=1), out=highest)
+    width = math.isqrt(n) // 4
+    if width < _KS_MIN_WIDTH:
+        for cols in line.column_chunks(rows, n):
+            _fold_ks(x[:, cols], cols.start, n, reference, lowest, highest)
+        return np.maximum(-lowest, highest)
+    heads = np.arange(0, n, width)
+    probes = np.append(heads, n - 1)
+    cdf = _interp(x[:, probes], reference)
+    np.min(cdf - (probes + 1.0) / n, axis=1, out=lowest)
+    np.max(cdf - probes / n, axis=1, out=highest)
+    bound = np.maximum(np.minimum(heads + width, n) / n - cdf[:, :-1], cdf[:, 1:] - heads / n)
+    keep = bound + _KS_MARGIN > np.maximum(-lowest, highest)[:, None]
+    # Run edges in sub-blocks, row by row: each run's start, then its stop.
+    row_of, edges = np.nonzero(np.diff(keep, axis=1, prepend=False, append=False))
+    starts, stops = edges[::2] * width, np.minimum(edges[1::2] * width, n)
+    batch = max(1, line.BLOCK_SAMPLES // 4)
+    for r, start, stop in zip(row_of[::2].tolist(), starts.tolist(), stops.tolist()):
+        for first in range(start, stop, batch):
+            cols = slice(first, min(first + batch, stop))
+            part, low, high = x[r : r + 1, cols], lowest[r : r + 1], highest[r : r + 1]
+            _fold_ks(part, first, n, reference, low, high)
     return np.maximum(-lowest, highest)
 
 
@@ -214,9 +296,10 @@ class Evidence(NamedTuple):
 class BlockAttack:
     """Both mixed-state hypotheses, tested on blocks of bits held one per row.
 
-    Built once per run of bits (:func:`run_blocks`): each party's shape
-    reference (:func:`reference_grid`) and its CDF are built here once
-    rather than once per bit. The significance must lie in (0, 1) and each
+    Built once per run, before its shares fork (:func:`run_shares`), and
+    handed to :func:`run_blocks`: each party's shape reference
+    (:func:`reference_grid`) and its CDF are built here once, and every
+    worker inherits them. The significance must lie in (0, 1) and each
     row must hold at least ``MIN_TEST_SAMPLES`` samples.
 
     The two hypotheses are tested in turn in one ``(rows, n)`` buffer that
@@ -231,6 +314,7 @@ class BlockAttack:
     ) -> None:
         _check_significance(significance)
         self.pair = pair
+        self.specs = (spec_low, spec_high)
         self.significance = significance
         self.by_state = {}
         for state, spec in ((SwitchState.LOW, spec_low), (SwitchState.HIGH, spec_high)):
@@ -377,21 +461,19 @@ def check_run_settings(
 
 
 def run_blocks(
-    pair: ResistorPair,
-    spec_low: NoiseSpec,
-    spec_high: NoiseSpec,
+    eve: BlockAttack,
     samples: int,
     bits: int | range,
-    significance: float,
     seed: int,
     switches: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Draw, solve and attack a range of bits of ``samples`` samples each, one block at a time.
 
-    This is the one run loop of sessions and attack trials. ``bits`` is
-    the range of bit indices to run, or a count of bits from 0. Its
-    settings are checked (:func:`check_run_settings`) when the first block
-    is asked for, before anything is drawn. Bit ``i`` draws
+    This is the one run loop of sessions and attack trials. ``eve`` is the
+    run's attack, which also holds its resistor pair and noise specs.
+    ``bits`` is the range of bit indices to run, or a count of bits from
+    0. Its settings are checked (:func:`check_run_settings`) when the
+    first block is asked for, before anything is drawn. Bit ``i`` draws
     its two coins from stream ``(seed, i, 0)`` as ``integers(0, 2,
     size=2)``; ``switches`` maps the block's ``(rows, 2)`` boolean coin
     array to the switch states ``(alice_high, bob_high)``. The sources and
@@ -414,8 +496,7 @@ def run_blocks(
     (:func:`run_shares`).
     """
     span = bits if isinstance(bits, range) else range(bits)
-    check_run_settings(samples, len(span), significance, seed)
-    eve = BlockAttack(pair, spec_low, spec_high, significance)
+    check_run_settings(samples, len(span), eve.significance, seed)
     row_blocks = blocks(span.stop, samples, span.start)
     line_arrays = np.empty((2, len(row_blocks[0]), samples))
     for rows in row_blocks:
@@ -423,7 +504,7 @@ def run_blocks(
         coins = np.array([rng.integers(0, 2, size=2) for rng in streams.each(0)], dtype=bool)
         alice_high, bob_high = switches(coins)
         voltage, current = line_block(
-            streams, alice_high, bob_high, pair, spec_low, spec_high, line_arrays[:, : len(rows)]
+            streams, alice_high, bob_high, eve.pair, *eve.specs, line_arrays[:, : len(rows)]
         )
         mixed = alice_high != bob_high
         attacked = (voltage, current) if mixed.all() else (voltage[mixed], current[mixed])
@@ -593,20 +674,20 @@ def attack_trials(
     0.5 is the blind-guessing baseline. Trials run in :func:`run_blocks`
     with the streams of a session's bits: trial ``i``'s first coin ``c0``
     sets Alice low, so the switches are ``(~c0, c0)``. They run in shares
-    on forked workers (:func:`run_shares`), each reduced to its
-    ``alice_high`` and ``verdicts`` columns.
+    on forked workers (:func:`run_shares`), which inherit the one attack
+    built before they fork, each reduced to its ``alice_high`` and
+    ``verdicts`` columns.
     """
     check_run_settings(
         samples_per_trial, trials, significance, seed, ("samples_per_trial", "trials")
     )
+    eve = BlockAttack(pair, spec_low, spec_high, significance)
 
     def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return ~coins[:, 0], coins[:, 0]
 
     def columns(share: range) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        run = run_blocks(
-            pair, spec_low, spec_high, samples_per_trial, share, significance, seed, switches
-        )
+        run = run_blocks(eve, samples_per_trial, share, seed, switches)
         return ((a, v) for a, _, _, v in run)
 
     alice_high, verdicts = run_shares(trials, samples_per_trial, columns)

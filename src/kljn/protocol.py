@@ -30,7 +30,15 @@ from functools import cache
 
 import numpy as np
 
-from .eve import VERDICTS, _mean_square, check_run_settings, credits, run_blocks, run_shares
+from .eve import (
+    VERDICTS,
+    BlockAttack,
+    _mean_square,
+    check_run_settings,
+    credits,
+    run_blocks,
+    run_shares,
+)
 from .line import SwitchState, theoretical_line_variance
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, check_variance
 from .noise import security_sigma_ratio
@@ -253,29 +261,23 @@ def run_session(config: SessionConfig) -> SessionOutcome:
     Bob's, making sessions reproducible and parallel-safe; the bits run in
     blocks in :func:`kljn.eve.run_blocks`, and the coins ``(c0, c1)`` are
     the switches of Alice and Bob, high when set. The blocks run in shares
-    on forked workers (:func:`kljn.eve.run_shares`), each block reduced to
-    its columns: the switches, the classified levels and the verdicts. A
+    on forked workers (:func:`kljn.eve.run_shares`), which inherit the one
+    attack built before they fork; each block is reduced to its columns:
+    the switches, the classified levels and the verdicts. A
     bit is discarded when its classified level disagrees with the true
     joint state. On a kept mid-level bit Alice's key bit is her own switch
     (low is 0, high is 1) and Bob takes the complement of his switch; the
     two derivations agree whenever the bit really is mixed.
     """
     cuts = _level_cuts(config.pair, config.sigma_low, config.sigma_high)
+    specs = (NoiseSpec(config.kind, config.sigma_low), NoiseSpec(config.kind, config.sigma_high))
+    eve = BlockAttack(config.pair, *specs, config.significance)
 
     def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return coins[:, 0], coins[:, 1]
 
     def columns(share: range) -> Iterator[tuple[np.ndarray, ...]]:
-        run = run_blocks(
-            config.pair,
-            NoiseSpec(config.kind, config.sigma_low),
-            NoiseSpec(config.kind, config.sigma_high),
-            config.samples_per_bit,
-            share,
-            config.significance,
-            config.seed,
-            switches,
-        )
+        run = run_blocks(eve, config.samples_per_bit, share, config.seed, switches)
         # The block's voltage is scratch past its block, so it is squared in place.
         return ((a, b, _classify_rows(_mean_square(v), cuts), d) for a, b, v, d in run)
 

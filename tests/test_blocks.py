@@ -6,12 +6,16 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import kljn
 import kljn.line
 from kljn import (
     BlockAttack,
@@ -285,15 +289,21 @@ else:
 
 
 def test_reference_cdfs_are_built_once_per_session(monkeypatch):
-    calls = []
-    original = PdfGrid.cdf
+    # Two cores split the session's three blocks into two shares. The worker
+    # inherits the attack built before the fork; a build in it fails the run.
+    calls, forks, parent = [], [], os.getpid()
+    original, fork = PdfGrid.cdf, os.fork
 
     def counted(self):
+        assert os.getpid() == parent, "a worker built its own shape reference"
         calls.append(self)
         return original(self)
 
     monkeypatch.setattr(PdfGrid, "cdf", counted)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     run_session(session_config(DistributionKind.GAUSSIAN, 2.0, 100, 700, seed=1))
+    assert len(forks) == 1
     assert len(calls) == 2
 
 
@@ -330,6 +340,29 @@ def test_a_long_trace_peaks_below_four_trace_sizes(monkeypatch, run):
     # trace's length, and they are allocated once for both bits.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert traced_peak(run) < 4 * 8 * LONG_TRACE
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+def test_a_long_trial_after_the_first_reuses_its_pages():
+    # The first trial allocates the run's arrays; each later one draws,
+    # solves and attacks in them. The KS statistic interpolates few of a
+    # far row's values, on the grid slice they span, in batches small
+    # enough for the allocator to reuse their pages. Handed the whole
+    # 32 001-point grid, np.interp mapped a fresh slope table on each call:
+    # 7 596 faults a trial. The count needs a fresh interpreter (see
+    # page_faults.py).
+    src = str(Path(kljn.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).parent)])
+    code = "import page_faults; print(page_faults.later_trial_faults())"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    faults = json.loads(out.stdout)
+    assert max(faults) < 1500, faults
 
 
 def test_session_peak_does_not_grow_with_its_length():

@@ -681,6 +681,6 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_importing_the_cli_loads_no_thread_or_process_pool():
-    # A long trace's two hypotheses run on a plain threading.Thread, which
-    # numpy already loads, so start-up pays nothing for them.
+    # A run's shares go to workers made by os.fork, and the two hypotheses of
+    # a long trace run in turn in one process, so start-up pays for no pool.
     assert modules_loaded_by_importing_the_cli("concurrent", "multiprocessing") == []

@@ -48,7 +48,7 @@ from kljn.eve import (
     _z_p_value,
 )
 from kljn.line import BLOCK_SAMPLES, line_block
-from kljn.noise import BlockStreams
+from kljn.noise import LAWS, BlockStreams
 from test_blocks import assert_same_outcome
 
 try:
@@ -286,6 +286,66 @@ def compliant_null_block(rows, n=1000):
     )
 
 
+# The shortest row that _ks_statistic prunes: isqrt(n) // 4 is 64.
+FIRST_PRUNED = 65536
+LONG_ROW = 1_000_000
+
+
+def plain_statistic(x, reference):
+    """KS distance of sorted rows from the plain formula, on full-length arrays."""
+    n = x.shape[1]
+    cdf = np.interp(x, *reference)
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return np.maximum(np.max(i / n - cdf, axis=1), np.max(cdf - (i - 1.0) / n, axis=1))
+
+
+def pruned_rows(reference, kind, rows, n, row):
+    """Sorted rows against ``reference``, the unit-scale grid of ``kind``.
+
+    ``far`` rows are drawn at 1.5 times the scale, so few sub-blocks can
+    hold D. ``near`` rows are the reference's own quantiles, so almost
+    every sub-block is kept. ``edges`` rows mix values on grid points,
+    beyond both grid ends and long runs of one repeated value into a draw.
+    """
+    xp, cdf = reference
+    rng = np.random.default_rng(n + rows)
+    if row == "near":
+        levels = (np.arange(n) + rng.uniform(0.25, 0.75, (rows, 1))) / n
+        return np.interp(levels, cdf, xp)
+    x = np.stack([sample(NoiseSpec(kind, 1.5), n, rng) for _ in range(rows)])
+    if row == "edges":
+        cut = np.cumsum(rng.multinomial(n // 4, [0.25] * 4, size=rows), axis=1)
+        for r, (on_grid, below, above, repeated) in enumerate(cut):
+            x[r, :on_grid] = rng.choice(xp, on_grid)
+            x[r, on_grid:below] = xp[0] - rng.exponential(1.0, below - on_grid)
+            x[r, below:above] = xp[-1] + rng.exponential(1.0, above - below)
+            x[r, above:repeated] = x[r, -1]
+    return np.sort(x, axis=1)
+
+
+def wrong_hypothesis_row(n=LONG_ROW):
+    """One sorted uniform row of Alice's source under the wrong hypothesis, and its reference.
+
+    Alice is low, so the reconstruction as Alice high mixes both sources.
+    """
+    eve, voltage, current = long_block(DistributionKind.UNIFORM, 1, n, seed=7)
+    reference = eve.by_state[SwitchState.HIGH][1]
+    x = _reconstruct(voltage, current, resistance_for(PAIR, SwitchState.HIGH), True)
+    return np.sort(x, axis=1), reference
+
+
+def count_interp(monkeypatch) -> list[tuple[int, int]]:
+    """A list that gains ``(values, grid points)`` for each ``np.interp`` call."""
+    calls, interp = [], np.interp
+
+    def counted(x, xp, fp, *args, **kwargs):
+        calls.append((np.size(x), len(xp)))
+        return interp(x, xp, fp, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counted)
+    return calls
+
+
 class TestShapeTest:
     def test_rejection_rate_matches_significance(self):
         n, trials, significance = 10_000, 1000, 0.01
@@ -429,17 +489,82 @@ class TestShapeTest:
     ):
         # The last two rows lie far below and far above the grid: a CDF of
         # 0 puts D = 1 at k = n alone, a CDF of 1 at k = 1 alone, so a chunk
-        # loop that skips an end column shows. Chunks are
-        # BLOCK_SAMPLES // (rows + 2) columns wide, and 1001 is no multiple.
-        n = 1001
+        # loop that skips an end column shows. At 1001 chunks are
+        # BLOCK_SAMPLES // (rows + 2) columns wide, and 1001 is no multiple;
+        # 70001 is pruned in sub-blocks of 66 and batches of
+        # BLOCK_SAMPLES // 4, and is no multiple of either.
         reference = reference_cdf(GAUSS_HIGH)
-        x = np.sort(np.random.default_rng(rows).standard_normal((rows, n)) * 7.0, axis=1)
-        x = np.concatenate([x, np.full((1, n), -1e3), np.full((1, n), 1e3)])
-        whole = _ks_statistic(x.copy(), reference)
+        for n in (1001, 70001):
+            x = np.sort(np.random.default_rng(rows).standard_normal((rows, n)) * 7.0, axis=1)
+            x = np.concatenate([x, np.full((1, n), -1e3), np.full((1, n), 1e3)])
+            whole = _ks_statistic(x.copy(), reference)
+            with monkeypatch.context() as patch:
+                patch.setattr(kljn.line, "BLOCK_SAMPLES", block_samples)
+                got = _ks_statistic(x.copy(), reference)
+            assert np.array_equal(got, whole)
+            assert got[-2:] == pytest.approx([1.0, 1.0], abs=1e-6)
+
+    @pytest.mark.parametrize("row", ["far", "near", "edges"])
+    @pytest.mark.parametrize("rows, n", [(1, 2**20), (3, 5000), (2, FIRST_PRUNED)])
+    @pytest.mark.parametrize("kind", list(LAWS))
+    def test_pruned_statistic_is_bitwise_the_plain_formula(self, kind, rows, n, row):
+        reference = reference_cdf(NoiseSpec(kind, 1.0))
+        x = pruned_rows(reference, kind, rows, n, row)
+        assert (_ks_statistic(x.copy(), reference) == plain_statistic(x, reference)).all()
+
+    def test_a_maximum_on_the_last_column_of_a_kept_run_is_found(self):
+        # Against F(x) = x, a row of midpoints (i + 1/2) / n has every term
+        # at most 1/(2n). Two spikes, each followed by a plateau that keeps
+        # the row sorted, make d- = F(x_i) - i/n reach H - 1/(2n) at the
+        # head n/4 and H at column n/2 - 1 alone. The head n/2 then sees
+        # H - 1/n, so its sub-block's bounds stay below what the heads saw,
+        # and the run kept before it ends at n/2, right after that column.
+        n, height = FIRST_PRUNED, 0.05
+        grid = np.linspace(-1.0, 2.0, 3001)
+        reference = grid, np.clip(grid, 0.0, 1.0)
+        x = (np.arange(n) + 0.5) / n
+        x[n // 4] = (n // 4 - 0.5) / n + height
+        x[n // 2 - 1] = (n // 2 - 1) / n + height
+        x = np.maximum.accumulate(x)[None, :]
+        plain = plain_statistic(x, reference)
+        assert plain == pytest.approx(height)
+        assert (_ks_statistic(x.copy(), reference) == plain).all()
+
+    def test_a_sub_block_whose_bound_is_d_itself_is_kept(self):
+        # Against F(x) = x, the first n/2 values lie below the grid, where F
+        # is 0, so d+ = (i+1)/n peaks at D = 1/2 on column n/2 - 1. The rest
+        # sit 1/(2n) short of that: F(x_i) = (i + 3/2 - n/2) / n. The last
+        # sub-block below the grid then has the d+ bound (n/2)/n - 0, which
+        # is D exactly, while the heads and the last value see D - 1/(2n).
+        # Only a margin of at least 0 keeps that sub-block.
+        n = FIRST_PRUNED
+        grid = np.linspace(-1.0, 2.0, 3001)
+        reference = grid, np.clip(grid, 0.0, 1.0)
+        x = np.concatenate([np.full(n // 2, -0.5), (np.arange(n // 2) + 1.5) / n])[None, :]
+        plain = plain_statistic(x, reference)
+        assert plain == 0.5
+        assert (_ks_statistic(x.copy(), reference) == plain).all()
+
+    def test_a_far_row_interpolates_few_of_its_values(self, monkeypatch):
+        x, reference = wrong_hypothesis_row()
+        interpolated = count_interp(monkeypatch)
+        _ks_statistic(x, reference)
+        assert sum(size for size, _ in interpolated) < 0.05 * x.size
+
+    @pytest.mark.parametrize("n, block_samples", [(1000, 64), (LONG_ROW, 1000)])
+    def test_interp_is_handed_only_the_grid_its_values_span(self, monkeypatch, n, block_samples):
+        # A whole 1000-value row goes in chunks of 64 columns. The 1M-value
+        # row is pruned: after its head pass, which spans the row, its kept
+        # sub-blocks go in batches of 250 columns, each above the last.
+        x, reference = wrong_hypothesis_row(n)
         monkeypatch.setattr(kljn.line, "BLOCK_SAMPLES", block_samples)
-        got = _ks_statistic(x.copy(), reference)
-        assert np.array_equal(got, whole)
-        assert got[-2:] == pytest.approx([1.0, 1.0], abs=1e-6)
+        interpolated = count_interp(monkeypatch)
+        _ks_statistic(x, reference)
+        grids = [grid for _, grid in interpolated]
+        if n > FIRST_PRUNED:
+            assert grids.pop(0) <= len(reference[0])
+        assert len(grids) > 1
+        assert sum(grids) <= len(reference[0]) + 2 * len(grids)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="at least 100 samples"):
@@ -937,16 +1062,15 @@ class TestAttackTrials:
         def switches(coins):
             return coins[:, 0], coins[:, 1]
 
-        run = partial(kljn.eve.run_blocks, PAIR, GAUSS_LOW, GAUSS_HIGH)
+        # The attack refuses its own significance (test_preconditions).
+        run = partial(kljn.eve.run_blocks, block_attack())
         with mock.patch.object(kljn.eve, "BlockStreams", side_effect=AssertionError("drew")):
             with pytest.raises(ValueError, match="bits must be at least 1"):
-                list(run(1000, 0, 0.01, 1, switches))
+                list(run(1000, 0, 1, switches))
             with pytest.raises(ValueError, match="samples must be at least 100"):
-                list(run(99, 5, 0.01, 1, switches))
-            with pytest.raises(ValueError, match="significance must lie in"):
-                list(run(1000, 5, 0.0, 1, switches))
+                list(run(99, 5, 1, switches))
             with pytest.raises(ValueError, match="seed must be non-negative"):
-                list(run(1000, 5, 0.01, -1, switches))
+                list(run(1000, 5, -1, switches))
 
     def test_each_caller_names_its_own_setting(self):
         with pytest.raises(ValueError, match="^trials must be at least 1$"):
