@@ -38,20 +38,20 @@ from .density import (
     weights,
 )
 from .eve import (
-    AttackTrialSummary,
     BlockAttack,
     EveDecision,
     VERDICTS,
-    attack_trials,
     credits,
     reference_grid,
     wrong_hypothesis_variance,
 )
 from .protocol import (
+    AttackTrialSummary,
     Level,
     SessionConfig,
     SessionOutcome,
     SweepPoint,
+    attack_trials,
     leak_sweep,
     run_session,
 )

@@ -41,7 +41,7 @@ square) is a usage error while the settings are validated, before
 ``--out`` is created, and a run failure after that. A run that cannot
 get the memory it asks for (a trace or grid too large to hold) is a run
 failure too, and so is a worker process of the run that ends without a
-result (:class:`kljn.eve.WorkerError`).
+result (:class:`kljn.engine.WorkerError`).
 """
 
 from __future__ import annotations
@@ -60,11 +60,13 @@ import numpy as np
 
 from . import __version__
 from .density import check_grid, closure_pair, default_grid, l1_residual, weights
-from .eve import VERDICTS, WorkerError, attack_trials, check_run_settings, credits
+from .engine import WorkerError, check_run_settings
+from .eve import VERDICTS, credits
 from .line import SwitchState
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, check_variance
 from .noise import scaled_sigma_high
-from .protocol import BIT_FIELDS, RECORDS, SessionConfig, leak_sweep, run_session, sweep_configs
+from .protocol import BIT_FIELDS, RECORDS, SessionConfig, attack_trials, leak_sweep, run_session
+from .protocol import sweep_configs
 
 _CSV_BLOCK = 4096
 

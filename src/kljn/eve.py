@@ -22,34 +22,22 @@ and p-value as arrays indexed ``[hypothesis, party, row]``, and which
 hypotheses each row rejects. That is the per-bit evidence behind each
 verdict, split into the variance channel and the shape channel. A verdict
 is an int code per row, :meth:`BlockAttack.verdicts`; :data:`VERDICTS`
-decodes it to an :class:`EveDecision` and :func:`credits` scores it.
-:func:`run_blocks` is the one run loop: it draws, solves and attacks a
-range of bits block by block for :func:`kljn.protocol.run_session` and for
-:func:`attack_trials`, which runs it over fresh mixed-state bits and
-scores the verdicts. :func:`run_shares` is the one parallel path: it
-splits a run's bits into contiguous shares of whole blocks, runs the first
-in this process and each other one in a forked worker, and joins the
-per-bit columns that the caller reduces each block to, in bit order.
+decodes it to an :class:`EveDecision` and :func:`credits` scores it. The
+runs that attack bits block by block are :mod:`kljn.engine`'s.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import threading
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
 from . import line
 from .density import PdfGrid, analytic_pdf, symmetric_grid, weights
-from .line import SwitchState, blocks, line_block, resistance_for
-from .noise import LAWS, BlockStreams, DistributionKind, NoiseSpec, ResistorPair
+from .line import SwitchState, resistance_for
+from .noise import LAWS, DistributionKind, NoiseSpec, ResistorPair
 # Unused here; bench/test_bench.py checks that its tracer wraps this binding.
 from .noise import stream  # noqa: F401
 
@@ -111,13 +99,14 @@ def wrong_hypothesis_variance(pair: ResistorPair, sigma_low: float, sigma_high: 
     return w.alpha**2 + w.beta**2
 
 
-def _check_significance(significance: float) -> None:
+def check_significance(significance: float) -> None:
+    """Refuse a significance outside (0, 1)."""
     if not 0.0 < significance < 1.0:
         raise ValueError("significance must lie in (0, 1)")
 
 
-def _mean_square(x: np.ndarray) -> np.ndarray:
-    """Per-row mean square of zero-mean rows, the variance estimator of the z test.
+def mean_square(x: np.ndarray) -> np.ndarray:
+    """Per-row mean square: the z test's variance estimator and a bit's power (:mod:`kljn.engine`).
 
     ``x`` is squared in place, so it is overwritten; the result is bitwise
     ``np.mean(x**2, axis=1)``.
@@ -296,11 +285,11 @@ class Evidence(NamedTuple):
 class BlockAttack:
     """Both mixed-state hypotheses, tested on blocks of bits held one per row.
 
-    Built once per run, before its shares fork (:func:`run_shares`), and
-    handed to :func:`run_blocks`: each party's shape reference
-    (:func:`reference_grid`) and its CDF are built here once, and every
-    worker inherits them. The significance must lie in (0, 1) and each
-    row must hold at least ``MIN_TEST_SAMPLES`` samples.
+    Built once per run, before its shares fork (:func:`kljn.engine.run`),
+    and handed to :func:`kljn.engine.run_blocks`: each party's shape
+    reference (:func:`reference_grid`) and its CDF are built here once,
+    and every worker inherits them. The significance must lie in (0, 1)
+    and each row must hold at least ``MIN_TEST_SAMPLES`` samples.
 
     The two hypotheses are tested in turn in one ``(rows, n)`` buffer that
     belongs to the instance and is kept from one block to the next. It
@@ -312,7 +301,7 @@ class BlockAttack:
     def __init__(
         self, pair: ResistorPair, spec_low: NoiseSpec, spec_high: NoiseSpec, significance: float
     ) -> None:
-        _check_significance(significance)
+        check_significance(significance)
         self.pair = pair
         self.specs = (spec_low, spec_high)
         self.significance = significance
@@ -381,7 +370,7 @@ class BlockAttack:
             spec, reference = self.by_state[state]
             r = resistance_for(self.pair, state)
             if LAWS[spec.kind].variance:
-                mean_squares.append(_mean_square(_reconstruct(voltage, current, r, alice, buffer)))
+                mean_squares.append(mean_square(_reconstruct(voltage, current, r, alice, buffer)))
             else:
                 mean_squares.append(np.full(len(buffer), np.nan))
             _reconstruct(voltage, current, r, alice, buffer).sort(axis=1)
@@ -404,302 +393,3 @@ class BlockAttack:
 def credits(verdicts: np.ndarray, alice_high: np.ndarray) -> np.ndarray:
     """Score verdict codes against Alice's true switches: 1 correct, 0 wrong, 0.5 undecided."""
     return _CREDITS[verdicts, np.asarray(alice_high, dtype=np.intp)]
-
-
-@dataclass(frozen=True, eq=False)
-class AttackTrialSummary:
-    """Aggregate outcome of repeated attacks on fresh mixed-state bits.
-
-    ``alice_high`` (Alice's true switch) and ``verdicts`` (the attack's
-    verdict codes) are read-only columns, one entry per trial.
-    """
-
-    trials: int
-    correct: int
-    wrong: int
-    undecided: int
-    accuracy: float
-    alice_high: np.ndarray
-    verdicts: np.ndarray
-
-    def __post_init__(self) -> None:
-        for column in (self.alice_high, self.verdicts):
-            column.setflags(write=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "correct": self.correct,
-            "trials": self.trials,
-            "undecided": self.undecided,
-            "wrong": self.wrong,
-        }
-
-
-def check_run_settings(
-    samples: int,
-    bits: int,
-    significance: float,
-    seed: int,
-    names: tuple[str, str] = ("samples", "bits"),
-) -> None:
-    """Refuse settings :func:`run_blocks` cannot run, naming the one at fault.
-
-    ``names`` are the caller's names for ``samples`` and ``bits``. Sessions
-    (:class:`kljn.protocol.SessionConfig`), :func:`attack_trials`, the
-    CLI's ``attack`` validator and :func:`run_blocks` itself call this
-    before anything is drawn.
-    """
-    samples_name, bits_name = names
-    if bits < 1:
-        raise ValueError(f"{bits_name} must be at least 1")
-    if samples < MIN_TEST_SAMPLES:
-        raise ValueError(f"{samples_name} must be at least {MIN_TEST_SAMPLES}")
-    _check_significance(significance)
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-
-
-def run_blocks(
-    eve: BlockAttack,
-    samples: int,
-    bits: int | range,
-    seed: int,
-    switches: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Draw, solve and attack a range of bits of ``samples`` samples each, one block at a time.
-
-    This is the one run loop of sessions and attack trials. ``eve`` is the
-    run's attack, which also holds its resistor pair and noise specs.
-    ``bits`` is the range of bit indices to run, or a count of bits from
-    0. Its settings are checked (:func:`check_run_settings`) when the
-    first block is asked for, before anything is drawn. Bit ``i`` draws
-    its two coins from stream ``(seed, i, 0)`` as ``integers(0, 2,
-    size=2)``; ``switches`` maps the block's ``(rows, 2)`` boolean coin
-    array to the switch states ``(alice_high, bob_high)``. The sources and
-    the line follow (:func:`kljn.line.line_block`), and the mixed rows are
-    attacked, without a copy when every row is mixed. Each block yields
-    ``(alice_high, bob_high, voltage, verdicts)``, in bit order: its switch
-    states, its line voltage (scratch once yielded; the next block
-    overwrites it) and the verdict code of each mixed row
-    (:meth:`BlockAttack.verdicts`).
-
-    Bits run in blocks of ``kljn.line.BLOCK_SAMPLES // samples`` (at least
-    one), held as ``(bits, samples)`` arrays. The run allocates its two
-    line arrays once, shaped like the first block, and each block is drawn
-    and solved in their leading rows; with the attack's kept hypothesis
-    buffer, a run holds three arrays of its block's size at most, and a
-    longer trace runs alone in its block. Every bit keeps its own streams,
-    addressed by its index under the run's one key
-    (:class:`kljn.noise.BlockStreams`), so the outcome depends neither on
-    the block size nor on how the bits are split between runs
-    (:func:`run_shares`).
-    """
-    span = bits if isinstance(bits, range) else range(bits)
-    check_run_settings(samples, len(span), eve.significance, seed)
-    row_blocks = blocks(span.stop, samples, span.start)
-    line_arrays = np.empty((2, len(row_blocks[0]), samples))
-    for rows in row_blocks:
-        streams = BlockStreams(seed, rows)
-        coins = np.array([rng.integers(0, 2, size=2) for rng in streams.each(0)], dtype=bool)
-        alice_high, bob_high = switches(coins)
-        voltage, current = line_block(
-            streams, alice_high, bob_high, eve.pair, *eve.specs, line_arrays[:, : len(rows)]
-        )
-        mixed = alice_high != bob_high
-        attacked = (voltage, current) if mixed.all() else (voltage[mixed], current[mixed])
-        yield alice_high, bob_high, voltage, eve.verdicts(*attacked)
-
-
-class WorkerError(RuntimeError):
-    """A worker ended without a result, or raised an exception that cannot be sent back."""
-
-
-def _shares(bits: int, samples: int) -> list[range]:
-    """Split ``range(bits)`` into contiguous shares of whole blocks, one per process.
-
-    There are as many shares as cores this process may run on, and at most
-    one per block (:func:`kljn.line.blocks`). There is one share where
-    ``os.fork`` is missing, and where another Python thread runs: a fork
-    copies only the calling thread, so a lock another thread holds would
-    stay held in the worker.
-    """
-    row_blocks = blocks(bits, samples)
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    workers = max(1, min(cores, len(row_blocks)))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        workers = 1
-    starts = [row_blocks[len(row_blocks) * k // workers].start for k in range(1, workers)]
-    cuts = [0, *starts, bits]
-    return [range(start, stop) for start, stop in zip(cuts, cuts[1:])]
-
-
-def run_shares(
-    bits: int, samples: int, columns: Callable[[range], Iterable[Sequence[np.ndarray]]]
-) -> list[np.ndarray]:
-    """The per-bit columns of ``range(bits)``, run in shares on forked workers.
-
-    ``columns(share)`` runs a range of bits (through :func:`run_blocks`)
-    and yields each block's columns, in bit order: arrays of one entry per
-    bit, or per some of its bits. The bits are split into contiguous shares
-    of whole blocks, one per core (:func:`_shares`). This process runs the
-    first share; each other share runs in a worker forked from it, which
-    pickles its columns back over a pipe. The columns are joined in bit
-    order. Every bit draws from its own streams, so the result is bitwise
-    the same for any number of workers.
-
-    An exception raised in a worker is raised here with its type and
-    message. One that cannot be pickled, and a worker that ends without a
-    result (killed by a signal, or out of memory), is a
-    :class:`WorkerError`. Every worker is reaped before this returns, and
-    killed first if the run fails or is interrupted.
-    """
-    first, *rest = _shares(bits, samples)
-    parent = os.getpid()
-    workers: dict[int, int] = {}  # pid -> read end of its pipe, while not reaped
-    try:
-        for share in rest:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(columns, share, write, parent)  # never returns
-            except BaseException:
-                os.close(read)
-                raise
-            finally:
-                os.close(write)
-            workers[pid] = read
-        parts = [list(columns(first))]
-        for pid, read in list(workers.items()):
-            with open(read, "rb", closefd=False) as pipe:
-                sent = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            os.close(workers.pop(pid))
-            parts.append(_received(pid, sent, status))
-    finally:
-        _kill(workers)
-    return [np.concatenate(column) for column in zip(*chain.from_iterable(parts))]
-
-
-def _work(
-    columns: Callable[[range], Iterable[Sequence[np.ndarray]]], share: range, pipe: int, parent: int
-) -> NoReturn:
-    """Run one share in a forked worker, send its columns or its exception, and exit.
-
-    The worker leaves only through ``os._exit``, so it runs no atexit
-    handler and flushes no output buffer it inherited. It stops between
-    blocks once ``parent`` has gone, so a killed run leaves no worker.
-    """
-    status = 1
-    try:
-        try:
-            sent = []
-            for block in columns(share):
-                if os.getppid() != parent:
-                    os._exit(1)
-                sent.append(block)
-            message = (True, sent)
-        except BaseException as exc:
-            message = (False, _portable(exc, share))
-        with open(pipe, "wb") as out:
-            pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _portable(exc: BaseException, share: range) -> BaseException:
-    """``exc`` with its traceback as a note, or a :class:`WorkerError` if it does not pickle."""
-    import traceback  # only a failing worker pays for it
-
-    if hasattr(exc, "add_note"):  # Python 3.11 and later
-        where = f"raised in the worker that ran bits {share.start} to {share.stop - 1}:\n"
-        exc.add_note(where + "".join(traceback.format_tb(exc.__traceback__)))
-    try:
-        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return WorkerError(f"a worker raised {exc!r}")
-    return exc
-
-
-def _received(pid: int, sent: bytes, status: int) -> list:
-    """The block columns a reaped worker sent; what it raised is raised here.
-
-    A worker exits with status 0 only once its whole message is written,
-    so any other status means that ``sent`` is missing or cut short.
-    """
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise WorkerError(f"worker {pid} ended without a result ({how})")
-    ok, value = pickle.loads(sent)
-    if not ok:
-        raise value
-    return value
-
-
-def _kill(workers: dict[int, int]) -> None:
-    """Kill, reap and close every worker of a run that failed or was interrupted."""
-    if not workers:
-        return
-    import signal  # only a failed run pays for it
-
-    for pid, read in workers.items():
-        try:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass
-        os.close(read)
-    workers.clear()
-
-
-def attack_trials(
-    pair: ResistorPair,
-    spec_low: NoiseSpec,
-    spec_high: NoiseSpec,
-    samples_per_trial: int,
-    trials: int,
-    significance: float = 0.01,
-    seed: int = 0,
-) -> AttackTrialSummary:
-    """Measure attack accuracy over independent mixed-state bits.
-
-    Each trial draws a fresh random mixed state and fresh sources, runs
-    the attack, and scores it with half credit for undecided outcomes, so
-    0.5 is the blind-guessing baseline. Trials run in :func:`run_blocks`
-    with the streams of a session's bits: trial ``i``'s first coin ``c0``
-    sets Alice low, so the switches are ``(~c0, c0)``. They run in shares
-    on forked workers (:func:`run_shares`), which inherit the one attack
-    built before they fork, each reduced to its ``alice_high`` and
-    ``verdicts`` columns.
-    """
-    check_run_settings(
-        samples_per_trial, trials, significance, seed, ("samples_per_trial", "trials")
-    )
-    eve = BlockAttack(pair, spec_low, spec_high, significance)
-
-    def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return ~coins[:, 0], coins[:, 0]
-
-    def columns(share: range) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        run = run_blocks(eve, samples_per_trial, share, seed, switches)
-        return ((a, v) for a, _, _, v in run)
-
-    alice_high, verdicts = run_shares(trials, samples_per_trial, columns)
-    credit = credits(verdicts, alice_high)
-    n_correct = int(np.count_nonzero(credit == 1.0))
-    n_undecided = int(np.count_nonzero(credit == 0.5))
-    return AttackTrialSummary(
-        trials=trials,
-        correct=n_correct,
-        wrong=trials - n_correct - n_undecided,
-        undecided=n_undecided,
-        accuracy=float(credit.mean()),
-        alice_high=alice_high,
-        verdicts=verdicts,
-    )

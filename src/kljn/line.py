@@ -17,7 +17,7 @@ from .noise import BlockStreams, NoiseSpec, ResistorPair, check_finite, check_si
 
 # Budget of float64 samples per block array: 256 KiB, which fits in L2
 # and keeps peak memory flat whatever the session length. A run
-# (eve.run_blocks) allocates its block arrays once, shaped like its first
+# (engine.run_blocks) allocates its block arrays once, shaped like its first
 # (largest) block: the two line arrays of line_block and the hypothesis
 # buffer of eve.BlockAttack. The rest is computed in place in them or one
 # column chunk of this budget at a time, so a long trace that runs alone

@@ -15,7 +15,7 @@ word 2 and the channel word 3. That is ``Philox(seed).jumped(bit + channel
 * 2**64)``: numpy documents jumps of ``2**128`` draws as non-overlapping
 sequences, and a stream would need ``2**130`` draws to reach the next.
 
-Sessions and attack trials (see :func:`kljn.eve.run_blocks`) give bit
+Sessions and attack trials (see :func:`kljn.engine.run_blocks`) give bit
 ``i`` channel 0 for its two switch coins, 1 for Alice's source and 2 for
 Bob's. A block of bits re-keys one reused generator per bit by setting its
 counter (:class:`BlockStreams`), and each row of a block is one

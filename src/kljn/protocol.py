@@ -7,6 +7,8 @@ expose both switch positions and are discarded; the middle level is the
 secure regime in which each party learns the other's bit by elimination.
 An eavesdropper instance attacks every truly mixed bit, and the session
 records how often she wins beyond the coin-flip baseline.
+:func:`attack_trials` runs the same attack alone, over fresh mixed-state
+bits. Both run their bits in :func:`kljn.engine.run`.
 
 A session's outcome is a table of read-only numpy columns: each party's
 switch and the classified level per bit, and the attack's verdict code per
@@ -30,15 +32,8 @@ from functools import cache
 
 import numpy as np
 
-from .eve import (
-    VERDICTS,
-    BlockAttack,
-    _mean_square,
-    check_run_settings,
-    credits,
-    run_blocks,
-    run_shares,
-)
+from .engine import check_run_settings, run
+from .eve import VERDICTS, BlockAttack, credits
 from .line import SwitchState, theoretical_line_variance
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, check_variance
 from .noise import security_sigma_ratio
@@ -259,11 +254,9 @@ def run_session(config: SessionConfig) -> SessionOutcome:
     Per bit ``i`` the streams are ``(seed, i, 0)`` for the two switch
     coins, ``(seed, i, 1)`` for Alice's source and ``(seed, i, 2)`` for
     Bob's, making sessions reproducible and parallel-safe; the bits run in
-    blocks in :func:`kljn.eve.run_blocks`, and the coins ``(c0, c1)`` are
-    the switches of Alice and Bob, high when set. The blocks run in shares
-    on forked workers (:func:`kljn.eve.run_shares`), which inherit the one
-    attack built before they fork; each block is reduced to its columns:
-    the switches, the classified levels and the verdicts. A
+    :func:`kljn.engine.run`, and the coins ``(c0, c1)`` are the switches of
+    Alice and Bob, high when set. Each bit's level is classified from its
+    ``power`` column, the mean square of its line voltage. A
     bit is discarded when its classified level disagrees with the true
     joint state. On a kept mid-level bit Alice's key bit is her own switch
     (low is 0, high is 1) and Bob takes the complement of his switch; the
@@ -276,24 +269,89 @@ def run_session(config: SessionConfig) -> SessionOutcome:
     def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return coins[:, 0], coins[:, 1]
 
-    def columns(share: range) -> Iterator[tuple[np.ndarray, ...]]:
-        run = run_blocks(eve, config.samples_per_bit, share, config.seed, switches)
-        # The block's voltage is scratch past its block, so it is squared in place.
-        return ((a, b, _classify_rows(_mean_square(v), cuts), d) for a, b, v, d in run)
-
-    alice_high, bob_high, levels, verdicts = run_shares(
-        config.bits, config.samples_per_bit, columns
-    )
-    n_secure = len(verdicts)
-    secure_credits = credits(verdicts, alice_high[alice_high != bob_high])
+    bits = run(eve, config.samples_per_bit, config.bits, config.seed, switches)
+    n_secure = len(bits.verdicts)
+    secure_credits = credits(bits.verdicts, bits.alice_high[bits.alice_high != bits.bob_high])
     return SessionOutcome(
-        alice_high=alice_high,
-        bob_high=bob_high,
-        levels=levels,
-        verdicts=verdicts,
+        alice_high=bits.alice_high,
+        bob_high=bits.bob_high,
+        levels=_classify_rows(bits.power, cuts),
+        verdicts=bits.verdicts,
         secure_bit_fraction=n_secure / config.bits,
         bit_error_rate=0.0,  # sifting checks the true joint state, so every kept bit agrees
         eve_accuracy=None if n_secure == 0 else float(secure_credits.mean()),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class AttackTrialSummary:
+    """Aggregate outcome of repeated attacks on fresh mixed-state bits.
+
+    ``alice_high`` (Alice's true switch) and ``verdicts`` (the attack's
+    verdict codes) are read-only columns, one entry per trial.
+    """
+
+    trials: int
+    correct: int
+    wrong: int
+    undecided: int
+    accuracy: float
+    alice_high: np.ndarray
+    verdicts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.alice_high, self.verdicts):
+            column.setflags(write=False)
+
+    def to_dict(self) -> dict:
+        return {
+            "accuracy": self.accuracy,
+            "correct": self.correct,
+            "trials": self.trials,
+            "undecided": self.undecided,
+            "wrong": self.wrong,
+        }
+
+
+def attack_trials(
+    pair: ResistorPair,
+    spec_low: NoiseSpec,
+    spec_high: NoiseSpec,
+    samples_per_trial: int,
+    trials: int,
+    significance: float = 0.01,
+    seed: int = 0,
+) -> AttackTrialSummary:
+    """Measure attack accuracy over independent mixed-state bits.
+
+    Each trial draws a fresh random mixed state and fresh sources, runs
+    the attack, and scores it with half credit for undecided outcomes, so
+    0.5 is the blind-guessing baseline. Trials run in
+    :func:`kljn.engine.run` with the streams of a session's bits: trial
+    ``i``'s first coin ``c0`` sets Alice low, so the switches are ``(~c0,
+    c0)``. The summary keeps the run's ``alice_high`` and ``verdicts``
+    columns.
+    """
+    check_run_settings(
+        samples_per_trial, trials, significance, seed, ("samples_per_trial", "trials")
+    )
+    eve = BlockAttack(pair, spec_low, spec_high, significance)
+
+    def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return ~coins[:, 0], coins[:, 0]
+
+    bits = run(eve, samples_per_trial, trials, seed, switches)
+    credit = credits(bits.verdicts, bits.alice_high)
+    n_correct = int(np.count_nonzero(credit == 1.0))
+    n_undecided = int(np.count_nonzero(credit == 0.5))
+    return AttackTrialSummary(
+        trials=trials,
+        correct=n_correct,
+        wrong=trials - n_correct - n_undecided,
+        undecided=n_undecided,
+        accuracy=float(credit.mean()),
+        alice_high=bits.alice_high,
+        verdicts=bits.verdicts,
     )
 
 

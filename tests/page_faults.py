@@ -11,7 +11,7 @@ with ``src`` and ``tests`` on ``PYTHONPATH``.
 import resource
 
 from kljn import BlockAttack, NoiseSpec, ResistorPair
-from kljn.eve import run_blocks
+from kljn.engine import run_blocks
 
 
 def minor_faults(run) -> int:
@@ -25,6 +25,6 @@ def later_trial_faults(trials: int = 4, samples: int = 1_000_000) -> list[int]:
     """Minor faults of each uniform trial of a ``run_blocks`` run after its first one."""
     spec_low, spec_high = NoiseSpec("uniform", 1.0), NoiseSpec("uniform", 2.0)
     eve = BlockAttack(ResistorPair(1.0, 4.0), spec_low, spec_high, 0.01)
-    run = run_blocks(eve, samples, trials, 1, lambda coins: (~coins[:, 0], coins[:, 0]))
+    run = run_blocks(eve, samples, range(trials), 1, lambda coins: (~coins[:, 0], coins[:, 0]))
     next(run)
     return [minor_faults(lambda: next(run)) for _ in range(trials - 1)]

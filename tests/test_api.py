@@ -9,7 +9,15 @@ import kljn
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "kljn"
-MODULES = {"kljn.noise", "kljn.line", "kljn.density", "kljn.eve", "kljn.protocol", "kljn.cli"}
+MODULES = {
+    "kljn.noise",
+    "kljn.line",
+    "kljn.density",
+    "kljn.eve",
+    "kljn.engine",
+    "kljn.protocol",
+    "kljn.cli",
+}
 
 
 def library_table() -> dict[str, list[str]]:
@@ -140,3 +148,85 @@ def test_only_the_parser_builder_declares_flags():
         for owner in add_argument_calls(path.read_text())
     }
     assert found == {("cli.py", "_build_parser")}
+
+
+def private_imports(source: str) -> list[int]:
+    """Lines that import a private name from a module of the package.
+
+    A name is private when it starts with ``_`` and is not a dunder such as ``__version__``.
+    """
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "kljn")
+        and any(a.name.startswith("_") and not a.name.endswith("__") for a in node.names)
+    )
+
+
+def test_private_import_detector_sees_each_form():
+    source = """
+from .eve import _mean_square
+from .eve import (
+    BlockAttack,
+    _check_significance,
+)
+def f():
+    from .line import _private
+from kljn.noise import _hidden
+from . import _module
+from .eve import BlockAttack
+from . import __version__
+from numpy import _private_numpy
+"""
+    assert private_imports(source) == [2, 3, 8, 9, 10]
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A helper that two modules use has one public home that both import."""
+    found = {path.name: private_imports(path.read_text()) for path in sorted(SOURCES.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+PROCESS_MODULES = {"os", "pickle", "threading", "signal"}
+
+
+def process_imports(source: str) -> list[int]:
+    """Lines that import a process-management module (``PROCESS_MODULES``), at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in PROCESS_MODULES for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_process_import_detector_sees_each_form():
+    source = """
+import os
+import math, pickle
+from threading import Thread
+def kill():
+    import signal
+import os.path
+from .os import thing
+import numpy
+from collections import abc
+"""
+    assert process_imports(source) == [2, 3, 4, 6, 7]
+
+
+def test_only_the_engine_manages_processes():
+    """Forks, pipes, threads and signals are the run engine's; every other module only computes."""
+    found = {
+        path.name: process_imports(path.read_text())
+        for path in sorted(SOURCES.glob("*.py"))
+        if path.name != "engine.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert process_imports((SOURCES / "engine.py").read_text())

@@ -71,6 +71,23 @@ def one_bit_verdict(eve: BlockAttack, voltage, current) -> int:
     return verdict
 
 
+def reference_bit(config: SessionConfig, i: int):
+    """Bit ``i`` of a session through the public API: both switch states, line voltage and current."""
+    by_state = {
+        SwitchState.LOW: NoiseSpec(config.kind, config.sigma_low),
+        SwitchState.HIGH: NoiseSpec(config.kind, config.sigma_high),
+    }
+    coins = stream(config.seed, i, 0).integers(0, 2, size=2)
+    a_state = SwitchState.HIGH if coins[0] else SwitchState.LOW
+    b_state = SwitchState.HIGH if coins[1] else SwitchState.LOW
+    v_a = sample(by_state[a_state], config.samples_per_bit, stream(config.seed, i, 1))
+    v_b = sample(by_state[b_state], config.samples_per_bit, stream(config.seed, i, 2))
+    voltage, current = line_signals(
+        v_a, v_b, resistance_for(config.pair, a_state), resistance_for(config.pair, b_state)
+    )
+    return a_state, b_state, voltage, current
+
+
 def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict]]:
     """The per-bit session loop, one bit at a time through the public API.
 
@@ -79,18 +96,10 @@ def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict]
     """
     spec_low = NoiseSpec(config.kind, config.sigma_low)
     spec_high = NoiseSpec(config.kind, config.sigma_high)
-    by_state = {SwitchState.LOW: spec_low, SwitchState.HIGH: spec_high}
     eve = BlockAttack(config.pair, spec_low, spec_high, config.significance)
     alice_high, bob_high, levels, verdicts, secure_alice_high, bits = [], [], [], [], [], []
     for i in range(config.bits):
-        coins = stream(config.seed, i, 0).integers(0, 2, size=2)
-        a_state = SwitchState.HIGH if coins[0] else SwitchState.LOW
-        b_state = SwitchState.HIGH if coins[1] else SwitchState.LOW
-        v_a = sample(by_state[a_state], config.samples_per_bit, stream(config.seed, i, 1))
-        v_b = sample(by_state[b_state], config.samples_per_bit, stream(config.seed, i, 2))
-        voltage, current = line_signals(
-            v_a, v_b, resistance_for(config.pair, a_state), resistance_for(config.pair, b_state)
-        )
+        a_state, b_state, voltage, current = reference_bit(config, i)
         level = reference_level(float(np.mean(voltage**2)), config)
         secure = a_state is not b_state
         if secure:

@@ -1,4 +1,9 @@
-"""Eavesdropper: reconstruction algebra, tests, verdicts and their credit."""
+"""Eavesdropper: reconstruction algebra, tests, verdicts and their credit.
+
+The run engine's tests (``kljn.engine``: its run loop, its shares on
+forked workers and the per-bit columns it joins) are here too, under the
+test ids they have had since that code lived in ``kljn.eve``.
+"""
 
 import math
 import os
@@ -15,6 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import kljn.engine
 import kljn.eve
 import kljn.line
 from kljn import (
@@ -43,13 +49,13 @@ from kljn.eve import (
     _HYPOTHESES,
     _kolmogorov_sf,
     _ks_statistic,
-    _mean_square,
+    mean_square,
     _reconstruct,
     _z_p_value,
 )
 from kljn.line import BLOCK_SAMPLES, line_block
 from kljn.noise import LAWS, BlockStreams
-from test_blocks import assert_same_outcome
+from test_blocks import assert_same_outcome, reference_bit
 
 try:
     from hypothesis import assume, example, given, settings
@@ -99,7 +105,7 @@ def reference_cdf(spec):
 
 def variance_rows(x, expected_sigma, level):
     """BlockAttack's variance sub-test of rows ``x``: mean square, z, p and verdict at ``level``."""
-    observed = _mean_square(x.copy())
+    observed = mean_square(x.copy())
     z = plain_z(observed, expected_sigma, x.shape[1])
     p = _z_p_value(z)
     return observed, z, p, p < level
@@ -806,12 +812,29 @@ class TestWorkers:
         assert len(forks) == 4 * (min(cores, 4) - 1)
         assert_no_child_left()
 
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_power_is_the_mean_square_of_each_reference_voltage(self, monkeypatch, cores):
+        use_cores(monkeypatch, cores)
+        forks = count_forks(monkeypatch)
+        config = SessionConfig(PAIR, "uniform", 1.0, 3.0, WORKER_SAMPLES, WORKER_BITS, seed=5)
+        specs = NoiseSpec(config.kind, config.sigma_low), NoiseSpec(config.kind, config.sigma_high)
+        eve = BlockAttack(config.pair, *specs, config.significance)
+        bits = kljn.engine.run(
+            eve, config.samples_per_bit, config.bits, config.seed, lambda c: (c[:, 0], c[:, 1])
+        )
+        voltage = np.array([reference_bit(config, i)[2] for i in range(config.bits)])
+        expected = np.mean(voltage**2, axis=1)
+        assert bits.power.dtype == expected.dtype
+        assert bits.power.tobytes() == expected.tobytes()
+        assert len(forks) == cores - 1
+        assert_no_child_left()
+
     @pytest.mark.parametrize("bits, samples", [(1, 100), (40, 150), (41, 150), (7, 1000), (9, 33)])
     @pytest.mark.parametrize("cores", [1, 2, 3, 64])
     def test_shares_are_contiguous_runs_of_whole_blocks(self, monkeypatch, bits, samples, cores):
         use_cores(monkeypatch, cores)
         row_blocks = kljn.line.blocks(bits, samples)
-        shares = kljn.eve._shares(bits, samples)
+        shares = kljn.engine._shares(bits, samples)
         assert len(shares) == min(cores, len(row_blocks))
         assert [i for share in shares for i in share] == list(range(bits))
         assert {share.start for share in shares} <= {rows.start for rows in row_blocks}
@@ -876,7 +899,7 @@ class TestWorkers:
 
         monkeypatch.setattr(kljn.eve, "_ks_statistic", in_worker(fail))
         refused = r"a worker raised .*Local\('not importable'\)"
-        with pytest.raises(kljn.eve.WorkerError, match=refused):
+        with pytest.raises(kljn.engine.WorkerError, match=refused):
             attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
         assert_no_child_left()
 
@@ -885,7 +908,7 @@ class TestWorkers:
         kill = in_worker(lambda: os.kill(os.getpid(), signal.SIGKILL))
         monkeypatch.setattr(kljn.eve, "_ks_statistic", kill)
         killed = r"ended without a result \(killed by signal 9\)"
-        with pytest.raises(kljn.eve.WorkerError, match=killed):
+        with pytest.raises(kljn.engine.WorkerError, match=killed):
             attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
         assert_no_child_left()
         out = tmp_path / "out"
@@ -923,21 +946,26 @@ class TestWorkers:
         assert len(forks) == 3
 
     def test_a_worker_stops_once_the_run_that_forked_it_has_gone(self, monkeypatch):
+        # One bit a block, so the worker of bits 20 to 39 checks for its run
+        # between bits. Its four KS statistics a bit take a quarter second,
+        # five seconds in all if it went on to the end.
+        monkeypatch.setattr(kljn.line, "BLOCK_SAMPLES", WORKER_SAMPLES)
         use_cores(monkeypatch, 2)
         read, write = os.pipe()
+        original, runner = kljn.eve._ks_statistic, []
 
-        def slow_columns(share):
-            # The worker writes a byte per bit; the pipe ends when the worker does.
-            for i in share:
-                if share.start:
-                    os.write(write, b".")
-                time.sleep(0.25)
-                yield (np.array([i]),)
+        def slow(x, reference):
+            if os.getpid() != runner[0]:  # the worker writes a byte a call
+                os.write(write, b".")
+                time.sleep(0.0625)
+            return original(x, reference)
 
+        monkeypatch.setattr(kljn.eve, "_ks_statistic", slow)
         run = os.fork()
-        if run == 0:  # the run, which forks a worker for bits 20 to 39 (five seconds of blocks)
+        if run == 0:  # the run, which forks the worker; the pipe ends when both have
             try:
-                kljn.eve.run_shares(WORKER_BITS, WORKER_SAMPLES, slow_columns)
+                runner.append(os.getpid())
+                attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS)
             finally:
                 os._exit(0)
         os.close(write)
@@ -1063,14 +1091,14 @@ class TestAttackTrials:
             return coins[:, 0], coins[:, 1]
 
         # The attack refuses its own significance (test_preconditions).
-        run = partial(kljn.eve.run_blocks, block_attack())
-        with mock.patch.object(kljn.eve, "BlockStreams", side_effect=AssertionError("drew")):
+        run = partial(kljn.engine.run_blocks, block_attack())
+        with mock.patch.object(kljn.engine, "BlockStreams", side_effect=AssertionError("drew")):
             with pytest.raises(ValueError, match="bits must be at least 1"):
-                list(run(1000, 0, 1, switches))
+                list(run(1000, range(0), 1, switches))
             with pytest.raises(ValueError, match="samples must be at least 100"):
-                list(run(99, 5, 1, switches))
+                list(run(99, range(5), 1, switches))
             with pytest.raises(ValueError, match="seed must be non-negative"):
-                list(run(1000, 5, -1, switches))
+                list(run(1000, range(5), -1, switches))
 
     def test_each_caller_names_its_own_setting(self):
         with pytest.raises(ValueError, match="^trials must be at least 1$"):
