@@ -59,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .density import check_grid, closure_pair, default_grid, l1_residual, weights
+from .density import closure_pair, l1_residual, mixture_grid, weights
 from .engine import WorkerError, check_run_settings
 from .eve import VERDICTS, credits
 from .line import SwitchState
@@ -307,10 +307,7 @@ def _pdf_inputs(s: dict) -> tuple[dict, tuple]:
     kind = DistributionKind(s["kind"])
     check_variance(kind, "variance-matched pdf comparisons")
     w = weights(pair, s["sigma_low"], s["sigma_high"])
-    for key, default in zip(("dx", "half_width"), default_grid(w)):
-        if s[key] is None:
-            s[key] = default
-    check_grid(w, s["dx"], s["half_width"])
+    s["dx"], s["half_width"] = mixture_grid(w, s["dx"], s["half_width"])
     return s, (kind, w, s["dx"], s["half_width"])
 
 

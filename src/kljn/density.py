@@ -146,6 +146,14 @@ def symmetric_grid(half_width: float, dx: float) -> tuple[float, float, int]:
     return (-k * dx, dx, 2 * k + 1)
 
 
+def _normalized(x0: float, dx: float, raw: np.ndarray, what: str) -> PdfGrid:
+    """``raw`` rescaled to unit trapezoidal mass, recording the mass it lacked."""
+    total = float(np.trapezoid(raw, dx=dx))
+    if total <= 0.0:
+        raise TruncationError(f"{what} holds no probability mass")
+    return PdfGrid(x0=x0, dx=dx, values=raw / total, truncation_deficit=1.0 - total)
+
+
 def analytic_pdf(kind: DistributionKind, scale: float, x0: float, dx: float, m: int) -> PdfGrid:
     """Tabulate a family density (``LAWS[kind].pdf``) on an explicit grid and renormalize.
 
@@ -170,64 +178,31 @@ def analytic_pdf(kind: DistributionKind, scale: float, x0: float, dx: float, m: 
         raise TruncationError(
             f"grid [{x0}, {x_end}] misses {missing:.3e} of the {kind.value} mass; widen it"
         )
-    xs = x0 + dx * np.arange(m)
-    raw = law.pdf(xs, scale)
-    total = float(np.trapezoid(raw, dx=dx))
-    if total <= 0.0:
-        raise TruncationError("grid holds no probability mass")
-    return PdfGrid(x0=x0, dx=dx, values=raw / total, truncation_deficit=1.0 - total)
+    return _normalized(x0, dx, law.pdf(x0 + dx * np.arange(m), scale), "grid")
 
 
-def default_grid(w: HypothesisWeights) -> tuple[float, float]:
-    """Default ``(dx, half_width)`` for the components of a mixture.
+def mixture_grid(
+    w: HypothesisWeights, dx: float | None = None, half_width: float | None = None
+) -> tuple[float, float]:
+    """The spacing and half width ``(dx, half_width)`` that tabulate the mixture of ``w``.
 
-    The spacing resolves the finer component with ``POINTS_PER_SCALE``
-    points per scale unit, and the wider component's grid spans
-    ``HALF_WIDTH_SCALES`` mixture scales each side.
+    A missing spacing resolves the finer component with
+    ``POINTS_PER_SCALE`` points per scale unit, and a missing half width
+    spans ``HALF_WIDTH_SCALES`` mixture scales. Both must be positive and
+    finite. :meth:`PdfGrid.second_moment` squares x, and each component's
+    grid spans the half width times its weight over the larger weight, so
+    neither the half width nor the larger weight may have a square that
+    overflows.
     """
-    finer = w.alpha if w.beta == 0.0 else min(w.alpha, w.beta)
-    return finer / POINTS_PER_SCALE, HALF_WIDTH_SCALES * math.hypot(w.alpha, w.beta)
-
-
-def check_grid(w: HypothesisWeights, dx: float, half_width: float) -> None:
-    """Refuse a spacing and half width that cannot tabulate the mixture of ``w``.
-
-    Both must be positive and finite. :meth:`PdfGrid.second_moment`
-    squares x, and each component's grid spans the half width times its
-    weight over the larger weight, so neither the half width nor the larger
-    weight may have a square that overflows.
-    """
+    if dx is None:
+        dx = (w.alpha if w.beta == 0.0 else min(w.alpha, w.beta)) / POINTS_PER_SCALE
+    if half_width is None:
+        half_width = HALF_WIDTH_SCALES * math.hypot(w.alpha, w.beta)
     if not (0.0 < dx < math.inf and 0.0 < half_width < math.inf):
         raise ValueError("dx and half-width must be positive and finite")
     if not all(math.isfinite(v * v) for v in (half_width, max(w.alpha, w.beta))):
         raise ValueError("half-width and mixture weights must have finite squares")
-
-
-def _component_grids(
-    kind: DistributionKind,
-    w: HypothesisWeights,
-    dx: float | None,
-    half_width: float | None,
-) -> tuple[PdfGrid, PdfGrid]:
-    """Tabulate both components over the same number of their own scale units.
-
-    The wider component spans ``half_width``; the narrower one spans the
-    same multiple of its own scale, so truncation is judged alike for both
-    and no grid holds a far tail of exact zeros. A grid keeps at least one
-    step each side, so a component narrower than the spacing acts as a
-    point mass.
-    """
-    default_dx, default_half_width = default_grid(w)
-    dx = default_dx if dx is None else dx
-    half_width = default_half_width if half_width is None else half_width
-    check_grid(w, dx, half_width)
-    if w.beta == 0.0:
-        grid = analytic_pdf(kind, w.alpha, *symmetric_grid(half_width, dx))
-        return grid, grid
-    top = max(w.alpha, w.beta)
-    a = analytic_pdf(kind, w.alpha, *symmetric_grid(max(half_width * w.alpha / top, dx), dx))
-    b = analytic_pdf(kind, w.beta, *symmetric_grid(max(half_width * w.beta / top, dx), dx))
-    return a, b
+    return dx, half_width
 
 
 def _fast_len(n: int) -> int:
@@ -251,24 +226,13 @@ def _convolve_grids(a: PdfGrid, b: PdfGrid) -> PdfGrid:
     # trapezoidal integral of the continuous convolution.
     va = a.values.copy()
     vb = b.values.copy()
-    va[0] *= 0.5
-    va[-1] *= 0.5
-    vb[0] *= 0.5
-    vb[-1] *= 0.5
+    va[[0, -1]] *= 0.5
+    vb[[0, -1]] *= 0.5
     # Linear convolution by FFT: zero-pad to a fast length, crop back.
     m = va.size + vb.size - 1
     size = _fast_len(m)
     raw = np.fft.irfft(np.fft.rfft(va, size) * np.fft.rfft(vb, size), size)[:m] * dx
-    raw = np.maximum(raw, 0.0)
-    total = float(np.trapezoid(raw, dx=dx))
-    if total <= 0.0:
-        raise TruncationError("convolution holds no probability mass")
-    return PdfGrid(
-        x0=a.x0 + b.x0,
-        dx=dx,
-        values=raw / total,
-        truncation_deficit=1.0 - total,
-    )
+    return _normalized(a.x0 + b.x0, dx, np.maximum(raw, 0.0, out=raw), "convolution")
 
 
 def convolve_scaled(
@@ -280,14 +244,23 @@ def convolve_scaled(
 ) -> PdfGrid:
     """Density of ``alpha * X + beta * Y`` for independent unit draws of ``kind``.
 
-    The two scaled component densities are tabulated on one spacing and
-    convolved. With ``beta == 0`` the second component is a point mass and
-    the alpha-scaled density is returned directly. The result is
-    renormalized, with the deficit recorded on the grid.
+    The grid is :func:`mixture_grid`'s. Each component is tabulated over the
+    same number of its own scale units: the wider one spans ``half_width``
+    and the narrower one the same multiple of its own scale, so truncation
+    is judged alike for both and no grid holds a far tail of exact zeros. A
+    grid keeps at least one step each side, so a component narrower than
+    the spacing acts as a point mass. With ``beta == 0`` the mixture is the
+    alpha-scaled density over ``half_width``. The result is renormalized,
+    with the deficit recorded on the grid.
     """
-    a, b = _component_grids(kind, w, dx, half_width)
+    dx, half_width = mixture_grid(w, dx, half_width)
     if w.beta == 0.0:
-        return a
+        return analytic_pdf(kind, w.alpha, *symmetric_grid(half_width, dx))
+    top = max(w.alpha, w.beta)
+    a, b = (
+        analytic_pdf(kind, scale, *symmetric_grid(max(half_width * scale / top, dx), dx))
+        for scale in (w.alpha, w.beta)
+    )
     return _convolve_grids(a, b)
 
 

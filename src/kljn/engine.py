@@ -158,8 +158,10 @@ def run(eve: BlockAttack, samples: int, bits: int, seed: int, switches: Switches
     message. One that cannot be pickled, and a worker that ends without a
     result (killed by a signal, or out of memory), is a
     :class:`WorkerError`. Every worker is reaped before this returns, and
-    killed first if the run fails or is interrupted.
+    killed first if the run fails or is interrupted. Settings the run
+    cannot make (:func:`check_run_settings`) are refused before it splits.
     """
+    check_run_settings(samples, bits, eve.significance, seed)
     first, *rest = _shares(bits, samples)
     parent = os.getpid()
     workers: dict[int, int] = {}  # pid -> read end of its pipe, while not reaped

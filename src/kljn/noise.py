@@ -83,10 +83,11 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, DistributionKind):
             object.__setattr__(self, "kind", DistributionKind(self.kind))
-        # The attack squares each scale, so the square must be finite too.
-        # math.fabs gives a Python float, whose square overflows without a warning.
+        # The attack squares each scale and divides by the square, so the
+        # square must be positive and finite too. math.fabs gives a Python
+        # float, whose square overflows or underflows without a warning.
         scale = math.fabs(self.scale)
-        if not (self.scale > 0.0 and math.isfinite(scale * scale)):
+        if not (self.scale > 0.0 and 0.0 < scale * scale < math.inf):
             raise ValueError("scale must be positive and finite, and so must its square")
 
 

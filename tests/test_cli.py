@@ -430,6 +430,8 @@ USAGE_CASES = [
     (["pdf", "--config", "{cfg}"], json.dumps({"r_low": None})),
     (["simulate", "--config", "{cfg}"], json.dumps({"bits": None})),
     (["sweep", "--config", "{cfg}"], json.dumps({"multipliers": [1.0, 10**400]})),
+    # an amplitude whose square, the variance the attack divides by, underflows to 0
+    (["attack", "--samples", "100", "--trials", "1", "--sigma-high", "1e-200"], None),
 ]
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import kljn.density
 from kljn import (
     DistributionKind,
     HypothesisWeights,
@@ -19,11 +20,10 @@ from kljn import (
     weights,
 )
 from kljn.density import (
-    _component_grids,
     _convolve_grids,
     _fast_len,
-    default_grid,
     l1_residual,
+    mixture_grid,
     symmetric_grid,
 )
 from kljn.noise import LAWS
@@ -207,9 +207,17 @@ class TestConvolution:
             (DistributionKind.UNIFORM, weights(ResistorPair(1.0, 1.1), 1.0, math.sqrt(1.1)), 0.001),
         ],
     )
-    def test_fft_matches_direct_sum(self, kind, w, dx):
-        a, b = _component_grids(kind, w, dx, None)
-        got = _convolve_grids(a, b)
+    def test_fft_matches_direct_sum(self, monkeypatch, kind, w, dx):
+        components = []
+
+        def convolve(a, b):
+            components.append((a, b))
+            return _convolve_grids(a, b)
+
+        # Compare on the component grids that convolve_scaled builds.
+        monkeypatch.setattr(kljn.density, "_convolve_grids", convolve)
+        got = convolve_scaled(kind, w, dx=dx)
+        [(a, b)] = components
         va, vb = a.values.copy(), b.values.copy()
         va[[0, -1]] *= 0.5
         vb[[0, -1]] *= 0.5
@@ -301,10 +309,16 @@ class TestClosureResidual:
         assert closure_residual(DistributionKind.GAUSSIAN, weights(PAIR, 1.0, 2.0)) <= 1e-13
 
     def test_default_grid(self):
-        dx, half_width = default_grid(HypothesisWeights(1.6, 1.2))
+        dx, half_width = mixture_grid(HypothesisWeights(1.6, 1.2))
         assert dx == 1.2 / 200.0
         assert half_width == 8.0 * 2.0
-        assert default_grid(HypothesisWeights(2.0, 0.0)) == (2.0 / 200.0, 16.0)
+        assert mixture_grid(HypothesisWeights(2.0, 0.0)) == (2.0 / 200.0, 16.0)
+
+    def test_a_given_grid_value_is_kept(self):
+        w = HypothesisWeights(1.6, 1.2)
+        assert mixture_grid(w, 0.5, None) == (0.5, 16.0)
+        assert mixture_grid(w, None, 3.0) == (1.2 / 200.0, 3.0)
+        assert mixture_grid(w, 0.5, 3.0) == (0.5, 3.0)
 
     def test_l1_residual_needs_one_grid(self):
         mixture, reference = closure_pair(DistributionKind.UNIFORM, weights(PAIR, 1.0, 2.0))

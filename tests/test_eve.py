@@ -829,6 +829,19 @@ class TestWorkers:
         assert len(forks) == cores - 1
         assert_no_child_left()
 
+    @pytest.mark.parametrize(
+        "samples, bits, seed, setting",
+        [(0, 10, 0, "samples"), (50, 2000, 0, "samples"), (150, 0, 0, "bits"), (150, 40, -1, "seed")],
+    )
+    def test_a_refused_run_forks_no_worker(self, monkeypatch, samples, bits, seed, setting):
+        use_cores(monkeypatch, 4)
+        forks = count_forks(monkeypatch)
+        eve = BlockAttack(PAIR, UNIFORM_LOW, UNIFORM_HIGH, 0.05)
+        with pytest.raises(ValueError, match=f"^{setting} must"):
+            kljn.engine.run(eve, samples, bits, seed, lambda c: (c[:, 0], c[:, 1]))
+        assert forks == []
+        assert_no_child_left()
+
     @pytest.mark.parametrize("bits, samples", [(1, 100), (40, 150), (41, 150), (7, 1000), (9, 33)])
     @pytest.mark.parametrize("cores", [1, 2, 3, 64])
     def test_shares_are_contiguous_runs_of_whole_blocks(self, monkeypatch, bits, samples, cores):

@@ -77,8 +77,9 @@ class TestResistorPair:
 
 class TestNoiseSpec:
     def test_rejects_nonpositive_scale(self):
-        # 1e200 is finite, but its square, which the attack takes, is not
-        for bad in (0.0, -2.0, math.inf, math.nan, 1e200):
+        # 1e200 is finite, but its square, which the attack takes, is not;
+        # 1e-200 is positive, but its square, which the attack divides by, is 0
+        for bad in (0.0, -2.0, math.inf, math.nan, 1e200, 1e-200):
             with pytest.raises(ValueError):
                 NoiseSpec(DistributionKind.GAUSSIAN, bad)
 
