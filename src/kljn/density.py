@@ -32,6 +32,7 @@ nothing here depends on which family it is.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,7 +193,10 @@ def mixture_grid(
     finite. :meth:`PdfGrid.second_moment` squares x, and each component's
     grid spans the half width times its weight over the larger weight, so
     neither the half width nor the larger weight may have a square that
-    overflows.
+    overflows, and the half width times the smaller weight may not
+    underflow. Each component of a convolution sums to ``1 / dx``, so its
+    FFT's sums reach that squared times the padded length, which is under
+    ``8 * (half_width / dx + 1)`` points; that bound must stay finite.
     """
     if dx is None:
         dx = (w.alpha if w.beta == 0.0 else min(w.alpha, w.beta)) / POINTS_PER_SCALE
@@ -202,6 +206,11 @@ def mixture_grid(
         raise ValueError("dx and half-width must be positive and finite")
     if not all(math.isfinite(v * v) for v in (half_width, max(w.alpha, w.beta))):
         raise ValueError("half-width and mixture weights must have finite squares")
+    if w.beta > 0.0:
+        if half_width * min(w.alpha, w.beta) < sys.float_info.min:
+            raise ValueError("half-width times the smaller mixture weight must not underflow")
+        if not math.isfinite(8.0 * (half_width / dx + 1.0) / dx / dx):
+            raise ValueError(f"dx {dx:.3g} too fine to convolve over half-width {half_width:.3g}")
     return dx, half_width
 
 

@@ -90,11 +90,12 @@ def run_blocks(
     attack.
 
     Bits run in blocks of ``kljn.line.BLOCK_SAMPLES // samples`` (at least
-    one), held as ``(bits, samples)`` arrays. The run allocates its two
-    line arrays once, shaped like the first block, and each block is drawn
-    and solved in their leading rows; with the attack's kept hypothesis
-    buffer, a run holds three arrays of its block's size at most, and a
-    longer trace runs alone in its block. Every bit keeps its own streams,
+    one), held as ``(bits, samples)`` arrays. The run makes one allocation,
+    a ``(3, rows, samples)`` array shaped like the first block: each block
+    is drawn and solved in the leading rows of the two line arrays, and
+    the attack works in the leading rows of the third, its scratch. So a
+    run holds three arrays of its block's size, and a longer trace runs
+    alone in its block. Every bit keeps its own streams,
     addressed by its index under the run's one key
     (:class:`kljn.noise.BlockStreams`), so the outcome depends neither on
     the block size nor on how the bits are split between runs
@@ -102,17 +103,18 @@ def run_blocks(
     """
     check_run_settings(samples, len(bits), eve.significance, seed)
     row_blocks = blocks(bits.stop, samples, bits.start)
-    line_arrays = np.empty((2, len(row_blocks[0]), samples))
+    arrays = np.empty((3, len(row_blocks[0]), samples))
     for rows in row_blocks:
         streams = BlockStreams(seed, rows)
         coins = np.array([rng.integers(0, 2, size=2) for rng in streams.each(0)], dtype=bool)
         alice_high, bob_high = switches(coins)
         voltage, current = line_block(
-            streams, alice_high, bob_high, eve.pair, *eve.specs, line_arrays[:, : len(rows)]
+            streams, alice_high, bob_high, eve.pair, *eve.specs, arrays[:2, : len(rows)]
         )
         mixed = alice_high != bob_high
         attacked = (voltage, current) if mixed.all() else (voltage[mixed], current[mixed])
-        verdicts = eve.verdicts(*attacked)  # before the voltage is squared in place
+        # Before the voltage is squared in place, in the leading rows of the scratch.
+        verdicts = eve.verdicts(*attacked, out=arrays[2, : len(attacked[0])])
         yield BitColumns(alice_high, bob_high, mean_square(voltage), verdicts)
 
 

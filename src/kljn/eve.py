@@ -36,7 +36,6 @@ import numpy as np
 
 from . import line
 from .density import PdfGrid, analytic_pdf, symmetric_grid, weights
-from .line import SwitchState, resistance_for
 from .noise import LAWS, DistributionKind, NoiseSpec, ResistorPair
 # Unused here; bench/test_bench.py checks that its tracer wraps this binding.
 from .noise import stream  # noqa: F401
@@ -241,11 +240,6 @@ def reference_grid(spec: NoiseSpec) -> PdfGrid:
     return analytic_pdf(spec.kind, spec.scale, *grid)
 
 
-# The two mixed assignments, (Alice's state, Bob's state): ALICE_LOW, then ALICE_HIGH.
-_HYPOTHESES = (
-    (SwitchState.LOW, SwitchState.HIGH),
-    (SwitchState.HIGH, SwitchState.LOW),
-)
 # Decision of each verdict code, low_rejected + 2 * high_rejected: none or
 # both rejected leaves the bit undecided.
 VERDICTS = (
@@ -262,17 +256,16 @@ _CREDITS.setflags(write=False)
 class Evidence(NamedTuple):
     """Every sub-test of a block: arrays indexed ``[hypothesis, party, row]``.
 
-    Hypotheses are in ``_HYPOTHESES`` order (``ALICE_LOW``, then
-    ``ALICE_HIGH``) and Alice is party 0. ``z`` and ``variance_p`` are the
-    variance channel: the mean square of the reconstruction against the
-    claimed variance, in units of the Gaussian-sampling standard error
-    ``variance * sqrt(2 / n)``, and its two-sided p-value; both are NaN
-    for a party whose law has no variance (Cauchy). ``statistic`` (the KS
-    distance D from the reference CDF, which clamps to 0 or 1 off its
-    grid) and ``shape_p`` (the asymptotic Kolmogorov p-value of
-    ``sqrt(n) * D``) are the shape channel. ``rejected[hypothesis, row]``
-    is set when any p-value of that row is below the attack's level; a
-    NaN p-value never rejects.
+    Hypotheses are ``ALICE_LOW``, then ``ALICE_HIGH``, and Alice is
+    party 0. ``z`` and ``variance_p`` are the variance channel: the mean
+    square of the reconstruction against the claimed variance, in units
+    of the Gaussian-sampling standard error ``variance * sqrt(2 / n)``,
+    and its two-sided p-value; both are NaN for a party whose law has no
+    variance (Cauchy). ``statistic`` (the KS distance D from the
+    reference CDF, which clamps to 0 or 1 off its grid) and ``shape_p``
+    (the asymptotic Kolmogorov p-value of ``sqrt(n) * D``) are the shape
+    channel. ``rejected[hypothesis, row]`` is set when any p-value of
+    that row is below the attack's level; a NaN p-value never rejects.
     """
 
     z: np.ndarray
@@ -286,16 +279,18 @@ class BlockAttack:
     """Both mixed-state hypotheses, tested on blocks of bits held one per row.
 
     Built once per run, before its shares fork (:func:`kljn.engine.run`),
-    and handed to :func:`kljn.engine.run_blocks`: each party's shape
-    reference (:func:`reference_grid`) and its CDF are built here once,
-    and every worker inherits them. The significance must lie in (0, 1)
-    and each row must hold at least ``MIN_TEST_SAMPLES`` samples.
+    and handed to :func:`kljn.engine.run_blocks`. Its one table holds the
+    four sub-test cells ``[hypothesis][party]``: the resistance the party
+    presents, the spec it claims and that spec's shape reference
+    (:func:`reference_grid`) as ``(x, cdf)``. Hypotheses are Alice low,
+    then Alice high, and Alice is party 0. Each reference is built here
+    once, and every worker inherits it. The significance must lie in
+    (0, 1) and each row must hold at least ``MIN_TEST_SAMPLES`` samples.
 
-    The two hypotheses are tested in turn in one ``(rows, n)`` buffer that
-    belongs to the instance and is kept from one block to the next. It
-    grows when a block has more rows or another row length; the old buffer
-    is released before the new one is allocated. Because the buffer is
-    shared by its calls, an instance must not be shared between threads.
+    Nothing is assigned to an instance after it is built: the four cells
+    are tested in turn in a ``(rows, n)`` scratch array that the caller
+    passes as ``out``, or that a call allocates, so threads may share an
+    instance as long as each passes its own scratch.
     """
 
     def __init__(
@@ -305,22 +300,25 @@ class BlockAttack:
         self.pair = pair
         self.specs = (spec_low, spec_high)
         self.significance = significance
-        self.by_state = {}
-        for state, spec in ((SwitchState.LOW, spec_low), (SwitchState.HIGH, spec_high)):
-            reference = reference_grid(spec)
-            self.by_state[state] = (spec, (reference.x, reference.cdf()))
+        low, high = (
+            (r, spec, (grid.x, grid.cdf()))
+            for r, spec, grid in zip(
+                (pair.r_low, pair.r_high), self.specs, map(reference_grid, self.specs)
+            )
+        )
+        self._table = ((low, high), (high, low))
         # The variance each party claims, shaped [hypothesis, party, 1].
         self._variance = np.array(
-            [[self.by_state[s][0].scale ** 2 for s in parties] for parties in _HYPOTHESES]
+            [[spec.scale**2 for _, spec, _ in cells] for cells in self._table]
         )[:, :, None]
         # Each hypothesis tests one low and one high party, so both share
         # one Bonferroni level; a source without a variance gets a shape test only.
-        n_tests = sum(1 + LAWS[spec.kind].variance for spec in (spec_low, spec_high))
+        n_tests = sum(1 + LAWS[spec.kind].variance for spec in self.specs)
         self.level = significance / n_tests
-        # Scratch of both hypotheses, shaped [row, sample].
-        self._buffer: np.ndarray | None = None
 
-    def tests(self, voltage: np.ndarray, current: np.ndarray) -> Evidence:
+    def tests(
+        self, voltage: np.ndarray, current: np.ndarray, out: np.ndarray | None = None
+    ) -> Evidence:
         """Every sub-test of both hypotheses on a block of line signals.
 
         Each hypothesis screens each party with a variance test and a shape
@@ -328,65 +326,46 @@ class BlockAttack:
         level is the significance divided by the number of sub-tests
         (Bonferroni), so a true hypothesis survives with probability at
         least ``1 - significance``. Each kind of p-value is computed once per
-        block, over all of its hypotheses, parties and rows together. Both
-        hypotheses work in turn in the leading rows of the instance's kept
-        buffer.
+        block, over all of its hypotheses, parties and rows together.
+
+        Each cell works in ``out``, a float64 ``(rows, n)`` scratch array
+        apart from the signals, or in one allocated here when it is not
+        given; the scratch never changes a result. There the party's
+        reconstruction is squared in place for the mean square, then made
+        again and sorted in place for the shape test.
         """
         rows, n = voltage.shape
         if n < MIN_TEST_SAMPLES:
             raise ValueError(f"attack needs at least {MIN_TEST_SAMPLES} samples")
-        buffer = self._buffer
-        if buffer is None or rows > len(buffer) or n != buffer.shape[1]:
-            # The old buffer goes first, so two are never held at once.
-            self._buffer = buffer = None
-            self._buffer = buffer = np.empty((rows, n))
-        hypotheses = [
-            self._hypothesis(voltage, current, alice, bob, buffer[:rows])
-            for alice, bob in _HYPOTHESES
-        ]
-        mean_square, statistic = map(np.array, zip(*hypotheses))
-        z = (mean_square - self._variance) / (self._variance * math.sqrt(2.0 / n))
+        scratch = np.empty((rows, n)) if out is None else out
+        mean_squares, statistic = np.full((2, 2, rows), np.nan), np.empty((2, 2, rows))
+        for h, cells in enumerate(self._table):
+            for party, (r, spec, reference) in enumerate(cells):
+                alice = party == 0
+                if LAWS[spec.kind].variance:
+                    x = _reconstruct(voltage, current, r, alice, scratch)
+                    mean_squares[h, party] = mean_square(x)
+                _reconstruct(voltage, current, r, alice, scratch).sort(axis=1)
+                statistic[h, party] = _ks_statistic(scratch, reference)
+        z = (mean_squares - self._variance) / (self._variance * math.sqrt(2.0 / n))
         variance_p = _z_p_value(z)
         shape_p = _kolmogorov_sf(math.sqrt(n) * statistic)
         rejected = ((variance_p < self.level) | (shape_p < self.level)).any(axis=1)
         return Evidence(z, variance_p, statistic, shape_p, rejected)
 
-    def _hypothesis(
-        self,
-        voltage: np.ndarray,
-        current: np.ndarray,
-        alice_state: SwitchState,
-        bob_state: SwitchState,
-        buffer: np.ndarray,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-row mean squares (NaN without a variance) and KS distances of Alice and Bob.
-
-        Both parties work inside ``buffer``: the reconstruction is squared
-        in place for the mean square, made again and sorted in place for the
-        shape test.
-        """
-        mean_squares, statistics = [], []
-        for alice, state in ((True, alice_state), (False, bob_state)):
-            spec, reference = self.by_state[state]
-            r = resistance_for(self.pair, state)
-            if LAWS[spec.kind].variance:
-                mean_squares.append(mean_square(_reconstruct(voltage, current, r, alice, buffer)))
-            else:
-                mean_squares.append(np.full(len(buffer), np.nan))
-            _reconstruct(voltage, current, r, alice, buffer).sort(axis=1)
-            statistics.append(_ks_statistic(buffer, reference))
-        return mean_squares, statistics
-
-    def verdicts(self, voltage: np.ndarray, current: np.ndarray) -> np.ndarray:
+    def verdicts(
+        self, voltage: np.ndarray, current: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """One verdict code per row of a block of line signals, decoded by :data:`VERDICTS`.
 
         The code is ``low_rejected + 2 * high_rejected``. A verdict names the
         surviving hypothesis when exactly one of the two was rejected; it is
         undecided when both survive (the secure situation) and also when
         both are rejected, which points at a non-mixed bit or a model
-        mismatch rather than at either mixed assignment.
+        mismatch rather than at either mixed assignment. ``out`` is the
+        scratch of :meth:`tests`.
         """
-        low_rejected, high_rejected = self.tests(voltage, current).rejected
+        low_rejected, high_rejected = self.tests(voltage, current, out).rejected
         return low_rejected + 2 * high_rejected
 
 

@@ -17,9 +17,9 @@ from .noise import BlockStreams, NoiseSpec, ResistorPair, check_finite, check_si
 
 # Budget of float64 samples per block array: 256 KiB, which fits in L2
 # and keeps peak memory flat whatever the session length. A run
-# (engine.run_blocks) allocates its block arrays once, shaped like its first
-# (largest) block: the two line arrays of line_block and the hypothesis
-# buffer of eve.BlockAttack. The rest is computed in place in them or one
+# (engine.run_blocks) makes one (3, rows, samples) allocation, shaped like
+# its first (largest) block: the two line arrays of line_block and the
+# scratch of eve.BlockAttack. The rest is computed in place in them or one
 # column chunk of this budget at a time, so a long trace that runs alone
 # peaks at three float64 arrays of its own length in each process.
 BLOCK_SAMPLES = 2**15

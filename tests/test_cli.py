@@ -432,6 +432,11 @@ USAGE_CASES = [
     (["sweep", "--config", "{cfg}"], json.dumps({"multipliers": [1.0, 10**400]})),
     # an amplitude whose square, the variance the attack divides by, underflows to 0
     (["attack", "--samples", "100", "--trials", "1", "--sigma-high", "1e-200"], None),
+    # a pdf grid so fine that the convolution's sums overflow, and weights
+    # so small that the half width times the smaller one underflows
+    (["pdf", "--sigma-low", "1e-152"], None),
+    (["pdf", "--kind", "uniform", "--sigma-low", "1e-152"], None),
+    (["pdf", "--sigma-low", "1e-200"], None),
 ]
 
 
@@ -554,6 +559,18 @@ def test_float_overflow_is_a_one_line_error(tmp_path, capsys, argv, code):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out.exists() == (code == 3)
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+def test_a_tiny_pdf_grid_inside_the_convolution_bound_runs(tmp_path, capsys, kind):
+    # 1e-152 refuses its default grid (a usage error above); this coarser
+    # grid of 201 points keeps the convolution's sums finite.
+    argv = ["pdf", "--kind", kind, "--sigma-low", "1e-152", "--half-width", "1e-150",
+            "--dx", "1e-152", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "pdf.json").read_text())["dx"] == 1e-152
 
 
 def test_a_renderer_failing_mid_artifact_is_a_run_failure(monkeypatch, tmp_path, capsys):

@@ -346,6 +346,29 @@ class TestClosureResidual:
             closure_pair(DistributionKind.GAUSSIAN, w)
 
     @pytest.mark.parametrize(
+        "w, dx, half_width, message",
+        [
+            # The default grid: 2667 steps a side at dx 6e-155.
+            (weights(PAIR, 1e-152, 2e-152), None, None, "too fine to convolve"),
+            (HypothesisWeights(1.0, 1.0), 1e-154, 1.0, "too fine to convolve"),
+            (HypothesisWeights(1.6e-200, 1.2e-200), None, None, "must not underflow"),
+            (HypothesisWeights(1.0, 1e-300), 1.0, 1e-10, "must not underflow"),
+        ],
+    )
+    def test_a_grid_the_convolution_cannot_tabulate_is_refused(self, w, dx, half_width, message):
+        with pytest.raises(ValueError, match=message):
+            mixture_grid(w, dx, half_width)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_grid_inside_the_convolution_bound_is_kept(self):
+        # Each component sums to 1 / dx = 1e152, and the padded length is 360 points.
+        w = weights(PAIR, 1e-152, 2e-152)
+        assert mixture_grid(w, 1e-152, 1e-150) == (1e-152, 1e-150)
+        assert closure_pair(DistributionKind.GAUSSIAN, w, dx=1e-152, half_width=1e-150)
+        # One component has no convolution, so its grid keeps any spacing.
+        assert mixture_grid(HypothesisWeights(1.0, 0.0), 1e-154, 1.0) == (1e-154, 1.0)
+
+    @pytest.mark.parametrize(
         "dx,half_width",
         [(0.0, 8.0), (math.inf, 8.0), (math.nan, 8.0), (0.01, -1.0), (0.01, math.inf), (0.01, 1e160)],
     )

@@ -36,7 +36,6 @@ from kljn import (
     credits,
     line_signals,
     reference_grid,
-    resistance_for,
     run_session,
     sample,
     security_sigma_ratio,
@@ -46,7 +45,6 @@ from kljn import (
 )
 from kljn.cli import main
 from kljn.eve import (
-    _HYPOTHESES,
     _kolmogorov_sf,
     _ks_statistic,
     mean_square,
@@ -335,9 +333,8 @@ def wrong_hypothesis_row(n=LONG_ROW):
     Alice is low, so the reconstruction as Alice high mixes both sources.
     """
     eve, voltage, current = long_block(DistributionKind.UNIFORM, 1, n, seed=7)
-    reference = eve.by_state[SwitchState.HIGH][1]
-    x = _reconstruct(voltage, current, resistance_for(PAIR, SwitchState.HIGH), True)
-    return np.sort(x, axis=1), reference
+    x = _reconstruct(voltage, current, PAIR.r_high, True)
+    return np.sort(x, axis=1), reference_cdf(eve.specs[1])
 
 
 def count_interp(monkeypatch) -> list[tuple[int, int]]:
@@ -675,6 +672,10 @@ class TestAttack:
             block_attack().tests(np.ones((1, 10)), np.ones((1, 10)))
 
 
+# Whether each party is high under each hypothesis, (Alice, Bob): Alice low, then Alice high.
+HYPOTHESES = ((False, True), (True, False))
+
+
 def plain_tests(eve, voltage, current):
     """Every ``BlockAttack.tests`` array from the plain formulas: full-length arrays, one thread.
 
@@ -684,14 +685,14 @@ def plain_tests(eve, voltage, current):
     rows, n = voltage.shape
     i = np.arange(1, n + 1, dtype=np.float64)
     z, statistic = np.empty((2, 2, rows)), np.empty((2, 2, rows))
-    for h, (alice_state, bob_state) in enumerate(_HYPOTHESES):
-        for party, (alice, state) in enumerate(((True, alice_state), (False, bob_state))):
-            spec, reference = eve.by_state[state]
-            x = _reconstruct(voltage, current, resistance_for(PAIR, state), alice)
+    for h, parties in enumerate(HYPOTHESES):
+        for party, high in enumerate(parties):
+            spec = eve.specs[high]
+            x = _reconstruct(voltage, current, PAIR.r_high if high else PAIR.r_low, party == 0)
             z[h, party] = np.nan
             if spec.kind is not DistributionKind.CAUCHY:
                 z[h, party] = plain_z(np.mean(x**2, axis=1), spec.scale, n)
-            cdf = np.interp(np.sort(x, axis=1), *reference)
+            cdf = np.interp(np.sort(x, axis=1), *reference_cdf(spec))
             d_plus = np.max(i / n - cdf, axis=1)
             statistic[h, party] = np.maximum(d_plus, np.max(cdf - (i - 1.0) / n, axis=1))
     variance_p = _z_p_value(z)
@@ -718,7 +719,7 @@ def long_block(kind, rows, n, seed):
 
 
 class TestLongRows:
-    """Rows longer than ``BLOCK_SAMPLES`` test the two hypotheses in turn in one buffer."""
+    """Rows longer than ``BLOCK_SAMPLES`` test the four cells in turn in one scratch array."""
 
     @pytest.mark.parametrize(
         "rows, n", [(2, BLOCK_SAMPLES + 1), (3, 3 * BLOCK_SAMPLES + 7), (0, BLOCK_SAMPLES + 1)]
@@ -727,7 +728,6 @@ class TestLongRows:
     def test_every_field_is_bitwise_the_plain_formula(self, kind, rows, n):
         eve, voltage, current = long_block(kind, rows, n, seed=rows * n)
         got = eve.tests(voltage, current)
-        assert eve._buffer.shape == (rows, n)
         for field, expected in zip(got, plain_tests(eve, voltage, current)):
             assert field.shape == expected.shape
             assert np.array_equal(field, expected, equal_nan=True)
@@ -1016,22 +1016,72 @@ def test_the_cli_prints_its_summary_once_from_a_forking_subprocess(tmp_path):
     assert len(out.stdout.splitlines()) == 1 and out.stdout.startswith("bits=100 ")
 
 
+def attributes(eve):
+    """Each attribute of an attack and the identity of its value."""
+    return {name: id(value) for name, value in vars(eve).items()}
+
+
 class TestKeptBuffers:
-    """One attack keeps its hypothesis buffer from one block to the next."""
+    """One attack on blocks of any shape, each tested in a slab of the caller's one kept array."""
 
     @pytest.mark.parametrize("kind", list(DistributionKind))
     def test_a_reused_attack_equals_a_fresh_one_per_block(self, kind):
-        # Fewer rows reuse the leading rows of the kept buffer, more rows or
-        # another row length grow it, and the long rows reuse it in turn.
+        # Fewer rows, more rows, another row length and long rows, each in
+        # the leading rows of one larger array of stale values, as
+        # engine.run_blocks hands the attack its scratch.
         shapes = [(5, 1000), (2, 1000), (7, 1000), (2, BLOCK_SAMPLES + 1), (5, 1000)]
+        arrays = np.full((3, 7, BLOCK_SAMPLES + 1), np.nan)
         eve = block_attack(NoiseSpec(kind, 1.0), NoiseSpec(kind, 2.0))
         for k, (rows, n) in enumerate(shapes):
             fresh, voltage, current = long_block(kind, rows, n, seed=k)
             expected = fresh.tests(voltage, current)
-            got = eve.tests(voltage, current)
+            got = eve.tests(voltage, current, out=arrays[k % 3, :rows, :n])
             for field, want in zip(got, expected):
                 assert field.shape == want.shape
                 assert np.array_equal(field, want, equal_nan=True)
+
+    def test_threads_sharing_one_attack_give_the_sequential_evidence(self):
+        # Three threads at a time, more than this host's cores, on rows long
+        # enough that numpy drops the GIL in their sorts and kernels, so the
+        # calls overlap; one scratch shared by them would mix their
+        # reconstructions.
+        eve = block_attack(UNIFORM_LOW, UNIFORM_HIGH)
+        blocks = [long_block(DistributionKind.UNIFORM, 2, 40000, seed=k)[1:] for k in range(6)]
+        expected = [eve.tests(voltage, current) for voltage, current in blocks]
+        state = attributes(eve)
+        got = [None] * len(blocks)
+        start = threading.Barrier(3, timeout=60)
+
+        def attack(k):
+            voltage, current = blocks[k]
+            start.wait()
+            got[k] = eve.tests(voltage, current, out=np.empty_like(voltage))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for first in range(0, len(blocks), 3):
+                threads = [threading.Thread(target=attack, args=(first + k,)) for k in range(3)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert None not in got
+        for evidence, want in zip(got, expected):
+            for field, want_field in zip(evidence, want):
+                assert np.array_equal(field, want_field, equal_nan=True)
+        assert attributes(eve) == state
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_testing_a_block_assigns_nothing_to_the_attack(self, kind):
+        eve, voltage, current = long_block(kind, 3, 500, seed=2)
+        state = attributes(eve)
+        eve.tests(voltage, current)
+        eve.verdicts(voltage, current, out=np.empty_like(voltage))
+        assert attributes(eve) == state
 
 
 class TestDecisions:
