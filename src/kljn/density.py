@@ -87,7 +87,7 @@ class PdfGrid:
     @property
     def x(self) -> np.ndarray:
         """Grid abscissae."""
-        return self.x0 + self.dx * np.arange(self.values.size)
+        return _abscissae(self.x0, self.dx, self.values.size)
 
     def integral(self) -> float:
         return float(np.trapezoid(self.values, dx=self.dx))
@@ -97,10 +97,19 @@ class PdfGrid:
         return float(np.trapezoid(self.values * self.x**2, dx=self.dx))
 
     def cdf(self) -> np.ndarray:
-        """Cumulative trapezoid of the values, rescaled to end at 1."""
-        steps = 0.5 * (self.values[1:] + self.values[:-1]) * self.dx
-        out = np.concatenate(([0.0], np.cumsum(steps)))
-        return out / out[-1]
+        """Cumulative trapezoid of the values, rescaled to end at 1.
+
+        The steps ``0.5 * (v[k] + v[k-1]) * dx`` and their running sum are
+        written into the one array returned.
+        """
+        out = np.empty(self.values.size)
+        out[0] = 0.0
+        steps = np.add(self.values[1:], self.values[:-1], out=out[1:])
+        steps *= 0.5
+        steps *= self.dx
+        np.cumsum(steps, out=steps)
+        out /= out[-1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -147,12 +156,21 @@ def symmetric_grid(half_width: float, dx: float) -> tuple[float, float, int]:
     return (-k * dx, dx, 2 * k + 1)
 
 
+def _abscissae(x0: float, dx: float, m: int) -> np.ndarray:
+    """The grid points ``x0 + dx * k`` for ``k in [0, m)``, made in one array."""
+    x = np.arange(m, dtype=np.float64)
+    x *= dx
+    x += x0
+    return x
+
+
 def _normalized(x0: float, dx: float, raw: np.ndarray, what: str) -> PdfGrid:
-    """``raw`` rescaled to unit trapezoidal mass, recording the mass it lacked."""
+    """``raw`` rescaled in place to unit trapezoidal mass, recording the mass it lacked."""
     total = float(np.trapezoid(raw, dx=dx))
     if total <= 0.0:
         raise TruncationError(f"{what} holds no probability mass")
-    return PdfGrid(x0=x0, dx=dx, values=raw / total, truncation_deficit=1.0 - total)
+    raw /= total
+    return PdfGrid(x0=x0, dx=dx, values=raw, truncation_deficit=1.0 - total)
 
 
 def analytic_pdf(kind: DistributionKind, scale: float, x0: float, dx: float, m: int) -> PdfGrid:
@@ -179,7 +197,7 @@ def analytic_pdf(kind: DistributionKind, scale: float, x0: float, dx: float, m: 
         raise TruncationError(
             f"grid [{x0}, {x_end}] misses {missing:.3e} of the {kind.value} mass; widen it"
         )
-    return _normalized(x0, dx, law.pdf(x0 + dx * np.arange(m), scale), "grid")
+    return _normalized(x0, dx, law.pdf(_abscissae(x0, dx, m), scale), "grid")
 
 
 def mixture_grid(
@@ -237,10 +255,17 @@ def _convolve_grids(a: PdfGrid, b: PdfGrid) -> PdfGrid:
     vb = b.values.copy()
     va[[0, -1]] *= 0.5
     vb[[0, -1]] *= 0.5
-    # Linear convolution by FFT: zero-pad to a fast length, crop back.
+    # Linear convolution by FFT: zero-pad to a fast length, crop back. Each
+    # spectrum and signal is dropped as soon as the next step has used it.
     m = va.size + vb.size - 1
     size = _fast_len(m)
-    raw = np.fft.irfft(np.fft.rfft(va, size) * np.fft.rfft(vb, size), size)[:m] * dx
+    spectrum = np.fft.rfft(va, size)
+    del va
+    spectrum *= np.fft.rfft(vb, size)
+    del vb
+    raw = np.fft.irfft(spectrum, size)[:m]
+    del spectrum
+    raw *= dx
     return _normalized(a.x0 + b.x0, dx, np.maximum(raw, 0.0, out=raw), "convolution")
 
 

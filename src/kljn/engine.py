@@ -28,6 +28,8 @@ from .noise import BlockStreams
 
 # Maps a block's (rows, 2) boolean coin array to its switches (alice_high, bob_high).
 Switches = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# The bits of a stream's first raw word that are its two coins.
+_COIN_BITS = np.array([31, 63], dtype=np.uint64)
 
 
 class BitColumns(NamedTuple):
@@ -79,7 +81,7 @@ def run_blocks(
     ``bits`` is the range of bit indices to run. Its settings are checked
     (:func:`check_run_settings`) when the first block is asked for, before
     anything is drawn. Bit ``i`` draws its two coins from stream ``(seed,
-    i, 0)`` as ``integers(0, 2, size=2)``; ``switches`` maps the block's
+    i, 0)`` (:func:`_coins`); ``switches`` maps the block's
     ``(rows, 2)`` boolean coin array to the switch states ``(alice_high,
     bob_high)``. The sources and the line follow
     (:func:`kljn.line.line_block`), and the mixed rows are attacked,
@@ -106,8 +108,7 @@ def run_blocks(
     arrays = np.empty((3, len(row_blocks[0]), samples))
     for rows in row_blocks:
         streams = BlockStreams(seed, rows)
-        coins = np.array([rng.integers(0, 2, size=2) for rng in streams.each(0)], dtype=bool)
-        alice_high, bob_high = switches(coins)
+        alice_high, bob_high = switches(_coins(streams))
         voltage, current = line_block(
             streams, alice_high, bob_high, eve.pair, *eve.specs, arrays[:2, : len(rows)]
         )
@@ -116,6 +117,20 @@ def run_blocks(
         # Before the voltage is squared in place, in the leading rows of the scratch.
         verdicts = eve.verdicts(*attacked, out=arrays[2, : len(attacked[0])])
         yield BitColumns(alice_high, bob_high, mean_square(voltage), verdicts)
+
+
+def _coins(streams: BlockStreams) -> np.ndarray:
+    """Each bit's two coins as a ``(rows, 2)`` boolean array, from its stream's first raw word.
+
+    They are bits 31 and 63 of that word, which are ``integers(0, 2,
+    size=2)`` of stream ``(seed, i, 0)``. numpy
+    draws each of those by Lemire's method from the next buffered 32-bit
+    half of a raw Philox word, low half first, and for a range of two that
+    is the half's top bit. Philox's raw output is fixed across numpy
+    releases, unlike ``Generator`` methods.
+    """
+    words = np.fromiter((rng.bit_generator.random_raw() for rng in streams.each(0)), np.uint64)
+    return (words[:, None] >> _COIN_BITS & 1).astype(bool)
 
 
 class WorkerError(RuntimeError):

@@ -240,6 +240,12 @@ def reference_grid(spec: NoiseSpec) -> PdfGrid:
     return analytic_pdf(spec.kind, spec.scale, *grid)
 
 
+def _reference(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(x, cdf)`` of :func:`reference_grid`, whose density is dropped on return."""
+    grid = reference_grid(spec)
+    return grid.x, grid.cdf()
+
+
 # Decision of each verdict code, low_rejected + 2 * high_rejected: none or
 # both rejected leaves the bit undecided.
 VERDICTS = (
@@ -301,10 +307,7 @@ class BlockAttack:
         self.specs = (spec_low, spec_high)
         self.significance = significance
         low, high = (
-            (r, spec, (grid.x, grid.cdf()))
-            for r, spec, grid in zip(
-                (pair.r_low, pair.r_high), self.specs, map(reference_grid, self.specs)
-            )
+            (r, spec, _reference(spec)) for r, spec in zip((pair.r_low, pair.r_high), self.specs)
         )
         self._table = ((low, high), (high, low))
         # The variance each party claims, shaped [hypothesis, party, 1].

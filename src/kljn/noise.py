@@ -261,9 +261,14 @@ def _uniform_pdf(x: np.ndarray, scale: float) -> np.ndarray:
     """
     half = _SQRT3 * scale
     height = 1.0 / (2.0 * half)
-    at_edge = np.isclose(np.abs(x), half, rtol=1e-12, atol=0.0)
-    inside = np.abs(x) < half
-    return np.select([at_edge, inside], [0.5 * height, height], default=0.0)
+    out = np.abs(x)
+    inside = out < half
+    # A jump point is np.isclose(|x|, half, rtol=1e-12, atol=0), made in place.
+    out -= half
+    at_edge = np.abs(out, out=out) <= 1e-12 * half
+    np.multiply(inside, height, out=out)
+    out[at_edge] = 0.5 * height
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kljn import DistributionKind, NoiseSpec, sample, stream
+from kljn.engine import _coins
 from kljn.noise import BlockStreams
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -96,6 +97,15 @@ def test_block_coins_equal_stream_coins():
         assert singles[k] == stream(seed, i, 0).integers(0, 2)
         # Trials read the first of a session's two coins, so they share one draw.
         assert singles[k] == pairs[k][0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+def test_run_coins_are_each_streams_first_two_integer_coins(seed):
+    # A run takes bits 31 and 63 of each stream's first raw word, which is
+    # what integers(0, 2, size=2) draws from the buffered halves of that word.
+    for rows in (range(1000), range(2**64 - 50, 2**64)):
+        want = [stream(seed, i, 0).integers(0, 2, size=2) for i in rows]
+        assert np.array_equal(_coins(BlockStreams(seed, rows)), np.array(want, dtype=bool))
 
 
 def test_each_restarts_every_stream_from_its_first_draw():

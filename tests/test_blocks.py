@@ -29,14 +29,18 @@ from kljn import (
     SwitchState,
     VERDICTS,
     attack_trials,
+    closure_pair,
     credits,
     line_signals,
+    reference_grid,
     resistance_for,
     run_session,
     sample,
     stream,
     theoretical_line_variance,
+    weights,
 )
+from kljn.density import l1_residual
 from test_protocol import first_seed_mixing
 
 try:
@@ -349,6 +353,37 @@ def test_a_long_trace_peaks_below_four_trace_sizes(monkeypatch, run):
     # trace's length, and they are allocated once for both bits.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert traced_peak(run) < 4 * 8 * LONG_TRACE
+
+
+def test_building_a_cauchy_attack_peaks_below_one_and_a_half_times_its_references():
+    # Each Cauchy reference spans 800 scales in 320 001 points, and the
+    # attack keeps each spec's abscissae and CDF. A spec's density is
+    # dropped before the next spec's is tabulated, and its CDF is made in
+    # one array, so the build holds at most one density and one array of
+    # the grid's length beside what it keeps.
+    specs = (NoiseSpec("cauchy", 1.0), NoiseSpec("cauchy", 3.0))
+    kept = sum(2 * reference_grid(spec).values.nbytes for spec in specs)
+    assert traced_peak(lambda: BlockAttack(PAIR, *specs, 0.05)) < 1.5 * kept
+
+
+def test_the_pdf_command_arithmetic_peaks_below_four_and_a_half_grids():
+    # The pdf command's mixture and reference, its residual and both second
+    # moments on the grid of resistors 1.0 and 1.1 (70 405 points). Each
+    # step makes its grid-length arrays once and writes into them, so with
+    # the two densities kept no step holds more than two more.
+    w = weights(ResistorPair(1.0, 1.1), 1.0, math.sqrt(1.1))
+    sizes = []
+
+    def run():
+        mixture, reference = closure_pair(DistributionKind.UNIFORM, w)
+        l1_residual(mixture, reference)
+        mixture.second_moment()
+        reference.second_moment()
+        sizes.append(mixture.values.nbytes)
+
+    peak = traced_peak(run)
+    assert sizes == [70_405 * 8]
+    assert peak < 4.5 * sizes[0]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")

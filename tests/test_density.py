@@ -395,6 +395,102 @@ class TestCauchyScaleArithmetic:
         assert got == pytest.approx(want, rel=1e-6)
 
 
+# The grid arithmetic as plain expressions, each step in a new array. The
+# package makes each grid-length array once and works in it; every value
+# must stay bitwise these.
+def plain_x(x0, dx, m):
+    return x0 + dx * np.arange(m)
+
+
+def plain_uniform_pdf(x, scale):
+    half = SQRT3 * scale
+    height = 1.0 / (2.0 * half)
+    at_edge = np.isclose(np.abs(x), half, rtol=1e-12, atol=0.0)
+    return np.select([at_edge, np.abs(x) < half], [0.5 * height, height], default=0.0)
+
+
+SQRT2PI = math.sqrt(2.0 * math.pi)
+PLAIN_PDF = {
+    DistributionKind.GAUSSIAN: lambda x, s: np.exp(-0.5 * (x / s) ** 2) / (s * SQRT2PI),
+    DistributionKind.UNIFORM: plain_uniform_pdf,
+    DistributionKind.CAUCHY: lambda x, s: s / (math.pi * (x * x + s * s)),
+}
+
+
+def plain_analytic_pdf(kind, scale, x0, dx, m):
+    raw = PLAIN_PDF[kind](plain_x(x0, dx, m), scale)
+    return raw / float(np.trapezoid(raw, dx=dx))
+
+
+def plain_cdf(values, dx):
+    steps = 0.5 * (values[1:] + values[:-1]) * dx
+    out = np.concatenate(([0.0], np.cumsum(steps)))
+    return out / out[-1]
+
+
+def plain_second_moment(values, x0, dx):
+    return float(np.trapezoid(values * plain_x(x0, dx, values.size) ** 2, dx=dx))
+
+
+def plain_convolution(a, b):
+    va, vb = a.values.copy(), b.values.copy()
+    va[[0, -1]] *= 0.5
+    vb[[0, -1]] *= 0.5
+    m = va.size + vb.size - 1
+    size = _fast_len(m)
+    raw = np.fft.irfft(np.fft.rfft(va, size) * np.fft.rfft(vb, size), size)[:m] * a.dx
+    raw = np.maximum(raw, 0.0)
+    return raw / float(np.trapezoid(raw, dx=a.dx))
+
+
+def plain_l1(a, b, dx):
+    return float(np.trapezoid(np.abs(a - b), dx=dx))
+
+
+def law_grids(kind, scale):
+    """The law's reference grid at ``scale``, and an off-centre one of even size and odd spacing."""
+    widths, steps = LAWS[kind].reference
+    x0, dx, m = symmetric_grid(widths * scale, steps * scale)
+    return [(x0, dx, m), (x0 * 1.01 + 0.31 * dx, dx * 1.37, 2 * round(m / 2.74))]
+
+
+class TestPlainArithmetic:
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    @pytest.mark.parametrize("odd", [False, True], ids=["reference", "odd"])
+    def test_grid_values_are_bitwise_the_plain_formulas(self, kind, odd):
+        x0, dx, m = law_grids(kind, 1.3)[odd]
+        grid = analytic_pdf(kind, 1.3, x0, dx, m)
+        assert np.array_equal(grid.values, plain_analytic_pdf(kind, 1.3, x0, dx, m))
+        assert np.array_equal(grid.x, plain_x(x0, dx, m))
+        assert np.array_equal(grid.cdf(), plain_cdf(grid.values, dx))
+        assert grid.second_moment() == plain_second_moment(grid.values, x0, dx)
+        other = analytic_pdf(kind, 1.2, x0, dx, m)
+        assert l1_residual(grid, other) == plain_l1(grid.values, other.values, dx)
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_convolution_is_bitwise_the_plain_formula(self, kind):
+        w = HypothesisWeights(1.6, 1.2)
+        # A Cauchy mixture needs 800 scales each side.
+        dx, half = (0.02, 800.0 * 1.6) if kind is DistributionKind.CAUCHY else (None, None)
+        dx, half = mixture_grid(w, dx, half)
+        a, b = (
+            analytic_pdf(kind, scale, *symmetric_grid(max(half * scale / 1.6, dx), dx))
+            for scale in (1.6, 1.2)
+        )
+        got = convolve_scaled(kind, w, dx=dx, half_width=half)
+        assert np.array_equal(got.values, plain_convolution(a, b))
+        assert np.array_equal(_convolve_grids(b, a).values, plain_convolution(b, a))
+
+    def test_uniform_pdf_at_its_jumps_is_the_plain_formula(self):
+        half = SQRT3 * 0.7
+        points = [0.0, half * (1 - 2e-12), half * (1 - 5e-13), half, half * (1 + 5e-13)]
+        points += [half * (1 + 2e-12), 2 * half, np.inf, np.nan]
+        x = np.array(points + [-p for p in points])
+        got = LAWS[DistributionKind.UNIFORM].pdf(x, 0.7)
+        assert np.array_equal(got, plain_uniform_pdf(x, 0.7))
+        assert np.count_nonzero(got == got.max() / 2) == 6
+
+
 def test_grids_serialize_for_inspection(tmp_path):
     # The tabulated mixture is something users dump and plot; keep the
     # metadata JSON-friendly.
