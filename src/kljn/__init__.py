@@ -42,7 +42,6 @@ from .eve import (
     EveDecision,
     VERDICTS,
     credits,
-    reference_grid,
     wrong_hypothesis_variance,
 )
 from .protocol import (
@@ -81,7 +80,6 @@ __all__ = [
     "johnson_sigma",
     "leak_sweep",
     "line_signals",
-    "reference_grid",
     "resistance_for",
     "run_session",
     "sample",

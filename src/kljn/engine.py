@@ -164,7 +164,7 @@ def run(eve: BlockAttack, samples: int, bits: int, seed: int, switches: Switches
 
     Each share runs in :func:`run_blocks` with the run's attack ``eve``,
     built before the workers fork, so every worker inherits its shape
-    references. The bits are split into contiguous shares of whole blocks,
+    CDFs' tables. The bits are split into contiguous shares of whole blocks,
     one per core (:func:`_shares`). This process runs the first share; each
     other share runs in a worker forked from it, which pickles its blocks'
     columns back over a pipe. The columns of every block are joined by

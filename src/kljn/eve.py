@@ -12,8 +12,9 @@ it indistinguishable even in variance, and any deviation opens a gap that
 two tests can see. Per party and hypothesis, a variance z test checks the
 amplitude law and a Kolmogorov-Smirnov shape test checks Gaussianity.
 What the attack needs of a source family comes from its entry of
-:data:`kljn.noise.LAWS`: its shape reference grid, and whether it has a
-variance to test, which also sets the Bonferroni count.
+:data:`kljn.noise.LAWS`: its CDF, the nodes to tabulate that CDF at when
+it is too slow to call per sample, and its kurtosis, whose absence means
+no variance to test and also sets the Bonferroni count.
 
 :class:`BlockAttack` is the one attack. It holds line signals one bit per
 row, so a single bit is a one-row block, and :meth:`BlockAttack.tests`
@@ -29,18 +30,22 @@ runs that attack bits block by block are :mod:`kljn.engine`'s.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from . import line
-from .density import PdfGrid, analytic_pdf, symmetric_grid, weights
+from .density import weights
 from .noise import LAWS, DistributionKind, NoiseSpec, ResistorPair
 # Unused here; bench/test_bench.py checks that its tracer wraps this binding.
 from .noise import stream  # noqa: F401
 
 MIN_TEST_SAMPLES = 100
+
+# A shape test's CDF F, called on sorted rows (see _shape_cdf).
+ShapeCdf = Callable[[np.ndarray], np.ndarray]
 
 # Kolmogorov survival function (see _kolmogorov_sf). Below the cutover it
 # is 1 minus the Jacobi theta form of the CDF,
@@ -133,17 +138,16 @@ def _kolmogorov_sf(x: np.ndarray) -> np.ndarray:
     return np.where(x < _KS_CUTOVER, 1.0 - theta.reshape(x.shape), series.reshape(x.shape))
 
 
-def _interp(x: np.ndarray, reference: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``np.interp(x, *reference)`` of rows sorted in ascending order, on the grid slice they span.
+def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, fp)`` of rows sorted in ascending order, on the node slice they span.
 
-    The slice runs from the last grid point at or below the rows' smallest
-    head to the first one at or above their largest tail, so each value
-    falls between the same two grid points as on the whole grid, and a
-    value off the slice is off the grid too and clamps to the same end.
-    The result is bitwise that of the whole grid, but ``np.interp`` builds
-    its slope table for the slice alone.
+    The slice runs from the last node at or below the rows' smallest head
+    to the first one at or above their largest tail, so each value falls
+    between the same two nodes as on the whole table, and a value off the
+    slice is off the table too and clamps to the same end. The result is
+    bitwise that of the whole table, but ``np.interp`` builds its slope
+    table for the slice alone.
     """
-    xp, fp = reference
     lo = max(int(np.searchsorted(xp, x[:, 0].min(), "right")) - 1, 0)
     hi = int(np.searchsorted(xp, x[:, -1].max())) + 1
     return np.interp(x, xp[lo:hi], fp[lo:hi])
@@ -153,31 +157,31 @@ def _fold_ks(
     part: np.ndarray,
     start: int,
     n: int,
-    reference: tuple[np.ndarray, np.ndarray],
+    cdf: ShapeCdf,
     lowest: np.ndarray,
     highest: np.ndarray,
 ) -> None:
     """Fold the KS terms of columns ``start ..`` of sorted rows into ``lowest`` and ``highest``.
 
-    ``lowest`` takes the per-row minimum of ``cdf - k/n`` and ``highest``
-    the maximum of ``cdf - (k-1)/n``, for the 1-based column numbers ``k``
-    of ``part``; ``part`` is overwritten.
+    ``lowest`` takes the per-row minimum of ``F - k/n`` and ``highest``
+    the maximum of ``F - (k-1)/n``, for the CDF ``F = cdf(part)`` and the
+    1-based column numbers ``k`` of ``part``; ``part`` is overwritten.
     """
-    cdf = _interp(part, reference)
+    f = cdf(part)
     steps = np.arange(start, start + part.shape[1] + 1, dtype=np.float64)
     steps /= n
-    np.minimum(lowest, np.min(np.subtract(cdf, steps[1:], out=part), axis=1), out=lowest)
-    np.maximum(highest, np.max(np.subtract(cdf, steps[:-1], out=part), axis=1), out=highest)
+    np.minimum(lowest, np.min(np.subtract(f, steps[1:], out=part), axis=1), out=lowest)
+    np.maximum(highest, np.max(np.subtract(f, steps[:-1], out=part), axis=1), out=highest)
 
 
-def _ks_statistic(x: np.ndarray, reference: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """KS distance of rows sorted in ascending order; ``x`` is reused as scratch and overwritten.
+def _ks_statistic(x: np.ndarray, cdf: ShapeCdf) -> np.ndarray:
+    """KS distance from ``cdf`` of rows sorted in ascending order; ``x`` is overwritten.
 
-    ``d+ = max(k/n - cdf) = -min(cdf - k/n)`` over ``k = 1 .. n`` and
-    ``d- = max(cdf - (k-1)/n)``; IEEE subtraction is antisymmetric, so both
-    are bitwise the plain formulas. The CDF is :func:`_interp` of one run
-    of columns at a time, on the grid slice the run spans, so neither it
-    nor the levels ``k/n`` are held at full length. Rows shorter than 65536
+    ``x`` is reused as scratch. ``d+ = max(k/n - F) = -min(F - k/n)`` over
+    ``k = 1 .. n`` and ``d- = max(F - (k-1)/n)``, for ``F = cdf(x)``; IEEE
+    subtraction is antisymmetric, so both are bitwise the plain formulas.
+    ``cdf`` is called on one run of columns at a time, so neither F nor
+    the levels ``k/n`` are held at full length. Rows shorter than 65536
     go whole, in :func:`kljn.line.column_chunks`. A longer row of ``n``
     values is pruned, in sub-blocks ``[s, e)`` of ``w = isqrt(n) // 4``
     columns (64 or more); below that length a row's Python loop over its
@@ -191,11 +195,11 @@ def _ks_statistic(x: np.ndarray, reference: tuple[np.ndarray, np.ndarray]) -> np
       terms are terms of D, so their maximum is a lower bound on it.
     - Only the sub-blocks whose bound plus ``_KS_MARGIN`` (1e-12) exceeds
       that lower bound are computed in full, in runs of consecutive
-      sub-blocks. The margin covers F's rounding, which keeps it monotone
-      only to a few ulps, so every term of a skipped sub-block is at most
-      D. A row far from its reference keeps few sub-blocks: on a 1M-sample
-      uniform trial a wrong hypothesis keeps ~4 of 4000, a true one a few
-      hundred.
+      sub-blocks. The margin covers F's rounding (``np.arctan`` keeps the
+      Cauchy F monotone only to a few ulps), so every term of a skipped
+      sub-block is at most D. A row far from its law keeps few
+      sub-blocks: on a 1M-sample uniform trial a wrong hypothesis keeps
+      ~4 of 4000, a true one a few hundred.
     - A run goes in batches of ``BLOCK_SAMPLES // 4`` columns. A batch's
       CDF and levels, 64 KiB each, stay below the 128 KiB at which glibc's
       malloc maps or trims memory, so batches of any length reuse the same
@@ -212,14 +216,14 @@ def _ks_statistic(x: np.ndarray, reference: tuple[np.ndarray, np.ndarray]) -> np
     width = math.isqrt(n) // 4
     if width < _KS_MIN_WIDTH:
         for cols in line.column_chunks(rows, n):
-            _fold_ks(x[:, cols], cols.start, n, reference, lowest, highest)
+            _fold_ks(x[:, cols], cols.start, n, cdf, lowest, highest)
         return np.maximum(-lowest, highest)
     heads = np.arange(0, n, width)
     probes = np.append(heads, n - 1)
-    cdf = _interp(x[:, probes], reference)
-    np.min(cdf - (probes + 1.0) / n, axis=1, out=lowest)
-    np.max(cdf - probes / n, axis=1, out=highest)
-    bound = np.maximum(np.minimum(heads + width, n) / n - cdf[:, :-1], cdf[:, 1:] - heads / n)
+    f = cdf(x[:, probes])
+    np.min(f - (probes + 1.0) / n, axis=1, out=lowest)
+    np.max(f - probes / n, axis=1, out=highest)
+    bound = np.maximum(np.minimum(heads + width, n) / n - f[:, :-1], f[:, 1:] - heads / n)
     keep = bound + _KS_MARGIN > np.maximum(-lowest, highest)[:, None]
     # Run edges in sub-blocks, row by row: each run's start, then its stop.
     row_of, edges = np.nonzero(np.diff(keep, axis=1, prepend=False, append=False))
@@ -229,21 +233,27 @@ def _ks_statistic(x: np.ndarray, reference: tuple[np.ndarray, np.ndarray]) -> np
         for first in range(start, stop, batch):
             cols = slice(first, min(first + batch, stop))
             part, low, high = x[r : r + 1, cols], lowest[r : r + 1], highest[r : r + 1]
-            _fold_ks(part, first, n, reference, low, high)
+            _fold_ks(part, first, n, cdf, low, high)
     return np.maximum(-lowest, highest)
 
 
-def reference_grid(spec: NoiseSpec) -> PdfGrid:
-    """Tabulate a noise spec's density on its law's ``reference`` grid, for the shape test."""
-    widths, steps = LAWS[spec.kind].reference
-    grid = symmetric_grid(widths * spec.scale, steps * spec.scale)
-    return analytic_pdf(spec.kind, spec.scale, *grid)
+def _shape_cdf(spec: NoiseSpec) -> ShapeCdf:
+    """The CDF F of ``spec`` that its shape test calls on sorted rows.
 
-
-def _reference(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(x, cdf)`` of :func:`reference_grid`, whose density is dropped on return."""
-    grid = reference_grid(spec)
-    return grid.x, grid.cdf()
+    F is the law's ``cdf`` at the spec's scale. A law with ``cdf_nodes``
+    has its ``cdf`` tabulated here once, at the nodes ``k * step`` for
+    ``|k * step| <= half width`` (in scale units), and F is :func:`_interp`
+    of that table.
+    """
+    law = LAWS[spec.kind]
+    if law.cdf_nodes is None:
+        return lambda x: law.cdf(x, spec.scale)
+    half, step = law.cdf_nodes
+    k = round(half / step)
+    nodes = np.arange(-k, k + 1.0)
+    nodes *= step * spec.scale
+    table = law.cdf(nodes, spec.scale)
+    return lambda x: _interp(x, nodes, table)
 
 
 # Decision of each verdict code, low_rejected + 2 * high_rejected: none or
@@ -265,11 +275,12 @@ class Evidence(NamedTuple):
     Hypotheses are ``ALICE_LOW``, then ``ALICE_HIGH``, and Alice is
     party 0. ``z`` and ``variance_p`` are the variance channel: the mean
     square of the reconstruction against the claimed variance, in units
-    of the Gaussian-sampling standard error ``variance * sqrt(2 / n)``,
-    and its two-sided p-value; both are NaN for a party whose law has no
-    variance (Cauchy). ``statistic`` (the KS distance D from the
-    reference CDF, which clamps to 0 or 1 off its grid) and ``shape_p``
-    (the asymptotic Kolmogorov p-value of ``sqrt(n) * D``) are the shape
+    of its standard error under the claimed law, ``variance * sqrt((kappa
+    - 1) / n)`` with the law's kurtosis ``kappa`` (``sqrt(2 / n)`` for a
+    Gaussian), and its two-sided p-value; both are NaN for a party whose
+    law has no variance (Cauchy). ``statistic`` (the KS distance D from
+    the claimed spec's CDF, :func:`_shape_cdf`) and ``shape_p`` (the
+    asymptotic Kolmogorov p-value of ``sqrt(n) * D``) are the shape
     channel. ``rejected[hypothesis, row]`` is set when any p-value of
     that row is below the attack's level; a NaN p-value never rejects.
     """
@@ -287,10 +298,10 @@ class BlockAttack:
     Built once per run, before its shares fork (:func:`kljn.engine.run`),
     and handed to :func:`kljn.engine.run_blocks`. Its one table holds the
     four sub-test cells ``[hypothesis][party]``: the resistance the party
-    presents, the spec it claims and that spec's shape reference
-    (:func:`reference_grid`) as ``(x, cdf)``. Hypotheses are Alice low,
-    then Alice high, and Alice is party 0. Each reference is built here
-    once, and every worker inherits it. The significance must lie in
+    presents, the spec it claims and that spec's CDF
+    (:func:`_shape_cdf`). Hypotheses are Alice low, then Alice high, and
+    Alice is party 0. A CDF that interpolates a table has the table built
+    here once, and every worker inherits it. The significance must lie in
     (0, 1) and each row must hold at least ``MIN_TEST_SAMPLES`` samples.
 
     Nothing is assigned to an instance after it is built: the four cells
@@ -307,13 +318,16 @@ class BlockAttack:
         self.specs = (spec_low, spec_high)
         self.significance = significance
         low, high = (
-            (r, spec, _reference(spec)) for r, spec in zip((pair.r_low, pair.r_high), self.specs)
+            (r, spec, _shape_cdf(spec)) for r, spec in zip((pair.r_low, pair.r_high), self.specs)
         )
         self._table = ((low, high), (high, low))
-        # The variance each party claims, shaped [hypothesis, party, 1].
-        self._variance = np.array(
-            [[spec.scale**2 for _, spec, _ in cells] for cells in self._table]
-        )[:, :, None]
+        # The variance each party claims, and kappa - 1 of its law: the
+        # variance of a squared draw over the variance squared. A kappa of
+        # None (no variance) becomes NaN. Each is shaped [hypothesis, party, 1].
+        claims = [[spec for _, spec, _ in cells] for cells in self._table]
+        self._variance = np.array([[spec.scale**2 for spec in c] for c in claims])[:, :, None]
+        kappa = np.array([[LAWS[spec.kind].kappa for spec in c] for c in claims], dtype=float)
+        self._square_spread = (kappa - 1.0)[:, :, None]
         # Each hypothesis tests one low and one high party, so both share
         # one Bonferroni level; a source without a variance gets a shape test only.
         n_tests = sum(1 + LAWS[spec.kind].variance for spec in self.specs)
@@ -343,14 +357,15 @@ class BlockAttack:
         scratch = np.empty((rows, n)) if out is None else out
         mean_squares, statistic = np.full((2, 2, rows), np.nan), np.empty((2, 2, rows))
         for h, cells in enumerate(self._table):
-            for party, (r, spec, reference) in enumerate(cells):
+            for party, (r, spec, cdf) in enumerate(cells):
                 alice = party == 0
                 if LAWS[spec.kind].variance:
                     x = _reconstruct(voltage, current, r, alice, scratch)
                     mean_squares[h, party] = mean_square(x)
                 _reconstruct(voltage, current, r, alice, scratch).sort(axis=1)
-                statistic[h, party] = _ks_statistic(scratch, reference)
-        z = (mean_squares - self._variance) / (self._variance * math.sqrt(2.0 / n))
+                statistic[h, party] = _ks_statistic(scratch, cdf)
+        error = self._variance * np.sqrt(self._square_spread / n)
+        z = (mean_squares - self._variance) / error
         variance_p = _z_p_value(z)
         shape_p = _kolmogorov_sf(math.sqrt(n) * statistic)
         rejected = ((variance_p < self.level) | (shape_p < self.level)).any(axis=1)

@@ -22,6 +22,14 @@ counter (:class:`BlockStreams`), and each row of a block is one
 :func:`sample` call on its bit's stream, drawn in place. The same ``(seed,
 bit, channel)`` always reproduces the same draws on every platform numpy
 supports.
+
+Source laws
+-----------
+:data:`LAWS` is the one table of source families. Each entry gives the
+family's draws, closed-form density and CDF, and kurtosis, which sets
+the variance test's standard error (None for a family without a
+variance). Where the CDF is too slow for the shape test to call on every
+sample, the entry also names the nodes at which the test tabulates it.
 """
 
 from __future__ import annotations
@@ -277,46 +285,57 @@ class SourceLaw:
 
     ``draw(rng, scale, out)`` fills the float64 array ``out`` with draws.
     ``pdf(x, scale)`` and ``cdf(x, scale)`` are the closed-form density and
-    CDF at the points of a float64 array. ``variance`` is False for a
-    family without one, which the level-based protocol and the
+    CDF at the points of a float64 array. ``kappa`` is the kurtosis
+    ``E[x^4] / sigma^4``, so a mean square of ``n`` draws has standard
+    error ``sigma^2 * sqrt((kappa - 1) / n)``; it is None for a family
+    without a variance, which the level-based protocol and the
     variance-matched closure comparison refuse, and whose parties the
-    attack screens by shape only. ``reference`` is the shape reference
-    grid's ``(half width, step)`` in scale units (see
-    :func:`kljn.eve.reference_grid`).
+    attack screens by shape only. ``cdf_nodes`` is None when ``cdf`` is
+    cheap enough for the shape test to call on every sample; otherwise it
+    is the ``(half width, step)``, in scale units, of the nodes at which
+    the shape test tabulates ``cdf`` once and interpolates it.
     """
 
     draw: Callable[[np.random.Generator, float, np.ndarray], None]
     pdf: Callable[[np.ndarray, float], np.ndarray]
     cdf: Callable[[np.ndarray, float], np.ndarray]
-    variance: bool
-    reference: tuple[float, float]
+    kappa: float | None
+    cdf_nodes: tuple[float, float] | None
+
+    @property
+    def variance(self) -> bool:
+        """Whether the family has a variance."""
+        return self.kappa is not None
 
 
 # The one table of source laws: no other module branches on a kind. The
-# uniform reference is finer because its jumps dominate the CDF
-# interpolation error; Cauchy's needs width, not resolution. The Gaussian
-# CDF is also the normal CDF behind kljn.eve's two-sided z p-values.
+# Gaussian CDF calls math.erfc per element, over ten times the cost of
+# np.interp, so the shape test interpolates it between nodes 1/200 of a
+# scale apart, which stays within 7.6e-7 of it (h^2 / 8 times the largest
+# |pdf'|); beyond the nodes' 8 scales it clamps to the end values, within
+# 6.2e-16 of 0 and 1.
+# It is also the normal CDF behind kljn.eve's two-sided z p-values.
 LAWS = {
     DistributionKind.GAUSSIAN: SourceLaw(
         draw=_draw_gaussian,
         pdf=lambda x, scale: np.exp(-0.5 * (x / scale) ** 2) / (scale * _SQRT2PI),
         cdf=lambda x, scale: 0.5 * _erfc(-(x / scale) * _SQRT1_2),
-        variance=True,
-        reference=(8.0, 1.0 / 200.0),
+        kappa=3.0,
+        cdf_nodes=(8.0, 1.0 / 200.0),
     ),
     DistributionKind.UNIFORM: SourceLaw(
         draw=_draw_uniform,
         pdf=_uniform_pdf,
         cdf=lambda x, scale: np.clip((x + _SQRT3 * scale) / (2.0 * _SQRT3 * scale), 0.0, 1.0),
-        variance=True,
-        reference=(8.0, 1.0 / 2000.0),
+        kappa=1.8,
+        cdf_nodes=None,
     ),
     DistributionKind.CAUCHY: SourceLaw(
         draw=_draw_cauchy,
         pdf=lambda x, scale: scale / (math.pi * (x * x + scale * scale)),
         cdf=lambda x, scale: 0.5 + np.arctan(x / scale) / math.pi,
-        variance=False,
-        reference=(800.0, 1.0 / 200.0),
+        kappa=None,
+        cdf_nodes=None,
     ),
 }
 

@@ -27,6 +27,7 @@ from kljn.density import (
     symmetric_grid,
 )
 from kljn.noise import LAWS
+from test_noise import LAW_GRIDS
 from uniform_oracle import uniform_mixture_l1_by_quadrature, uniform_mixture_l1_oracle
 
 SQRT3 = math.sqrt(3.0)
@@ -448,8 +449,8 @@ def plain_l1(a, b, dx):
 
 
 def law_grids(kind, scale):
-    """The law's reference grid at ``scale``, and an off-centre one of even size and odd spacing."""
-    widths, steps = LAWS[kind].reference
+    """The law's grid at ``scale``, and an off-centre one of even size and odd spacing."""
+    widths, steps = LAW_GRIDS[kind]
     x0, dx, m = symmetric_grid(widths * scale, steps * scale)
     return [(x0, dx, m), (x0 * 1.01 + 0.31 * dx, dx * 1.37, 2 * round(m / 2.74))]
 

@@ -35,7 +35,6 @@ from kljn import (
     attack_trials,
     credits,
     line_signals,
-    reference_grid,
     run_session,
     sample,
     security_sigma_ratio,
@@ -45,8 +44,10 @@ from kljn import (
 )
 from kljn.cli import main
 from kljn.eve import (
+    _KS_MARGIN,
     _kolmogorov_sf,
     _ks_statistic,
+    _shape_cdf,
     mean_square,
     _reconstruct,
     _z_p_value,
@@ -54,6 +55,7 @@ from kljn.eve import (
 from kljn.line import BLOCK_SAMPLES, line_block
 from kljn.noise import LAWS, BlockStreams
 from test_blocks import assert_same_outcome, reference_bit
+from test_noise import LAW_GRIDS
 
 try:
     from hypothesis import assume, example, given, settings
@@ -89,16 +91,14 @@ def one_row(line):
     return voltage[None, :], current[None, :]
 
 
-def plain_z(mean_square, expected_sigma, n):
-    """Variance z score of rows with the given mean square: the Gaussian standard error."""
+def plain_z(mean_square, expected_sigma, n, kappa=3.0):
+    """Variance z score of rows with the given mean square, for a law of kurtosis ``kappa``.
+
+    The standard error of a mean square of ``n`` draws is ``sigma^2 *
+    sqrt((kappa - 1) / n)``; the default is the Gaussian one.
+    """
     expected = expected_sigma**2
-    return (mean_square - expected) / (expected * math.sqrt(2.0 / n))
-
-
-def reference_cdf(spec):
-    """Abscissae and CDF of the shape reference of ``spec``."""
-    grid = reference_grid(spec)
-    return grid.x, grid.cdf()
+    return (mean_square - expected) / (expected * math.sqrt((kappa - 1.0) / n))
 
 
 def variance_rows(x, expected_sigma, level):
@@ -109,10 +109,10 @@ def variance_rows(x, expected_sigma, level):
     return observed, z, p, p < level
 
 
-def shape_rows(x, reference, level):
-    """The shape sub-test of BlockAttack on rows ``x`` against a PdfGrid: KS D, p and verdict."""
+def shape_rows(x, cdf, level):
+    """The shape sub-test of BlockAttack on rows ``x`` against a CDF: KS D, p and verdict."""
     x = np.sort(x, axis=1)
-    statistic = _ks_statistic(x, (reference.x, reference.cdf()))
+    statistic = _ks_statistic(x, cdf)
     p = _kolmogorov_sf(math.sqrt(x.shape[1]) * statistic)
     return statistic, p, p < level
 
@@ -276,16 +276,16 @@ class TestVarianceTest:
             block_attack(significance=1.0)
 
 
-def compliant_null_block(rows, n=1000):
-    """Compliant Gaussian line signals with Alice low on every row."""
+def compliant_null_block(rows, n=1000, spec_low=GAUSS_LOW, spec_high=GAUSS_HIGH):
+    """Compliant line signals with Alice low on every row; Gaussian by default."""
     alice_high = np.zeros(rows, dtype=bool)
     return line_block(
         BlockStreams(77, range(rows)),
         alice_high,
         ~alice_high,
         PAIR,
-        GAUSS_LOW,
-        GAUSS_HIGH,
+        spec_low,
+        spec_high,
         np.empty((2, rows, n)),
     )
 
@@ -295,27 +295,38 @@ FIRST_PRUNED = 65536
 LONG_ROW = 1_000_000
 
 
-def plain_statistic(x, reference):
-    """KS distance of sorted rows from the plain formula, on full-length arrays."""
+def plain_statistic(x, cdf):
+    """KS distance of sorted rows from ``cdf`` by the plain formula, on full-length arrays.
+
+    ``cdf`` is called only on a block with rows, as in the attack.
+    """
     n = x.shape[1]
-    cdf = np.interp(x, *reference)
+    f = cdf(x) if len(x) else x
     i = np.arange(1, n + 1, dtype=np.float64)
-    return np.maximum(np.max(i / n - cdf, axis=1), np.max(cdf - (i - 1.0) / n, axis=1))
+    return np.maximum(np.max(i / n - f, axis=1), np.max(f - (i - 1.0) / n, axis=1))
 
 
-def pruned_rows(reference, kind, rows, n, row):
-    """Sorted rows against ``reference``, the unit-scale grid of ``kind``.
+def law_grid(kind):
+    """The points of ``kind``'s unit-scale grid in ``LAW_GRIDS``."""
+    half, step = LAW_GRIDS[kind]
+    k = round(half / step)
+    return np.arange(-k, k + 1) * step
+
+
+def pruned_rows(cdf, kind, rows, n, row):
+    """Sorted rows against ``cdf``, the CDF of ``kind`` at unit scale.
 
     ``far`` rows are drawn at 1.5 times the scale, so few sub-blocks can
-    hold D. ``near`` rows are the reference's own quantiles, so almost
-    every sub-block is kept. ``edges`` rows mix values on grid points,
-    beyond both grid ends and long runs of one repeated value into a draw.
+    hold D. ``near`` rows are ``cdf``'s quantiles, interpolated on the
+    law's grid, so almost every sub-block is kept. ``edges`` rows mix
+    values on grid points, beyond both grid ends (where a tabulated CDF
+    clamps) and long runs of one repeated value into a draw.
     """
-    xp, cdf = reference
+    xp = law_grid(kind)
     rng = np.random.default_rng(n + rows)
     if row == "near":
         levels = (np.arange(n) + rng.uniform(0.25, 0.75, (rows, 1))) / n
-        return np.interp(levels, cdf, xp)
+        return np.interp(levels, cdf(xp[None, :])[0], xp)
     x = np.stack([sample(NoiseSpec(kind, 1.5), n, rng) for _ in range(rows)])
     if row == "edges":
         cut = np.cumsum(rng.multinomial(n // 4, [0.25] * 4, size=rows), axis=1)
@@ -327,14 +338,39 @@ def pruned_rows(reference, kind, rows, n, row):
     return np.sort(x, axis=1)
 
 
-def wrong_hypothesis_row(n=LONG_ROW):
-    """One sorted uniform row of Alice's source under the wrong hypothesis, and its reference.
+def wrong_hypothesis_row(spec_low, spec_high, n=LONG_ROW):
+    """One sorted row of Alice's source under the wrong hypothesis, and the CDF it is tested on.
 
     Alice is low, so the reconstruction as Alice high mixes both sources.
     """
-    eve, voltage, current = long_block(DistributionKind.UNIFORM, 1, n, seed=7)
+    voltage, current = line_block(
+        BlockStreams(7, range(1)),
+        np.zeros(1, dtype=bool),
+        np.ones(1, dtype=bool),
+        PAIR,
+        spec_low,
+        spec_high,
+        np.empty((2, 1, n)),
+    )
     x = _reconstruct(voltage, current, PAIR.r_high, True)
-    return np.sort(x, axis=1), reference_cdf(eve.specs[1])
+    return np.sort(x, axis=1), _shape_cdf(spec_high)
+
+
+UNIFORM_PAIR = NoiseSpec(DistributionKind.UNIFORM, 1.0), NoiseSpec(DistributionKind.UNIFORM, 2.0)
+# The high source at 1.5 times the compliant amplitude: Alice's row under
+# the wrong hypothesis has variance 5.8 where the claimed one is 9.
+GAUSS_VIOLATION = GAUSS_LOW, NoiseSpec(DistributionKind.GAUSSIAN, 3.0)
+
+
+def node_count(kind):
+    """Number of nodes at which ``kind``'s shape test tabulates its CDF."""
+    half, step = LAWS[kind].cdf_nodes
+    return 2 * round(half / step) + 1
+
+
+def unit_cdf(x):
+    """F(x) = x on [0, 1], 0 below and 1 above."""
+    return np.clip(x, 0.0, 1.0)
 
 
 def count_interp(monkeypatch) -> list[tuple[int, int]]:
@@ -352,7 +388,7 @@ def count_interp(monkeypatch) -> list[tuple[int, int]]:
 class TestShapeTest:
     def test_rejection_rate_matches_significance(self):
         n, trials, significance = 10_000, 1000, 0.01
-        ref = reference_grid(GAUSS_LOW)
+        ref = _shape_cdf(GAUSS_LOW)
         rejections = 0
         for t in range(trials):
             trace = sample(GAUSS_LOW, n, stream(902, t))
@@ -370,29 +406,24 @@ class TestShapeTest:
         spec_high = NoiseSpec(DistributionKind.UNIFORM, 2.0)
         _, _, (voltage, current) = mixed_line(spec_low, spec_high, 100_000, seed=23)
         est = _reconstruct(voltage, current, PAIR.r_high, alice=True)
-        statistic, p, reject = shape_rows(est[None, :], reference_grid(spec_high), 0.01)
+        statistic, p, reject = shape_rows(est[None, :], _shape_cdf(spec_high), 0.01)
         assert statistic[0] > 0.03
         assert p[0] < 1e-8
         assert reject[0]
 
     def test_matching_shape_survives(self):
         trace = sample(GAUSS_HIGH, 50_000, stream(29))
-        _, _, reject = shape_rows(trace[None, :], reference_grid(GAUSS_HIGH), 0.01)
+        _, _, reject = shape_rows(trace[None, :], _shape_cdf(GAUSS_HIGH), 0.01)
         assert not reject[0]
 
     def test_statistic_shrinks_against_own_histogram(self):
-        # A reference built from the samples themselves should fit them
-        # better and better as n grows.
+        # A CDF built from the samples themselves should fit them better
+        # and better as n grows.
         def self_distance(n, seed):
             trace = sample(GAUSS_LOW, n, stream(seed))
-            counts, edges = np.histogram(trace, bins=400, density=True)
-            centers = 0.5 * (edges[:-1] + edges[1:])
-            dx = float(centers[1] - centers[0])
-            total = float(np.trapezoid(counts, dx=dx))
-            from kljn import PdfGrid
-
-            ref = PdfGrid(x0=float(centers[0]), dx=dx, values=counts / total)
-            statistic, _, _ = shape_rows(trace[None, :], ref, 0.01)
+            counts, edges = np.histogram(trace, bins=400)
+            levels = np.concatenate([[0.0], np.cumsum(counts) / n])
+            statistic, _, _ = shape_rows(trace[None, :], lambda x: np.interp(x, edges, levels), 0.01)
             return statistic[0]
 
         d_small = self_distance(2_000, seed=31)
@@ -400,21 +431,29 @@ class TestShapeTest:
         assert d_large < d_small
         assert d_large < 0.02
 
-    def test_block_sub_tests_are_calibrated_under_the_null(self):
-        # Compliant Gaussian noise with Alice low on every row: under the
-        # true hypothesis each reconstruction is exactly that party's
-        # source, so all four of its sub-tests see the null. Significance
-        # 0.2 over four sub-tests puts each at level 0.05; the p-values
-        # come from the block's stacked kernels.
+    @pytest.mark.parametrize("significance", [0.2, 0.04])
+    @pytest.mark.parametrize("kind", list(LAWS))
+    def test_block_sub_tests_are_calibrated_under_the_null(self, kind, significance):
+        # Compliant noise of each law with Alice low on every row: under
+        # the true hypothesis each reconstruction is exactly that party's
+        # source, so every one of its sub-tests sees the null. Four
+        # sub-tests (two for a law without a variance) share the
+        # significance; the p-values come from the block's stacked kernels.
+        # Each sub-test must reject at its level, within 5 binomial sigmas.
         rows = 2000
-        eve = block_attack(significance=0.2)
-        assert eve.level == pytest.approx(0.05, rel=1e-15)
-        evidence = eve.tests(*compliant_null_block(rows))
+        spec_low, spec_high = NoiseSpec(kind, 1.0), NoiseSpec(kind, 2.0)
+        eve = block_attack(spec_low, spec_high, significance)
+        assert eve.level == pytest.approx(significance / (4 if LAWS[kind].variance else 2))
+        evidence = eve.tests(*compliant_null_block(rows, spec_low=spec_low, spec_high=spec_high))
         trials = 2 * rows
-        bound = 5.0 * math.sqrt(0.05 * 0.95 / trials)
-        for p in (evidence.shape_p[LOW], evidence.variance_p[LOW]):
+        bound = 5.0 * math.sqrt(eve.level * (1.0 - eve.level) / trials)
+        sub_tests = {"shape": evidence.shape_p[LOW], "variance": evidence.variance_p[LOW]}
+        if not LAWS[kind].variance:
+            assert np.isnan(sub_tests.pop("variance")).all()
+            assert np.isnan(evidence.z).all()
+        for name, p in sub_tests.items():
             rate = np.count_nonzero(p < eve.level) / trials
-            assert abs(rate - 0.05) <= bound
+            assert abs(rate - eve.level) <= bound, name
 
     def test_whole_attack_is_calibrated_under_the_null(self):
         # The same compliant block at significance 0.05: each of the four
@@ -475,14 +514,14 @@ class TestShapeTest:
 
     @pytest.mark.parametrize("rows, n", [(1, 100), (1, 4099), (9, 1000)])
     def test_statistic_is_bitwise_the_plain_formula(self, rows, n):
-        reference = reference_cdf(GAUSS_HIGH)
+        cdf = _shape_cdf(GAUSS_HIGH)
         rng = np.random.default_rng(rows * n)
-        # Wide draws put some samples off the grid, where the CDF clamps.
+        # Wide draws put some samples off the table, where the CDF clamps.
         x = np.sort(rng.standard_normal((rows, n)) * 7.0, axis=1)
-        cdf = np.interp(x, *reference)
+        f = cdf(x)
         i = np.arange(1, n + 1, dtype=np.float64)
-        plain = np.maximum(np.max(i / n - cdf, axis=1), np.max(cdf - (i - 1.0) / n, axis=1))
-        got = _ks_statistic(x.copy(), reference)
+        plain = np.maximum(np.max(i / n - f, axis=1), np.max(f - (i - 1.0) / n, axis=1))
+        got = _ks_statistic(x.copy(), cdf)
         assert (got == plain).all()
 
     @pytest.mark.parametrize("block_samples", [1, 7, 1000, 10**6])
@@ -490,30 +529,71 @@ class TestShapeTest:
     def test_statistic_does_not_depend_on_the_column_chunks(
         self, monkeypatch, rows, block_samples
     ):
-        # The last two rows lie far below and far above the grid: a CDF of
+        # The last two rows lie far below and far above the table: a CDF of
         # 0 puts D = 1 at k = n alone, a CDF of 1 at k = 1 alone, so a chunk
         # loop that skips an end column shows. At 1001 chunks are
         # BLOCK_SAMPLES // (rows + 2) columns wide, and 1001 is no multiple;
         # 70001 is pruned in sub-blocks of 66 and batches of
         # BLOCK_SAMPLES // 4, and is no multiple of either.
-        reference = reference_cdf(GAUSS_HIGH)
+        cdf = _shape_cdf(GAUSS_HIGH)
         for n in (1001, 70001):
             x = np.sort(np.random.default_rng(rows).standard_normal((rows, n)) * 7.0, axis=1)
             x = np.concatenate([x, np.full((1, n), -1e3), np.full((1, n), 1e3)])
-            whole = _ks_statistic(x.copy(), reference)
+            whole = _ks_statistic(x.copy(), cdf)
             with monkeypatch.context() as patch:
                 patch.setattr(kljn.line, "BLOCK_SAMPLES", block_samples)
-                got = _ks_statistic(x.copy(), reference)
+                got = _ks_statistic(x.copy(), cdf)
             assert np.array_equal(got, whole)
             assert got[-2:] == pytest.approx([1.0, 1.0], abs=1e-6)
 
+    # Whole rows (1000, 5000 and 32 769 values) and pruned ones: the shortest
+    # pruned row, rows whose length is a multiple of no sub-block or batch
+    # width, and the longest.
     @pytest.mark.parametrize("row", ["far", "near", "edges"])
-    @pytest.mark.parametrize("rows, n", [(1, 2**20), (3, 5000), (2, FIRST_PRUNED)])
+    @pytest.mark.parametrize(
+        "rows, n",
+        [(1, 2**20), (3, 5000), (2, FIRST_PRUNED), (3, 1000), (2, 32769), (2, 98311), (1, LONG_ROW)],
+    )
     @pytest.mark.parametrize("kind", list(LAWS))
     def test_pruned_statistic_is_bitwise_the_plain_formula(self, kind, rows, n, row):
-        reference = reference_cdf(NoiseSpec(kind, 1.0))
-        x = pruned_rows(reference, kind, rows, n, row)
-        assert (_ks_statistic(x.copy(), reference) == plain_statistic(x, reference)).all()
+        cdf = _shape_cdf(NoiseSpec(kind, 1.0))
+        x = pruned_rows(cdf, kind, rows, n, row)
+        assert (_ks_statistic(x.copy(), cdf) == plain_statistic(x, cdf)).all()
+
+    @pytest.mark.parametrize("n", [1000, LONG_ROW])
+    @pytest.mark.parametrize("kind", list(LAWS))
+    def test_a_row_of_mid_quantiles_is_half_a_step_from_its_law(self, kind, n):
+        # The row x_i = Q((i - 1/2) / n) of the law's exact quantiles Q has
+        # D = 1 / (2n) from the law's own CDF. The uniform and Cauchy F are
+        # that CDF, so only rounding separates them; the Gaussian F
+        # interpolates it within 7.6e-7.
+        scale = 1.7
+        levels = (np.arange(n) + 0.5) / n
+        if kind is DistributionKind.GAUSSIAN:
+            x, tol = scale * pytest.importorskip("scipy.special").ndtri(levels), 1e-6
+        elif kind is DistributionKind.UNIFORM:
+            x, tol = scale * math.sqrt(3.0) * (2.0 * levels - 1.0), 1e-12
+        else:
+            x, tol = scale * np.tan(math.pi * (levels - 0.5)), 1e-12
+        d = _ks_statistic(x[None, :], _shape_cdf(NoiseSpec(kind, scale)))
+        assert abs(d[0] - 0.5 / n) <= tol
+
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_the_gaussian_table_is_within_1e_6_of_the_normal_cdf(self, scale):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        x = np.linspace(-12.0, 12.0, 2_400_001)[None, :] * scale
+        f = _shape_cdf(NoiseSpec(DistributionKind.GAUSSIAN, scale))(x)
+        assert np.max(np.abs(f - ndtr(x / scale))) <= 1e-6
+
+    @pytest.mark.parametrize("kind", [DistributionKind.UNIFORM, DistributionKind.CAUCHY])
+    def test_a_closed_form_f_is_the_law_cdf_and_monotone_within_the_margin(self, kind):
+        # The pruned statistic skips a sub-block only if F is non-decreasing
+        # to within _KS_MARGIN along a sorted row.
+        spec = NoiseSpec(kind, 1.3)
+        x = np.sort(sample(spec, LONG_ROW, stream(53)))[None, :]
+        f = _shape_cdf(spec)(x)
+        assert np.array_equal(f, LAWS[kind].cdf(x, spec.scale))
+        assert np.min(np.diff(f)) >= -_KS_MARGIN
 
     def test_a_maximum_on_the_last_column_of_a_kept_run_is_found(self):
         # Against F(x) = x, a row of midpoints (i + 1/2) / n has every term
@@ -523,51 +603,48 @@ class TestShapeTest:
         # H - 1/n, so its sub-block's bounds stay below what the heads saw,
         # and the run kept before it ends at n/2, right after that column.
         n, height = FIRST_PRUNED, 0.05
-        grid = np.linspace(-1.0, 2.0, 3001)
-        reference = grid, np.clip(grid, 0.0, 1.0)
         x = (np.arange(n) + 0.5) / n
         x[n // 4] = (n // 4 - 0.5) / n + height
         x[n // 2 - 1] = (n // 2 - 1) / n + height
         x = np.maximum.accumulate(x)[None, :]
-        plain = plain_statistic(x, reference)
+        plain = plain_statistic(x, unit_cdf)
         assert plain == pytest.approx(height)
-        assert (_ks_statistic(x.copy(), reference) == plain).all()
+        assert (_ks_statistic(x.copy(), unit_cdf) == plain).all()
 
     def test_a_sub_block_whose_bound_is_d_itself_is_kept(self):
-        # Against F(x) = x, the first n/2 values lie below the grid, where F
-        # is 0, so d+ = (i+1)/n peaks at D = 1/2 on column n/2 - 1. The rest
+        # Against F(x) = x, the first n/2 values lie below 0, where F is 0,
+        # so d+ = (i+1)/n peaks at D = 1/2 on column n/2 - 1. The rest
         # sit 1/(2n) short of that: F(x_i) = (i + 3/2 - n/2) / n. The last
-        # sub-block below the grid then has the d+ bound (n/2)/n - 0, which
-        # is D exactly, while the heads and the last value see D - 1/(2n).
-        # Only a margin of at least 0 keeps that sub-block.
+        # sub-block below 0 then has the d+ bound (n/2)/n - 0, which is D
+        # exactly, while the heads and the last value see D - 1/(2n). Only a
+        # margin of at least 0 keeps that sub-block.
         n = FIRST_PRUNED
-        grid = np.linspace(-1.0, 2.0, 3001)
-        reference = grid, np.clip(grid, 0.0, 1.0)
         x = np.concatenate([np.full(n // 2, -0.5), (np.arange(n // 2) + 1.5) / n])[None, :]
-        plain = plain_statistic(x, reference)
+        plain = plain_statistic(x, unit_cdf)
         assert plain == 0.5
-        assert (_ks_statistic(x.copy(), reference) == plain).all()
+        assert (_ks_statistic(x.copy(), unit_cdf) == plain).all()
 
-    def test_a_far_row_interpolates_few_of_its_values(self, monkeypatch):
-        x, reference = wrong_hypothesis_row()
-        interpolated = count_interp(monkeypatch)
-        _ks_statistic(x, reference)
-        assert sum(size for size, _ in interpolated) < 0.05 * x.size
+    def test_a_far_row_evaluates_its_cdf_at_few_of_its_values(self):
+        x, cdf = wrong_hypothesis_row(*UNIFORM_PAIR)
+        sizes = []
+        _ks_statistic(x, lambda part: sizes.append(part.size) or cdf(part))
+        assert sum(sizes) < 0.05 * x.size
 
     @pytest.mark.parametrize("n, block_samples", [(1000, 64), (LONG_ROW, 1000)])
     def test_interp_is_handed_only_the_grid_its_values_span(self, monkeypatch, n, block_samples):
         # A whole 1000-value row goes in chunks of 64 columns. The 1M-value
         # row is pruned: after its head pass, which spans the row, its kept
         # sub-blocks go in batches of 250 columns, each above the last.
-        x, reference = wrong_hypothesis_row(n)
+        x, cdf = wrong_hypothesis_row(*GAUSS_VIOLATION, n)
+        nodes = node_count(DistributionKind.GAUSSIAN)
         monkeypatch.setattr(kljn.line, "BLOCK_SAMPLES", block_samples)
         interpolated = count_interp(monkeypatch)
-        _ks_statistic(x, reference)
+        _ks_statistic(x, cdf)
         grids = [grid for _, grid in interpolated]
         if n > FIRST_PRUNED:
-            assert grids.pop(0) <= len(reference[0])
+            assert grids.pop(0) <= nodes
         assert len(grids) > 1
-        assert sum(grids) <= len(reference[0]) + 2 * len(grids)
+        assert sum(grids) <= nodes + 2 * len(grids)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="at least 100 samples"):
@@ -680,7 +757,7 @@ def plain_tests(eve, voltage, current):
     """Every ``BlockAttack.tests`` array from the plain formulas: full-length arrays, one thread.
 
     Returns ``(z, variance_p, statistic, shape_p, rejected)``; z is NaN for
-    a Cauchy party.
+    a party whose law has no variance (Cauchy).
     """
     rows, n = voltage.shape
     i = np.arange(1, n + 1, dtype=np.float64)
@@ -690,11 +767,10 @@ def plain_tests(eve, voltage, current):
             spec = eve.specs[high]
             x = _reconstruct(voltage, current, PAIR.r_high if high else PAIR.r_low, party == 0)
             z[h, party] = np.nan
-            if spec.kind is not DistributionKind.CAUCHY:
-                z[h, party] = plain_z(np.mean(x**2, axis=1), spec.scale, n)
-            cdf = np.interp(np.sort(x, axis=1), *reference_cdf(spec))
-            d_plus = np.max(i / n - cdf, axis=1)
-            statistic[h, party] = np.maximum(d_plus, np.max(cdf - (i - 1.0) / n, axis=1))
+            kappa = LAWS[spec.kind].kappa
+            if kappa is not None:
+                z[h, party] = plain_z(np.mean(x**2, axis=1), spec.scale, n, kappa)
+            statistic[h, party] = plain_statistic(np.sort(x, axis=1), _shape_cdf(spec))
     variance_p = _z_p_value(z)
     shape_p = _kolmogorov_sf(math.sqrt(n) * statistic)
     cells = [variance_p[:, 0], variance_p[:, 1], shape_p[:, 0], shape_p[:, 1]]
@@ -749,10 +825,10 @@ def in_worker(kernel):
     """``kernel`` in a forked worker of this process; the original function elsewhere."""
     original, parent = kljn.eve._ks_statistic, os.getpid()
 
-    def patched(x, reference):
+    def patched(x, cdf):
         if os.getpid() != parent:
             kernel()
-        return original(x, reference)
+        return original(x, cdf)
 
     return patched
 
@@ -936,7 +1012,7 @@ class TestWorkers:
         use_cores(monkeypatch, 3)
         parent = os.getpid()
 
-        def interrupted(x, reference):
+        def interrupted(x, cdf):
             if os.getpid() != parent:
                 time.sleep(60)  # a worker still busy when the run is interrupted
             raise KeyboardInterrupt
@@ -967,11 +1043,11 @@ class TestWorkers:
         read, write = os.pipe()
         original, runner = kljn.eve._ks_statistic, []
 
-        def slow(x, reference):
+        def slow(x, cdf):
             if os.getpid() != runner[0]:  # the worker writes a byte a call
                 os.write(write, b".")
                 time.sleep(0.0625)
-            return original(x, reference)
+            return original(x, cdf)
 
         monkeypatch.setattr(kljn.eve, "_ks_statistic", slow)
         run = os.fork()

@@ -194,6 +194,15 @@ class TestStreams:
 
 
 LAW_SCALE = 2.5
+# A grid per law, as ``(half width, step)`` in scale units, wide enough to
+# hold all but the truncation budget of its mass and fine enough for its
+# trapezoids: the uniform law's jumps need a finer step, the Cauchy tails
+# a wider span.
+LAW_GRIDS = {
+    DistributionKind.GAUSSIAN: (8.0, 1.0 / 200.0),
+    DistributionKind.UNIFORM: (8.0, 1.0 / 2000.0),
+    DistributionKind.CAUCHY: (800.0, 1.0 / 200.0),
+}
 
 
 def test_every_kind_has_one_law():
@@ -213,7 +222,7 @@ class TestSourceLaws:
 
     def test_pdf_trapezoid_matches_cdf_differences(self, kind):
         law = LAWS[kind]
-        half, step = law.reference
+        half, step = LAW_GRIDS[kind]
         x0, dx, m = symmetric_grid(half * LAW_SCALE, step * LAW_SCALE)
         x = x0 + dx * np.arange(m)
         p = law.pdf(x, LAW_SCALE)
@@ -221,13 +230,22 @@ class TestSourceLaws:
         cdf = law.cdf(x, LAW_SCALE)
         # The trapezoid errs by at most half a cell's mass at each jump of a density.
         assert np.max(np.abs(cumulative - (cdf - cdf[0]))) <= p.max() * dx
-        # The shape reference grid holds all but the truncation budget.
+        # The grid holds all but the truncation budget.
         assert cdf[-1] - cdf[0] > 1.0 - TRUNCATION_BUDGET
 
     def test_variance_flag_matches_the_draws(self, kind):
         x = sample(NoiseSpec(kind, LAW_SCALE), 200_000, stream(12, 0))
         tracks_scale = abs(np.mean(x * x) / LAW_SCALE**2 - 1.0) < 0.05
         assert tracks_scale == LAWS[kind].variance
+        assert LAWS[kind].variance == (LAWS[kind].kappa is not None)
+
+    def test_kappa_matches_the_draws(self, kind):
+        # The z test's standard error rests on kappa = E[x^4] / sigma^4.
+        kappa = LAWS[kind].kappa
+        if kappa is None:
+            pytest.skip(f"the {kind.value} law has no variance")
+        x = sample(NoiseSpec(kind, LAW_SCALE), 200_000, stream(13, 0)) / LAW_SCALE
+        assert np.mean(x**4) == pytest.approx(kappa, rel=0.03)
 
     def test_refusal_follows_the_variance_flag(self, kind):
         if LAWS[kind].variance:
