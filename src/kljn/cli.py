@@ -51,7 +51,7 @@ import hashlib
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, count, islice
 from pathlib import Path
 from typing import NamedTuple
@@ -68,7 +68,10 @@ from .noise import scaled_sigma_high
 from .protocol import BIT_FIELDS, RECORDS, SessionConfig, attack_trials, leak_sweep, run_session
 from .protocol import sweep_configs
 
-_CSV_BLOCK = 4096
+# Rows keyed together by one np.unique in a float column, and rows joined
+# and encoded into one CSV chunk.
+_KEY_BLOCK = 4096
+_CSV_CHUNK = 512
 
 
 class _Setting(NamedTuple):
@@ -141,29 +144,33 @@ def _json_bytes(obj: object) -> bytes:
 
 
 def _csv_bytes(header: str, rows: Iterable[Iterable[str]]) -> Iterator[bytes]:
-    """CSV text of pre-formatted rows, encoded: the header line, then one chunk per 4096 rows.
+    """CSV text of pre-formatted rows, encoded: the header line, then one chunk per 512 rows.
 
-    Every chunk ends in a newline, and only one block of ``_CSV_BLOCK``
-    (4096) rows is held at a time, so the whole text never is. Each row is
-    joined as it arrives, which lets ``zip`` reuse its row tuple.
+    Every chunk ends in a newline, and only one chunk of ``_CSV_CHUNK``
+    (512) rows is joined and encoded at a time, so the whole text never
+    is. Each row is joined as it arrives, which lets ``zip`` reuse its row
+    tuple.
     """
     yield (header + "\n").encode("ascii")
     lines = map(",".join, rows)
     for first in lines:
-        yield "\n".join(chain((first,), islice(lines, _CSV_BLOCK - 1), ("",))).encode("ascii")
+        yield "\n".join(chain((first,), islice(lines, _CSV_CHUNK - 1), ("",))).encode("ascii")
 
 
-def _float_column(values: np.ndarray) -> Iterator[str]:
-    """``repr`` of each array value as a Python float, ``_CSV_BLOCK`` (4096) at a time.
+def _float_column(part: Callable[[slice], np.ndarray], rows: int) -> Iterator[str]:
+    """``repr`` of each of a column's ``rows`` values as a Python float, 4096 at a time.
 
-    Within a block, values are keyed by their 64-bit pattern, so ``repr`` runs
-    once per distinct pattern and its text is reused for every repeat. Bit
-    patterns keep ``-0.0`` apart from ``0.0``, unlike float equality, and a
-    per-block key keeps memory flat however long the column is.
+    ``part(s)`` gives the float64 values of the rows that slice ``s``
+    selects, so a column can be made one ``_KEY_BLOCK`` (4096 rows) at a
+    time instead of held whole: an array's ``__getitem__`` slices it, and
+    :meth:`kljn.density.PdfGrid.points` makes a grid's abscissae. Within a
+    block, values are keyed by their 64-bit pattern, so ``repr`` runs once
+    per distinct pattern and its text is reused for every repeat. Bit
+    patterns keep ``-0.0`` apart from ``0.0``, unlike float equality, and
+    a per-block key keeps memory flat however long the column is.
     """
-    values = np.asarray(values, dtype=np.float64)
     return chain.from_iterable(
-        _block_texts(values[i : i + _CSV_BLOCK]) for i in range(0, values.size, _CSV_BLOCK)
+        _block_texts(part(slice(i, i + _KEY_BLOCK))) for i in range(0, rows, _KEY_BLOCK)
     )
 
 
@@ -327,9 +334,10 @@ def _pdf(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
         "second_moment_reference": reference.second_moment(),
         "sigma_mix": sigma_mix,
     }
-    columns = (mixture.x, mixture.values, reference.values)
+    rows = mixture.values.size
+    columns = (mixture.points, mixture.values.__getitem__, reference.values.__getitem__)
     artifacts = {
-        "pdf.csv": _csv_bytes("x,p_a,p_h", zip(*map(_float_column, columns))),
+        "pdf.csv": _csv_bytes("x,p_a,p_h", zip(*(_float_column(c, rows) for c in columns))),
         "pdf.json": (_json_bytes(summary),),
     }
     return artifacts, (

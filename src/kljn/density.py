@@ -87,7 +87,11 @@ class PdfGrid:
     @property
     def x(self) -> np.ndarray:
         """Grid abscissae."""
-        return _abscissae(self.x0, self.dx, self.values.size)
+        return self.points(slice(None))
+
+    def points(self, rows: slice) -> np.ndarray:
+        """The abscissae of the grid rows that ``rows`` selects."""
+        return _abscissae(self.x0, self.dx, range(self.values.size)[rows])
 
     def integral(self) -> float:
         return float(np.trapezoid(self.values, dx=self.dx))
@@ -156,9 +160,9 @@ def symmetric_grid(half_width: float, dx: float) -> tuple[float, float, int]:
     return (-k * dx, dx, 2 * k + 1)
 
 
-def _abscissae(x0: float, dx: float, m: int) -> np.ndarray:
-    """The grid points ``x0 + dx * k`` for ``k in [0, m)``, made in one array."""
-    x = np.arange(m, dtype=np.float64)
+def _abscissae(x0: float, dx: float, ks: range) -> np.ndarray:
+    """The grid points ``x0 + dx * k`` for each ``k`` in ``ks``, made in one array."""
+    x = np.arange(ks.start, ks.stop, ks.step, dtype=np.float64)
     x *= dx
     x += x0
     return x
@@ -197,7 +201,7 @@ def analytic_pdf(kind: DistributionKind, scale: float, x0: float, dx: float, m: 
         raise TruncationError(
             f"grid [{x0}, {x_end}] misses {missing:.3e} of the {kind.value} mass; widen it"
         )
-    return _normalized(x0, dx, law.pdf(_abscissae(x0, dx, m), scale), "grid")
+    return _normalized(x0, dx, law.pdf(_abscissae(x0, dx, range(m)), scale), "grid")
 
 
 def mixture_grid(
@@ -245,28 +249,38 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _convolve_grids(a: PdfGrid, b: PdfGrid) -> PdfGrid:
+def _spectrum(grids: list[PdfGrid], size: int) -> np.ndarray:
+    """Real FFT, zero-padded to ``size``, of the first of ``grids`` with its end values halved.
+
+    The grid is popped and its values copied, so it is freed before the
+    FFT runs. Trapezoidal end weights make the discrete sum of a
+    convolution match the trapezoidal integral of the continuous one.
+    """
+    signal = grids.pop(0).values.copy()
+    signal[[0, -1]] *= 0.5
+    return np.fft.rfft(signal, size)
+
+
+def _convolve_grids(grids: list[PdfGrid]) -> PdfGrid:
+    """Density of the sum of two independent variables whose densities are ``grids``.
+
+    ``grids`` holds the two densities and is emptied as the convolution
+    reads it, so no component outlives its spectrum.
+    """
+    a, b = grids
     if not math.isclose(a.dx, b.dx, rel_tol=1e-12):
         raise ValueError("grids must share the same spacing")
-    dx = a.dx
-    # Trapezoidal end weights make the discrete sum match the
-    # trapezoidal integral of the continuous convolution.
-    va = a.values.copy()
-    vb = b.values.copy()
-    va[[0, -1]] *= 0.5
-    vb[[0, -1]] *= 0.5
-    # Linear convolution by FFT: zero-pad to a fast length, crop back. Each
-    # spectrum and signal is dropped as soon as the next step has used it.
-    m = va.size + vb.size - 1
+    x0, dx, m = a.x0 + b.x0, a.dx, a.values.size + b.values.size - 1
+    del a, b
+    # Linear convolution by FFT: zero-pad to a fast length, crop back. The
+    # spectrum is dropped as soon as the inverse FFT has used it.
     size = _fast_len(m)
-    spectrum = np.fft.rfft(va, size)
-    del va
-    spectrum *= np.fft.rfft(vb, size)
-    del vb
+    spectrum = _spectrum(grids, size)
+    spectrum *= _spectrum(grids, size)
     raw = np.fft.irfft(spectrum, size)[:m]
     del spectrum
     raw *= dx
-    return _normalized(a.x0 + b.x0, dx, np.maximum(raw, 0.0, out=raw), "convolution")
+    return _normalized(x0, dx, np.maximum(raw, 0.0, out=raw), "convolution")
 
 
 def convolve_scaled(
@@ -291,11 +305,12 @@ def convolve_scaled(
     if w.beta == 0.0:
         return analytic_pdf(kind, w.alpha, *symmetric_grid(half_width, dx))
     top = max(w.alpha, w.beta)
-    a, b = (
-        analytic_pdf(kind, scale, *symmetric_grid(max(half_width * scale / top, dx), dx))
-        for scale in (w.alpha, w.beta)
+    return _convolve_grids(
+        [
+            analytic_pdf(kind, scale, *symmetric_grid(max(half_width * scale / top, dx), dx))
+            for scale in (w.alpha, w.beta)
+        ]
     )
-    return _convolve_grids(a, b)
 
 
 def closure_pair(

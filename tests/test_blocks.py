@@ -38,7 +38,7 @@ from kljn import (
     theoretical_line_variance,
     weights,
 )
-from kljn.density import l1_residual
+from kljn.density import convolve_scaled, l1_residual
 from test_protocol import first_seed_mixing
 
 try:
@@ -384,6 +384,21 @@ def test_the_pdf_command_arithmetic_peaks_below_four_and_a_half_grids():
     peak = traced_peak(run)
     assert sizes == [70_405 * 8]
     assert peak < 4.5 * sizes[0]
+
+
+def test_the_convolution_peaks_below_two_and_a_half_grids():
+    # The same mixture alone. Its wider component spans 0.95 of the grid,
+    # and the convolution frees each component once its end-weighted copy
+    # is made, so no step holds more than that component being built or
+    # the two spectra (2.27 grids). While the caller kept both components
+    # alive through the FFT it took 3.10.
+    w = weights(ResistorPair(1.0, 1.1), 1.0, math.sqrt(1.1))
+    sizes = []
+    peak = traced_peak(
+        lambda: sizes.append(convolve_scaled(DistributionKind.UNIFORM, w).values.nbytes)
+    )
+    assert sizes == [70_405 * 8]
+    assert peak < 2.5 * sizes[0]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")

@@ -18,7 +18,8 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import kljn
 import kljn.cli
-from kljn.cli import _COMMAND_FLAGS, _COMMANDS, _CSV_BLOCK, _SETTINGS, _csv_bytes, _float_column
+from kljn.cli import _COMMAND_FLAGS, _COMMANDS, _CSV_CHUNK, _KEY_BLOCK, _SETTINGS, _csv_bytes
+from kljn.cli import _float_column
 from kljn.cli import main
 from test_protocol import random_outcome
 
@@ -718,15 +719,20 @@ def one_column(*values):
 
 def repeat_across_boundary():
     # 0.1 fills the end of the first block and the start of the second
-    x = np.arange(2 * _CSV_BLOCK, dtype=np.float64)
-    x[_CSV_BLOCK - 3 : _CSV_BLOCK + 3] = 0.1
+    x = np.arange(2 * _KEY_BLOCK, dtype=np.float64)
+    x[_KEY_BLOCK - 3 : _KEY_BLOCK + 3] = 0.1
     return (x, np.full(x.size, 0.1))
 
 
 RENDER_CASES = [
     *(
         pytest.param(mixed_columns(rows), id=f"rows-{rows}")
-        for rows in (0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 1)
+        for rows in (0, 1, _KEY_BLOCK - 1, _KEY_BLOCK, _KEY_BLOCK + 1, 3 * _KEY_BLOCK + 1)
+    ),
+    # around the edge of a CSV chunk, and across several chunks and key blocks
+    *(
+        pytest.param(mixed_columns(rows), id=f"rows-{rows}")
+        for rows in (_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _KEY_BLOCK + 3 * _CSV_CHUNK + 7)
     ),
     pytest.param(one_column(0.0, -0.0, 0.0, -0.0, -0.0, 1.0), id="signed-zeros"),
     pytest.param(one_column(5e-324, 1e16, 1e-5, -5e-324, 1e16, 9999999999999998.0), id="formats"),
@@ -737,8 +743,45 @@ RENDER_CASES = [
 @pytest.mark.parametrize("columns", RENDER_CASES)
 def test_block_renderer_matches_plain_repr(columns):
     header = ",".join(f"c{k}" for k in range(len(columns)))
-    got = b"".join(_csv_bytes(header, zip(*map(_float_column, columns))))
-    assert got == plain_csv(header, columns)
+    rows = len(columns[0])
+    chunks = list(_csv_bytes(header, zip(*(_float_column(c.__getitem__, rows) for c in columns))))
+    assert all(c.endswith(b"\n") and c.count(b"\n") <= _CSV_CHUNK for c in chunks[1:])
+    assert b"".join(chunks) == plain_csv(header, columns)
+
+
+def pdf_render_peak(monkeypatch, refine):
+    """Peak bytes ``tracemalloc`` sees while the near-equal ``pdf.csv`` is rendered.
+
+    The grid is the default one with its spacing divided by ``refine``.
+    The two densities are made beforehand, so what is traced is what the
+    rendering itself holds: anything ``_pdf`` keeps for it, and the chunks.
+    """
+    validate, render = _COMMANDS["pdf"]
+    settings = {name: _SETTINGS[name].default for name in _COMMAND_FLAGS["pdf"][1]}
+    settings.update(kind="uniform", r_low=1.0, r_high=1.1)
+    settings["dx"] = validate(dict(settings))[0]["dx"] / refine
+    _, inputs = validate(settings)
+    kind, w, dx, half_width = inputs
+    pair = kljn.cli.closure_pair(kind, w, dx=dx, half_width=half_width)
+    monkeypatch.setattr(kljn.cli, "closure_pair", lambda *args, **kwargs: pair)
+    tracemalloc.start()
+    try:
+        artifacts, _ = render(inputs, False)
+        tracemalloc.reset_peak()
+        for _ in artifacts["pdf.csv"]:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pdf_render_peak_does_not_grow_with_the_grid(monkeypatch):
+    # The default near-equal grid has 70 405 rows and the 4x finer one
+    # 281 617. The x column is made one key block at a time from the grid
+    # and rows are joined 512 at a time, so neither peak holds a column
+    # (the finer x column alone is 2.2 MB).
+    default, fine = (pdf_render_peak(monkeypatch, refine) for refine in (1, 4))
+    assert fine - default < 256 * 1024
 
 
 def modules_loaded_by_importing_the_cli(*packages: str) -> list[str]:

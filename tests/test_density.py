@@ -195,7 +195,7 @@ class TestConvolution:
         # the narrower component spans as many of its own scales as the wider one
         a = analytic_pdf(DistributionKind.GAUSSIAN, 1.0, *symmetric_grid(half * 1 / 2, dx))
         b = analytic_pdf(DistributionKind.GAUSSIAN, 2.0, *symmetric_grid(half, dx))
-        via_grids = _convolve_grids(a, b)
+        via_grids = _convolve_grids([a, b])
         assert via_kind.x0 == via_grids.x0
         assert np.array_equal(via_kind.values, via_grids.values)
 
@@ -211,9 +211,9 @@ class TestConvolution:
     def test_fft_matches_direct_sum(self, monkeypatch, kind, w, dx):
         components = []
 
-        def convolve(a, b):
-            components.append((a, b))
-            return _convolve_grids(a, b)
+        def convolve(grids):
+            components.append(tuple(grids))
+            return _convolve_grids(grids)
 
         # Compare on the component grids that convolve_scaled builds.
         monkeypatch.setattr(kljn.density, "_convolve_grids", convolve)
@@ -258,7 +258,7 @@ class TestConvolution:
         a = analytic_pdf(DistributionKind.GAUSSIAN, 1.0, *symmetric_grid(8.0, 0.01))
         b = analytic_pdf(DistributionKind.GAUSSIAN, 1.0, *symmetric_grid(8.0, 0.02))
         with pytest.raises(ValueError):
-            _convolve_grids(a, b)
+            _convolve_grids([a, b])
 
     def test_degenerate_beta_returns_scaled_component(self):
         w = HypothesisWeights(2.0, 0.0)
@@ -463,6 +463,7 @@ class TestPlainArithmetic:
         grid = analytic_pdf(kind, 1.3, x0, dx, m)
         assert np.array_equal(grid.values, plain_analytic_pdf(kind, 1.3, x0, dx, m))
         assert np.array_equal(grid.x, plain_x(x0, dx, m))
+        assert np.array_equal(grid.points(slice(3, m // 2)), plain_x(x0, dx, m)[3 : m // 2])
         assert np.array_equal(grid.cdf(), plain_cdf(grid.values, dx))
         assert grid.second_moment() == plain_second_moment(grid.values, x0, dx)
         other = analytic_pdf(kind, 1.2, x0, dx, m)
@@ -480,7 +481,7 @@ class TestPlainArithmetic:
         )
         got = convolve_scaled(kind, w, dx=dx, half_width=half)
         assert np.array_equal(got.values, plain_convolution(a, b))
-        assert np.array_equal(_convolve_grids(b, a).values, plain_convolution(b, a))
+        assert np.array_equal(_convolve_grids([b, a]).values, plain_convolution(b, a))
 
     def test_uniform_pdf_at_its_jumps_is_the_plain_formula(self):
         half = SQRT3 * 0.7
