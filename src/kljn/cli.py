@@ -9,9 +9,9 @@ amplitude law is violated by growing factors.
 Every invocation writes its artifacts plus a ``manifest.json`` recording
 the command, the fully resolved configuration, the seed, the package
 version, and a sha256 digest of each artifact. Outputs are deterministic
-byte for byte given the same configuration. Settings resolve in the
-order: built-in defaults, then a ``--config`` JSON file, then explicit
-flags.
+byte for byte given the same configuration, within the limits that the
+README's "Determinism" section measures. Settings resolve in the order:
+built-in defaults, then a ``--config`` JSON file, then explicit flags.
 
 Each setting is declared once, in ``_SETTINGS`` (its type, default and
 flag help), and ``_COMMAND_FLAGS`` names each command's settings. The

@@ -138,21 +138,6 @@ def _kolmogorov_sf(x: np.ndarray) -> np.ndarray:
     return np.where(x < _KS_CUTOVER, 1.0 - theta.reshape(x.shape), series.reshape(x.shape))
 
 
-def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, fp)`` of rows sorted in ascending order, on the node slice they span.
-
-    The slice runs from the last node at or below the rows' smallest head
-    to the first one at or above their largest tail, so each value falls
-    between the same two nodes as on the whole table, and a value off the
-    slice is off the table too and clamps to the same end. The result is
-    bitwise that of the whole table, but ``np.interp`` builds its slope
-    table for the slice alone.
-    """
-    lo = max(int(np.searchsorted(xp, x[:, 0].min(), "right")) - 1, 0)
-    hi = int(np.searchsorted(xp, x[:, -1].max())) + 1
-    return np.interp(x, xp[lo:hi], fp[lo:hi])
-
-
 def _fold_ks(
     part: np.ndarray,
     start: int,
@@ -242,7 +227,7 @@ def _shape_cdf(spec: NoiseSpec) -> ShapeCdf:
 
     F is the law's ``cdf`` at the spec's scale. A law with ``cdf_nodes``
     has its ``cdf`` tabulated here once, at the nodes ``k * step`` for
-    ``|k * step| <= half width`` (in scale units), and F is :func:`_interp`
+    ``|k * step| <= half width`` (in scale units), and F is ``np.interp``
     of that table.
     """
     law = LAWS[spec.kind]
@@ -253,7 +238,7 @@ def _shape_cdf(spec: NoiseSpec) -> ShapeCdf:
     nodes = np.arange(-k, k + 1.0)
     nodes *= step * spec.scale
     table = law.cdf(nodes, spec.scale)
-    return lambda x: _interp(x, nodes, table)
+    return lambda x: np.interp(x, nodes, table)
 
 
 # Decision of each verdict code, low_rejected + 2 * high_rejected: none or

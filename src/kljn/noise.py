@@ -20,8 +20,11 @@ Sessions and attack trials (see :func:`kljn.engine.run_blocks`) give bit
 Bob's. A block of bits re-keys one reused generator per bit by setting its
 counter (:class:`BlockStreams`), and each row of a block is one
 :func:`sample` call on its bit's stream, drawn in place. The same ``(seed,
-bit, channel)`` always reproduces the same draws on every platform numpy
-supports.
+bit, channel)`` reproduces the same draws under the same numpy release.
+numpy's random policy (NEP 19) freezes only raw bit-generator output: the
+switch coins are raw Philox words (:func:`kljn.engine.run_blocks`), but the
+source draws go through ``Generator`` methods, which a release may change.
+The README's "Determinism" section gives the measured scope.
 
 Source laws
 -----------
@@ -91,12 +94,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, DistributionKind):
             object.__setattr__(self, "kind", DistributionKind(self.kind))
-        # The attack squares each scale and divides by the square, so the
-        # square must be positive and finite too. math.fabs gives a Python
-        # float, whose square overflows or underflows without a warning.
-        scale = math.fabs(self.scale)
-        if not (self.scale > 0.0 and 0.0 < scale * scale < math.inf):
-            raise ValueError("scale must be positive and finite, and so must its square")
+        _check_amplitude("scale", self.scale)
 
 
 def check_finite(samples: np.ndarray) -> None:
@@ -182,11 +180,22 @@ def johnson_sigma(resistance: float, temperature: float, bandwidth: float) -> fl
     return math.sqrt(4.0 * Boltzmann * temperature * resistance * bandwidth)
 
 
+def _check_amplitude(name: str, value: float) -> None:
+    """Refuse an amplitude ``value`` unless it and its square are positive and finite.
+
+    The attack squares each scale and divides by the square, and the line
+    variances square each amplitude. math.fabs gives a Python float, whose
+    square overflows or underflows without a warning.
+    """
+    magnitude = math.fabs(value)
+    if not (value > 0.0 and 0.0 < magnitude * magnitude < math.inf):
+        raise ValueError(f"{name} must be positive and finite, and so must its square")
+
+
 def check_sigmas(sigma_low: float, sigma_high: float) -> None:
-    """Refuse source amplitudes that are not positive and finite, naming the one at fault."""
-    for name, sigma in (("sigma_low", sigma_low), ("sigma_high", sigma_high)):
-        if not (sigma > 0.0 and math.isfinite(sigma)):
-            raise ValueError(f"{name} must be positive and finite")
+    """Refuse source amplitudes that :class:`NoiseSpec` refuses, naming the one at fault."""
+    _check_amplitude("sigma_low", sigma_low)
+    _check_amplitude("sigma_high", sigma_high)
 
 
 def security_sigma_ratio(pair: ResistorPair) -> float:

@@ -12,12 +12,13 @@ bits. Both run their bits in :func:`kljn.engine.run`.
 
 A session's outcome is a table of read-only numpy columns: each party's
 switch and the classified level per bit, and the attack's verdict code per
-secure bit. Apart from its index, a bit's record is one of a few
-categorical values, so it is one code: :meth:`SessionOutcome.codes` gives
-each bit's code and :data:`RECORDS` the record of each code, derived once by
-:func:`_record`. ``session.json`` and ``bits.csv`` render a bit as its
-index and its code's text, so rendering a session holds one code per bit,
-never the session's records.
+secure bit. Its aggregates, like those of :class:`AttackTrialSummary`, are
+derived from its columns when it is built. Apart from its index, a bit's
+record is one of a few categorical values, so it is one code:
+:meth:`SessionOutcome.codes` gives each bit's code and :data:`RECORDS` the
+record of each code, derived once by :func:`_record`. ``session.json`` and
+``bits.csv`` render a bit as its index and its code's text, so rendering a
+session holds one code per bit, never the session's records.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache
 
@@ -150,12 +151,16 @@ class SessionConfig:
 
 @dataclass(frozen=True, eq=False)
 class SessionOutcome:
-    """Session aggregates plus the per-bit outcome as read-only columns.
+    """The per-bit outcome of a session as read-only columns, and its aggregates.
 
     ``alice_high``, ``bob_high`` (each party's switch, high when set) and
     ``levels`` (the classified level's index in ``Level``, low to high)
-    hold one entry per bit. ``verdicts`` holds the attack's verdict code
-    (:data:`kljn.eve.VERDICTS`) of each secure bit, in bit order.
+    hold one entry per bit, of which there is at least one. ``verdicts``
+    holds the attack's verdict code (:data:`kljn.eve.VERDICTS`) of each
+    secure bit, in bit order. The aggregates are derived from the columns
+    when the outcome is built: ``secure_bit_fraction`` is the share of
+    secure bits and ``eve_accuracy`` the mean :func:`kljn.eve.credits` of
+    their verdicts, None when no bit is secure.
 
     A bit's record is its index and the record (:data:`RECORDS`) of its
     code (:meth:`codes`): :meth:`json_chunks` streams ``session.json`` from
@@ -167,13 +172,20 @@ class SessionOutcome:
     bob_high: np.ndarray
     levels: np.ndarray
     verdicts: np.ndarray
-    secure_bit_fraction: float
-    bit_error_rate: float
-    eve_accuracy: float | None
+    secure_bit_fraction: float = field(init=False)
+    # Sifting checks the true joint state, so every kept bit agrees.
+    bit_error_rate: float = field(init=False, default=0.0)
+    eve_accuracy: float | None = field(init=False)
 
     def __post_init__(self) -> None:
+        if not len(self.alice_high):
+            raise ValueError("a session outcome needs at least one bit")
         for column in (self.alice_high, self.bob_high, self.levels, self.verdicts):
             column.setflags(write=False)
+        n_secure = len(self.verdicts)
+        credit = credits(self.verdicts, self.alice_high[self.alice_high != self.bob_high])
+        object.__setattr__(self, "secure_bit_fraction", n_secure / len(self.alice_high))
+        object.__setattr__(self, "eve_accuracy", None if n_secure == 0 else float(credit.mean()))
 
     def codes(self) -> np.ndarray:
         """Each bit's code, the index of its record in :data:`RECORDS`, as a ``uint8`` column."""
@@ -212,9 +224,6 @@ class SessionOutcome:
             {"aggregates": self._aggregates(), "bits": []}, indent=2, sort_keys=True
         )
         head, tail = empty.split("[]")  # the bits list is the only list
-        if not len(self.alice_high):
-            yield empty + "\n"
-            return
         texts = _json_records()
         separator = head + "[\n"
         for i, code in enumerate(self.codes().tobytes()):
@@ -270,38 +279,43 @@ def run_session(config: SessionConfig) -> SessionOutcome:
         return coins[:, 0], coins[:, 1]
 
     bits = run(eve, config.samples_per_bit, config.bits, config.seed, switches)
-    n_secure = len(bits.verdicts)
-    secure_credits = credits(bits.verdicts, bits.alice_high[bits.alice_high != bits.bob_high])
-    return SessionOutcome(
-        alice_high=bits.alice_high,
-        bob_high=bits.bob_high,
-        levels=_classify_rows(bits.power, cuts),
-        verdicts=bits.verdicts,
-        secure_bit_fraction=n_secure / config.bits,
-        bit_error_rate=0.0,  # sifting checks the true joint state, so every kept bit agrees
-        eve_accuracy=None if n_secure == 0 else float(secure_credits.mean()),
-    )
+    levels = _classify_rows(bits.power, cuts)
+    return SessionOutcome(bits.alice_high, bits.bob_high, levels, bits.verdicts)
 
 
 @dataclass(frozen=True, eq=False)
 class AttackTrialSummary:
-    """Aggregate outcome of repeated attacks on fresh mixed-state bits.
+    """Repeated attacks on fresh mixed-state bits: read-only columns and their aggregates.
 
     ``alice_high`` (Alice's true switch) and ``verdicts`` (the attack's
-    verdict codes) are read-only columns, one entry per trial.
+    verdict codes) hold one entry per trial, of which there is at least
+    one. The aggregates are derived from the columns when the summary is
+    built: the number of ``trials``, how many of them the attack got
+    ``correct``, ``wrong`` and ``undecided`` by :func:`kljn.eve.credits`,
+    and the mean credit, ``accuracy``.
     """
 
-    trials: int
-    correct: int
-    wrong: int
-    undecided: int
-    accuracy: float
     alice_high: np.ndarray
     verdicts: np.ndarray
+    trials: int = field(init=False)
+    correct: int = field(init=False)
+    wrong: int = field(init=False)
+    undecided: int = field(init=False)
+    accuracy: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if not len(self.alice_high):
+            raise ValueError("an attack summary needs at least one trial")
         for column in (self.alice_high, self.verdicts):
             column.setflags(write=False)
+        credit = credits(self.verdicts, self.alice_high)
+        correct = int(np.count_nonzero(credit == 1.0))
+        undecided = int(np.count_nonzero(credit == 0.5))
+        object.__setattr__(self, "trials", len(credit))
+        object.__setattr__(self, "correct", correct)
+        object.__setattr__(self, "wrong", len(credit) - correct - undecided)
+        object.__setattr__(self, "undecided", undecided)
+        object.__setattr__(self, "accuracy", float(credit.mean()))
 
     def to_dict(self) -> dict:
         return {
@@ -341,18 +355,7 @@ def attack_trials(
         return ~coins[:, 0], coins[:, 0]
 
     bits = run(eve, samples_per_trial, trials, seed, switches)
-    credit = credits(bits.verdicts, bits.alice_high)
-    n_correct = int(np.count_nonzero(credit == 1.0))
-    n_undecided = int(np.count_nonzero(credit == 0.5))
-    return AttackTrialSummary(
-        trials=trials,
-        correct=n_correct,
-        wrong=trials - n_correct - n_undecided,
-        undecided=n_undecided,
-        accuracy=float(credit.mean()),
-        alice_high=bits.alice_high,
-        verdicts=bits.verdicts,
-    )
+    return AttackTrialSummary(bits.alice_high, bits.verdicts)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 import kljn
 
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "kljn"
 MODULES = {
@@ -37,6 +40,13 @@ def library_table() -> dict[str, list[str]]:
 
 def test_every_exported_name_resolves():
     assert [name for name in kljn.__all__ if not hasattr(kljn, name)] == []
+
+
+def test_the_package_version_is_the_project_version():
+    # manifest.json records kljn.__version__; the wheel takes pyproject's
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with PYPROJECT.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == kljn.__version__
 
 
 def test_readme_library_table_names_exist():

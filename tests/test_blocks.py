@@ -29,7 +29,6 @@ from kljn import (
     VERDICTS,
     attack_trials,
     closure_pair,
-    credits,
     line_signals,
     resistance_for,
     run_session,
@@ -90,16 +89,20 @@ def reference_bit(config: SessionConfig, i: int):
     return a_state, b_state, voltage, current
 
 
-def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict]]:
+def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict], tuple]:
     """The per-bit session loop, one bit at a time through the public API.
 
-    Returns the outcome and, derived here bit by bit, its per-bit records
-    as ``session.json`` holds them.
+    Returns the outcome of its columns and, derived here bit by bit, its
+    per-bit records as ``session.json`` holds them and its secure-bit
+    fraction and Eve's accuracy. Eve's credit on a secure bit is 1 when
+    her decision names Alice's switch, 0 when it names the other and 1/2
+    when she is undecided; her accuracy is the mean credit, None without
+    a secure bit.
     """
     spec_low = NoiseSpec(config.kind, config.sigma_low)
     spec_high = NoiseSpec(config.kind, config.sigma_high)
     eve = BlockAttack(config.pair, spec_low, spec_high, config.significance)
-    alice_high, bob_high, levels, verdicts, secure_alice_high, bits = [], [], [], [], [], []
+    alice_high, bob_high, levels, verdicts, credit, bits = [], [], [], [], [], []
     for i in range(config.bits):
         a_state, b_state, voltage, current = reference_bit(config, i)
         level = reference_level(float(np.mean(voltage**2)), config)
@@ -115,8 +118,9 @@ def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict]
         levels.append(list(Level).index(level))
         if secure:
             verdicts.append(one_bit_verdict(eve, voltage, current))
-            secure_alice_high.append(a_state is SwitchState.HIGH)
             decision = VERDICTS[verdicts[-1]].value
+            names_alice = decision == f"alice_{a_state.value}"
+            credit.append(0.5 if decision == "undecided" else float(names_alice))
         bits.append(
             {
                 "alice_state": a_state.value,
@@ -129,17 +133,14 @@ def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict]
                 "secure": secure,
             }
         )
-    credit = credits(np.array(verdicts, dtype=np.intp), np.array(secure_alice_high, dtype=bool))
     outcome = SessionOutcome(
         alice_high=np.array(alice_high),
         bob_high=np.array(bob_high),
         levels=np.array(levels, dtype=np.intp),
         verdicts=np.array(verdicts, dtype=np.intp),
-        secure_bit_fraction=len(verdicts) / config.bits,
-        bit_error_rate=0.0,
-        eve_accuracy=float(credit.mean()) if verdicts else None,
     )
-    return outcome, bits
+    aggregates = (len(credit) / config.bits, sum(credit) / len(credit) if credit else None)
+    return outcome, bits, aggregates
 
 
 def reference_trials(spec_low, spec_high, samples, trials, seed):
@@ -198,8 +199,9 @@ def digest(outcome: SessionOutcome) -> str:
 def test_session_matches_per_bit_loop(kind, sigma_high, samples, bits):
     config = session_config(kind, sigma_high, samples, bits, seed=samples + bits)
     outcome = run_session(config)
-    reference, bits = reference_session(config)
+    reference, bits, aggregates = reference_session(config)
     assert_same_outcome(outcome, reference)
+    assert (outcome.secure_bit_fraction, outcome.eve_accuracy) == aggregates
     # JSON text, so a bool where an int belongs (True == 1) shows too
     assert json.dumps(outcome.to_dict()["bits"], sort_keys=True) == json.dumps(bits, sort_keys=True)
 

@@ -131,9 +131,9 @@ class TestSimulate:
         assert run(["simulate", "--samples-per-bit", "50", "--out", str(tmp_path)]) == 2
 
     def test_overflowing_sigma_high_is_usage_error(self, tmp_path, capsys):
-        # the compliant sigma_high, 2e308, overflows to inf
+        # the compliant sigma_high, 1e160, has a square that overflows to inf
         out = tmp_path / "out"
-        argv = ["simulate", "--sigma-low", "1e308", "--bits", "5", "--samples-per-bit", "150"]
+        argv = ["simulate", "--r-high", "1e300", "--sigma-low", "1e10", "--bits", "5"]
         assert run(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         assert "sigma_high must be positive and finite" in capsys.readouterr().err
@@ -212,6 +212,26 @@ class TestAttack:
         assert run(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         assert "sigma_high must be positive and finite" in capsys.readouterr().err
+
+
+# Finite amplitudes whose squares overflow or underflow: the square of
+# 1e200 is inf and that of 1e-170 is 0.
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["simulate", "--sigma-low", "1e200"], "sigma_low"),
+        (["sweep", "--sigma-low", "1e200"], "sigma_low"),
+        (["simulate", "--sigma-high", "1e-170"], "sigma_high"),
+        (["pdf", "--sigma-low", "1e200"], "sigma_low"),
+        (["attack", "--sigma-high", "1e-170"], "sigma_high"),
+    ],
+    ids=" ".join,
+)
+def test_an_amplitude_with_an_unusable_square_is_named(argv, name, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{name} must be positive and finite, and so must its square" in capsys.readouterr().err
 
 
 class TestPdf:

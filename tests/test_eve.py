@@ -357,32 +357,11 @@ def wrong_hypothesis_row(spec_low, spec_high, n=LONG_ROW):
 
 
 UNIFORM_PAIR = NoiseSpec(DistributionKind.UNIFORM, 1.0), NoiseSpec(DistributionKind.UNIFORM, 2.0)
-# The high source at 1.5 times the compliant amplitude: Alice's row under
-# the wrong hypothesis has variance 5.8 where the claimed one is 9.
-GAUSS_VIOLATION = GAUSS_LOW, NoiseSpec(DistributionKind.GAUSSIAN, 3.0)
-
-
-def node_count(kind):
-    """Number of nodes at which ``kind``'s shape test tabulates its CDF."""
-    half, step = LAWS[kind].cdf_nodes
-    return 2 * round(half / step) + 1
 
 
 def unit_cdf(x):
     """F(x) = x on [0, 1], 0 below and 1 above."""
     return np.clip(x, 0.0, 1.0)
-
-
-def count_interp(monkeypatch) -> list[tuple[int, int]]:
-    """A list that gains ``(values, grid points)`` for each ``np.interp`` call."""
-    calls, interp = [], np.interp
-
-    def counted(x, xp, fp, *args, **kwargs):
-        calls.append((np.size(x), len(xp)))
-        return interp(x, xp, fp, *args, **kwargs)
-
-    monkeypatch.setattr(np, "interp", counted)
-    return calls
 
 
 class TestShapeTest:
@@ -629,22 +608,6 @@ class TestShapeTest:
         sizes = []
         _ks_statistic(x, lambda part: sizes.append(part.size) or cdf(part))
         assert sum(sizes) < 0.05 * x.size
-
-    @pytest.mark.parametrize("n, block_samples", [(1000, 64), (LONG_ROW, 1000)])
-    def test_interp_is_handed_only_the_grid_its_values_span(self, monkeypatch, n, block_samples):
-        # A whole 1000-value row goes in chunks of 64 columns. The 1M-value
-        # row is pruned: after its head pass, which spans the row, its kept
-        # sub-blocks go in batches of 250 columns, each above the last.
-        x, cdf = wrong_hypothesis_row(*GAUSS_VIOLATION, n)
-        nodes = node_count(DistributionKind.GAUSSIAN)
-        monkeypatch.setattr(kljn.line, "BLOCK_SAMPLES", block_samples)
-        interpolated = count_interp(monkeypatch)
-        _ks_statistic(x, cdf)
-        grids = [grid for _, grid in interpolated]
-        if n > FIRST_PRUNED:
-            assert grids.pop(0) <= nodes
-        assert len(grids) > 1
-        assert sum(grids) <= nodes + 2 * len(grids)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="at least 100 samples"):

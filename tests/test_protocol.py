@@ -21,7 +21,19 @@ from kljn import (
 )
 import kljn.cli
 from kljn.cli import _simulate
-from kljn.protocol import SessionOutcome, _classify_rows, _level_cuts, sweep_configs
+from kljn.protocol import (
+    AttackTrialSummary,
+    SessionOutcome,
+    _classify_rows,
+    _level_cuts,
+    sweep_configs,
+)
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is a test extra; its property tests are skipped without it
+    given = None
 
 PAIR = ResistorPair(1.0, 4.0)
 
@@ -219,7 +231,7 @@ def random_outcome(bits: int) -> SessionOutcome:
     bob_high = rng.integers(0, 2, bits).astype(bool)
     verdicts = rng.integers(0, 4, int(np.count_nonzero(alice_high != bob_high)))
     levels = rng.integers(0, 3, bits)
-    return SessionOutcome(alice_high, bob_high, levels, verdicts, verdicts.size / bits, 0.0, 0.5)
+    return SessionOutcome(alice_high, bob_high, levels, verdicts)
 
 
 def simulate_artifacts(outcome: SessionOutcome, monkeypatch) -> dict[str, bytes]:
@@ -227,6 +239,19 @@ def simulate_artifacts(outcome: SessionOutcome, monkeypatch) -> dict[str, bytes]
     monkeypatch.setattr(kljn.cli, "run_session", lambda cfg: outcome)
     artifacts, _ = _simulate(config(), csv=True)
     return {name: b"".join(chunks) for name, chunks in artifacts.items()}
+
+
+# Eve's decision of each verdict code, and her credit for a decision on a
+# bit: 1 when it names Alice's true switch, 0 when it names the other one,
+# 1/2 when she stays undecided.
+DECISIONS = ("undecided", "alice_high", "alice_low", "undecided")
+
+
+def credit_of(verdict: int, alice_high: bool) -> float:
+    decision = DECISIONS[verdict]
+    if decision == "undecided":
+        return 0.5
+    return 1.0 if (decision == "alice_high") == alice_high else 0.0
 
 
 def every_record_outcome() -> tuple[SessionOutcome, list[dict]]:
@@ -248,12 +273,8 @@ def every_record_outcome() -> tuple[SessionOutcome, list[dict]]:
         np.array(bob_high, dtype=bool),
         np.array(levels, dtype=np.intp),
         np.array([v for v in verdicts if v is not None], dtype=np.int64),
-        0.5,
-        0.0,
-        0.5,
     )
     states = ("low", "high")
-    decisions = ("undecided", "alice_high", "alice_low", "undecided")
     expected = []
     for i, (alice, bob, level, verdict) in enumerate(bits):
         secure = alice != bob
@@ -266,7 +287,7 @@ def every_record_outcome() -> tuple[SessionOutcome, list[dict]]:
             "secure": secure,
             "discarded": level != alice + bob,
             "key_bit": alice if kept else None,
-            "eve_decision": None if verdict is None else decisions[verdict],
+            "eve_decision": None if verdict is None else DECISIONS[verdict],
         })
     return outcome, expected
 
@@ -325,11 +346,68 @@ class TestRendering:
         assert outcome.eve_accuracy is None
         assert '"eve_accuracy": null' in outcome.to_json()
 
-    def test_an_empty_outcome_renders_an_empty_bits_list(self):
-        columns = (np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.intp))
-        outcome = SessionOutcome(*columns, np.zeros(0, dtype=np.int64), 0.0, 0.0, None)
-        assert outcome.to_json() == json.dumps(outcome.to_dict(), indent=2, sort_keys=True) + "\n"
-        assert outcome.to_dict()["bits"] == []
+
+def test_an_outcome_with_no_bits_is_refused():
+    no_bits, no_verdicts = np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="at least one bit"):
+        SessionOutcome(no_bits, no_bits, np.zeros(0, dtype=np.intp), no_verdicts)
+    with pytest.raises(ValueError, match="at least one trial"):
+        AttackTrialSummary(no_bits, no_verdicts)
+
+
+if given is not None:
+
+    @st.composite
+    def session_columns(draw) -> tuple[list, list, list, list]:
+        """Consistent columns: any switches and levels, one verdict per mixed bit."""
+        bits = draw(st.integers(1, 64))
+        switches = st.lists(st.booleans(), min_size=bits, max_size=bits)
+        alice_high, bob_high = draw(switches), draw(switches)
+        levels = draw(st.lists(st.integers(0, 2), min_size=bits, max_size=bits))
+        mixed = sum(a != b for a, b in zip(alice_high, bob_high))
+        verdicts = draw(st.lists(st.integers(0, 3), min_size=mixed, max_size=mixed))
+        return alice_high, bob_high, levels, verdicts
+
+    @settings(max_examples=200, deadline=None)
+    @given(session_columns())
+    def test_session_aggregates_follow_their_definitions(columns):
+        alice_high, bob_high, levels, verdicts = columns
+        outcome = SessionOutcome(
+            np.array(alice_high, dtype=bool),
+            np.array(bob_high, dtype=bool),
+            np.array(levels, dtype=np.intp),
+            np.array(verdicts, dtype=np.int64),
+        )
+        mixed_alice = [a for a, b in zip(alice_high, bob_high) if a != b]
+        credit = [credit_of(v, a) for v, a in zip(verdicts, mixed_alice)]
+        assert outcome.secure_bit_fraction == len(mixed_alice) / len(alice_high)
+        assert outcome.bit_error_rate == 0.0
+        assert (outcome.eve_accuracy is None) == (not mixed_alice)
+        if mixed_alice:
+            assert outcome.eve_accuracy == sum(credit) / len(credit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3)), min_size=1, max_size=64))
+    def test_trial_aggregates_follow_their_definitions(trials):
+        alice_high, verdicts = zip(*trials)
+        summary = AttackTrialSummary(
+            np.array(alice_high, dtype=bool), np.array(verdicts, dtype=np.int64)
+        )
+        credit = [credit_of(v, a) for a, v in trials]
+        assert summary.trials == len(trials)
+        assert summary.correct == credit.count(1.0)
+        assert summary.wrong == credit.count(0.0)
+        assert summary.undecided == credit.count(0.5)
+        assert summary.correct + summary.wrong + summary.undecided == summary.trials
+        assert summary.accuracy == (summary.correct + summary.undecided / 2) / summary.trials
+
+else:
+
+    def test_session_aggregates_follow_their_definitions():
+        pytest.skip("needs hypothesis")
+
+    def test_trial_aggregates_follow_their_definitions():
+        pytest.skip("needs hypothesis")
 
 
 class TestSessionConfig:
