@@ -23,8 +23,6 @@ from .noise import (
 from .line import (
     SwitchState,
     line_signals,
-    resistance_for,
-    sigma_for,
     theoretical_line_variance,
 )
 from .density import (
@@ -80,12 +78,10 @@ __all__ = [
     "johnson_sigma",
     "leak_sweep",
     "line_signals",
-    "resistance_for",
     "run_session",
     "sample",
     "scaled_sigma_high",
     "security_sigma_ratio",
-    "sigma_for",
     "stream",
     "theoretical_line_variance",
     "weights",

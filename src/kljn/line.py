@@ -26,20 +26,13 @@ BLOCK_SAMPLES = 2**15
 
 
 class SwitchState(str, Enum):
-    """Which resistor a party has connected for the current bit."""
+    """Which resistor a party has connected, as records and CSV columns name it.
+
+    Computation holds a switch as a bool, high when set.
+    """
 
     LOW = "low"
     HIGH = "high"
-
-
-def resistance_for(pair: ResistorPair, state: SwitchState) -> float:
-    """Resistance a party presents to the line in a given switch state."""
-    return pair.r_low if state is SwitchState.LOW else pair.r_high
-
-
-def sigma_for(state: SwitchState, sigma_low: float, sigma_high: float) -> float:
-    """Noise scale a party drives in a given switch state."""
-    return sigma_low if state is SwitchState.LOW else sigma_high
 
 
 def line_signals(
@@ -134,20 +127,23 @@ def theoretical_line_variance(
     pair: ResistorPair,
     sigma_low: float,
     sigma_high: float,
-    state_alice: SwitchState,
-    state_bob: SwitchState,
+    alice_high: bool,
+    bob_high: bool,
 ) -> float:
     """Exact variance of the line voltage for one joint switch state.
 
-    With independent zero-mean sources the divider gives
+    ``alice_high`` and ``bob_high`` are the switches as Python bools, high
+    when set, as in :class:`kljn.engine.BitColumns`. A party's resistance
+    is ``(pair.r_low, pair.r_high)[high]`` and its amplitude
+    ``(sigma_low, sigma_high)[high]``. With independent zero-mean sources
+    the divider gives
     ``(sigma_a^2 * r_b^2 + sigma_b^2 * r_a^2) / (r_a + r_b)^2``. The two
     mixed states yield the same value, which is what makes them useless
     to an observer and therefore the bit-carrying states.
     """
     check_sigmas(sigma_low, sigma_high)
-    r_a = resistance_for(pair, state_alice)
-    r_b = resistance_for(pair, state_bob)
-    s_a = sigma_for(state_alice, sigma_low, sigma_high)
-    s_b = sigma_for(state_bob, sigma_low, sigma_high)
+    resistances, sigmas = (pair.r_low, pair.r_high), (sigma_low, sigma_high)
+    r_a, r_b = resistances[alice_high], resistances[bob_high]
+    s_a, s_b = sigmas[alice_high], sigmas[bob_high]
     denom = (r_a + r_b) ** 2
     return (s_a**2 * r_b**2 + s_b**2 * r_a**2) / denom

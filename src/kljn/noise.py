@@ -214,8 +214,7 @@ def scaled_sigma_high(pair: ResistorPair, sigma_low: float) -> float:
     amplitude under which an observer of the line signals cannot tell
     which party holds which resistor.
     """
-    if sigma_low <= 0.0:
-        raise ValueError("sigma_low must be positive")
+    _check_amplitude("sigma_low", sigma_low)
     return sigma_low * security_sigma_ratio(pair)
 
 

@@ -237,14 +237,27 @@ class SessionOutcome:
 
 def _level_cuts(pair: ResistorPair, sigma_low: float, sigma_high: float) -> tuple[float, float]:
     """Cut points between adjacent levels: geometric means of their theoretical variances."""
-    v_low = theoretical_line_variance(pair, sigma_low, sigma_high, SwitchState.LOW, SwitchState.LOW)
-    v_mid = theoretical_line_variance(pair, sigma_low, sigma_high, SwitchState.LOW, SwitchState.HIGH)
-    v_high = theoretical_line_variance(
-        pair, sigma_low, sigma_high, SwitchState.HIGH, SwitchState.HIGH
+    v_low, v_mid, v_high = (
+        theoretical_line_variance(pair, sigma_low, sigma_high, a, b)
+        for a, b in ((False, False), (False, True), (True, True))
     )
     if not v_low < v_mid < v_high:
         raise ValueError("level variances are not strictly ordered for this configuration")
-    return math.sqrt(v_low * v_mid), math.sqrt(v_mid * v_high)
+    return _geometric_mean(v_low, v_mid), _geometric_mean(v_mid, v_high)
+
+
+def _geometric_mean(a: float, b: float) -> float:
+    """``sqrt(a * b)`` of two positive finite floats, whose product may underflow or overflow.
+
+    With ``a = m_a * 2**e_a`` and ``b = m_b * 2**e_b`` (:func:`math.frexp`)
+    and ``e = e_a + e_b``, the root of ``m_a * m_b * 2**(e % 2)`` is a
+    normal float, scaled then by ``2**(e // 2)``. Every scaling is by an
+    exact power of two, so wherever ``a * b`` is a normal float the result
+    is bitwise ``math.sqrt(a * b)``, and elsewhere it is finite and positive.
+    """
+    (m_a, e_a), (m_b, e_b) = math.frexp(a), math.frexp(b)
+    e = e_a + e_b
+    return math.ldexp(math.sqrt(math.ldexp(m_a * m_b, e % 2)), e // 2)
 
 
 def _classify_rows(measured: np.ndarray, cuts: tuple[float, float]) -> np.ndarray:

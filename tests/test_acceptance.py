@@ -16,16 +16,13 @@ from kljn import (
     NoiseSpec,
     ResistorPair,
     SessionConfig,
-    SwitchState,
     attack_trials,
     closure_residual,
     convolve_scaled,
     line_signals,
-    resistance_for,
     run_session,
     sample,
     security_sigma_ratio,
-    sigma_for,
     stream,
     theoretical_line_variance,
     wrong_hypothesis_variance,
@@ -186,36 +183,22 @@ def test_criterion_6_uniform_mixture_breaks_closure():
 
 def test_criterion_7_level_ladder():
     n = 1_000_000
-    sigma_low, sigma_high = 1.0, 2.0
-    expected = {
-        (SwitchState.LOW, SwitchState.LOW): 0.5,
-        (SwitchState.LOW, SwitchState.HIGH): 0.8,
-        (SwitchState.HIGH, SwitchState.LOW): 0.8,
-        (SwitchState.HIGH, SwitchState.HIGH): 2.0,
-    }
+    sigmas, resistances = (1.0, 2.0), (PAIR.r_low, PAIR.r_high)
+    # Joint switch states (Alice, Bob), high when set, and their variances.
+    expected = {(False, False): 0.5, (False, True): 0.8, (True, False): 0.8, (True, True): 2.0}
     worst = 0.0
     details = []
-    for idx, ((state_a, state_b), want) in enumerate(expected.items()):
-        assert theoretical_line_variance(PAIR, sigma_low, sigma_high, state_a, state_b) == (
+    for idx, ((a_high, b_high), want) in enumerate(expected.items()):
+        assert theoretical_line_variance(PAIR, *sigmas, a_high, b_high) == (
             pytest.approx(want, rel=1e-12)
         )
-        v_a = sample(
-            NoiseSpec(DistributionKind.GAUSSIAN, sigma_for(state_a, sigma_low, sigma_high)),
-            n,
-            stream(107, idx, 1),
-        )
-        v_b = sample(
-            NoiseSpec(DistributionKind.GAUSSIAN, sigma_for(state_b, sigma_low, sigma_high)),
-            n,
-            stream(107, idx, 2),
-        )
-        voltage, _ = line_signals(
-            v_a, v_b, resistance_for(PAIR, state_a), resistance_for(PAIR, state_b)
-        )
+        v_a = sample(NoiseSpec(DistributionKind.GAUSSIAN, sigmas[a_high]), n, stream(107, idx, 1))
+        v_b = sample(NoiseSpec(DistributionKind.GAUSSIAN, sigmas[b_high]), n, stream(107, idx, 2))
+        voltage, _ = line_signals(v_a, v_b, resistances[a_high], resistances[b_high])
         observed = float(np.mean(voltage**2))
         rel = abs(observed / want - 1.0)
         worst = max(worst, rel)
-        details.append(f"{state_a.value}/{state_b.value}={observed:.4f}")
+        details.append(f"{('low', 'high')[a_high]}/{('low', 'high')[b_high]}={observed:.4f}")
     ok = worst < 0.01
     report(
         7,

@@ -30,7 +30,6 @@ from kljn import (
     attack_trials,
     closure_pair,
     line_signals,
-    resistance_for,
     run_session,
     sample,
     stream,
@@ -53,11 +52,7 @@ def reference_level(measured: float, config: SessionConfig) -> Level:
     """Nearest level in log space: cuts at the geometric means of the ladder, ties fall lower."""
     low, mid, high = (
         theoretical_line_variance(config.pair, config.sigma_low, config.sigma_high, a, b)
-        for a, b in (
-            (SwitchState.LOW, SwitchState.LOW),
-            (SwitchState.LOW, SwitchState.HIGH),
-            (SwitchState.HIGH, SwitchState.HIGH),
-        )
+        for a, b in ((False, False), (False, True), (True, True))
     )
     if measured <= math.sqrt(low * mid):
         return Level.LOW
@@ -73,20 +68,14 @@ def one_bit_verdict(eve: BlockAttack, voltage, current) -> int:
 
 
 def reference_bit(config: SessionConfig, i: int):
-    """Bit ``i`` of a session through the public API: both switch states, line voltage and current."""
-    by_state = {
-        SwitchState.LOW: NoiseSpec(config.kind, config.sigma_low),
-        SwitchState.HIGH: NoiseSpec(config.kind, config.sigma_high),
-    }
-    coins = stream(config.seed, i, 0).integers(0, 2, size=2)
-    a_state = SwitchState.HIGH if coins[0] else SwitchState.LOW
-    b_state = SwitchState.HIGH if coins[1] else SwitchState.LOW
-    v_a = sample(by_state[a_state], config.samples_per_bit, stream(config.seed, i, 1))
-    v_b = sample(by_state[b_state], config.samples_per_bit, stream(config.seed, i, 2))
-    voltage, current = line_signals(
-        v_a, v_b, resistance_for(config.pair, a_state), resistance_for(config.pair, b_state)
-    )
-    return a_state, b_state, voltage, current
+    """Bit ``i`` of a session through the public API: both switches (high when set) and the line."""
+    specs = (NoiseSpec(config.kind, config.sigma_low), NoiseSpec(config.kind, config.sigma_high))
+    resistances = (config.pair.r_low, config.pair.r_high)
+    a_high, b_high = (bool(c) for c in stream(config.seed, i, 0).integers(0, 2, size=2))
+    v_a = sample(specs[a_high], config.samples_per_bit, stream(config.seed, i, 1))
+    v_b = sample(specs[b_high], config.samples_per_bit, stream(config.seed, i, 2))
+    voltage, current = line_signals(v_a, v_b, resistances[a_high], resistances[b_high])
+    return a_high, b_high, voltage, current
 
 
 def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict], tuple]:
@@ -102,19 +91,21 @@ def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict]
     spec_low = NoiseSpec(config.kind, config.sigma_low)
     spec_high = NoiseSpec(config.kind, config.sigma_high)
     eve = BlockAttack(config.pair, spec_low, spec_high, config.significance)
+    states = (SwitchState.LOW, SwitchState.HIGH)
     alice_high, bob_high, levels, verdicts, credit, bits = [], [], [], [], [], []
     for i in range(config.bits):
-        a_state, b_state, voltage, current = reference_bit(config, i)
+        a_high, b_high, voltage, current = reference_bit(config, i)
+        a_state, b_state = states[a_high], states[b_high]
         level = reference_level(float(np.mean(voltage**2)), config)
-        secure = a_state is not b_state
+        secure = a_high != b_high
         if secure:
             true_level = Level.MID
         else:
-            true_level = Level.LOW if a_state is SwitchState.LOW else Level.HIGH
+            true_level = Level.HIGH if a_high else Level.LOW
         discarded = level is not true_level
         decision = None
-        alice_high.append(a_state is SwitchState.HIGH)
-        bob_high.append(b_state is SwitchState.HIGH)
+        alice_high.append(a_high)
+        bob_high.append(b_high)
         levels.append(list(Level).index(level))
         if secure:
             verdicts.append(one_bit_verdict(eve, voltage, current))
@@ -129,7 +120,7 @@ def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict]
                 "classified_level": level.value,
                 "discarded": discarded,
                 "eve_decision": decision,
-                "key_bit": None if discarded or not secure else int(a_state is SwitchState.HIGH),
+                "key_bit": None if discarded or not secure else int(a_high),
                 "secure": secure,
             }
         )
@@ -145,18 +136,16 @@ def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict]
 
 def reference_trials(spec_low, spec_high, samples, trials, seed):
     """The per-trial attack loop: Alice's true switches and the verdict codes."""
-    by_state = {SwitchState.LOW: spec_low, SwitchState.HIGH: spec_high}
+    specs, resistances = (spec_low, spec_high), (PAIR.r_low, PAIR.r_high)
     eve = BlockAttack(PAIR, spec_low, spec_high, 0.01)
     alice_high, verdicts = [], []
     for t in range(trials):
-        alice_low = bool(stream(seed, t, 0).integers(0, 2))
-        a_state = SwitchState.LOW if alice_low else SwitchState.HIGH
-        b_state = SwitchState.HIGH if alice_low else SwitchState.LOW
-        v_a = sample(by_state[a_state], samples, stream(seed, t, 1))
-        v_b = sample(by_state[b_state], samples, stream(seed, t, 2))
-        line = line_signals(v_a, v_b, resistance_for(PAIR, a_state), resistance_for(PAIR, b_state))
+        a_high = not stream(seed, t, 0).integers(0, 2)
+        v_a = sample(specs[a_high], samples, stream(seed, t, 1))
+        v_b = sample(specs[not a_high], samples, stream(seed, t, 2))
+        line = line_signals(v_a, v_b, resistances[a_high], resistances[not a_high])
         verdicts.append(one_bit_verdict(eve, *line))
-        alice_high.append(not alice_low)
+        alice_high.append(a_high)
     return np.array(alice_high), np.array(verdicts, dtype=np.intp)
 
 

@@ -10,16 +10,19 @@ from kljn import (
     DistributionKind,
     NoiseSpec,
     ResistorPair,
-    SwitchState,
     line_signals,
-    resistance_for,
     sample,
-    sigma_for,
     stream,
     theoretical_line_variance,
 )
 from kljn.line import BLOCK_SAMPLES, line_block
 from kljn.noise import BlockStreams
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is a test extra; its property test is skipped without it
+    given = None
 
 PAIR = ResistorPair(1.0, 4.0)
 
@@ -138,66 +141,53 @@ def test_block_refuses_a_divider_product_that_overflows():
         solve_one_mixed_bit(pair, spec, spec)
 
 
-def test_state_helpers():
-    assert resistance_for(PAIR, SwitchState.LOW) == 1.0
-    assert resistance_for(PAIR, SwitchState.HIGH) == 4.0
-    assert sigma_for(SwitchState.LOW, 1.0, 2.0) == 1.0
-    assert sigma_for(SwitchState.HIGH, 1.0, 2.0) == 2.0
-
-
 class TestTheoreticalVariance:
     """The (1, 4) ohm pair with sigmas (1, 2) gives the 0.5 / 0.8 / 2.0 ladder."""
 
     def test_reference_ladder(self):
-        ll = theoretical_line_variance(PAIR, 1.0, 2.0, SwitchState.LOW, SwitchState.LOW)
-        lh = theoretical_line_variance(PAIR, 1.0, 2.0, SwitchState.LOW, SwitchState.HIGH)
-        hh = theoretical_line_variance(PAIR, 1.0, 2.0, SwitchState.HIGH, SwitchState.HIGH)
+        ll = theoretical_line_variance(PAIR, 1.0, 2.0, False, False)
+        lh = theoretical_line_variance(PAIR, 1.0, 2.0, False, True)
+        hh = theoretical_line_variance(PAIR, 1.0, 2.0, True, True)
         assert ll == pytest.approx(0.5, rel=1e-15)
         assert lh == pytest.approx(0.8, rel=1e-15)
         assert hh == pytest.approx(2.0, rel=1e-15)
 
     def test_mixed_states_coincide_exactly(self):
-        lh = theoretical_line_variance(PAIR, 1.0, 2.0, SwitchState.LOW, SwitchState.HIGH)
-        hl = theoretical_line_variance(PAIR, 1.0, 2.0, SwitchState.HIGH, SwitchState.LOW)
+        lh = theoretical_line_variance(PAIR, 1.0, 2.0, False, True)
+        hl = theoretical_line_variance(PAIR, 1.0, 2.0, True, False)
         assert lh == hl
 
     def test_ladder_is_ordered(self):
-        ll = theoretical_line_variance(PAIR, 1.0, 2.0, SwitchState.LOW, SwitchState.LOW)
-        lh = theoretical_line_variance(PAIR, 1.0, 2.0, SwitchState.LOW, SwitchState.HIGH)
-        hh = theoretical_line_variance(PAIR, 1.0, 2.0, SwitchState.HIGH, SwitchState.HIGH)
+        ll = theoretical_line_variance(PAIR, 1.0, 2.0, False, False)
+        lh = theoretical_line_variance(PAIR, 1.0, 2.0, False, True)
+        hh = theoretical_line_variance(PAIR, 1.0, 2.0, True, True)
         assert ll < lh < hh
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
-            theoretical_line_variance(PAIR, 0.0, 2.0, SwitchState.LOW, SwitchState.LOW)
+            theoretical_line_variance(PAIR, 0.0, 2.0, False, False)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_sigma(self, bad):
         with pytest.raises(ValueError, match="sigma_low must be positive and finite"):
-            theoretical_line_variance(PAIR, bad, 2.0, SwitchState.LOW, SwitchState.HIGH)
+            theoretical_line_variance(PAIR, bad, 2.0, False, True)
         with pytest.raises(ValueError, match="sigma_high must be positive and finite"):
-            theoretical_line_variance(PAIR, 1.0, bad, SwitchState.LOW, SwitchState.HIGH)
+            theoretical_line_variance(PAIR, 1.0, bad, False, True)
 
     @pytest.mark.parametrize("kind", [DistributionKind.GAUSSIAN, DistributionKind.UNIFORM])
     @pytest.mark.parametrize(
-        "state_a,state_b",
-        [
-            (SwitchState.LOW, SwitchState.LOW),
-            (SwitchState.LOW, SwitchState.HIGH),
-            (SwitchState.HIGH, SwitchState.LOW),
-            (SwitchState.HIGH, SwitchState.HIGH),
-        ],
+        "alice_high,bob_high",
+        [(False, False), (False, True), (True, False), (True, True)],
+        ids=["low-low", "low-high", "high-low", "high-high"],
     )
-    def test_monte_carlo_agrees(self, kind, state_a, state_b):
+    def test_monte_carlo_agrees(self, kind, alice_high, bob_high):
         n = 200_000
-        sigma_low, sigma_high = 1.0, 2.0
-        v_a = sample(NoiseSpec(kind, sigma_for(state_a, sigma_low, sigma_high)), n, stream(10))
-        v_b = sample(NoiseSpec(kind, sigma_for(state_b, sigma_low, sigma_high)), n, stream(11))
-        voltage, _ = line_signals(
-            v_a, v_b, resistance_for(PAIR, state_a), resistance_for(PAIR, state_b)
-        )
+        sigmas, resistances = (1.0, 2.0), (PAIR.r_low, PAIR.r_high)
+        v_a = sample(NoiseSpec(kind, sigmas[alice_high]), n, stream(10))
+        v_b = sample(NoiseSpec(kind, sigmas[bob_high]), n, stream(11))
+        voltage, _ = line_signals(v_a, v_b, resistances[alice_high], resistances[bob_high])
         observed = float(np.mean(voltage**2))
-        expected = theoretical_line_variance(PAIR, sigma_low, sigma_high, state_a, state_b)
+        expected = theoretical_line_variance(PAIR, *sigmas, alice_high, bob_high)
         assert abs(observed / expected - 1.0) < 5.0 * math.sqrt(2.0 / n)
 
     def test_current_variance_symmetry_between_mixed_states(self):
@@ -212,3 +202,30 @@ class TestTheoreticalVariance:
         for current in (lh, hl):
             observed = float(np.mean(current**2))
             assert abs(observed / expected - 1.0) < 5.0 * math.sqrt(2.0 / n)
+
+
+if given is not None:
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+    )
+    def test_variance_is_the_divider_formula_at_every_state(r_low, r_step, sigma_low, sigma_high):
+        pair = ResistorPair(r_low, r_low + r_step)
+        for alice_high in (False, True):
+            for bob_high in (False, True):
+                r_a = pair.r_high if alice_high else pair.r_low
+                r_b = pair.r_high if bob_high else pair.r_low
+                s_a = sigma_high if alice_high else sigma_low
+                s_b = sigma_high if bob_high else sigma_low
+                want = (s_a**2 * r_b**2 + s_b**2 * r_a**2) / (r_a + r_b) ** 2
+                got = theoretical_line_variance(pair, sigma_low, sigma_high, alice_high, bob_high)
+                assert got == want
+
+else:
+
+    def test_variance_is_the_divider_formula_at_every_state():
+        pytest.skip("needs hypothesis")

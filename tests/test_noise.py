@@ -59,9 +59,11 @@ class TestScaledSigmaHigh:
     def test_four_to_one_pair_doubles(self):
         assert scaled_sigma_high(ResistorPair(1.0, 4.0), 1.5) == 3.0
 
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            scaled_sigma_high(ResistorPair(1.0, 4.0), 0.0)
+    # The square of 1e200 overflows, which the amplitude rule refuses too.
+    @pytest.mark.parametrize("sigma_low", [0.0, math.nan, math.inf, 1e200])
+    def test_rejects_nonpositive_sigma(self, sigma_low):
+        with pytest.raises(ValueError, match="sigma_low must be positive and finite"):
+            scaled_sigma_high(ResistorPair(1.0, 4.0), sigma_low)
 
 
 class TestResistorPair:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from kljn.protocol import (
 )
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import assume, given, settings
     from hypothesis import strategies as st
 except ImportError:  # hypothesis is a test extra; its property tests are skipped without it
     given = None
@@ -95,6 +96,19 @@ class TestClassifyLevel:
             level_of(-0.1, PAIR, 1.0, 2.0)
         with pytest.raises(ValueError):
             level_of(math.nan, PAIR, 1.0, 2.0)
+
+    @pytest.mark.parametrize("far, near", [(1e-100, 1e-70), (1e100, 1e70)])
+    def test_cuts_hold_where_the_ladder_products_leave_the_float_range(self, far, near):
+        # Adjacent level variances multiply to 0 at sigma_low 1e-100 and to
+        # inf at 1e100; at 1e-70 and 1e70 their products are normal floats.
+        low_cut, high_cut = _level_cuts(PAIR, far, 2.0 * far)
+        assert 0.0 < low_cut < high_cut < math.inf
+
+        def split(sigma_low):
+            out = run_session(config(sigma_low=sigma_low, sigma_high=2.0 * sigma_low, bits=200))
+            return np.bincount(out.levels, minlength=len(Level)).tolist()
+
+        assert split(far) == split(near)
 
     def test_rejects_unordered_ladder(self):
         # a tiny high-side amplitude collapses the ladder ordering, which
@@ -175,8 +189,7 @@ class TestRunSession:
         n = 100
         outcome = run_session(config(samples_per_bit=n, bits=4000, seed=11))
         edges = (0.0, *_level_cuts(PAIR, 1.0, 2.0), math.inf)
-        low, high = SwitchState.LOW, SwitchState.HIGH
-        ladder = ([(low, low)], [(low, high), (high, low)], [(high, high)])
+        ladder = ([(False, False)], [(False, True), (True, False)], [(True, True)])
         for k, true_states in enumerate(ladder):
             variance = theoretical_line_variance(PAIR, 1.0, 2.0, *true_states[0])
             lower, upper = (chi2.cdf(n * edge / variance, n) for edge in edges[k : k + 2])
@@ -184,7 +197,8 @@ class TestRunSession:
             bits = [
                 r
                 for r in records(outcome)
-                if (SwitchState(r["alice_state"]), SwitchState(r["bob_state"])) in true_states
+                if (r["alice_state"] == SwitchState.HIGH, r["bob_state"] == SwitchState.HIGH)
+                in true_states
             ]
             discards = sum(r["discarded"] for r in bits)
             spread = math.sqrt(len(bits) * misread * (1.0 - misread))
@@ -401,7 +415,33 @@ if given is not None:
         assert summary.correct + summary.wrong + summary.undecided == summary.trials
         assert summary.accuracy == (summary.correct + summary.undecided / 2) / summary.trials
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.floats(1.0, 10.0),
+        st.integers(-120, 120),
+        st.floats(1.0, 4.0),
+    )
+    def test_level_cuts_are_the_geometric_means_of_the_ladder(r_low, r_step, m, e, ratio):
+        pair = ResistorPair(r_low, r_low + r_step)
+        sigma_low = m * 10.0**e
+        sigma_high = sigma_low * ratio
+        v_low, v_mid, v_high = (
+            theoretical_line_variance(pair, sigma_low, sigma_high, a, b)
+            for a, b in ((False, False), (False, True), (True, True))
+        )
+        assume(v_low < v_mid < v_high)
+        cuts = _level_cuts(pair, sigma_low, sigma_high)
+        assert v_low <= cuts[0] <= v_mid <= cuts[1] <= v_high
+        for cut, (a, b) in zip(cuts, ((v_low, v_mid), (v_mid, v_high))):
+            if sys.float_info.min <= a * b < math.inf:
+                assert cut == math.sqrt(a * b)
+
 else:
+
+    def test_level_cuts_are_the_geometric_means_of_the_ladder():
+        pytest.skip("needs hypothesis")
 
     def test_session_aggregates_follow_their_definitions():
         pytest.skip("needs hypothesis")
