@@ -21,7 +21,6 @@ from .noise import (
     stream,
 )
 from .line import (
-    SwitchState,
     line_signals,
     theoretical_line_variance,
 )
@@ -37,14 +36,12 @@ from .density import (
 )
 from .eve import (
     BlockAttack,
-    EveDecision,
     VERDICTS,
     credits,
     wrong_hypothesis_variance,
 )
 from .protocol import (
     AttackTrialSummary,
-    Level,
     SessionConfig,
     SessionOutcome,
     SweepPoint,
@@ -57,16 +54,13 @@ __all__ = [
     "AttackTrialSummary",
     "BlockAttack",
     "DistributionKind",
-    "EveDecision",
     "HypothesisWeights",
-    "Level",
     "NoiseSpec",
     "PdfGrid",
     "ResistorPair",
     "SessionConfig",
     "SessionOutcome",
     "SweepPoint",
-    "SwitchState",
     "TruncationError",
     "VERDICTS",
     "analytic_pdf",

@@ -21,11 +21,12 @@ manifest's config all come from these two tables.
 All four commands take one path through :func:`main`: resolve settings,
 validate them, create ``--out``, run, write the artifacts, write the
 manifest, print. A command supplies only a validator, which fills in the
-settings derived from the others and maps them to the manifest's config
-and the run's inputs, and a run that maps those inputs and ``--csv`` to
-its artifacts, keyed by file name, and the text to print. An artifact is
-an iterable of encoded byte chunks (a JSON summary is one chunk), which
-:func:`main` writes and feeds to the artifact's sha256 as they arrive.
+settings derived from the others (the resolved settings, so filled, are
+the manifest's config) and returns the run's inputs, and a run that maps
+those inputs and ``--csv`` to its artifacts, keyed by file name, and the
+text to print. An artifact is an iterable of encoded byte chunks (a JSON
+summary is one chunk), which :func:`main` writes and feeds to the
+artifact's sha256 as they arrive.
 The large artifacts are rendered a block of CSV rows or a session record
 at a time, so none is ever held whole and a run's memory does not grow
 with its output.
@@ -62,11 +63,10 @@ from . import __version__
 from .density import closure_pair, l1_residual, mixture_grid, weights
 from .engine import WorkerError, check_run_settings
 from .eve import VERDICTS, credits
-from .line import SwitchState
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, check_variance
 from .noise import scaled_sigma_high
-from .protocol import BIT_FIELDS, RECORDS, SessionConfig, attack_trials, leak_sweep, run_session
-from .protocol import sweep_configs
+from .protocol import BIT_FIELDS, RECORDS, SWITCHES, SessionConfig, attack_trials, leak_sweep
+from .protocol import run_session, sweep_configs
 
 # Rows keyed together by one np.unique in a float column, and rows joined
 # and encoded into one CSV chunk.
@@ -116,6 +116,8 @@ _SETTINGS = {
 }
 _NOISE = ("r_low", "r_high", "kind", "sigma_low", "sigma_high")
 _SESSION = ("seed", *_NOISE, "samples_per_bit", "bits", "significance")
+# Every sweep point derives its own sigma_high, so sweep has no such setting.
+_SWEEP = tuple(name for name in (*_SESSION, "multipliers") if name != "sigma_high")
 # Each command's help, its settings in flag order (exactly the keys its
 # --config file may set and its manifest records), and the help of its
 # --csv flag, None where it has none.
@@ -127,7 +129,7 @@ _COMMAND_FLAGS = {
         "also write per-trial decisions as CSV",
     ),
     "pdf": ("tabulate the wrong-hypothesis mixture density", (*_NOISE, "dx", "half_width"), None),
-    "sweep": ("rerun sessions at scaled amplitude violations", (*_SESSION, "multipliers"), None),
+    "sweep": ("rerun sessions at scaled amplitude violations", _SWEEP, None),
 }
 # The JSON a --config value of each setting type must be: the Python types
 # json.load gives for it, and its name in a refusal. A list holds numbers.
@@ -262,12 +264,6 @@ def _multipliers(raw: str | list) -> list[float]:
         raise ValueError(f"bad multiplier: {exc}") from exc
 
 
-# Each validator maps the resolved settings to the manifest's config (the
-# same settings, derived values filled in) and the run's inputs.
-def _simulate_inputs(s: dict) -> tuple[dict, SessionConfig]:
-    return s, _session(s)
-
-
 def _simulate(config: SessionConfig, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
     outcome = run_session(config)
     artifacts = {"session.json": map(str.encode, outcome.json_chunks())}
@@ -283,13 +279,13 @@ def _simulate(config: SessionConfig, csv: bool) -> tuple[dict[str, Iterable[byte
     )
 
 
-def _attack_inputs(s: dict) -> tuple[dict, tuple]:
+def _attack_inputs(s: dict) -> tuple:
     pair = _noise(s)
     check_sigmas(s["sigma_low"], s["sigma_high"])
     trial = s["samples"], s["trials"], s["significance"], s["seed"]
     check_run_settings(*trial, ("samples", "trials"))
     specs = NoiseSpec(s["kind"], s["sigma_low"]), NoiseSpec(s["kind"], s["sigma_high"])
-    return s, (pair, *specs, *trial)  # the arguments of attack_trials
+    return (pair, *specs, *trial)  # the arguments of attack_trials
 
 
 def _attack(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
@@ -298,8 +294,8 @@ def _attack(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
     if csv:
         columns = (
             map(str, range(summary.trials)),
-            np.where(summary.alice_high, SwitchState.HIGH.value, SwitchState.LOW.value).tolist(),
-            [VERDICTS[k].value for k in summary.verdicts.tolist()],
+            map(SWITCHES.__getitem__, summary.alice_high.tolist()),
+            map(VERDICTS.__getitem__, summary.verdicts.tolist()),
             map(repr, credits(summary.verdicts, summary.alice_high).tolist()),
         )
         artifacts["trials.csv"] = _csv_bytes("trial,true_alice,decision,credit", zip(*columns))
@@ -309,13 +305,13 @@ def _attack(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
     )
 
 
-def _pdf_inputs(s: dict) -> tuple[dict, tuple]:
+def _pdf_inputs(s: dict) -> tuple:
     pair = _noise(s)
     kind = DistributionKind(s["kind"])
     check_variance(kind, "variance-matched pdf comparisons")
     w = weights(pair, s["sigma_low"], s["sigma_high"])
     s["dx"], s["half_width"] = mixture_grid(w, s["dx"], s["half_width"])
-    return s, (kind, w, s["dx"], s["half_width"])
+    return kind, w, s["dx"], s["half_width"]
 
 
 def _pdf(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
@@ -346,11 +342,12 @@ def _pdf(inputs: tuple, csv: bool) -> tuple[dict[str, Iterable[bytes]], str]:
     )
 
 
-def _sweep_inputs(s: dict) -> tuple[dict, tuple[SessionConfig, list[float]]]:
+def _sweep_inputs(s: dict) -> tuple[SessionConfig, list[float]]:
+    """The base session takes the compliant ``sigma_high``, which every point replaces."""
     s["multipliers"] = _multipliers(s["multipliers"])
-    config = _session(s)
+    config = _session({**s, "sigma_high": None})
     sweep_configs(config, s["multipliers"])  # checks every point's sigma_high before --out exists
-    return s, (config, s["multipliers"])
+    return config, s["multipliers"]
 
 
 def _sweep(
@@ -376,8 +373,11 @@ def _sweep(
     )
 
 
+# Each command's validator and run. A validator fills the derived values into
+# the resolved settings, which become the manifest's config, and returns the
+# run's inputs; a session's are its SessionConfig.
 _COMMANDS = {
-    "simulate": (_simulate_inputs, _simulate),
+    "simulate": (_session, _simulate),
     "attack": (_attack_inputs, _attack),
     "pdf": (_pdf_inputs, _pdf),
     "sweep": (_sweep_inputs, _sweep),
@@ -422,7 +422,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     validate, run = _COMMANDS[args.command]
     try:
-        config, inputs = validate(_resolve(args))
+        config = _resolve(args)
+        inputs = validate(config)
     except (TypeError, ValueError, ArithmeticError) as exc:
         _print_error(exc)
         return 2

@@ -23,7 +23,7 @@ and p-value as arrays indexed ``[hypothesis, party, row]``, and which
 hypotheses each row rejects. That is the per-bit evidence behind each
 verdict, split into the variance channel and the shape channel. A verdict
 is an int code per row, :meth:`BlockAttack.verdicts`; :data:`VERDICTS`
-decodes it to an :class:`EveDecision` and :func:`credits` scores it. The
+decodes it to the decision's name and :func:`credits` scores it. The
 runs that attack bits block by block are :mod:`kljn.engine`'s.
 """
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -66,14 +65,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # _ks_statistic).
 _KS_MIN_WIDTH = 64
 _KS_MARGIN = 1e-12
-
-
-class EveDecision(str, Enum):
-    """Outcome of one attack on one mixed-state bit."""
-
-    ALICE_LOW = "alice_low"
-    ALICE_HIGH = "alice_high"
-    UNDECIDED = "undecided"
 
 
 def _reconstruct(
@@ -241,14 +232,10 @@ def _shape_cdf(spec: NoiseSpec) -> ShapeCdf:
     return lambda x: np.interp(x, nodes, table)
 
 
-# Decision of each verdict code, low_rejected + 2 * high_rejected: none or
-# both rejected leaves the bit undecided.
-VERDICTS = (
-    EveDecision.UNDECIDED,
-    EveDecision.ALICE_HIGH,
-    EveDecision.ALICE_LOW,
-    EveDecision.UNDECIDED,
-)
+# The decision of each verdict code, low_rejected + 2 * high_rejected, as
+# records and trials.csv name it: none or both rejected leaves the bit
+# undecided.
+VERDICTS = ("undecided", "alice_high", "alice_low", "undecided")
 # Credit of each verdict code [code, alice_high]: 1 correct, 0 wrong, 0.5 undecided.
 _CREDITS = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
 _CREDITS.setflags(write=False)

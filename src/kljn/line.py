@@ -9,8 +9,6 @@ sees derives from these two public signals.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .noise import BlockStreams, NoiseSpec, ResistorPair, check_finite, check_sigmas, sample
@@ -23,16 +21,6 @@ from .noise import BlockStreams, NoiseSpec, ResistorPair, check_finite, check_si
 # column chunk of this budget at a time, so a long trace that runs alone
 # peaks at three float64 arrays of its own length in each process.
 BLOCK_SAMPLES = 2**15
-
-
-class SwitchState(str, Enum):
-    """Which resistor a party has connected, as records and CSV columns name it.
-
-    Computation holds a switch as a bool, high when set.
-    """
-
-    LOW = "low"
-    HIGH = "high"
 
 
 def line_signals(

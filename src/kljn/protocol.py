@@ -28,27 +28,23 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from functools import cache
 
 import numpy as np
 
 from .engine import check_run_settings, run
 from .eve import VERDICTS, BlockAttack, credits
-from .line import SwitchState, theoretical_line_variance
+from .line import theoretical_line_variance
 from .noise import DistributionKind, NoiseSpec, ResistorPair, check_sigmas, check_variance
 from .noise import security_sigma_ratio
 # Unused here; bench/test_bench.py checks that its tracer wraps this binding.
 from .noise import stream  # noqa: F401
 
 
-class Level(str, Enum):
-    """Classified line-voltage variance band."""
-
-    LOW = "low"
-    MID = "mid"
-    HIGH = "high"
-
+# The names records give a switch (by the bool, high when set) and a
+# classified level (by its index, low to high).
+SWITCHES = ("low", "high")
+LEVELS = ("low", "mid", "high")
 
 # The per-bit fields of a session's records, in the column order of bits.csv.
 BIT_FIELDS = (
@@ -67,25 +63,24 @@ def _record(alice_high: int, bob_high: int, level: int, verdict: int) -> tuple:
     """A bit's fields after ``bit_index`` (``BIT_FIELDS[1:]``): the one rule that derives them.
 
     ``alice_high`` and ``bob_high`` are the switches (1 when high), ``level``
-    the classified level's index in ``Level`` and ``verdict`` the attack's
-    verdict code (:data:`kljn.eve.VERDICTS`), -1 for a bit that is not
-    secure. States, levels and decisions are their enum values. A bit is
-    discarded when its level is not the true one, which the number of high
-    switches indexes. Its ``key_bit`` (Alice's switch, low 0 and high 1) is
-    None unless it is secure and kept, and its ``eve_decision`` is None
-    unless it is secure.
+    the classified level's index, low to high, and ``verdict`` the attack's
+    verdict code, -1 for a bit that is not secure. Each is named by its
+    entry in :data:`SWITCHES`, :data:`LEVELS` or :data:`kljn.eve.VERDICTS`.
+    A bit is discarded when its level is not the true one, which the
+    number of high switches indexes. Its ``key_bit`` (Alice's switch, low 0
+    and high 1) is None unless it is secure and kept, and its
+    ``eve_decision`` is None unless it is secure.
     """
     secure = alice_high != bob_high
     discarded = level != alice_high + bob_high
-    states = (SwitchState.LOW, SwitchState.HIGH)
     return (
-        states[alice_high].value,
-        states[bob_high].value,
-        list(Level)[level].value,
+        SWITCHES[alice_high],
+        SWITCHES[bob_high],
+        LEVELS[level],
         secure,
         discarded,
         alice_high if secure and not discarded else None,
-        None if verdict < 0 else VERDICTS[verdict].value,
+        None if verdict < 0 else VERDICTS[verdict],
     )
 
 
@@ -154,7 +149,7 @@ class SessionOutcome:
     """The per-bit outcome of a session as read-only columns, and its aggregates.
 
     ``alice_high``, ``bob_high`` (each party's switch, high when set) and
-    ``levels`` (the classified level's index in ``Level``, low to high)
+    ``levels`` (the classified level's index in :data:`LEVELS`)
     hold one entry per bit, of which there is at least one. ``verdicts``
     holds the attack's verdict code (:data:`kljn.eve.VERDICTS`) of each
     secure bit, in bit order. The aggregates are derived from the columns
@@ -237,10 +232,12 @@ class SessionOutcome:
 
 def _level_cuts(pair: ResistorPair, sigma_low: float, sigma_high: float) -> tuple[float, float]:
     """Cut points between adjacent levels: geometric means of their theoretical variances."""
-    v_low, v_mid, v_high = (
+    v_low, v_mid, v_high = variances = [
         theoretical_line_variance(pair, sigma_low, sigma_high, a, b)
         for a, b in ((False, False), (False, True), (True, True))
-    )
+    ]
+    if not all(map(math.isfinite, variances)):
+        raise ValueError("level variances overflow to infinity for this configuration")
     if not v_low < v_mid < v_high:
         raise ValueError("level variances are not strictly ordered for this configuration")
     return _geometric_mean(v_low, v_mid), _geometric_mean(v_mid, v_high)
@@ -261,7 +258,7 @@ def _geometric_mean(a: float, b: float) -> float:
 
 
 def _classify_rows(measured: np.ndarray, cuts: tuple[float, float]) -> np.ndarray:
-    """Level index (in ``Level``, low to high) of each measured variance, nearest in log space.
+    """Level index (in :data:`LEVELS`) of each measured variance, nearest in log space.
 
     A value exactly on a cut falls to the lower level.
     """

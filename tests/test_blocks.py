@@ -20,12 +20,10 @@ import kljn.line
 from kljn import (
     BlockAttack,
     DistributionKind,
-    Level,
     NoiseSpec,
     ResistorPair,
     SessionConfig,
     SessionOutcome,
-    SwitchState,
     VERDICTS,
     attack_trials,
     closure_pair,
@@ -48,17 +46,17 @@ except ImportError:  # hypothesis is a test extra; its property test is skipped 
 PAIR = ResistorPair(1.0, 4.0)
 
 
-def reference_level(measured: float, config: SessionConfig) -> Level:
+def reference_level(measured: float, config: SessionConfig) -> str:
     """Nearest level in log space: cuts at the geometric means of the ladder, ties fall lower."""
     low, mid, high = (
         theoretical_line_variance(config.pair, config.sigma_low, config.sigma_high, a, b)
         for a, b in ((False, False), (False, True), (True, True))
     )
     if measured <= math.sqrt(low * mid):
-        return Level.LOW
+        return "low"
     if measured <= math.sqrt(mid * high):
-        return Level.MID
-    return Level.HIGH
+        return "mid"
+    return "high"
 
 
 def one_bit_verdict(eve: BlockAttack, voltage, current) -> int:
@@ -91,7 +89,7 @@ def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict]
     spec_low = NoiseSpec(config.kind, config.sigma_low)
     spec_high = NoiseSpec(config.kind, config.sigma_high)
     eve = BlockAttack(config.pair, spec_low, spec_high, config.significance)
-    states = (SwitchState.LOW, SwitchState.HIGH)
+    states = ("low", "high")
     alice_high, bob_high, levels, verdicts, credit, bits = [], [], [], [], [], []
     for i in range(config.bits):
         a_high, b_high, voltage, current = reference_bit(config, i)
@@ -99,25 +97,25 @@ def reference_session(config: SessionConfig) -> tuple[SessionOutcome, list[dict]
         level = reference_level(float(np.mean(voltage**2)), config)
         secure = a_high != b_high
         if secure:
-            true_level = Level.MID
+            true_level = "mid"
         else:
-            true_level = Level.HIGH if a_high else Level.LOW
-        discarded = level is not true_level
+            true_level = "high" if a_high else "low"
+        discarded = level != true_level
         decision = None
         alice_high.append(a_high)
         bob_high.append(b_high)
-        levels.append(list(Level).index(level))
+        levels.append(("low", "mid", "high").index(level))
         if secure:
             verdicts.append(one_bit_verdict(eve, voltage, current))
-            decision = VERDICTS[verdicts[-1]].value
-            names_alice = decision == f"alice_{a_state.value}"
+            decision = VERDICTS[verdicts[-1]]
+            names_alice = decision == f"alice_{a_state}"
             credit.append(0.5 if decision == "undecided" else float(names_alice))
         bits.append(
             {
-                "alice_state": a_state.value,
+                "alice_state": a_state,
                 "bit_index": i,
-                "bob_state": b_state.value,
-                "classified_level": level.value,
+                "bob_state": b_state,
+                "classified_level": level,
                 "discarded": discarded,
                 "eve_decision": decision,
                 "key_bit": None if discarded or not secure else int(a_high),

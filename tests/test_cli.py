@@ -130,6 +130,20 @@ class TestSimulate:
         assert run(["simulate", "--kind", "cauchy", "--out", str(tmp_path)]) == 2
         assert run(["simulate", "--samples-per-bit", "50", "--out", str(tmp_path)]) == 2
 
+    def test_an_overflowing_level_variance_is_usage_error(self, tmp_path, capsys):
+        # The high-high variance is 2e288, but its term (sigma_high * r_high)**2,
+        # 4e308, overflows to inf; at sigma_low 1e130 every term is finite.
+        out = tmp_path / "out"
+        argv = ["simulate", "--r-high", "1e10", "--bits", "200"]
+        assert run(argv + ["--sigma-low", "2e139", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "level variances overflow" in capsys.readouterr().err
+        assert run(argv + ["--sigma-low", "1e130", "--out", str(out)]) == 0
+        bits = read_json(out / "session.json")["bits"]
+        levels = [r["classified_level"] for r in bits]
+        assert [levels.count(level) for level in ("low", "mid", "high")] == [47, 101, 52]
+        assert not any(r["discarded"] for r in bits)
+
     def test_overflowing_sigma_high_is_usage_error(self, tmp_path, capsys):
         # the compliant sigma_high, 1e160, has a square that overflows to inf
         out = tmp_path / "out"
@@ -377,7 +391,7 @@ PINNED_MANIFESTS = [
     pytest.param(
         ["sweep", "--bits", "20", "--samples-per-bit", "300", "--multipliers", "1.0,2.0",
          "--seed", "7"],
-        "6a98021b07b5cff3abbb9c1f60f90307b633e258a3d98f15ddb54586de49b6d2",
+        "9606cff5f5f7d92600b3bbb74b46d7a362fa7f47da6eb7c05c7a29ea44b711f9",
         id="sweep",
     ),
     # 1.1 gives an accuracy of 0.5625, strictly between the extremes, so this
@@ -385,7 +399,7 @@ PINNED_MANIFESTS = [
     pytest.param(
         ["sweep", "--bits", "20", "--samples-per-bit", "300", "--multipliers", "1.0,1.1,2.0",
          "--seed", "7"],
-        "2a4146d70363501467cdac5e0df27447ba31a25bc50ff2e6a6325a2c09b8f74c",
+        "3595ef81989a4659e65110a7b66da6b4164498c49cd13d8643434fbbe95bb3b9",
         id="sweep-between",
     ),
 ]
@@ -528,6 +542,11 @@ USAGE_CASES = [
     (["pdf", "--sigma-low", "1e-152"], None),
     (["pdf", "--kind", "uniform", "--sigma-low", "1e-152"], None),
     (["pdf", "--sigma-low", "1e-200"], None),
+    # a level variance that overflows, and sweep's sigma_high, which every
+    # point derives, as a flag or a config key
+    (["sweep", "--r-high", "1e10", "--sigma-low", "2e139", "--bits", "20"], None),
+    (["sweep", "--sigma-high", "3"], None),
+    (["sweep", "--config", "{cfg}"], json.dumps({"sigma_high": 3.0})),
 ]
 
 
@@ -779,8 +798,10 @@ def pdf_render_peak(monkeypatch, refine):
     validate, render = _COMMANDS["pdf"]
     settings = {name: _SETTINGS[name].default for name in _COMMAND_FLAGS["pdf"][1]}
     settings.update(kind="uniform", r_low=1.0, r_high=1.1)
-    settings["dx"] = validate(dict(settings))[0]["dx"] / refine
-    _, inputs = validate(settings)
+    default_grid = dict(settings)
+    validate(default_grid)  # fills in the default dx
+    settings["dx"] = default_grid["dx"] / refine
+    inputs = validate(settings)
     kind, w, dx, half_width = inputs
     pair = kljn.cli.closure_pair(kind, w, dx=dx, half_width=half_width)
     monkeypatch.setattr(kljn.cli, "closure_pair", lambda *args, **kwargs: pair)

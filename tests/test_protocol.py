@@ -11,10 +11,8 @@ import pytest
 
 from kljn import (
     DistributionKind,
-    Level,
     ResistorPair,
     SessionConfig,
-    SwitchState,
     leak_sweep,
     run_session,
     stream,
@@ -57,7 +55,7 @@ def config(**overrides) -> SessionConfig:
 def level_of(measured, pair, sigma_low, sigma_high):
     """The level run_session gives one measured line-voltage variance."""
     cuts = _level_cuts(pair, sigma_low, sigma_high)
-    return list(Level)[_classify_rows(np.array([measured], dtype=np.float64), cuts)[0]]
+    return ("low", "mid", "high")[_classify_rows(np.array([measured], dtype=np.float64), cuts)[0]]
 
 
 def first_seed_mixing(pattern: list[bool]) -> int:
@@ -75,21 +73,21 @@ def records(outcome):
 
 class TestClassifyLevel:
     def test_exact_levels(self):
-        assert level_of(0.5, PAIR, 1.0, 2.0) is Level.LOW
-        assert level_of(0.8, PAIR, 1.0, 2.0) is Level.MID
-        assert level_of(2.0, PAIR, 1.0, 2.0) is Level.HIGH
+        assert level_of(0.5, PAIR, 1.0, 2.0) == "low"
+        assert level_of(0.8, PAIR, 1.0, 2.0) == "mid"
+        assert level_of(2.0, PAIR, 1.0, 2.0) == "high"
 
     def test_boundaries_fall_to_the_lower_level(self):
         low_mid = math.sqrt(0.5 * 0.8)
         mid_high = math.sqrt(0.8 * 2.0)
-        assert level_of(low_mid, PAIR, 1.0, 2.0) is Level.LOW
-        assert level_of(math.nextafter(low_mid, 2.0), PAIR, 1.0, 2.0) is Level.MID
-        assert level_of(mid_high, PAIR, 1.0, 2.0) is Level.MID
-        assert level_of(math.nextafter(mid_high, 3.0), PAIR, 1.0, 2.0) is Level.HIGH
+        assert level_of(low_mid, PAIR, 1.0, 2.0) == "low"
+        assert level_of(math.nextafter(low_mid, 2.0), PAIR, 1.0, 2.0) == "mid"
+        assert level_of(mid_high, PAIR, 1.0, 2.0) == "mid"
+        assert level_of(math.nextafter(mid_high, 3.0), PAIR, 1.0, 2.0) == "high"
 
     def test_extremes(self):
-        assert level_of(0.0, PAIR, 1.0, 2.0) is Level.LOW
-        assert level_of(100.0, PAIR, 1.0, 2.0) is Level.HIGH
+        assert level_of(0.0, PAIR, 1.0, 2.0) == "low"
+        assert level_of(100.0, PAIR, 1.0, 2.0) == "high"
 
     def test_rejects_negative_or_non_finite(self):
         with pytest.raises(ValueError):
@@ -106,7 +104,7 @@ class TestClassifyLevel:
 
         def split(sigma_low):
             out = run_session(config(sigma_low=sigma_low, sigma_high=2.0 * sigma_low, bits=200))
-            return np.bincount(out.levels, minlength=len(Level)).tolist()
+            return np.bincount(out.levels, minlength=3).tolist()
 
         assert split(far) == split(near)
 
@@ -117,6 +115,14 @@ class TestClassifyLevel:
             level_of(0.5, PAIR, 1.0, 0.1)
         with pytest.raises(ValueError, match="not strictly ordered"):
             config(sigma_high=0.1)
+
+    def test_rejects_a_ladder_that_overflows(self):
+        # (sigma_high * r_high)**2 is 4e308, so the high-high variance is inf
+        pair = ResistorPair(1.0, 1e10)
+        with pytest.raises(ValueError, match="overflow"):
+            _level_cuts(pair, 2e139, 2e144)
+        with pytest.raises(ValueError, match="overflow"):
+            config(pair=pair, sigma_low=2e139, sigma_high=2e144)
 
 
 class TestRunSession:
@@ -135,7 +141,7 @@ class TestRunSession:
             assert (r["eve_decision"] is not None) == r["secure"]
             if r["key_bit"] is not None:
                 assert r["secure"] and not r["discarded"]
-                assert r["classified_level"] == Level.MID.value
+                assert r["classified_level"] == "mid"
             if r["secure"] and not r["discarded"]:
                 assert r["key_bit"] is not None
         assert len(out.verdicts) == np.count_nonzero(out.alice_high != out.bob_high)
@@ -145,8 +151,8 @@ class TestRunSession:
         kept = [r for r in records(out) if r["key_bit"] is not None]
         assert kept, "expected some key bits at these settings"
         for r in kept:
-            alice_bit = 0 if r["alice_state"] == SwitchState.LOW.value else 1
-            bob_bit = 1 - (0 if r["bob_state"] == SwitchState.LOW.value else 1)
+            alice_bit = 0 if r["alice_state"] == "low" else 1
+            bob_bit = 1 - (0 if r["bob_state"] == "low" else 1)
             assert r["key_bit"] == alice_bit == bob_bit
         assert out.bit_error_rate == 0.0
 
@@ -197,7 +203,7 @@ class TestRunSession:
             bits = [
                 r
                 for r in records(outcome)
-                if (r["alice_state"] == SwitchState.HIGH, r["bob_state"] == SwitchState.HIGH)
+                if (r["alice_state"] == "high", r["bob_state"] == "high")
                 in true_states
             ]
             discards = sum(r["discarded"] for r in bits)
