@@ -36,9 +36,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-# Imported here, not on first use: numpy 2 loads numpy.fft lazily, which
-# would move its import cost from start-up into the first convolution.
-import numpy.fft  # noqa: F401
 
 from .noise import LAWS, DistributionKind, ResistorPair, check_sigmas, check_variance
 

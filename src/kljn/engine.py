@@ -30,6 +30,8 @@ from .noise import BlockStreams
 Switches = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 # The bits of a stream's first raw word that are its two coins.
 _COIN_BITS = np.array([31, 63], dtype=np.uint64)
+# The power column of a block whose power is not taken.
+_NO_POWER = np.empty(0)
 
 
 class BitColumns(NamedTuple):
@@ -37,7 +39,8 @@ class BitColumns(NamedTuple):
 
     ``alice_high`` and ``bob_high`` are each party's switch (high when
     set) and ``power`` the mean square of the bit's line voltage, one entry
-    per bit. ``verdicts`` holds the attack's verdict code
+    per bit; ``power`` is empty in a run that does not take it
+    (:func:`run_blocks`). ``verdicts`` holds the attack's verdict code
     (:meth:`kljn.eve.BlockAttack.verdicts`) of each mixed bit.
     """
 
@@ -72,7 +75,7 @@ def check_run_settings(
 
 
 def run_blocks(
-    eve: BlockAttack, samples: int, bits: range, seed: int, switches: Switches
+    eve: BlockAttack, samples: int, bits: range, seed: int, switches: Switches, power: bool = True
 ) -> Iterator[BitColumns]:
     """Draw, solve and attack a range of bits of ``samples`` samples each, one block at a time.
 
@@ -89,7 +92,8 @@ def run_blocks(
     :class:`BitColumns`, in bit order: its switch states, the verdict code
     of each mixed row (:meth:`BlockAttack.verdicts`) and each row's power,
     the mean square of its voltage, which is squared in place after the
-    attack.
+    attack. A run that reads no power (``power`` false) skips that square,
+    and its power column is empty.
 
     Bits run in blocks of ``kljn.line.BLOCK_SAMPLES // samples`` (at least
     one), held as ``(bits, samples)`` arrays. The run makes one allocation,
@@ -116,7 +120,8 @@ def run_blocks(
         attacked = (voltage, current) if mixed.all() else (voltage[mixed], current[mixed])
         # Before the voltage is squared in place, in the leading rows of the scratch.
         verdicts = eve.verdicts(*attacked, out=arrays[2, : len(attacked[0])])
-        yield BitColumns(alice_high, bob_high, mean_square(voltage), verdicts)
+        power_column = mean_square(voltage) if power else _NO_POWER
+        yield BitColumns(alice_high, bob_high, power_column, verdicts)
 
 
 def _coins(streams: BlockStreams) -> np.ndarray:
@@ -159,17 +164,19 @@ def _shares(bits: int, samples: int) -> list[range]:
     return [range(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
 
-def run(eve: BlockAttack, samples: int, bits: int, seed: int, switches: Switches) -> BitColumns:
+def run(
+    eve: BlockAttack, samples: int, bits: int, seed: int, switches: Switches, power: bool = True
+) -> BitColumns:
     """The per-bit columns of ``range(bits)``, run in shares on forked workers.
 
-    Each share runs in :func:`run_blocks` with the run's attack ``eve``,
-    built before the workers fork, so every worker inherits its shape
-    CDFs' tables. The bits are split into contiguous shares of whole blocks,
-    one per core (:func:`_shares`). This process runs the first share; each
-    other share runs in a worker forked from it, which pickles its blocks'
-    columns back over a pipe. The columns of every block are joined by
-    name, in bit order. Every bit draws from its own streams, so the
-    result is bitwise the same for any number of workers.
+    Each share runs in :func:`run_blocks` with ``power`` and the run's
+    attack ``eve``, built before the workers fork, so every worker inherits
+    its shape CDFs' tables. The bits are split into contiguous shares of
+    whole blocks, one per core (:func:`_shares`). This process runs the
+    first share; each other share runs in a worker forked from it, which
+    pickles its blocks' columns back over a pipe. The columns of every
+    block are joined by name, in bit order. Every bit draws from its own
+    streams, so the result is bitwise the same for any number of workers.
 
     An exception raised in a worker is raised here with its type and
     message. One that cannot be pickled, and a worker that ends without a
@@ -188,14 +195,15 @@ def run(eve: BlockAttack, samples: int, bits: int, seed: int, switches: Switches
             try:
                 pid = os.fork()
                 if pid == 0:  # never returns
-                    _work(run_blocks(eve, samples, share, seed, switches), share, write, parent)
+                    share_blocks = run_blocks(eve, samples, share, seed, switches, power)
+                    _work(share_blocks, share, write, parent)
             except BaseException:
                 os.close(read)
                 raise
             finally:
                 os.close(write)
             workers[pid] = read
-        parts = [list(run_blocks(eve, samples, first, seed, switches))]
+        parts = [list(run_blocks(eve, samples, first, seed, switches, power))]
         for pid, read in list(workers.items()):
             with open(read, "rb", closefd=False) as pipe:
                 sent = pipe.read()

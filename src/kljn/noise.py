@@ -25,6 +25,8 @@ numpy's random policy (NEP 19) freezes only raw bit-generator output: the
 switch coins are raw Philox words (:func:`kljn.engine.run_blocks`), but the
 source draws go through ``Generator`` methods, which a release may change.
 The README's "Determinism" section gives the measured scope.
+``numpy.random`` loads at each process's first draw, so a command that
+draws nothing never pays for it.
 
 Source laws
 -----------
@@ -44,9 +46,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-# Imported here, not on first use: numpy 2 loads numpy.random lazily, which
-# would move its import cost from start-up into the first session.
-import numpy.random  # noqa: F401
 
 # J/K, exact by the 2019 SI definition.
 Boltzmann = 1.380649e-23

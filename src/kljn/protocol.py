@@ -354,7 +354,7 @@ def attack_trials(
     :func:`kljn.engine.run` with the streams of a session's bits: trial
     ``i``'s first coin ``c0`` sets Alice low, so the switches are ``(~c0,
     c0)``. The summary keeps the run's ``alice_high`` and ``verdicts``
-    columns.
+    columns; no trial's power is taken.
     """
     check_run_settings(
         samples_per_trial, trials, significance, seed, ("samples_per_trial", "trials")
@@ -364,7 +364,7 @@ def attack_trials(
     def switches(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return ~coins[:, 0], coins[:, 0]
 
-    bits = run(eve, samples_per_trial, trials, seed, switches)
+    bits = run(eve, samples_per_trial, trials, seed, switches, power=False)
     return AttackTrialSummary(bits.alice_high, bits.verdicts)
 
 

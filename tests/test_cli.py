@@ -825,16 +825,16 @@ def test_pdf_render_peak_does_not_grow_with_the_grid(monkeypatch):
     assert fine - default < 256 * 1024
 
 
-def modules_loaded_by_importing_the_cli(*packages: str) -> list[str]:
-    """Modules of ``packages`` that ``import kljn.cli`` loads in a fresh interpreter.
+def modules_loaded(code: str, packages: tuple[str, ...]) -> list[str]:
+    """Modules of ``packages`` loaded once ``code`` has run in a fresh interpreter.
 
     A None entry of ``sys.modules`` is an import blocked on purpose, not a
     loaded module.
     """
     src = str(Path(kljn.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, kljn.cli; print(sorted(name for name, module in sys.modules.items()"
+    code += (
+        "\nimport sys; print(sorted(name for name, module in sys.modules.items()"
         f" if module is not None and name.split('.')[0] in {packages!r}))"
     )
     out = subprocess.run(
@@ -844,7 +844,23 @@ def modules_loaded_by_importing_the_cli(*packages: str) -> list[str]:
         text=True,
         check=True,
     )
-    return ast.literal_eval(out.stdout.strip())
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+def modules_loaded_by_importing_the_cli(*packages: str, argv: list[str] | None = None) -> list[str]:
+    """Modules of ``packages`` that ``import kljn.cli`` loads in a fresh interpreter.
+
+    With ``argv`` the interpreter then runs that command through
+    ``kljn.cli.main`` as if it had two cores, so a run of two blocks or
+    more splits into two shares, and the modules it loads count too.
+    """
+    code = "import kljn.cli"
+    if argv is not None:
+        code += (
+            "\nimport os; os.sched_getaffinity = lambda pid: {0, 1}"
+            f"\nassert kljn.cli.main({argv!r}) == 0"
+        )
+    return modules_loaded(code, packages)
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -857,3 +873,23 @@ def test_importing_the_cli_loads_no_thread_or_process_pool():
     # A run's shares go to workers made by os.fork, and the two hypotheses of
     # a long trace run in turn in one process, so start-up pays for no pool.
     assert modules_loaded_by_importing_the_cli("concurrent", "multiprocessing") == []
+
+
+# numpy 2 loads numpy.random and numpy.fft on first use, so only the
+# commands that draw or convolve pay for them.
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (None, ("numpy.random", "numpy.fft")),
+        (["pdf"], ("numpy.random",)),
+        (["simulate", "--bits", "2000", "--samples-per-bit", "100", "--csv"], ("numpy.fft",)),
+    ],
+    ids=["import", "pdf", "simulate"],
+)
+def test_a_command_loads_no_numpy_module_it_does_not_use(tmp_path, argv, unused):
+    eager = [name for name in modules_loaded("import numpy", ("numpy",)) if name in unused]
+    if eager:
+        pytest.skip(f"import numpy itself loads {eager}")
+    command = None if argv is None else [*argv, "--out", str(tmp_path)]
+    loaded = modules_loaded_by_importing_the_cli("numpy", argv=command)
+    assert [name for name in loaded if ".".join(name.split(".")[:2]) in unused] == []

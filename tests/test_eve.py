@@ -866,6 +866,17 @@ class TestWorkers:
         assert len(forks) == cores - 1
         assert_no_child_left()
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_run_without_power_keeps_every_other_column(self, monkeypatch, cores):
+        use_cores(monkeypatch, cores)
+        eve = BlockAttack(PAIR, UNIFORM_LOW, UNIFORM_HIGH, 0.05)
+        args = eve, WORKER_SAMPLES, WORKER_BITS, 5, lambda c: (~c[:, 0], c[:, 0])
+        full, bare = kljn.engine.run(*args), kljn.engine.run(*args, power=False)
+        assert len(full.power) == WORKER_BITS and len(bare.power) == 0
+        for name in ("alice_high", "bob_high", "verdicts"):
+            assert getattr(bare, name).tobytes() == getattr(full, name).tobytes()
+        assert_no_child_left()
+
     @pytest.mark.parametrize(
         "samples, bits, seed, setting",
         [(0, 10, 0, "samples"), (50, 2000, 0, "samples"), (150, 0, 0, "bits"), (150, 40, -1, "seed")],
