@@ -23,8 +23,12 @@ and p-value as arrays indexed ``[hypothesis, party, row]``, and which
 hypotheses each row rejects. That is the per-bit evidence behind each
 verdict, split into the variance channel and the shape channel. A verdict
 is an int code per row, :meth:`BlockAttack.verdicts`; :data:`VERDICTS`
-decodes it to the decision's name and :func:`credits` scores it. The
-runs that attack bits block by block are :mod:`kljn.engine`'s.
+decodes it to the decision's name and :func:`credits` scores it. A
+hypothesis is rejected when any one of its sub-tests is, so ``verdicts``
+runs the variance cells first and then only the shape cells that can
+still change a code: one whose hypothesis every row of the block already
+rejects is skipped, and the codes stay those of ``tests``. The runs that
+attack bits block by block are :mod:`kljn.engine`'s.
 """
 
 from __future__ import annotations
@@ -232,6 +236,35 @@ def _shape_cdf(spec: NoiseSpec) -> ShapeCdf:
     return lambda x: np.interp(x, nodes, table)
 
 
+def _block_scratch(voltage: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The ``(rows, n)`` scratch of an attack block: ``out``, or a new array; refuses short rows."""
+    if voltage.shape[1] < MIN_TEST_SAMPLES:
+        raise ValueError(f"attack needs at least {MIN_TEST_SAMPLES} samples")
+    return np.empty(voltage.shape) if out is None else out
+
+
+def _shape_statistic(
+    voltage: np.ndarray,
+    current: np.ndarray,
+    cell: tuple[float, NoiseSpec, ShapeCdf],
+    alice: bool,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """KS distance D of each row of an attack cell's reconstruction, sorted in ``scratch``.
+
+    ``cell`` is the party's resistance, claimed spec and that spec's CDF
+    (:class:`BlockAttack`); D is taken from the CDF (:func:`_ks_statistic`).
+    """
+    r, _, cdf = cell
+    _reconstruct(voltage, current, r, alice, scratch).sort(axis=1)
+    return _ks_statistic(scratch, cdf)
+
+
+def _shape_p_value(statistic: np.ndarray, n: int) -> np.ndarray:
+    """Asymptotic Kolmogorov p-value of KS distances ``statistic`` of rows of ``n`` values."""
+    return _kolmogorov_sf(math.sqrt(n) * statistic)
+
+
 # The decision of each verdict code, low_rejected + 2 * high_rejected, as
 # records and trials.csv name it: none or both rejected leaves the bit
 # undecided.
@@ -276,10 +309,13 @@ class BlockAttack:
     here once, and every worker inherits it. The significance must lie in
     (0, 1) and each row must hold at least ``MIN_TEST_SAMPLES`` samples.
 
-    Nothing is assigned to an instance after it is built: the four cells
-    are tested in turn in a ``(rows, n)`` scratch array that the caller
-    passes as ``out``, or that a call allocates, so threads may share an
-    instance as long as each passes its own scratch.
+    :meth:`tests` runs every cell and returns the complete evidence;
+    :meth:`verdicts` runs the variance cells and then only the shape cells
+    that can still change its codes. Nothing is assigned to an instance
+    after it is built: the cells are tested in turn in a ``(rows, n)``
+    scratch array that the caller passes as ``out``, or that a call
+    allocates, so threads may share an instance as long as each passes its
+    own scratch.
     """
 
     def __init__(
@@ -305,17 +341,35 @@ class BlockAttack:
         n_tests = sum(1 + LAWS[spec.kind].variance for spec in self.specs)
         self.level = significance / n_tests
 
+    def _z(self, voltage: np.ndarray, current: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Variance z score of every cell ``[hypothesis, party, row]``; NaN where no variance.
+
+        Each cell's reconstruction is made in ``scratch`` and squared there
+        for its mean square, which is compared with the claimed variance in
+        units of its standard error.
+        """
+        rows, n = voltage.shape
+        mean_squares = np.full((2, 2, rows), np.nan)
+        for h, cells in enumerate(self._table):
+            for party, (r, spec, _) in enumerate(cells):
+                if LAWS[spec.kind].variance:
+                    x = _reconstruct(voltage, current, r, party == 0, scratch)
+                    mean_squares[h, party] = mean_square(x)
+        error = self._variance * np.sqrt(self._square_spread / n)
+        return (mean_squares - self._variance) / error
+
     def tests(
         self, voltage: np.ndarray, current: np.ndarray, out: np.ndarray | None = None
     ) -> Evidence:
-        """Every sub-test of both hypotheses on a block of line signals.
+        """Every sub-test of both hypotheses on a block of line signals: the complete evidence.
 
         Each hypothesis screens each party with a variance test and a shape
         test (shape only for sources without a variance). The per-test
         level is the significance divided by the number of sub-tests
         (Bonferroni), so a true hypothesis survives with probability at
-        least ``1 - significance``. Each kind of p-value is computed once per
-        block, over all of its hypotheses, parties and rows together.
+        least ``1 - significance``. All four cells run whatever their
+        results, and each kind of p-value is computed once per block, over
+        all of its hypotheses, parties and rows together.
 
         Each cell works in ``out``, a float64 ``(rows, n)`` scratch array
         apart from the signals, or in one allocated here when it is not
@@ -323,23 +377,13 @@ class BlockAttack:
         reconstruction is squared in place for the mean square, then made
         again and sorted in place for the shape test.
         """
-        rows, n = voltage.shape
-        if n < MIN_TEST_SAMPLES:
-            raise ValueError(f"attack needs at least {MIN_TEST_SAMPLES} samples")
-        scratch = np.empty((rows, n)) if out is None else out
-        mean_squares, statistic = np.full((2, 2, rows), np.nan), np.empty((2, 2, rows))
+        scratch = _block_scratch(voltage, out)
+        z = self._z(voltage, current, scratch)
+        statistic = np.empty(z.shape)
         for h, cells in enumerate(self._table):
-            for party, (r, spec, cdf) in enumerate(cells):
-                alice = party == 0
-                if LAWS[spec.kind].variance:
-                    x = _reconstruct(voltage, current, r, alice, scratch)
-                    mean_squares[h, party] = mean_square(x)
-                _reconstruct(voltage, current, r, alice, scratch).sort(axis=1)
-                statistic[h, party] = _ks_statistic(scratch, cdf)
-        error = self._variance * np.sqrt(self._square_spread / n)
-        z = (mean_squares - self._variance) / error
-        variance_p = _z_p_value(z)
-        shape_p = _kolmogorov_sf(math.sqrt(n) * statistic)
+            for party, cell in enumerate(cells):
+                statistic[h, party] = _shape_statistic(voltage, current, cell, party == 0, scratch)
+        variance_p, shape_p = _z_p_value(z), _shape_p_value(statistic, voltage.shape[1])
         rejected = ((variance_p < self.level) | (shape_p < self.level)).any(axis=1)
         return Evidence(z, variance_p, statistic, shape_p, rejected)
 
@@ -354,8 +398,32 @@ class BlockAttack:
         both are rejected, which points at a non-mixed bit or a model
         mismatch rather than at either mixed assignment. ``out`` is the
         scratch of :meth:`tests`.
+
+        Only the sub-tests that a code can still depend on are run. The
+        variance cells of both hypotheses come first (no sort), their
+        p-values taken in one call. The shape cells follow hypothesis by
+        hypothesis, Alice then Bob, and one is skipped when every row of
+        the block already rejects its hypothesis. A rejection is the OR of
+        its sub-tests' rejections and each cell that runs is the arithmetic
+        of :meth:`tests`, so every code equals ``low + 2 * high`` of
+        ``tests(...).rejected``. Only whole blocks skip. A trace longer
+        than ``BLOCK_SAMPLES // 2`` runs alone in its block
+        (:func:`kljn.line.blocks`), so its wrong hypothesis stops at the
+        first cell that rejects it; a block of many rows mixes Alice's
+        states, so each hypothesis is wrong for only some of its rows and
+        the block rarely skips. A true hypothesis still runs all four of
+        its sub-tests.
         """
-        low_rejected, high_rejected = self.tests(voltage, current, out).rejected
+        scratch = _block_scratch(voltage, out)
+        n = voltage.shape[1]
+        rejected = (_z_p_value(self._z(voltage, current, scratch)) < self.level).any(axis=1)
+        for h, cells in enumerate(self._table):
+            for party, cell in enumerate(cells):
+                if rejected[h].all():
+                    break
+                statistic = _shape_statistic(voltage, current, cell, party == 0, scratch)
+                rejected[h] |= _shape_p_value(statistic, n) < self.level
+        low_rejected, high_rejected = rejected
         return low_rejected + 2 * high_rejected
 
 

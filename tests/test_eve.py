@@ -755,6 +755,20 @@ def long_block(kind, rows, n, seed):
     return block_attack(spec_low, spec_high), voltage, current
 
 
+def switch_block(spec_low, spec_high, alice_high, n, mixed=True, seed=11):
+    """Line signals of one bit per row with Alice's switches ``alice_high``.
+
+    Bob holds the other resistor on a row where ``mixed`` is set and the
+    same one elsewhere; ``mixed`` is one flag for every row or one per row.
+    """
+    alice_high = np.asarray(alice_high, dtype=bool)
+    bob_high = np.where(mixed, ~alice_high, alice_high)
+    rows = len(alice_high)
+    streams = BlockStreams(seed, range(rows))
+    out = np.empty((2, rows, n))
+    return line_block(streams, alice_high, bob_high, PAIR, spec_low, spec_high, out)
+
+
 class TestLongRows:
     """Rows longer than ``BLOCK_SAMPLES`` test the four cells in turn in one scratch array."""
 
@@ -1149,12 +1163,25 @@ class TestDecisions:
         assert credits(codes, alice_high).tolist() == expected
 
     def test_verdict_codes_decode_both_rejection_flags(self):
-        rows = 4
-        eve = block_attack()
-        rejected = np.array([[False, True, False, True], [False, False, True, True]])
-        with mock.patch.object(eve, "tests", return_value=mock.Mock(rejected=rejected)):
-            codes = eve.verdicts(np.zeros((rows, 100)), np.zeros((rows, 100)))
-        assert [VERDICTS[k] for k in codes] == ["undecided", "alice_high", "alice_low", "undecided"]
+        # Real line blocks reach every code: compliant Gaussian mixed rows
+        # reject neither hypothesis, the uniform shape leak rejects exactly
+        # the wrong one whichever state Alice holds, and a same-state block
+        # rejects both.
+        blocks = [
+            (GAUSS_LOW, GAUSS_HIGH, [False, True, False, True], 1000, True, ["undecided"] * 4),
+            (UNIFORM_LOW, UNIFORM_HIGH, [False, True], 100_000, True, ["alice_low", "alice_high"]),
+            (GAUSS_LOW, GAUSS_HIGH, [False, True], 10_000, False, ["undecided"] * 2),
+        ]
+        reached = set()
+        for spec_low, spec_high, alice_high, n, mixed, names in blocks:
+            eve = block_attack(spec_low, spec_high)
+            voltage, current = switch_block(spec_low, spec_high, alice_high, n, mixed=mixed)
+            codes = eve.verdicts(voltage, current)
+            low_rejected, high_rejected = eve.tests(voltage, current).rejected
+            assert codes.tolist() == (low_rejected + 2 * high_rejected).tolist()
+            assert [VERDICTS[k] for k in codes] == names
+            reached.update(codes.tolist())
+        assert reached == {0, 1, 2, 3}
 
     def test_every_outcome_column_is_read_only(self):
         summary = attack_trials(PAIR, GAUSS_LOW, GAUSS_HIGH, 200, 4, seed=2)
@@ -1167,6 +1194,139 @@ class TestDecisions:
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 column[...] = 0
+
+
+# Sigma_high at these multiples of the compliant 2.0 of PAIR and sigma_low 1.0.
+SIGMA_FACTORS = (1.0, 1.05, 2.0)
+
+
+def law_specs(kind, factor):
+    """Low and high specs of ``kind``, the high scale ``factor`` times the compliant one."""
+    return NoiseSpec(kind, 1.0), NoiseSpec(kind, factor * security_sigma_ratio(PAIR))
+
+
+def codes_of(evidence):
+    """The verdict code of each row of a block's evidence, ``low + 2 * high``."""
+    low_rejected, high_rejected = evidence.rejected
+    return low_rejected + 2 * high_rejected
+
+
+def assert_codes_are_the_evidence(eve, voltage, current):
+    """``verdicts`` in a scratch of stale values equals the codes of ``tests``; returns the evidence."""
+    evidence = eve.tests(voltage, current)
+    codes = eve.verdicts(voltage, current, out=np.full(voltage.shape, np.nan))
+    expected = codes_of(evidence)
+    assert codes.dtype == expected.dtype and codes.shape == expected.shape
+    assert np.array_equal(codes, expected)
+    return evidence
+
+
+def count_statistics(monkeypatch) -> list[int]:
+    """A list that gains an entry at each call of ``kljn.eve._ks_statistic``."""
+    calls, original = [], kljn.eve._ks_statistic
+
+    def counted(x, cdf):
+        calls.append(1)
+        return original(x, cdf)
+
+    monkeypatch.setattr(kljn.eve, "_ks_statistic", counted)
+    return calls
+
+
+class TestVerdictsStopEarly:
+    """``verdicts`` skips the shape cells of a hypothesis that every row of its block rejects."""
+
+    if given is not None:
+
+        @settings(max_examples=20, deadline=None)
+        @given(
+            rows=st.sampled_from([0, 1, 3, 16]),
+            n=st.sampled_from([100, 1000]),
+            seed=st.integers(0, 2**64 - 1),
+            alice=st.integers(0, 2**16 - 1),
+            same=st.integers(0, 2**16 - 1),
+        )
+        @example(rows=0, n=100, seed=0, alice=0, same=0)
+        @example(rows=1, n=100, seed=0, alice=0, same=0)
+        @example(rows=3, n=100, seed=0, alice=0b010, same=0)
+        @example(rows=16, n=100, seed=0, alice=0x5555, same=0)
+        @example(rows=0, n=1000, seed=0, alice=0, same=0)
+        @example(rows=1, n=1000, seed=0, alice=1, same=0)
+        @example(rows=3, n=1000, seed=0, alice=0b101, same=0b100)
+        @example(rows=16, n=1000, seed=0, alice=0x5555, same=0x1111)
+        @pytest.mark.parametrize("factor", SIGMA_FACTORS)
+        @pytest.mark.parametrize("kind", list(DistributionKind))
+        def test_codes_equal_the_codes_of_the_evidence(
+            self, kind, factor, rows, n, seed, alice, same
+        ):
+            # Alice is high on the rows whose bit of ``alice`` is set, and
+            # Bob holds her resistor on the rows whose bit of ``same`` is.
+            bits = np.arange(rows)
+            alice_high, mixed = (alice >> bits) & 1 == 1, (same >> bits) & 1 == 0
+            spec_low, spec_high = law_specs(kind, factor)
+            voltage, current = switch_block(spec_low, spec_high, alice_high, n, mixed, seed)
+            assert_codes_are_the_evidence(block_attack(spec_low, spec_high), voltage, current)
+
+    else:
+
+        def test_codes_equal_the_codes_of_the_evidence(self):
+            pytest.skip("needs hypothesis")
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_codes_equal_the_evidence_where_some_rows_reject(self, kind):
+        # Every fourth row is a same-state bit, which rejects both
+        # hypotheses; on the mixed rows the amplitude violation rejects
+        # only the wrong one. So each hypothesis is rejected on some rows
+        # of the block and not on others, and no shape cell is skipped.
+        rows = 16
+        alice_high = np.arange(rows) % 2 == 1
+        spec_low, spec_high = law_specs(kind, 2.0)
+        mixed = np.arange(rows) % 4 != 0
+        voltage, current = switch_block(spec_low, spec_high, alice_high, 1000, mixed)
+        evidence = assert_codes_are_the_evidence(block_attack(spec_low, spec_high), voltage, current)
+        rejected = evidence.rejected.sum(axis=1)
+        assert (0 < rejected).all() and (rejected < rows).all()
+
+    @pytest.mark.parametrize("factor", SIGMA_FACTORS)
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_a_pruned_row_gives_the_codes_of_its_evidence(self, kind, factor):
+        spec_low, spec_high = law_specs(kind, factor)
+        voltage, current = switch_block(spec_low, spec_high, [False], FIRST_PRUNED)
+        assert_codes_are_the_evidence(block_attack(spec_low, spec_high), voltage, current)
+
+    def test_a_long_uniform_trial_skips_the_second_shape_cell_of_its_wrong_hypothesis(
+        self, monkeypatch
+    ):
+        # Alice is low; Alice's shape cell of the Alice-high hypothesis
+        # rejects it, so Bob's is not run.
+        calls = count_statistics(monkeypatch)
+        eve = block_attack(UNIFORM_LOW, UNIFORM_HIGH)
+        voltage, current = switch_block(UNIFORM_LOW, UNIFORM_HIGH, [False], 100_000)
+        assert VERDICTS[eve.verdicts(voltage, current)[0]] == "alice_low"
+        assert len(calls) == 3
+        eve.tests(voltage, current)
+        assert len(calls) == 3 + 4
+
+    @pytest.mark.parametrize(
+        "factor, alice_high, statistics",
+        [
+            (2.0, np.zeros(16, dtype=bool), 2),
+            (2.0, np.arange(16) % 2 == 1, 4),
+            (1.0, np.zeros(16, dtype=bool), 4),
+        ],
+        ids=["alice-low-violated", "alice-alternating-violated", "alice-low-compliant"],
+    )
+    def test_a_shape_cell_runs_unless_its_whole_block_rejects(
+        self, monkeypatch, factor, alice_high, statistics
+    ):
+        # At twice the compliant sigma_high the variance cells reject the
+        # Alice-high hypothesis on every row where Alice is low. Only when
+        # that is every row of the block are its two shape cells skipped.
+        spec_low, spec_high = law_specs(DistributionKind.GAUSSIAN, factor)
+        voltage, current = switch_block(spec_low, spec_high, alice_high, 1000)
+        calls = count_statistics(monkeypatch)
+        block_attack(spec_low, spec_high).verdicts(voltage, current)
+        assert len(calls) == statistics
 
 
 class TestAttackTrials:
