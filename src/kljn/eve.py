@@ -27,7 +27,13 @@ decodes it to the decision's name and :func:`credits` scores it. A
 hypothesis is rejected when any one of its sub-tests is, so ``verdicts``
 runs the variance cells first and then only the shape cells that can
 still change a code: one whose hypothesis every row of the block already
-rejects is skipped, and the codes stay those of ``tests``. The runs that
+rejects is skipped. A shape cell that runs decides each row from bounds
+on its KS distance D, taken from its CDF at one value in every
+``isqrt(n) // 4``: it accepts where the p-value of the upper bound is at
+least the level and rejects where that of the lower bound is below it,
+each bound moved ``_KS_DELTA`` outward, far more than the rounding of D
+and of its p-value. Only the rows the bounds leave open get D itself. So
+the codes stay those of ``tests``, which computes every D. The runs that
 attack bits block by block are :mod:`kljn.engine`'s.
 """
 
@@ -69,6 +75,10 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # _ks_statistic).
 _KS_MIN_WIDTH = 64
 _KS_MARGIN = 1e-12
+# A verdict decides a shape-test row from its KS bounds, each moved this far
+# outward, at levels down to the floor (see _shape_rejections).
+_KS_DELTA = 1e-9
+_P_FLOOR = 1e-300
 
 
 def _reconstruct(
@@ -154,6 +164,41 @@ def _fold_ks(
     np.maximum(highest, np.max(np.subtract(f, steps[:-1], out=part), axis=1), out=highest)
 
 
+def _sub_block_width(n: int) -> int:
+    """Columns per sub-block of a row of ``n`` values: ``max(1, isqrt(n) // 4)``."""
+    return max(1, math.isqrt(n) // 4)
+
+
+def _ks_bounds(x: np.ndarray, cdf: ShapeCdf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The probe terms and sub-block bounds of the KS distance of sorted rows ``x`` from ``cdf``.
+
+    A row of ``n`` values splits into sub-blocks ``[s, e)`` of
+    :func:`_sub_block_width` columns, and F is computed only at their
+    heads and the row's last value. Returns ``(lowest, highest, bound)``:
+    per row, the minimum of the probes' ``F - k/n`` and the maximum of
+    their ``F - (k-1)/n``, which are terms of D, so ``max(-lowest,
+    highest)`` is at most D; and per row and sub-block, ``bound``:
+
+    - The row is sorted and F is non-decreasing, so in a sub-block every
+      ``d+`` term ``(i+1)/n - F(x_i)`` is at most ``e/n - F(x_s)`` and
+      every ``d-`` term ``F(x_i) - i/n`` at most ``F(x_e) - s/n``, where
+      ``x_e`` is the next sub-block's head, or the row's last value.
+    - F is monotone only to within its rounding (``np.arctan`` keeps the
+      Cauchy F monotone only to a few ulps), so every term of a sub-block
+      is at most its bound plus ``_KS_MARGIN`` (1e-12), and D is at most
+      the largest bound plus that margin.
+    """
+    n = x.shape[1]
+    width = _sub_block_width(n)
+    heads = np.arange(0, n, width)
+    probes = np.append(heads, n - 1)
+    f = cdf(x[:, probes])
+    lowest = np.min(f - (probes + 1.0) / n, axis=1)
+    highest = np.max(f - probes / n, axis=1)
+    bound = np.maximum(np.minimum(heads + width, n) / n - f[:, :-1], f[:, 1:] - heads / n)
+    return lowest, highest, bound
+
+
 def _ks_statistic(x: np.ndarray, cdf: ShapeCdf) -> np.ndarray:
     """KS distance from ``cdf`` of rows sorted in ascending order; ``x`` is overwritten.
 
@@ -162,24 +207,18 @@ def _ks_statistic(x: np.ndarray, cdf: ShapeCdf) -> np.ndarray:
     subtraction is antisymmetric, so both are bitwise the plain formulas.
     ``cdf`` is called on one run of columns at a time, so neither F nor
     the levels ``k/n`` are held at full length. Rows shorter than 65536
-    go whole, in :func:`kljn.line.column_chunks`. A longer row of ``n``
-    values is pruned, in sub-blocks ``[s, e)`` of ``w = isqrt(n) // 4``
-    columns (64 or more); below that length a row's Python loop over its
-    runs costs more than the values it skips:
+    go whole, in :func:`kljn.line.column_chunks`. A longer row is pruned,
+    in sub-blocks of 64 columns or more; below that length a row's Python
+    loop over its runs costs more than the values it skips:
 
-    - The row is sorted and the CDF F is non-decreasing, so in a sub-block
-      every ``d+`` term ``(i+1)/n - F(x_i)`` is at most ``e/n - F(x_s)``
-      and every ``d-`` term ``F(x_i) - i/n`` at most ``F(x_e) - s/n``,
-      where ``x_e`` is the next sub-block's head, or the row's last value.
-    - F is first computed at the sub-block heads and the last value. Their
-      terms are terms of D, so their maximum is a lower bound on it.
-    - Only the sub-blocks whose bound plus ``_KS_MARGIN`` (1e-12) exceeds
-      that lower bound are computed in full, in runs of consecutive
-      sub-blocks. The margin covers F's rounding (``np.arctan`` keeps the
-      Cauchy F monotone only to a few ulps), so every term of a skipped
-      sub-block is at most D. A row far from its law keeps few
-      sub-blocks: on a 1M-sample uniform trial a wrong hypothesis keeps
-      ~4 of 4000, a true one a few hundred.
+    - F is first computed at the sub-block heads and the last value
+      (:func:`_ks_bounds`). Their terms are terms of D, so their maximum
+      is a lower bound on it.
+    - Only the sub-blocks whose bound plus ``_KS_MARGIN`` exceeds that
+      lower bound are computed in full, in runs of consecutive
+      sub-blocks, so every term of a skipped sub-block is at most D. A
+      row far from its law keeps few sub-blocks: on a 1M-sample uniform
+      trial a wrong hypothesis keeps ~4 of 4000, a true one a few hundred.
     - A run goes in batches of ``BLOCK_SAMPLES // 4`` columns. A batch's
       CDF and levels, 64 KiB each, stay below the 128 KiB at which glibc's
       malloc maps or trims memory, so batches of any length reuse the same
@@ -191,19 +230,14 @@ def _ks_statistic(x: np.ndarray, cdf: ShapeCdf) -> np.ndarray:
     rows, n = x.shape
     if not rows:
         return np.empty(0)
-    lowest = np.full(rows, np.inf)
-    highest = np.full(rows, -np.inf)
-    width = math.isqrt(n) // 4
+    width = _sub_block_width(n)
     if width < _KS_MIN_WIDTH:
+        lowest = np.full(rows, np.inf)
+        highest = np.full(rows, -np.inf)
         for cols in line.column_chunks(rows, n):
             _fold_ks(x[:, cols], cols.start, n, cdf, lowest, highest)
         return np.maximum(-lowest, highest)
-    heads = np.arange(0, n, width)
-    probes = np.append(heads, n - 1)
-    f = cdf(x[:, probes])
-    np.min(f - (probes + 1.0) / n, axis=1, out=lowest)
-    np.max(f - probes / n, axis=1, out=highest)
-    bound = np.maximum(np.minimum(heads + width, n) / n - f[:, :-1], f[:, 1:] - heads / n)
+    lowest, highest, bound = _ks_bounds(x, cdf)
     keep = bound + _KS_MARGIN > np.maximum(-lowest, highest)[:, None]
     # Run edges in sub-blocks, row by row: each run's start, then its stop.
     row_of, edges = np.nonzero(np.diff(keep, axis=1, prepend=False, append=False))
@@ -243,26 +277,65 @@ def _block_scratch(voltage: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return np.empty(voltage.shape) if out is None else out
 
 
-def _shape_statistic(
-    voltage: np.ndarray,
-    current: np.ndarray,
-    cell: tuple[float, NoiseSpec, ShapeCdf],
-    alice: bool,
-    scratch: np.ndarray,
+def _sorted_reconstruction(
+    voltage: np.ndarray, current: np.ndarray, r: float, alice: bool, out: np.ndarray
 ) -> np.ndarray:
-    """KS distance D of each row of an attack cell's reconstruction, sorted in ``scratch``.
+    """A party's reconstruction under resistance ``r``, its rows sorted in ``out``.
 
-    ``cell`` is the party's resistance, claimed spec and that spec's CDF
-    (:class:`BlockAttack`); D is taken from the CDF (:func:`_ks_statistic`).
+    Every shape cell of :meth:`BlockAttack.tests` and of
+    :meth:`BlockAttack.verdicts` starts here (:func:`_reconstruct`).
     """
-    r, _, cdf = cell
-    _reconstruct(voltage, current, r, alice, scratch).sort(axis=1)
-    return _ks_statistic(scratch, cdf)
+    x = _reconstruct(voltage, current, r, alice, out)
+    x.sort(axis=1)
+    return x
 
 
 def _shape_p_value(statistic: np.ndarray, n: int) -> np.ndarray:
     """Asymptotic Kolmogorov p-value of KS distances ``statistic`` of rows of ``n`` values."""
     return _kolmogorov_sf(math.sqrt(n) * statistic)
+
+
+def _shape_rejections(x: np.ndarray, cdf: ShapeCdf, level: float, rejected: np.ndarray) -> None:
+    """OR into ``rejected`` the sorted cell rows ``x`` whose shape test rejects at ``level``.
+
+    A row is decided from its bounds (:func:`_ks_bounds`) where they
+    suffice. With ``L`` its largest probe term and ``U`` its largest
+    sub-block bound, its KS distance D lies in ``[L, U + _KS_MARGIN]``.
+    The row is accepted when the p-value of ``U + _KS_DELTA`` is at least
+    ``level`` and rejected when that of ``L - _KS_DELTA`` is below it;
+    both p-values come from one :func:`_kolmogorov_sf` call. Only the
+    rows left open and not yet in ``rejected`` get D (:func:`_ks_statistic`,
+    each row a view of ``x``) and its p-value, in one more call; a NaN
+    bound leaves its row open.
+
+    Each decision is the one that D's own p-value makes, as
+    :meth:`BlockAttack.tests` computes it:
+
+    - ``sqrt(n)`` times either bound lies at least ``10 * (_KS_DELTA -
+      _KS_MARGIN)``, about 1e-8, from ``sqrt(n) * D`` (rows hold 100
+      values or more), against a rounding of ~1e-16.
+    - Every level is below 1/2 (at least two sub-tests share the
+      significance). Where the p-value is below 0.6 it falls by a relative
+      2.7 or more per unit of its argument, so across that gap by a
+      relative 2.7e-8 or more; a p-value above 0.6 is above every level.
+    - ``_kolmogorov_sf`` is within 1e-13 relative of the true function
+      wherever that is above 1e-300 (``tests/test_pvalues.py``), far less
+      than that fall, so the computed p-values keep the order of their
+      arguments across the gap. Below 1e-300 that accuracy is not held,
+      so at a level that small every row is left open.
+    """
+    rows, n = x.shape
+    if level >= _P_FLOOR:
+        lowest, highest, bound = _ks_bounds(x, cdf)
+        upper = np.max(bound, axis=1) + _KS_DELTA
+        p = _shape_p_value(np.concatenate([upper, np.maximum(-lowest, highest) - _KS_DELTA]), n)
+        rejected |= p[rows:] < level
+        open_rows = np.flatnonzero(~rejected & ~(p[:rows] >= level))
+    else:
+        open_rows = np.flatnonzero(~rejected)
+    if len(open_rows):
+        statistic = np.concatenate([_ks_statistic(x[r : r + 1], cdf) for r in open_rows.tolist()])
+        rejected[open_rows] = _shape_p_value(statistic, n) < level
 
 
 # The decision of each verdict code, low_rejected + 2 * high_rejected, as
@@ -311,9 +384,10 @@ class BlockAttack:
 
     :meth:`tests` runs every cell and returns the complete evidence;
     :meth:`verdicts` runs the variance cells and then only the shape cells
-    that can still change its codes. Nothing is assigned to an instance
-    after it is built: the cells are tested in turn in a ``(rows, n)``
-    scratch array that the caller passes as ``out``, or that a call
+    that can still change its codes, and computes D only for the rows
+    whose KS bounds leave the decision open. Nothing is assigned to an
+    instance after it is built: the cells are tested in turn in a ``(rows,
+    n)`` scratch array that the caller passes as ``out``, or that a call
     allocates, so threads may share an instance as long as each passes its
     own scratch.
     """
@@ -381,8 +455,9 @@ class BlockAttack:
         z = self._z(voltage, current, scratch)
         statistic = np.empty(z.shape)
         for h, cells in enumerate(self._table):
-            for party, cell in enumerate(cells):
-                statistic[h, party] = _shape_statistic(voltage, current, cell, party == 0, scratch)
+            for party, (r, _, cdf) in enumerate(cells):
+                x = _sorted_reconstruction(voltage, current, r, party == 0, scratch)
+                statistic[h, party] = _ks_statistic(x, cdf)
         variance_p, shape_p = _z_p_value(z), _shape_p_value(statistic, voltage.shape[1])
         rejected = ((variance_p < self.level) | (shape_p < self.level)).any(axis=1)
         return Evidence(z, variance_p, statistic, shape_p, rejected)
@@ -403,26 +478,37 @@ class BlockAttack:
         variance cells of both hypotheses come first (no sort), their
         p-values taken in one call. The shape cells follow hypothesis by
         hypothesis, Alice then Bob, and one is skipped when every row of
-        the block already rejects its hypothesis. A rejection is the OR of
-        its sub-tests' rejections and each cell that runs is the arithmetic
-        of :meth:`tests`, so every code equals ``low + 2 * high`` of
-        ``tests(...).rejected``. Only whole blocks skip. A trace longer
-        than ``BLOCK_SAMPLES // 2`` runs alone in its block
+        the block already rejects its hypothesis. Only whole blocks skip.
+        A trace longer than ``BLOCK_SAMPLES // 2`` runs alone in its block
         (:func:`kljn.line.blocks`), so its wrong hypothesis stops at the
         first cell that rejects it; a block of many rows mixes Alice's
         states, so each hypothesis is wrong for only some of its rows and
-        the block rarely skips. A true hypothesis still runs all four of
-        its sub-tests.
+        the block rarely skips.
+
+        A shape cell that runs sorts its reconstruction and decides each
+        row from the bounds of :func:`_ks_bounds`, which evaluate the CDF
+        at one value in every ``isqrt(n) // 4`` (144 of 1000). The largest
+        probe term ``L`` is a term of D and the largest sub-block bound
+        ``U`` is at least D less ``_KS_MARGIN``. A row is accepted when
+        the p-value of ``U + _KS_DELTA`` is at least the level, and
+        rejected when that of ``L - _KS_DELTA`` is below it; both come from
+        one p-value call per cell. D itself, and one more p-value call, is
+        taken only for the rows left open (:func:`_shape_rejections` says
+        why each decision is the one D's own p-value makes). A rejection is
+        the OR of its sub-tests' rejections, so every code equals ``low + 2
+        * high`` of ``tests(...).rejected``. At compliance the bounds leave
+        few rows open: a 1000-sample row has D ~0.027 and bounds ~0.007
+        wider, against a rejection above ~0.058 at the default level, so a
+        2000-bit session computes D for 25 of its 3996 shape-cell rows.
         """
         scratch = _block_scratch(voltage, out)
-        n = voltage.shape[1]
         rejected = (_z_p_value(self._z(voltage, current, scratch)) < self.level).any(axis=1)
         for h, cells in enumerate(self._table):
-            for party, cell in enumerate(cells):
+            for party, (r, _, cdf) in enumerate(cells):
                 if rejected[h].all():
                     break
-                statistic = _shape_statistic(voltage, current, cell, party == 0, scratch)
-                rejected[h] |= _shape_p_value(statistic, n) < self.level
+                x = _sorted_reconstruction(voltage, current, r, party == 0, scratch)
+                _shape_rejections(x, cdf, self.level, rejected[h])
         low_rejected, high_rejected = rejected
         return low_rejected + 2 * high_rejected
 

@@ -797,13 +797,17 @@ def count_forks(monkeypatch) -> list[int]:
 
 
 def in_worker(kernel):
-    """``kernel`` in a forked worker of this process; the original function elsewhere."""
-    original, parent = kljn.eve._ks_statistic, os.getpid()
+    """``kernel`` in a forked worker of this process; the original function elsewhere.
 
-    def patched(x, cdf):
+    It patches ``kljn.eve._sorted_reconstruction``, which every shape cell
+    of every verdict calls, whether its bounds decide the cell or not.
+    """
+    original, parent = kljn.eve._sorted_reconstruction, os.getpid()
+
+    def patched(*args):
         if os.getpid() != parent:
             kernel()
-        return original(x, cdf)
+        return original(*args)
 
     return patched
 
@@ -939,7 +943,7 @@ class TestWorkers:
         def fail():
             raise FloatingPointError("kernel failed in a worker")
 
-        monkeypatch.setattr(kljn.eve, "_ks_statistic", in_worker(fail))
+        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", in_worker(fail))
         with pytest.raises(FloatingPointError) as raised:
             attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
         assert str(raised.value) == "kernel failed in a worker"
@@ -953,7 +957,7 @@ class TestWorkers:
         def fail():
             raise FloatingPointError("overflow encountered in multiply")
 
-        monkeypatch.setattr(kljn.eve, "_ks_statistic", in_worker(fail))
+        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", in_worker(fail))
         out = tmp_path / "out"
         argv = ["attack", "--kind", "uniform", "--samples", str(WORKER_SAMPLES), "--csv"]
         assert main(argv + ["--trials", str(WORKER_BITS), "--out", str(out)]) == 3
@@ -972,7 +976,7 @@ class TestWorkers:
         def fail():
             raise Local("not importable")
 
-        monkeypatch.setattr(kljn.eve, "_ks_statistic", in_worker(fail))
+        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", in_worker(fail))
         refused = r"a worker raised .*Local\('not importable'\)"
         with pytest.raises(kljn.engine.WorkerError, match=refused):
             attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
@@ -981,7 +985,7 @@ class TestWorkers:
     def test_a_killed_worker_is_an_error(self, monkeypatch, tmp_path, capsys):
         use_cores(monkeypatch, 2)
         kill = in_worker(lambda: os.kill(os.getpid(), signal.SIGKILL))
-        monkeypatch.setattr(kljn.eve, "_ks_statistic", kill)
+        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", kill)
         killed = r"ended without a result \(killed by signal 9\)"
         with pytest.raises(kljn.engine.WorkerError, match=killed):
             attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
@@ -998,12 +1002,12 @@ class TestWorkers:
         use_cores(monkeypatch, 3)
         parent = os.getpid()
 
-        def interrupted(x, cdf):
+        def interrupted(*args):
             if os.getpid() != parent:
                 time.sleep(60)  # a worker still busy when the run is interrupted
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(kljn.eve, "_ks_statistic", interrupted)
+        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
@@ -1022,20 +1026,20 @@ class TestWorkers:
 
     def test_a_worker_stops_once_the_run_that_forked_it_has_gone(self, monkeypatch):
         # One bit a block, so the worker of bits 20 to 39 checks for its run
-        # between bits. Its four KS statistics a bit take a quarter second,
+        # between bits. Its four shape cells a bit take a quarter second,
         # five seconds in all if it went on to the end.
         monkeypatch.setattr(kljn.line, "BLOCK_SAMPLES", WORKER_SAMPLES)
         use_cores(monkeypatch, 2)
         read, write = os.pipe()
-        original, runner = kljn.eve._ks_statistic, []
+        original, runner = kljn.eve._sorted_reconstruction, []
 
-        def slow(x, cdf):
+        def slow(*args):
             if os.getpid() != runner[0]:  # the worker writes a byte a call
                 os.write(write, b".")
                 time.sleep(0.0625)
-            return original(x, cdf)
+            return original(*args)
 
-        monkeypatch.setattr(kljn.eve, "_ks_statistic", slow)
+        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", slow)
         run = os.fork()
         if run == 0:  # the run, which forks the worker; the pipe ends when both have
             try:
@@ -1221,15 +1225,15 @@ def assert_codes_are_the_evidence(eve, voltage, current):
     return evidence
 
 
-def count_statistics(monkeypatch) -> list[int]:
-    """A list that gains an entry at each call of ``kljn.eve._ks_statistic``."""
-    calls, original = [], kljn.eve._ks_statistic
+def count_shape_cells(monkeypatch) -> list[int]:
+    """A list that gains an entry at each shape cell run (each ``_sorted_reconstruction`` call)."""
+    calls, original = [], kljn.eve._sorted_reconstruction
 
-    def counted(x, cdf):
+    def counted(*args):
         calls.append(1)
-        return original(x, cdf)
+        return original(*args)
 
-    monkeypatch.setattr(kljn.eve, "_ks_statistic", counted)
+    monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", counted)
     return calls
 
 
@@ -1245,19 +1249,20 @@ class TestVerdictsStopEarly:
             seed=st.integers(0, 2**64 - 1),
             alice=st.integers(0, 2**16 - 1),
             same=st.integers(0, 2**16 - 1),
+            significance=st.floats(1e-9, 0.99),
         )
-        @example(rows=0, n=100, seed=0, alice=0, same=0)
-        @example(rows=1, n=100, seed=0, alice=0, same=0)
-        @example(rows=3, n=100, seed=0, alice=0b010, same=0)
-        @example(rows=16, n=100, seed=0, alice=0x5555, same=0)
-        @example(rows=0, n=1000, seed=0, alice=0, same=0)
-        @example(rows=1, n=1000, seed=0, alice=1, same=0)
-        @example(rows=3, n=1000, seed=0, alice=0b101, same=0b100)
-        @example(rows=16, n=1000, seed=0, alice=0x5555, same=0x1111)
+        @example(rows=0, n=100, seed=0, alice=0, same=0, significance=0.01)
+        @example(rows=1, n=100, seed=0, alice=0, same=0, significance=0.01)
+        @example(rows=3, n=100, seed=0, alice=0b010, same=0, significance=0.5)
+        @example(rows=16, n=100, seed=0, alice=0x5555, same=0, significance=1e-6)
+        @example(rows=0, n=1000, seed=0, alice=0, same=0, significance=0.01)
+        @example(rows=1, n=1000, seed=0, alice=1, same=0, significance=0.01)
+        @example(rows=3, n=1000, seed=0, alice=0b101, same=0b100, significance=0.5)
+        @example(rows=16, n=1000, seed=0, alice=0x5555, same=0x1111, significance=1e-6)
         @pytest.mark.parametrize("factor", SIGMA_FACTORS)
         @pytest.mark.parametrize("kind", list(DistributionKind))
         def test_codes_equal_the_codes_of_the_evidence(
-            self, kind, factor, rows, n, seed, alice, same
+            self, kind, factor, rows, n, seed, alice, same, significance
         ):
             # Alice is high on the rows whose bit of ``alice`` is set, and
             # Bob holds her resistor on the rows whose bit of ``same`` is.
@@ -1265,7 +1270,8 @@ class TestVerdictsStopEarly:
             alice_high, mixed = (alice >> bits) & 1 == 1, (same >> bits) & 1 == 0
             spec_low, spec_high = law_specs(kind, factor)
             voltage, current = switch_block(spec_low, spec_high, alice_high, n, mixed, seed)
-            assert_codes_are_the_evidence(block_attack(spec_low, spec_high), voltage, current)
+            eve = block_attack(spec_low, spec_high, significance)
+            assert_codes_are_the_evidence(eve, voltage, current)
 
     else:
 
@@ -1299,7 +1305,7 @@ class TestVerdictsStopEarly:
     ):
         # Alice is low; Alice's shape cell of the Alice-high hypothesis
         # rejects it, so Bob's is not run.
-        calls = count_statistics(monkeypatch)
+        calls = count_shape_cells(monkeypatch)
         eve = block_attack(UNIFORM_LOW, UNIFORM_HIGH)
         voltage, current = switch_block(UNIFORM_LOW, UNIFORM_HIGH, [False], 100_000)
         assert VERDICTS[eve.verdicts(voltage, current)[0]] == "alice_low"
@@ -1324,9 +1330,172 @@ class TestVerdictsStopEarly:
         # that is every row of the block are its two shape cells skipped.
         spec_low, spec_high = law_specs(DistributionKind.GAUSSIAN, factor)
         voltage, current = switch_block(spec_low, spec_high, alice_high, 1000)
-        calls = count_statistics(monkeypatch)
+        calls = count_shape_cells(monkeypatch)
         block_attack(spec_low, spec_high).verdicts(voltage, current)
         assert len(calls) == statistics
+
+
+def count_exact_rows(monkeypatch) -> list[int]:
+    """A list that gains the row count of each ``kljn.eve._ks_statistic`` call."""
+    rows, original = [], kljn.eve._ks_statistic
+
+    def counted(x, cdf):
+        rows.append(len(x))
+        return original(x, cdf)
+
+    monkeypatch.setattr(kljn.eve, "_ks_statistic", counted)
+    return rows
+
+
+def boundary_statistic(n, level):
+    """The largest KS distance D of rows of ``n`` values whose p-value is ``level`` or more."""
+    low, high = 0.0, 1.0
+    while True:
+        mid = 0.5 * (low + high)
+        if mid in (low, high):
+            return low
+        if _kolmogorov_sf(np.array([math.sqrt(n) * mid]))[0] >= level:
+            low = mid
+        else:
+            high = mid
+
+
+def inverse_cdf(cdf, target):
+    """The least float x with ``cdf(x) >= target``, by bisection on the CDF the attack calls."""
+    low, high = -1e3, 1e3
+    while True:
+        mid = 0.5 * (low + high)
+        if mid in (low, high):
+            return high
+        if cdf(np.array([[mid]]))[0, 0] >= target:
+            high = mid
+        else:
+            low = mid
+
+
+# Distances of the boundary rows' D from the level's D, on either side.
+BOUNDARY_OFFSETS = (-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6)
+
+
+def boundary_rows(spec, n, level):
+    """Sorted rows of ``n`` values whose KS distance from ``spec`` straddles the level's D.
+
+    Each row is ``spec``'s quantiles at the levels ``(i + 1/2) / n`` with
+    one run of values moved, about the median so that the mean square
+    hardly moves, to put one term of D ``BOUNDARY_OFFSETS`` from the
+    level's D:
+
+    - a spike: ``x_k`` raised so that ``F(x_k) - k/n`` is D, and the values
+      after it raised to ``x_k`` until the quantiles pass it, with ``k`` on
+      a sub-block head (where the bounds probe F, so the largest probe
+      term is D) and between two heads;
+    - a dip: the values before column ``e``, a sub-block's end, lowered to
+      one value ``x`` with ``e/n - F(x)`` equal to D, so that the sub-block
+      ending there has D itself as its bound.
+
+    Two more rows lie far on either side: the quantiles alone, and a
+    spike at twice the level's D. Returns the rows and each one's intended
+    offset (``-inf`` and ``inf`` for the far rows).
+    """
+    cdf = _shape_cdf(spec)
+    grid = law_grid(spec.kind) * spec.scale
+    quantiles = np.interp((np.arange(n) + 0.5) / n, cdf(grid[None, :])[0], grid)
+    d, width = boundary_statistic(n, level), kljn.eve._sub_block_width(n)
+    head, end = (width * int((0.5 + side * d) * n / width) for side in (-1, 0.5))
+
+    def spike(k, target):
+        x = quantiles.copy()
+        x[k] = inverse_cdf(cdf, k / n + target)
+        return np.maximum.accumulate(x)
+
+    def dip(target):
+        x = quantiles.copy()
+        x[:end] = np.minimum(x[:end], inverse_cdf(cdf, end / n - target))
+        return x
+
+    rows, offsets = [quantiles, spike(head, 2.0 * d)], [-math.inf, math.inf]
+    for offset in BOUNDARY_OFFSETS:
+        rows += [spike(head, d + offset), spike(head + width // 2, d + offset), dip(d + offset)]
+        offsets += [offset] * 3
+    return np.array(rows), np.array(offsets)
+
+
+class TestVerdictBounds:
+    """``verdicts`` decides a shape cell's rows from their KS bounds, and D only for the rest."""
+
+    @pytest.mark.parametrize("significance", [1e-6, 0.01, 0.5])
+    @pytest.mark.parametrize("n", [100, 1000, FIRST_PRUNED])
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_rows_at_the_level_get_the_codes_of_their_evidence(
+        self, monkeypatch, kind, n, significance
+    ):
+        # Both specs are one spec and the current is 0, so all four cells
+        # reconstruct the designed rows exactly and test them against it.
+        spec = NoiseSpec(kind, 1.3)
+        eve = block_attack(spec, spec, significance)
+        voltage, offsets = boundary_rows(spec, n, eve.level)
+        current = np.zeros_like(voltage)
+        evidence = eve.tests(voltage, current)
+        d = boundary_statistic(n, eve.level)
+        near = np.isfinite(offsets)
+        achieved = evidence.statistic[0, 0] - d
+        assert (np.abs(achieved[near] - offsets[near]) <= 1e-15).all()
+        assert (np.abs(achieved[near]) >= 0.5e-12).all() and (np.abs(achieved[near]) <= 2e-6).all()
+        p, above = evidence.shape_p[0, 0], offsets > 0
+        assert (p[above] < eve.level).all() and (p[~above] >= eve.level).all()
+        # The shape channel alone decides the near rows.
+        assert not (evidence.variance_p[..., near] < eve.level).any()
+        exact_rows = count_exact_rows(monkeypatch)
+        codes = eve.verdicts(voltage, current, out=np.full(voltage.shape, np.nan))
+        assert np.array_equal(codes, codes_of(evidence))
+        # The far rows are decided from the bounds; some near ones are not.
+        assert 0 < sum(exact_rows) <= 4 * (len(offsets) - 2)
+
+    def test_a_level_below_the_floor_leaves_every_row_open(self, monkeypatch):
+        # Below 1e-300 the p-values' relative accuracy is not held, so each
+        # cell computes D for every row that its hypothesis has not yet
+        # rejected; at compliance that is every row of all four cells.
+        spec_low, spec_high = law_specs(DistributionKind.GAUSSIAN, 1.0)
+        voltage, current = switch_block(spec_low, spec_high, np.arange(16) % 2 == 1, 1000)
+        eve = block_attack(spec_low, spec_high, 1e-301)
+        assert eve.level < kljn.eve._P_FLOOR
+        exact_rows = count_exact_rows(monkeypatch)
+        codes = eve.verdicts(voltage, current)
+        assert sum(exact_rows) == 4 * 16
+        assert np.array_equal(codes, codes_of(eve.tests(voltage, current)))
+
+    def test_each_shape_cell_takes_one_p_value_call_and_one_for_its_open_rows(self, monkeypatch):
+        spec_low, spec_high = law_specs(DistributionKind.GAUSSIAN, 1.0)
+        voltage, current = switch_block(spec_low, spec_high, np.arange(16) % 2 == 1, 1000)
+        calls = []
+        marks = {"_sorted_reconstruction": "c", "_kolmogorov_sf": "p", "_ks_statistic": "d"}
+        for name, mark in marks.items():
+            original = getattr(kljn.eve, name)
+            counted = partial(lambda f, m, *args: calls.append(m) or f(*args), original, mark)
+            monkeypatch.setattr(kljn.eve, name, counted)
+        block_attack(spec_low, spec_high).verdicts(voltage, current)
+        # A cell sorts, takes both bounds' p-values in one call, and, only if
+        # the bounds leave rows open, the D of each and their p-values in one.
+        assert re.fullmatch("(cp(d+p)?){4}", "".join(calls))
+        assert calls.count("d") < 16
+
+    def test_a_compliant_block_evaluates_its_cdf_at_few_of_its_values(self, monkeypatch):
+        sizes, original = [], kljn.eve._shape_cdf
+
+        def counted_cdf(spec):
+            cdf = original(spec)
+            return lambda x: sizes.append(x.size) or cdf(x)
+
+        monkeypatch.setattr(kljn.eve, "_shape_cdf", counted_cdf)
+        spec_low, spec_high = law_specs(DistributionKind.GAUSSIAN, 1.0)
+        voltage, current = switch_block(spec_low, spec_high, np.arange(16) % 2 == 1, 1000)
+        eve = block_attack(spec_low, spec_high)
+        eve.tests(voltage, current)
+        cells = 4 * voltage.size
+        assert sum(sizes) == cells  # every value of the four shape cells
+        sizes.clear()
+        eve.verdicts(voltage, current)
+        assert sum(sizes) < 0.25 * cells
 
 
 class TestAttackTrials:
