@@ -120,6 +120,8 @@ def run_blocks(
         attacked = (voltage, current) if mixed.all() else (voltage[mixed], current[mixed])
         # Before the voltage is squared in place, in the leading rows of the scratch.
         verdicts = eve.verdicts(*attacked, out=arrays[2, : len(attacked[0])])
+        # A copy of the mixed rows would otherwise live on through the next block's draws.
+        del attacked
         power_column = mean_square(voltage) if power else _NO_POWER
         yield BitColumns(alice_high, bob_high, power_column, verdicts)
 

@@ -27,14 +27,16 @@ decodes it to the decision's name and :func:`credits` scores it. A
 hypothesis is rejected when any one of its sub-tests is, so ``verdicts``
 runs the variance cells first and then only the shape cells that can
 still change a code: one whose hypothesis every row of the block already
-rejects is skipped. A shape cell that runs decides each row from bounds
-on its KS distance D, taken from its CDF at one value in every
-``isqrt(n) // 4``: it accepts where the p-value of the upper bound is at
-least the level and rejects where that of the lower bound is below it,
-each bound moved ``_KS_DELTA`` outward, far more than the rounding of D
-and of its p-value. Only the rows the bounds leave open get D itself. So
-the codes stay those of ``tests``, which computes every D. The runs that
-attack bits block by block are :mod:`kljn.engine`'s.
+rejects is skipped. A shape cell that runs decides each row in sample
+space: its sorted values at one column in every ``isqrt(n) // 4`` and the
+last are compared with bands built once per row length from the CDF's
+inverse and the KS distance ``d*`` at which the p-value crosses the
+level. A row inside its accept bands has every term of its KS distance D
+below ``d* - _KS_DELTA``, and one outside its reject bands has a term
+above ``d* + _KS_DELTA``, far more than the rounding of D and of its
+p-value from ``d*``. Only the rows the bands leave open get D itself and
+a p-value. So the codes stay those of ``tests``, which computes every D.
+The runs that attack bits block by block are :mod:`kljn.engine`'s.
 """
 
 from __future__ import annotations
@@ -75,10 +77,15 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # _ks_statistic).
 _KS_MIN_WIDTH = 64
 _KS_MARGIN = 1e-12
-# A verdict decides a shape-test row from its KS bounds, each moved this far
-# outward, at levels down to the floor (see _shape_rejections).
+# A verdict decides a shape-test row from bands that hold its KS distance this
+# far from the level's distance d*, at levels down to the floor (see
+# _shape_rejections).
 _KS_DELTA = 1e-9
 _P_FLOOR = 1e-300
+# Probes per step of a band build (see _shape_bands), and the points at
+# which each step of the bisection for d* divides its interval.
+_BAND_PROBES = 1024
+_BISECTION_STEPS = np.arange(65.0) / 64.0
 
 
 def _reconstruct(
@@ -251,23 +258,43 @@ def _ks_statistic(x: np.ndarray, cdf: ShapeCdf) -> np.ndarray:
     return np.maximum(-lowest, highest)
 
 
+def _cdf_nodes(spec: NoiseSpec) -> np.ndarray:
+    """The nodes ``k * step``, ``|k * step| <= half width`` in scale units, of ``cdf_nodes``."""
+    half, step = LAWS[spec.kind].cdf_nodes
+    k = round(half / step)
+    nodes = np.arange(-k, k + 1.0)
+    nodes *= step * spec.scale
+    return nodes
+
+
 def _shape_cdf(spec: NoiseSpec) -> ShapeCdf:
     """The CDF F of ``spec`` that its shape test calls on sorted rows.
 
     F is the law's ``cdf`` at the spec's scale. A law with ``cdf_nodes``
-    has its ``cdf`` tabulated here once, at the nodes ``k * step`` for
-    ``|k * step| <= half width`` (in scale units), and F is ``np.interp``
-    of that table.
+    has its ``cdf`` tabulated here once, at those nodes (:func:`_cdf_nodes`),
+    and F is ``np.interp`` of that table.
     """
     law = LAWS[spec.kind]
     if law.cdf_nodes is None:
         return lambda x: law.cdf(x, spec.scale)
-    half, step = law.cdf_nodes
-    k = round(half / step)
-    nodes = np.arange(-k, k + 1.0)
-    nodes *= step * spec.scale
+    nodes = _cdf_nodes(spec)
     table = law.cdf(nodes, spec.scale)
     return lambda x: np.interp(x, nodes, table)
+
+
+def _shape_quantile(spec: NoiseSpec, cdf: ShapeCdf) -> ShapeCdf:
+    """An inverse of the shape CDF ``cdf`` of ``spec``, where :func:`_threshold` starts.
+
+    It is the law's ``quantile`` at the spec's scale, or, for a law with
+    ``cdf_nodes``, F's own table read backwards: ``np.interp`` of the nodes
+    at F's values there.
+    """
+    law = LAWS[spec.kind]
+    if law.cdf_nodes is None:
+        return lambda t: law.quantile(t, spec.scale)
+    nodes = _cdf_nodes(spec)
+    table = cdf(nodes)
+    return lambda t: np.interp(t, table, nodes)
 
 
 def _block_scratch(voltage: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -295,25 +322,112 @@ def _shape_p_value(statistic: np.ndarray, n: int) -> np.ndarray:
     return _kolmogorov_sf(math.sqrt(n) * statistic)
 
 
-def _shape_rejections(x: np.ndarray, cdf: ShapeCdf, level: float, rejected: np.ndarray) -> None:
+def _level_statistic(n: int, level: float) -> float:
+    """The largest KS distance ``d*`` of rows of ``n`` values whose p-value is at least ``level``.
+
+    Found by bisection on :func:`_shape_p_value` down to adjacent floats,
+    64 parts at a time, so the float after ``d*`` has a p-value below
+    ``level``; it is 1.0 when even a distance of 1 keeps the p-value at
+    the level.
+    """
+    low, high = 0.0, 1.0
+    if _shape_p_value(np.array([high]), n)[0] >= level:
+        return high
+    while math.nextafter(low, high) < high:
+        d = low + (high - low) * _BISECTION_STEPS
+        d[-1] = high
+        first_below = np.flatnonzero(_shape_p_value(d, n) < level)[0]
+        low, high = float(d[first_below - 1]), float(d[first_below])
+    return low
+
+
+def _threshold(cdf: ShapeCdf, quantile: ShapeCdf, target: np.ndarray, side: int) -> np.ndarray:
+    """Per level ``t`` of ``target``, a value c past which F is past t.
+
+    With ``side`` 1 every ``x >= c`` has ``F(x) >= t``; with ``side`` -1
+    every ``x <= c`` has ``F(x) <= t``. c starts at the quantile of t
+    moved two ``_KS_MARGIN`` toward ``side``, and steps that way, each step
+    twice the last, until ``side * (F(c) - t)`` is at least ``_KS_MARGIN``:
+    F is monotone to within that margin, so every x beyond c is past t. A
+    level that every x passes, infinities included, gets ``-side * inf``;
+    one that no x passes gets NaN, which every comparison fails. A NaN
+    quantile stays NaN.
+    """
+    bottom, top = cdf(np.array([-np.inf, np.inf]))
+    near, far = (bottom, top) if side > 0 else (top, bottom)
+    everywhere = side * (near - target) >= _KS_MARGIN
+    todo = np.flatnonzero(~everywhere & (side * (far - target) >= _KS_MARGIN))
+    band = np.where(everywhere, -side * np.inf, np.nan)
+    t = target[todo]
+    c = quantile(np.clip(t + 2.0 * side * _KS_MARGIN, bottom, top))
+    step = np.spacing(np.abs(c))
+    short = np.arange(len(c))
+    while len(short := short[side * (cdf(c[short]) - t[short]) < _KS_MARGIN]):
+        c[short] += side * step[short]
+        step[short] *= 2.0
+    band[todo] = c
+    return band
+
+
+def _shape_bands(cdf: ShapeCdf, quantile: ShapeCdf, n: int, d: float) -> np.ndarray:
+    """The sample-space bands of a shape cell's rows of ``n`` values, at ``d*`` = ``d``.
+
+    Returns the ``(4, probes)`` array ``low, high, below, above`` over the
+    probes of :func:`_ks_bounds`: the sub-block heads ``s`` (every
+    :func:`_sub_block_width` columns), then the last column. With ``A =
+    d - _KS_DELTA`` and ``R = d + _KS_DELTA`` (:func:`_threshold`):
+
+    - A sub-block ``[s, e)``'s head at or above ``low`` gives ``F(x_s) >=
+      e/n - A``, and the next probe at or below ``high`` gives ``F(x_e)
+      <= s/n + A``. The row is sorted, so every ``d+`` term ``(i+1)/n -
+      F(x_i)`` and ``d-`` term ``F(x_i) - i/n`` of the sub-block is at
+      most A. The last column has no ``low`` and the first head no
+      ``high``: their levels are infinite, so every x passes them.
+    - A probe ``k`` below ``below`` gives ``F(x_k) <= (k+1)/n - R`` and one
+      above ``above`` gives ``F(x_k) >= k/n + R``: a term of D of at least R.
+    """
+    width = _sub_block_width(n)
+    last = -(-n // width)  # the last column's probe, after the heads
+    accept, reject = d - _KS_DELTA, d + _KS_DELTA
+    bands = np.empty((4, last + 1))
+    # A few probes at a time, so that no temporary holds a long row's probes.
+    for first in range(0, last + 1, _BAND_PROBES):
+        j = np.arange(first, min(first + _BAND_PROBES, last + 1))
+        probe = np.minimum(j * width, n - 1)
+        cols = slice(first, first + len(j))
+        low = np.where(j == last, -np.inf, np.minimum(probe + width, n) / n - accept)
+        bands[0, cols] = _threshold(cdf, quantile, low, 1)
+        high = np.where(j == 0, np.inf, (j - 1) * width / n + accept)
+        bands[1, cols] = _threshold(cdf, quantile, high, -1)
+        bands[2, cols] = _threshold(cdf, quantile, (probe + 1.0) / n - reject, -1)
+        bands[3, cols] = _threshold(cdf, quantile, probe / n + reject, 1)
+    return bands
+
+
+def _shape_rejections(
+    x: np.ndarray, cdf: ShapeCdf, bands: np.ndarray | None, level: float, rejected: np.ndarray
+) -> None:
     """OR into ``rejected`` the sorted cell rows ``x`` whose shape test rejects at ``level``.
 
-    A row is decided from its bounds (:func:`_ks_bounds`) where they
-    suffice. With ``L`` its largest probe term and ``U`` its largest
-    sub-block bound, its KS distance D lies in ``[L, U + _KS_MARGIN]``.
-    The row is accepted when the p-value of ``U + _KS_DELTA`` is at least
-    ``level`` and rejected when that of ``L - _KS_DELTA`` is below it;
-    both p-values come from one :func:`_kolmogorov_sf` call. Only the
-    rows left open and not yet in ``rejected`` get D (:func:`_ks_statistic`,
-    each row a view of ``x``) and its p-value, in one more call; a NaN
-    bound leaves its row open.
+    A row is decided by comparing its probes with ``bands``
+    (:func:`_shape_bands`), which cost no CDF and no p-value: it is
+    accepted when every probe lies in ``[low, high]`` and rejected when
+    some probe is below ``below`` or above ``above``. A row that holds an
+    infinity or NaN (sorted, its first or last value) is decided by none
+    of them, and neither is any row when ``bands`` is None. Only the rows
+    left open and not yet in ``rejected`` get D (:func:`_ks_statistic`,
+    each row a view of ``x``) and its p-value, in one
+    :func:`_kolmogorov_sf` call.
 
     Each decision is the one that D's own p-value makes, as
-    :meth:`BlockAttack.tests` computes it:
+    :meth:`BlockAttack.tests` computes it. An accepted row has D at most
+    ``d* - _KS_DELTA`` and a rejected one at least ``d* + _KS_DELTA``, to
+    within a few roundings of 1e-16, and the float after ``d*`` has a
+    p-value below ``level`` (:func:`_level_statistic`):
 
-    - ``sqrt(n)`` times either bound lies at least ``10 * (_KS_DELTA -
-      _KS_MARGIN)``, about 1e-8, from ``sqrt(n) * D`` (rows hold 100
-      values or more), against a rounding of ~1e-16.
+    - ``sqrt(n)`` times D lies at least ``10 * _KS_DELTA``, about 1e-8,
+      from ``sqrt(n)`` times ``d*`` and the float after it (rows hold
+      100 values or more), against a rounding of ~1e-16.
     - Every level is below 1/2 (at least two sub-tests share the
       significance). Where the p-value is below 0.6 it falls by a relative
       2.7 or more per unit of its argument, so across that gap by a
@@ -322,17 +436,20 @@ def _shape_rejections(x: np.ndarray, cdf: ShapeCdf, level: float, rejected: np.n
       wherever that is above 1e-300 (``tests/test_pvalues.py``), far less
       than that fall, so the computed p-values keep the order of their
       arguments across the gap. Below 1e-300 that accuracy is not held,
-      so at a level that small every row is left open.
+      so at a level that small there are no bands and every row is left
+      open.
     """
-    rows, n = x.shape
-    if level >= _P_FLOOR:
-        lowest, highest, bound = _ks_bounds(x, cdf)
-        upper = np.max(bound, axis=1) + _KS_DELTA
-        p = _shape_p_value(np.concatenate([upper, np.maximum(-lowest, highest) - _KS_DELTA]), n)
-        rejected |= p[rows:] < level
-        open_rows = np.flatnonzero(~rejected & ~(p[:rows] >= level))
-    else:
-        open_rows = np.flatnonzero(~rejected)
+    n = x.shape[1]
+    open_rows = ~rejected
+    if bands is not None:
+        low, high, below, above = bands
+        heads, last = x[:, :: _sub_block_width(n)], x[:, -1]
+        finite = np.isfinite(x[:, 0]) & np.isfinite(last)
+        outside = (heads < below[:-1]).any(axis=1) | (heads > above[:-1]).any(axis=1)
+        rejected |= finite & (outside | (last < below[-1]) | (last > above[-1]))
+        inside = (heads >= low[:-1]).all(axis=1) & (heads <= high[:-1]).all(axis=1)
+        open_rows = ~rejected & ~(finite & inside & (last >= low[-1]) & (last <= high[-1]))
+    open_rows = np.flatnonzero(open_rows)
     if len(open_rows):
         statistic = np.concatenate([_ks_statistic(x[r : r + 1], cdf) for r in open_rows.tolist()])
         rejected[open_rows] = _shape_p_value(statistic, n) < level
@@ -376,8 +493,8 @@ class BlockAttack:
     Built once per run, before its shares fork (:func:`kljn.engine.run`),
     and handed to :func:`kljn.engine.run_blocks`. Its one table holds the
     four sub-test cells ``[hypothesis][party]``: the resistance the party
-    presents, the spec it claims and that spec's CDF
-    (:func:`_shape_cdf`). Hypotheses are Alice low, then Alice high, and
+    presents, the spec it claims, that spec's CDF (:func:`_shape_cdf`) and
+    its index in ``specs``. Hypotheses are Alice low, then Alice high, and
     Alice is party 0. A CDF that interpolates a table has the table built
     here once, and every worker inherits it. The significance must lie in
     (0, 1) and each row must hold at least ``MIN_TEST_SAMPLES`` samples.
@@ -385,9 +502,12 @@ class BlockAttack:
     :meth:`tests` runs every cell and returns the complete evidence;
     :meth:`verdicts` runs the variance cells and then only the shape cells
     that can still change its codes, and computes D only for the rows
-    whose KS bounds leave the decision open. Nothing is assigned to an
-    instance after it is built: the cells are tested in turn in a ``(rows,
-    n)`` scratch array that the caller passes as ``out``, or that a call
+    whose shape bands leave the decision open. Nothing is assigned to an
+    instance after it is built. Its one mutable part holds each spec's
+    shape bands per row length (:meth:`_bands`), O(probes) each, filled at
+    the first shape cell of that length; threads that race to fill it
+    store equal bands. The cells are tested in turn in a ``(rows, n)``
+    scratch array that the caller passes as ``out``, or that a call
     allocates, so threads may share an instance as long as each passes its
     own scratch.
     """
@@ -400,13 +520,15 @@ class BlockAttack:
         self.specs = (spec_low, spec_high)
         self.significance = significance
         low, high = (
-            (r, spec, _shape_cdf(spec)) for r, spec in zip((pair.r_low, pair.r_high), self.specs)
+            (r, spec, _shape_cdf(spec), k)
+            for k, (r, spec) in enumerate(zip((pair.r_low, pair.r_high), self.specs))
         )
         self._table = ((low, high), (high, low))
+        self._bands_by_length: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # The variance each party claims, and kappa - 1 of its law: the
         # variance of a squared draw over the variance squared. A kappa of
         # None (no variance) becomes NaN. Each is shaped [hypothesis, party, 1].
-        claims = [[spec for _, spec, _ in cells] for cells in self._table]
+        claims = [[spec for _, spec, *_ in cells] for cells in self._table]
         self._variance = np.array([[spec.scale**2 for spec in c] for c in claims])[:, :, None]
         kappa = np.array([[LAWS[spec.kind].kappa for spec in c] for c in claims], dtype=float)
         self._square_spread = (kappa - 1.0)[:, :, None]
@@ -425,12 +547,31 @@ class BlockAttack:
         rows, n = voltage.shape
         mean_squares = np.full((2, 2, rows), np.nan)
         for h, cells in enumerate(self._table):
-            for party, (r, spec, _) in enumerate(cells):
+            for party, (r, spec, *_) in enumerate(cells):
                 if LAWS[spec.kind].variance:
                     x = _reconstruct(voltage, current, r, party == 0, scratch)
                     mean_squares[h, party] = mean_square(x)
         error = self._variance * np.sqrt(self._square_spread / n)
         return (mean_squares - self._variance) / error
+
+    def _bands(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Each spec's shape bands (:func:`_shape_bands`) for rows of ``n`` values.
+
+        They are built at the first call for ``n`` and kept; below a level
+        of ``_P_FLOOR`` there are none.
+        """
+        if self.level < _P_FLOOR:
+            return None, None
+        bands = self._bands_by_length.get(n)
+        if bands is None:
+            d = _level_statistic(n, self.level)
+            built = tuple(
+                _shape_bands(cdf, _shape_quantile(spec, cdf), n, d)
+                for _, spec, cdf, _ in self._table[0]
+            )
+            # Threads that race here built equal bands; all keep the first stored.
+            bands = self._bands_by_length.setdefault(n, built)
+        return bands
 
     def tests(
         self, voltage: np.ndarray, current: np.ndarray, out: np.ndarray | None = None
@@ -455,7 +596,7 @@ class BlockAttack:
         z = self._z(voltage, current, scratch)
         statistic = np.empty(z.shape)
         for h, cells in enumerate(self._table):
-            for party, (r, _, cdf) in enumerate(cells):
+            for party, (r, _, cdf, _) in enumerate(cells):
                 x = _sorted_reconstruction(voltage, current, r, party == 0, scratch)
                 statistic[h, party] = _ks_statistic(x, cdf)
         variance_p, shape_p = _z_p_value(z), _shape_p_value(statistic, voltage.shape[1])
@@ -486,29 +627,30 @@ class BlockAttack:
         the block rarely skips.
 
         A shape cell that runs sorts its reconstruction and decides each
-        row from the bounds of :func:`_ks_bounds`, which evaluate the CDF
-        at one value in every ``isqrt(n) // 4`` (144 of 1000). The largest
-        probe term ``L`` is a term of D and the largest sub-block bound
-        ``U`` is at least D less ``_KS_MARGIN``. A row is accepted when
-        the p-value of ``U + _KS_DELTA`` is at least the level, and
-        rejected when that of ``L - _KS_DELTA`` is below it; both come from
-        one p-value call per cell. D itself, and one more p-value call, is
+        row in sample space: it compares the row's values at the sub-block
+        heads, one in every ``isqrt(n) // 4`` columns, and its last value
+        with the spec's bands for rows of that length (:meth:`_bands`),
+        built at the first such cell from the CDF's inverse and the KS
+        distance ``d*`` at which the p-value crosses the level. A row
+        inside its accept bands has D below ``d* - _KS_DELTA``, and one
+        outside its reject bands has D above ``d* + _KS_DELTA``. Neither
+        costs a CDF value or a p-value: D itself, and one p-value call, is
         taken only for the rows left open (:func:`_shape_rejections` says
         why each decision is the one D's own p-value makes). A rejection is
         the OR of its sub-tests' rejections, so every code equals ``low + 2
-        * high`` of ``tests(...).rejected``. At compliance the bounds leave
-        few rows open: a 1000-sample row has D ~0.027 and bounds ~0.007
-        wider, against a rejection above ~0.058 at the default level, so a
-        2000-bit session computes D for 25 of its 3996 shape-cell rows.
+        * high`` of ``tests(...).rejected``. At compliance the bands leave
+        few rows open: a 1000-sample row has D ~0.027 against a rejection
+        above ~0.058 at the default level, so a 2000-bit session computes D
+        for 25 of its 3996 shape-cell rows.
         """
         scratch = _block_scratch(voltage, out)
         rejected = (_z_p_value(self._z(voltage, current, scratch)) < self.level).any(axis=1)
         for h, cells in enumerate(self._table):
-            for party, (r, _, cdf) in enumerate(cells):
+            for party, (r, _, cdf, k) in enumerate(cells):
                 if rejected[h].all():
                     break
                 x = _sorted_reconstruction(voltage, current, r, party == 0, scratch)
-                _shape_rejections(x, cdf, self.level, rejected[h])
+                _shape_rejections(x, cdf, self._bands(x.shape[1])[k], self.level, rejected[h])
         low_rejected, high_rejected = rejected
         return low_rejected + 2 * high_rejected
 

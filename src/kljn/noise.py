@@ -34,7 +34,9 @@ Source laws
 family's draws, closed-form density and CDF, and kurtosis, which sets
 the variance test's standard error (None for a family without a
 variance). Where the CDF is too slow for the shape test to call on every
-sample, the entry also names the nodes at which the test tabulates it.
+sample, the entry also names the nodes at which the test tabulates it;
+otherwise it gives the CDF's inverse, from which the test's per-probe
+thresholds start.
 """
 
 from __future__ import annotations
@@ -301,6 +303,10 @@ class SourceLaw:
     cheap enough for the shape test to call on every sample; otherwise it
     is the ``(half width, step)``, in scale units, of the nodes at which
     the shape test tabulates ``cdf`` once and interpolates it.
+    ``quantile(t, scale)`` is the inverse of ``cdf`` at levels ``t`` in
+    ``[0, 1]``, where the shape test's sample-space thresholds start
+    (:func:`kljn.eve._band`); it is None for a law with ``cdf_nodes``,
+    whose table the test reads backwards instead.
     """
 
     draw: Callable[[np.random.Generator, float, np.ndarray], None]
@@ -308,6 +314,7 @@ class SourceLaw:
     cdf: Callable[[np.ndarray, float], np.ndarray]
     kappa: float | None
     cdf_nodes: tuple[float, float] | None
+    quantile: Callable[[np.ndarray, float], np.ndarray] | None
 
     @property
     def variance(self) -> bool:
@@ -329,6 +336,7 @@ LAWS = {
         cdf=lambda x, scale: 0.5 * _erfc(-(x / scale) * _SQRT1_2),
         kappa=3.0,
         cdf_nodes=(8.0, 1.0 / 200.0),
+        quantile=None,
     ),
     DistributionKind.UNIFORM: SourceLaw(
         draw=_draw_uniform,
@@ -336,6 +344,7 @@ LAWS = {
         cdf=lambda x, scale: np.clip((x + _SQRT3 * scale) / (2.0 * _SQRT3 * scale), 0.0, 1.0),
         kappa=1.8,
         cdf_nodes=None,
+        quantile=lambda t, scale: (2.0 * t - 1.0) * (_SQRT3 * scale),
     ),
     DistributionKind.CAUCHY: SourceLaw(
         draw=_draw_cauchy,
@@ -343,6 +352,7 @@ LAWS = {
         cdf=lambda x, scale: 0.5 + np.arctan(x / scale) / math.pi,
         kappa=None,
         cdf_nodes=None,
+        quantile=lambda t, scale: scale * np.tan(math.pi * (t - 0.5)),
     ),
 }
 

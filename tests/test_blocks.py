@@ -419,3 +419,20 @@ def test_session_peak_does_not_grow_with_its_length():
         for bits in (64, 512)
     ]
     assert peaks[1] - peaks[0] < 8 * kljn.line.BLOCK_SAMPLES
+
+
+def test_a_share_of_many_blocks_peaks_with_a_share_of_one(monkeypatch):
+    # Two cores split 64 bits into two shares of one block each, and 512
+    # bits into two shares of eight. This process runs the first share.
+    # Each block's attack copies its mixed rows; released once the attack
+    # is done, the copies are gone before the next block draws, so a share
+    # of many blocks peaks no higher than one of a single block. Kept until
+    # the next block's attack, they raised the peak by ~200 KB.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def run(bits):
+        run_session(session_config(DistributionKind.GAUSSIAN, 2.0, 1000, bits, 3))
+
+    run(64)  # what a first session loads is loaded before either peak
+    one, many = (traced_peak(lambda: run(bits)) for bits in (64, 512))
+    assert many - one < 64 * 1024

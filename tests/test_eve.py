@@ -1141,6 +1141,37 @@ class TestKeptBuffers:
                 assert np.array_equal(field, want_field, equal_nan=True)
         assert attributes(eve) == state
 
+    def test_threads_building_the_bands_at_once_give_the_sequential_codes(self):
+        # Three threads at a time, more than this host's cores, each on a
+        # fresh attack's first block, so all three build its shape bands at
+        # once; each attack keeps one set of them.
+        blocks = [long_block(DistributionKind.GAUSSIAN, 16, 1000, seed=k)[1:] for k in range(6)]
+        expected = [block_attack().verdicts(voltage, current) for voltage, current in blocks]
+        got = [None] * len(blocks)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for first in range(0, len(blocks), 3):
+                eve = block_attack()
+                start = threading.Barrier(3, timeout=60)
+
+                def attack(k):
+                    voltage, current = blocks[k]
+                    start.wait()
+                    got[k] = eve.verdicts(voltage, current, out=np.empty_like(voltage))
+
+                threads = [threading.Thread(target=attack, args=(first + k,)) for k in range(3)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert list(eve._bands_by_length) == [1000]
+        finally:
+            sys.setswitchinterval(interval)
+        for codes, want in zip(got, expected):
+            assert np.array_equal(codes, want)
+
     @pytest.mark.parametrize("kind", list(DistributionKind))
     def test_testing_a_block_assigns_nothing_to_the_attack(self, kind):
         eve, voltage, current = long_block(kind, 3, 500, seed=2)
@@ -1464,19 +1495,21 @@ class TestVerdictBounds:
         assert sum(exact_rows) == 4 * 16
         assert np.array_equal(codes, codes_of(eve.tests(voltage, current)))
 
-    def test_each_shape_cell_takes_one_p_value_call_and_one_for_its_open_rows(self, monkeypatch):
+    def test_a_shape_cell_takes_a_p_value_call_only_for_its_open_rows(self, monkeypatch):
         spec_low, spec_high = law_specs(DistributionKind.GAUSSIAN, 1.0)
         voltage, current = switch_block(spec_low, spec_high, np.arange(16) % 2 == 1, 1000)
+        eve = block_attack(spec_low, spec_high)
+        eve.verdicts(voltage, current)  # builds the bands of 1000-value rows
         calls = []
         marks = {"_sorted_reconstruction": "c", "_kolmogorov_sf": "p", "_ks_statistic": "d"}
         for name, mark in marks.items():
             original = getattr(kljn.eve, name)
             counted = partial(lambda f, m, *args: calls.append(m) or f(*args), original, mark)
             monkeypatch.setattr(kljn.eve, name, counted)
-        block_attack(spec_low, spec_high).verdicts(voltage, current)
-        # A cell sorts, takes both bounds' p-values in one call, and, only if
-        # the bounds leave rows open, the D of each and their p-values in one.
-        assert re.fullmatch("(cp(d+p)?){4}", "".join(calls))
+        eve.verdicts(voltage, current)
+        # A cell sorts and compares its probes with the bands; only if they
+        # leave rows open does it take the D of each and their p-values in one call.
+        assert re.fullmatch("(c(d+p)?){4}", "".join(calls))
         assert calls.count("d") < 16
 
     def test_a_compliant_block_evaluates_its_cdf_at_few_of_its_values(self, monkeypatch):
@@ -1494,8 +1527,93 @@ class TestVerdictBounds:
         cells = 4 * voltage.size
         assert sum(sizes) == cells  # every value of the four shape cells
         sizes.clear()
-        eve.verdicts(voltage, current)
+        eve.verdicts(voltage, current)  # builds the bands, from F at few values
         assert sum(sizes) < 0.25 * cells
+        sizes.clear()
+        exact_rows = count_exact_rows(monkeypatch)
+        eve.verdicts(voltage, current)
+        # With the bands built, F is called only on the rows they leave open.
+        assert sum(sizes) == voltage.shape[1] * sum(exact_rows) < 0.25 * cells
+
+
+def band_levels(n, d):
+    """Level and side (:func:`kljn.eve._threshold`) of each band of ``n``-value rows at ``d* = d``.
+
+    Rebuilt from the KS terms at the probes: the sub-block heads ``s``,
+    then the last column. The accept bands hold each term of a sub-block
+    ``[s, e)`` at most ``A = d* - delta`` (``F(x_s) >= e/n - A`` and ``F``
+    at the next probe ``<= s/n + A``); the reject bands give a probe term
+    of at least ``R = d* + delta``. An infinite level bounds nothing.
+    """
+    width = kljn.eve._sub_block_width(n)
+    heads = np.arange(0, n, width)
+    probes = np.append(heads, n - 1)
+    accept, reject = d - kljn.eve._KS_DELTA, d + kljn.eve._KS_DELTA
+    return [
+        (np.append(np.minimum(heads + width, n) / n - accept, -np.inf), 1),
+        (np.append(np.inf, heads / n + accept), -1),
+        ((probes + 1.0) / n - reject, -1),
+        (probes / n + reject, 1),
+    ]
+
+
+class TestShapeBands:
+    """The sample-space bands ``verdicts`` compares a shape cell's sorted rows with."""
+
+    @pytest.mark.parametrize("significance", [1e-9, 1e-4, 0.01, 0.5, 0.99])
+    @pytest.mark.parametrize("n", [100, 1000, FIRST_PRUNED, LONG_ROW])
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_each_threshold_lies_on_its_side_of_the_cdf(self, kind, n, significance):
+        spec_low, spec_high = NoiseSpec(kind, 0.7), NoiseSpec(kind, 2.9)
+        eve = block_attack(spec_low, spec_high, significance)
+        d = boundary_statistic(n, eve.level)
+        assert kljn.eve._level_statistic(n, eve.level) == d
+        for spec, bands in zip(eve.specs, eve._bands(n)):
+            cdf = _shape_cdf(spec)
+            bottom, top = cdf(np.array([-np.inf, np.inf]))
+            assert bands.shape == (4, len(band_levels(n, d)[0][0]))
+            for band, (t, side) in zip(bands, band_levels(n, d)):
+                near, far = (bottom, top) if side > 0 else (top, bottom)
+                # NaN exactly where no x, infinities included, passes the level.
+                unreachable = side * (far - t) < _KS_MARGIN
+                assert np.array_equal(np.isnan(band), unreachable)
+                # An infinite threshold only where every x passes it.
+                everywhere = np.isinf(band)
+                assert (band[everywhere] == -side * np.inf).all()
+                assert (side * (near - t[everywhere]) >= _KS_MARGIN).all()
+                # Every finite threshold has F past its level by the margin
+                # F is monotone within, and gives away less than delta.
+                finite = np.isfinite(band)
+                past = side * (cdf(band[finite]) - t[finite])
+                assert (past >= _KS_MARGIN).all() and (past < kljn.eve._KS_DELTA).all()
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_a_row_holding_an_infinity_or_nan_is_never_decided_by_the_bands(
+        self, monkeypatch, kind, n
+    ):
+        # A row of mid-quantiles, which the bands accept, and the same row
+        # moved two scales up, which they reject; then each with a -inf, an
+        # inf or a NaN in place of one value.
+        spec = NoiseSpec(kind, 1.3)
+        eve = block_attack(spec, spec)
+        cdf = _shape_cdf(spec)
+        grid = law_grid(kind) * spec.scale
+        quantiles = np.interp((np.arange(n) + 0.5) / n, cdf(grid[None, :])[0], grid)
+        rows = []
+        for x in (quantiles, quantiles + 2.0 * spec.scale):
+            rows.append(x)
+            for k, value in ((0, -np.inf), (n // 2, np.inf), (n // 3, np.nan)):
+                rows.append(np.sort(np.concatenate([np.delete(x, k), [value]])))
+        x = np.array(rows)
+        exact_rows = count_exact_rows(monkeypatch)
+        rejected = np.zeros(len(x), dtype=bool)
+        kljn.eve._shape_rejections(x.copy(), cdf, eve._bands(n)[0], eve.level, rejected)
+        # One D for each of the six rows that are not finite, none for the rest.
+        assert exact_rows == [1] * 6
+        assert rejected.tolist() == [False] * 4 + [True] * 3 + [False]
+        p = kljn.eve._shape_p_value(_ks_statistic(x.copy(), cdf), n)
+        assert (rejected == (p < eve.level)).all()
 
 
 class TestAttackTrials:
