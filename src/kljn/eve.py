@@ -12,9 +12,13 @@ it indistinguishable even in variance, and any deviation opens a gap that
 two tests can see. Per party and hypothesis, a variance z test checks the
 amplitude law and a Kolmogorov-Smirnov shape test checks Gaussianity.
 What the attack needs of a source family comes from its entry of
-:data:`kljn.noise.LAWS`: its CDF, the nodes to tabulate that CDF at when
-it is too slow to call per sample, and its kurtosis, whose absence means
-no variance to test and also sets the Bonferroni count.
+:data:`kljn.noise.LAWS`: its CDF; the nodes to tabulate that CDF at when
+it is too slow to call per sample; its quantile, the CDF's inverse, where
+the shape bands start (a tabulated CDF is read backwards instead); the
+finite range outside which its CDF is flat, the table's nodes or the
+quantiles at 0 and 1, without which no long row is counted; and its
+kurtosis, whose absence means no variance to test and also sets the
+Bonferroni count.
 
 :class:`BlockAttack` is the one attack. It holds line signals one bit per
 row, so a single bit is a one-row block, and :meth:`BlockAttack.tests`
@@ -34,8 +38,12 @@ inverse and the KS distance ``d*`` at which the p-value crosses the
 level. A row inside its accept bands has every term of its KS distance D
 below ``d* - _KS_DELTA``, and one outside its reject bands has a term
 above ``d* + _KS_DELTA``, far more than the rounding of D and of its
-p-value from ``d*``. Only the rows the bands leave open get D itself and
-a p-value. So the codes stay those of ``tests``, which computes every D.
+p-value from ``d*``. A row of 65 536 values or more, of a law whose CDF
+is flat outside a finite range, is first decided with no sort: its values
+are counted on a grid of equal bins, and the counts below each band's
+threshold tell where the sorted row's probes lie. Only the rows the
+counts and then the bands leave open get D itself and a p-value. So the
+codes stay those of ``tests``, which computes every D.
 The runs that attack bits block by block are :mod:`kljn.engine`'s.
 """
 
@@ -86,6 +94,9 @@ _P_FLOOR = 1e-300
 # which each step of the bisection for d* divides its interval.
 _BAND_PROBES = 1024
 _BISECTION_STEPS = np.arange(65.0) / 64.0
+# Equal bins of the grid on which a row that _ks_statistic would prune is
+# counted, where its law allows (see _count_bands).
+_COUNT_BINS = 2**14
 
 
 def _reconstruct(
@@ -304,17 +315,17 @@ def _block_scratch(voltage: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return np.empty(voltage.shape) if out is None else out
 
 
-def _sorted_reconstruction(
+def _shape_reconstruction(
     voltage: np.ndarray, current: np.ndarray, r: float, alice: bool, out: np.ndarray
 ) -> np.ndarray:
-    """A party's reconstruction under resistance ``r``, its rows sorted in ``out``.
+    """A party's reconstruction under resistance ``r``, in ``out``, for a shape cell.
 
     Every shape cell of :meth:`BlockAttack.tests` and of
-    :meth:`BlockAttack.verdicts` starts here (:func:`_reconstruct`).
+    :meth:`BlockAttack.verdicts` starts here (:func:`_reconstruct`), once;
+    ``tests`` sorts its rows, ``verdicts`` counts or sorts them
+    (:func:`_shape_rejections`).
     """
-    x = _reconstruct(voltage, current, r, alice, out)
-    x.sort(axis=1)
-    return x
+    return _reconstruct(voltage, current, r, alice, out)
 
 
 def _shape_p_value(statistic: np.ndarray, n: int) -> np.ndarray:
@@ -404,22 +415,176 @@ def _shape_bands(cdf: ShapeCdf, quantile: ShapeCdf, n: int, d: float) -> np.ndar
     return bands
 
 
+class _CountBands(NamedTuple):
+    """Shape bands read through a row's value counts on a grid of equal bins (:func:`_count_bands`).
+
+    A value x lies in bin ``trunc((clip(x, low, high) - low) * scale)``
+    (:func:`_bin_index`), one of ``_COUNT_BINS + 1``. ``at[b, j]``, an
+    int32 array half the size of the bands, is the place in a row's
+    cumulative counts (:func:`_cumulative_counts`) that decides band ``b``
+    of :func:`_shape_bands` at probe ``j``.
+    """
+
+    low: float
+    high: float
+    scale: float
+    at: np.ndarray
+
+
+class _Bands(NamedTuple):
+    """A spec's shape bands for rows of one length (:meth:`BlockAttack._bands`).
+
+    ``probes`` is the ``(4, probes)`` array of :func:`_shape_bands` and
+    ``counts`` the same bands on a count grid (:func:`_count_bands`), or
+    None where the rows are sorted instead.
+    """
+
+    probes: np.ndarray
+    counts: _CountBands | None
+
+
+def _counts_can_decide(kind: DistributionKind) -> bool:
+    """Whether long shape-cell rows of ``kind`` are counted: its CDF is flat outside a finite range.
+
+    A tabulated CDF is constant beyond its nodes (the Gaussian's 8
+    scales). A closed-form one is when its quantiles at 0 and 1 are finite
+    and its density is 0 beyond them, at twice their distance: the
+    uniform's support. The Cauchy quantiles at 0 and 1 are finite only by
+    rounding (``tan`` at ``pi/2``), and its density is 0 nowhere; its
+    bands' thresholds reach a hundred scales and more, far too wide for
+    the bins to resolve its centre, so its rows are sorted.
+    """
+    law = LAWS[kind]
+    if law.cdf_nodes is not None:
+        return True
+    ends = law.quantile(np.array([0.0, 1.0]), 1.0)
+    return bool(np.isfinite(ends).all() and not law.pdf(2.0 * ends, 1.0).any())
+
+
+def _bin_index(x: np.ndarray, counts: _CountBands, scratch: np.ndarray) -> np.ndarray:
+    """The bin of each value of ``x`` on the grid of ``counts``, as an intp view of ``scratch``.
+
+    ``scratch`` is a float64 array of ``x``'s shape; the bins overwrite it
+    in place. Each step (a clip, a subtraction, a product and its
+    truncation) is exact or correctly rounded, so the bin never decreases
+    as x grows. ``x`` must hold no NaN.
+    """
+    np.clip(x, counts.low, counts.high, out=scratch)
+    scratch -= counts.low
+    return np.multiply(scratch, counts.scale, out=scratch.view(np.intp), casting="unsafe")
+
+
+def _count_bands(probes: np.ndarray, n: int) -> _CountBands:
+    """The bands ``probes`` (:func:`_shape_bands`) of rows of ``n`` values on a count grid.
+
+    The grid spans the bands' finite thresholds in ``_COUNT_BINS`` equal
+    bins; values beyond it count in its end bins. Let ``c[i]`` be the
+    number of a row's values in the bins below ``i`` and ``b`` the bin of
+    a threshold t. The bin never decreases as x grows, so every value at
+    or below t is in bin b or lower, and every value in a bin below b is
+    below t: ``c[b + 1]`` is at least the count of values at or below t,
+    and ``c[b]`` at most the count below it. ``at`` takes one bin of
+    slack more on each side, ``c[b + 2]`` and ``c[b - 1]``, so that a
+    threshold a rounding away from a bin edge decides nothing it should
+    not. A sorted row's value ``x_p`` at column p is then:
+
+    - at or above ``low`` if ``c[b + 2] <= p``, and above ``above`` if
+      that holds for ``above``'s bin: at most p values lie at or below t;
+    - at or below ``high`` if ``c[b - 1] >= p + 1``, and below ``below``
+      if that holds for ``below``'s bin: p + 1 values or more lie below t.
+
+    An infinite threshold has exact counts: none of a finite row's values
+    is at or below ``-inf`` and all of them are below ``inf``, ``c[0]``
+    and ``c[_COUNT_BINS + 1]``. A NaN threshold, which no value passes,
+    points where its test fails: ``c[_COUNT_BINS + 1] = n`` against at
+    most p, ``c[0] = 0`` against at least p + 1.
+    """
+    finite = np.isfinite(probes)
+    ends = probes[finite]
+    low, high = (float(ends.min()), float(ends.max())) if len(ends) else (0.0, 0.0)
+    b = np.zeros(probes.shape, dtype=np.intp)
+    counts = _CountBands(low, high, _COUNT_BINS / (high - low) if high > low else 0.0, b)
+    b[finite] = _bin_index(ends, counts, np.empty(len(ends)))
+    top = _COUNT_BINS + 1
+    # low and above hold at most p values at or below them; high and below p + 1 or more below them.
+    at_most = np.array([[True], [False], [False], [True]])
+    at = np.where(at_most, np.minimum(b + 2, top), np.maximum(b - 1, 0))
+    at[probes == -np.inf] = 0
+    at[probes == np.inf] = top
+    at = np.where(np.isnan(probes), np.where(at_most, top, 0), at)
+    return counts._replace(at=at.astype(np.int32))
+
+
+def _cumulative_counts(row: np.ndarray, counts: _CountBands) -> np.ndarray | None:
+    """``c[i]``, how many values of ``row`` lie in the bins below ``i`` of ``counts``'s grid.
+
+    ``i`` runs over ``0 .. _COUNT_BINS + 1``; None if the row holds an
+    infinity or NaN. The row goes in batches of ``BLOCK_SAMPLES // 2``
+    columns. A batch's values are clipped and scaled in one 128 KiB
+    buffer, which then holds their bins (:func:`_bin_index`), and the
+    counts take 128 KiB more; both serve every batch of the row, so no
+    array of the row's length is made, and a later trial of a run maps no
+    fresh pages (``tests/test_blocks.py``).
+    """
+    n = len(row)
+    batch = min(n, max(1, line.BLOCK_SAMPLES // 2))
+    scratch = np.empty(batch)
+    c = np.zeros(_COUNT_BINS + 2, dtype=np.intp)
+    for first in range(0, n, batch):
+        part = row[first : first + batch]
+        if not (math.isfinite(part.min()) and math.isfinite(part.max())):
+            return None
+        np.add.at(c[1:], _bin_index(part, counts, scratch[: len(part)]), 1)
+    return np.cumsum(c, out=c)
+
+
+def _count_verdict(row: np.ndarray, counts: _CountBands) -> bool | None:
+    """The shape test's rejection of one cell row from its counts (:func:`_count_bands`), unsorted.
+
+    True when some probe of the sorted row would lie outside a reject band,
+    False when every probe would lie inside the accept bands, and None
+    when the counts show neither or the row holds an infinity or NaN.
+    """
+    c = _cumulative_counts(row, counts)
+    if c is None:
+        return None
+    n = len(row)
+    low, high, below, above = counts.at
+    column = np.minimum(np.arange(counts.at.shape[1]) * _sub_block_width(n), n - 1)
+    if (c[below] > column).any() or (c[above] <= column).any():
+        return True
+    if (c[low] <= column).all() and (c[high] > column).all():
+        return False
+    return None
+
+
 def _shape_rejections(
-    x: np.ndarray, cdf: ShapeCdf, bands: np.ndarray | None, level: float, rejected: np.ndarray
+    x: np.ndarray, cdf: ShapeCdf, bands: _Bands | None, level: float, rejected: np.ndarray
 ) -> None:
-    """OR into ``rejected`` the sorted cell rows ``x`` whose shape test rejects at ``level``.
+    """OR into ``rejected`` the rows of a shape cell ``x`` whose shape test rejects at ``level``.
 
-    A row is decided by comparing its probes with ``bands``
-    (:func:`_shape_bands`), which cost no CDF and no p-value: it is
-    accepted when every probe lies in ``[low, high]`` and rejected when
-    some probe is below ``below`` or above ``above``. A row that holds an
-    infinity or NaN (sorted, its first or last value) is decided by none
-    of them, and neither is any row when ``bands`` is None. Only the rows
-    left open and not yet in ``rejected`` get D (:func:`_ks_statistic`,
-    each row a view of ``x``) and its p-value, in one
-    :func:`_kolmogorov_sf` call.
+    ``x`` holds the cell's reconstruction (:func:`_shape_reconstruction`)
+    and is overwritten. Only rows not yet in ``rejected`` are decided, in
+    up to three steps, each for the rows the last left open:
 
-    Each decision is the one that D's own p-value makes, as
+    - Rows of 65 536 values or more whose spec has a count grid
+      (``bands.counts``) are counted on it (:func:`_count_verdict`), with
+      no sort. A row that holds an infinity or NaN is decided by no count.
+    - The other rows are sorted in place, and their probes compared with
+      ``bands.probes`` (:func:`_shape_bands`), which cost no CDF and no
+      p-value: a row is accepted when every probe lies in ``[low, high]``
+      and rejected when some probe is below ``below`` or above ``above``.
+      A row that holds an infinity or NaN (sorted, its first or last
+      value) is decided by none of them, and neither is any row when
+      ``bands`` is None.
+    - The rest get D (:func:`_ks_statistic`) and its p-value, in one
+      :func:`_kolmogorov_sf` call. Shorter rows go to one
+      ``_ks_statistic`` call, gathered; longer ones each as a view of
+      ``x``, which is never copied.
+
+    A count decides only what the probes of the sorted row would decide
+    (:func:`_count_bands`), so every decision is the bands', or D's own.
+    Each is the one that D's own p-value makes, as
     :meth:`BlockAttack.tests` computes it. An accepted row has D at most
     ``d* - _KS_DELTA`` and a rejected one at least ``d* + _KS_DELTA``, to
     within a few roundings of 1e-16, and the float after ``d*`` has a
@@ -440,19 +605,36 @@ def _shape_rejections(
       open.
     """
     n = x.shape[1]
-    open_rows = ~rejected
-    if bands is not None:
-        low, high, below, above = bands
-        heads, last = x[:, :: _sub_block_width(n)], x[:, -1]
-        finite = np.isfinite(x[:, 0]) & np.isfinite(last)
+    todo = np.flatnonzero(~rejected)
+    counts = None if bands is None else bands.counts
+    if counts is None:
+        x.sort(axis=1)
+    else:
+        left = []
+        for r in todo.tolist():
+            verdict = _count_verdict(x[r], counts)
+            if verdict is None:
+                x[r].sort()
+                left.append(r)
+            else:
+                rejected[r] = verdict
+        todo = np.array(left, dtype=np.intp)
+    if bands is not None and len(todo):
+        low, high, below, above = bands.probes
+        heads, first, last = x[:, :: _sub_block_width(n)][todo], x[todo, 0], x[todo, -1]
+        finite = np.isfinite(first) & np.isfinite(last)
         outside = (heads < below[:-1]).any(axis=1) | (heads > above[:-1]).any(axis=1)
-        rejected |= finite & (outside | (last < below[-1]) | (last > above[-1]))
+        outside = finite & (outside | (last < below[-1]) | (last > above[-1]))
         inside = (heads >= low[:-1]).all(axis=1) & (heads <= high[:-1]).all(axis=1)
-        open_rows = ~rejected & ~(finite & inside & (last >= low[-1]) & (last <= high[-1]))
-    open_rows = np.flatnonzero(open_rows)
-    if len(open_rows):
-        statistic = np.concatenate([_ks_statistic(x[r : r + 1], cdf) for r in open_rows.tolist()])
-        rejected[open_rows] = _shape_p_value(statistic, n) < level
+        inside &= finite & (last >= low[-1]) & (last <= high[-1])
+        rejected[todo[outside]] = True
+        todo = todo[~outside & ~inside]
+    if len(todo):
+        if _sub_block_width(n) < _KS_MIN_WIDTH:
+            statistic = _ks_statistic(x[todo], cdf)
+        else:
+            statistic = np.concatenate([_ks_statistic(x[r : r + 1], cdf) for r in todo.tolist()])
+        rejected[todo] = _shape_p_value(statistic, n) < level
 
 
 # The decision of each verdict code, low_rejected + 2 * high_rejected, as
@@ -524,7 +706,7 @@ class BlockAttack:
             for k, (r, spec) in enumerate(zip((pair.r_low, pair.r_high), self.specs))
         )
         self._table = ((low, high), (high, low))
-        self._bands_by_length: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._bands_by_length: dict[int, tuple[_Bands, _Bands]] = {}
         # The variance each party claims, and kappa - 1 of its law: the
         # variance of a squared draw over the variance squared. A kappa of
         # None (no variance) becomes NaN. Each is shaped [hypothesis, party, 1].
@@ -554,23 +736,28 @@ class BlockAttack:
         error = self._variance * np.sqrt(self._square_spread / n)
         return (mean_squares - self._variance) / error
 
-    def _bands(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Each spec's shape bands (:func:`_shape_bands`) for rows of ``n`` values.
+    def _bands(self, n: int) -> tuple[_Bands | None, _Bands | None]:
+        """Each spec's shape bands for rows of ``n`` values.
 
-        They are built at the first call for ``n`` and kept; below a level
-        of ``_P_FLOOR`` there are none.
+        Each is :func:`_shape_bands`, with their count grid
+        (:func:`_count_bands`) where rows of ``n`` values are long enough
+        for :func:`_ks_statistic` to prune and the spec's law
+        :func:`_counts_can_decide`. They are built at the first call for
+        ``n`` and kept; below a level of ``_P_FLOOR`` there are none.
         """
         if self.level < _P_FLOOR:
             return None, None
         bands = self._bands_by_length.get(n)
         if bands is None:
             d = _level_statistic(n, self.level)
-            built = tuple(
-                _shape_bands(cdf, _shape_quantile(spec, cdf), n, d)
-                for _, spec, cdf, _ in self._table[0]
-            )
+            long_rows = _sub_block_width(n) >= _KS_MIN_WIDTH
+            built = []
+            for _, spec, cdf, _ in self._table[0]:
+                probes = _shape_bands(cdf, _shape_quantile(spec, cdf), n, d)
+                counted = long_rows and _counts_can_decide(spec.kind)
+                built.append(_Bands(probes, _count_bands(probes, n) if counted else None))
             # Threads that race here built equal bands; all keep the first stored.
-            bands = self._bands_by_length.setdefault(n, built)
+            bands = self._bands_by_length.setdefault(n, tuple(built))
         return bands
 
     def tests(
@@ -597,7 +784,8 @@ class BlockAttack:
         statistic = np.empty(z.shape)
         for h, cells in enumerate(self._table):
             for party, (r, _, cdf, _) in enumerate(cells):
-                x = _sorted_reconstruction(voltage, current, r, party == 0, scratch)
+                x = _shape_reconstruction(voltage, current, r, party == 0, scratch)
+                x.sort(axis=1)
                 statistic[h, party] = _ks_statistic(x, cdf)
         variance_p, shape_p = _z_p_value(z), _shape_p_value(statistic, voltage.shape[1])
         rejected = ((variance_p < self.level) | (shape_p < self.level)).any(axis=1)
@@ -626,22 +814,25 @@ class BlockAttack:
         states, so each hypothesis is wrong for only some of its rows and
         the block rarely skips.
 
-        A shape cell that runs sorts its reconstruction and decides each
-        row in sample space: it compares the row's values at the sub-block
-        heads, one in every ``isqrt(n) // 4`` columns, and its last value
-        with the spec's bands for rows of that length (:meth:`_bands`),
-        built at the first such cell from the CDF's inverse and the KS
-        distance ``d*`` at which the p-value crosses the level. A row
-        inside its accept bands has D below ``d* - _KS_DELTA``, and one
-        outside its reject bands has D above ``d* + _KS_DELTA``. Neither
-        costs a CDF value or a p-value: D itself, and one p-value call, is
-        taken only for the rows left open (:func:`_shape_rejections` says
-        why each decision is the one D's own p-value makes). A rejection is
-        the OR of its sub-tests' rejections, so every code equals ``low + 2
-        * high`` of ``tests(...).rejected``. At compliance the bands leave
-        few rows open: a 1000-sample row has D ~0.027 against a rejection
-        above ~0.058 at the default level, so a 2000-bit session computes D
-        for 25 of its 3996 shape-cell rows.
+        A shape cell that runs decides each row in sample space: it
+        compares the row's values at the sub-block heads, one in every
+        ``isqrt(n) // 4`` columns, and its last value with the spec's bands
+        for rows of that length (:meth:`_bands`), built at the first such
+        cell from the CDF's inverse and the KS distance ``d*`` at which the
+        p-value crosses the level. A row inside its accept bands has D
+        below ``d* - _KS_DELTA``, and one outside its reject bands has D
+        above ``d* + _KS_DELTA``. Neither costs a CDF value or a p-value:
+        D itself, and one p-value call, is taken only for the rows left
+        open (:func:`_shape_rejections` says why each decision is the one
+        D's own p-value makes). A rejection is the OR of its sub-tests'
+        rejections, so every code equals ``low + 2 * high`` of
+        ``tests(...).rejected``. A row is sorted to find those values,
+        unless it holds 65 536 values or more of a uniform or Gaussian
+        spec: then its values are counted on a grid first, and it is
+        sorted only if the counts leave it open. At compliance the bands
+        leave few rows open: a 1000-sample row has D ~0.027 against a
+        rejection above ~0.058 at the default level, so a 2000-bit session
+        computes D for 25 of its 3996 shape-cell rows.
         """
         scratch = _block_scratch(voltage, out)
         rejected = (_z_p_value(self._z(voltage, current, scratch)) < self.level).any(axis=1)
@@ -649,7 +840,7 @@ class BlockAttack:
             for party, (r, _, cdf, k) in enumerate(cells):
                 if rejected[h].all():
                     break
-                x = _sorted_reconstruction(voltage, current, r, party == 0, scratch)
+                x = _shape_reconstruction(voltage, current, r, party == 0, scratch)
                 _shape_rejections(x, cdf, self._bands(x.shape[1])[k], self.level, rejected[h])
         low_rejected, high_rejected = rejected
         return low_rejected + 2 * high_rejected

@@ -305,8 +305,12 @@ class SourceLaw:
     the shape test tabulates ``cdf`` once and interpolates it.
     ``quantile(t, scale)`` is the inverse of ``cdf`` at levels ``t`` in
     ``[0, 1]``, where the shape test's sample-space thresholds start
-    (:func:`kljn.eve._band`); it is None for a law with ``cdf_nodes``,
-    whose table the test reads backwards instead.
+    (:func:`kljn.eve._threshold`, :func:`kljn.eve._shape_bands`); it is
+    None for a law with ``cdf_nodes``, whose table the test reads
+    backwards instead. A law whose ``cdf_nodes`` are set, or whose
+    quantiles at 0 and 1 are finite, has a CDF flat outside a finite
+    range, and the attack counts its long rows on a grid instead of
+    sorting them (:func:`kljn.eve._counts_can_decide`).
     """
 
     draw: Callable[[np.random.Generator, float, np.ndarray], None]

@@ -799,10 +799,10 @@ def count_forks(monkeypatch) -> list[int]:
 def in_worker(kernel):
     """``kernel`` in a forked worker of this process; the original function elsewhere.
 
-    It patches ``kljn.eve._sorted_reconstruction``, which every shape cell
-    of every verdict calls, whether its bounds decide the cell or not.
+    It patches ``kljn.eve._shape_reconstruction``, which every shape cell
+    of every verdict calls, whether counts, bands or D decide the cell.
     """
-    original, parent = kljn.eve._sorted_reconstruction, os.getpid()
+    original, parent = kljn.eve._shape_reconstruction, os.getpid()
 
     def patched(*args):
         if os.getpid() != parent:
@@ -943,7 +943,7 @@ class TestWorkers:
         def fail():
             raise FloatingPointError("kernel failed in a worker")
 
-        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", in_worker(fail))
+        monkeypatch.setattr(kljn.eve, "_shape_reconstruction", in_worker(fail))
         with pytest.raises(FloatingPointError) as raised:
             attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
         assert str(raised.value) == "kernel failed in a worker"
@@ -957,7 +957,7 @@ class TestWorkers:
         def fail():
             raise FloatingPointError("overflow encountered in multiply")
 
-        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", in_worker(fail))
+        monkeypatch.setattr(kljn.eve, "_shape_reconstruction", in_worker(fail))
         out = tmp_path / "out"
         argv = ["attack", "--kind", "uniform", "--samples", str(WORKER_SAMPLES), "--csv"]
         assert main(argv + ["--trials", str(WORKER_BITS), "--out", str(out)]) == 3
@@ -976,7 +976,7 @@ class TestWorkers:
         def fail():
             raise Local("not importable")
 
-        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", in_worker(fail))
+        monkeypatch.setattr(kljn.eve, "_shape_reconstruction", in_worker(fail))
         refused = r"a worker raised .*Local\('not importable'\)"
         with pytest.raises(kljn.engine.WorkerError, match=refused):
             attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
@@ -985,7 +985,7 @@ class TestWorkers:
     def test_a_killed_worker_is_an_error(self, monkeypatch, tmp_path, capsys):
         use_cores(monkeypatch, 2)
         kill = in_worker(lambda: os.kill(os.getpid(), signal.SIGKILL))
-        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", kill)
+        monkeypatch.setattr(kljn.eve, "_shape_reconstruction", kill)
         killed = r"ended without a result \(killed by signal 9\)"
         with pytest.raises(kljn.engine.WorkerError, match=killed):
             attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
@@ -1007,7 +1007,7 @@ class TestWorkers:
                 time.sleep(60)  # a worker still busy when the run is interrupted
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", interrupted)
+        monkeypatch.setattr(kljn.eve, "_shape_reconstruction", interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             attack_trials(PAIR, UNIFORM_LOW, UNIFORM_HIGH, WORKER_SAMPLES, WORKER_BITS, seed=2)
@@ -1031,7 +1031,7 @@ class TestWorkers:
         monkeypatch.setattr(kljn.line, "BLOCK_SAMPLES", WORKER_SAMPLES)
         use_cores(monkeypatch, 2)
         read, write = os.pipe()
-        original, runner = kljn.eve._sorted_reconstruction, []
+        original, runner = kljn.eve._shape_reconstruction, []
 
         def slow(*args):
             if os.getpid() != runner[0]:  # the worker writes a byte a call
@@ -1039,7 +1039,7 @@ class TestWorkers:
                 time.sleep(0.0625)
             return original(*args)
 
-        monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", slow)
+        monkeypatch.setattr(kljn.eve, "_shape_reconstruction", slow)
         run = os.fork()
         if run == 0:  # the run, which forks the worker; the pipe ends when both have
             try:
@@ -1257,14 +1257,14 @@ def assert_codes_are_the_evidence(eve, voltage, current):
 
 
 def count_shape_cells(monkeypatch) -> list[int]:
-    """A list that gains an entry at each shape cell run (each ``_sorted_reconstruction`` call)."""
-    calls, original = [], kljn.eve._sorted_reconstruction
+    """A list that gains an entry at each shape cell run (each ``_shape_reconstruction`` call)."""
+    calls, original = [], kljn.eve._shape_reconstruction
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(kljn.eve, "_sorted_reconstruction", counted)
+    monkeypatch.setattr(kljn.eve, "_shape_reconstruction", counted)
     return calls
 
 
@@ -1409,6 +1409,12 @@ BOUNDARY_OFFSETS = (-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6)
 
 
 def boundary_rows(spec, n, level):
+    """The rows of :func:`iter_boundary_rows` as one block, and each one's intended offset."""
+    rows, offsets = zip(*iter_boundary_rows(spec, n, level))
+    return np.array(rows), np.array(offsets)
+
+
+def iter_boundary_rows(spec, n, level):
     """Sorted rows of ``n`` values whose KS distance from ``spec`` straddles the level's D.
 
     Each row is ``spec``'s quantiles at the levels ``(i + 1/2) / n`` with
@@ -1425,12 +1431,10 @@ def boundary_rows(spec, n, level):
       ending there has D itself as its bound.
 
     Two more rows lie far on either side: the quantiles alone, and a
-    spike at twice the level's D. Returns the rows and each one's intended
-    offset (``-inf`` and ``inf`` for the far rows).
+    spike at twice the level's D. Yields each row, one at a time, with its
+    intended offset (``-inf`` and ``inf`` for the far rows).
     """
-    cdf = _shape_cdf(spec)
-    grid = law_grid(spec.kind) * spec.scale
-    quantiles = np.interp((np.arange(n) + 0.5) / n, cdf(grid[None, :])[0], grid)
+    cdf, quantiles = _shape_cdf(spec), quantile_row(spec, n)
     d, width = boundary_statistic(n, level), kljn.eve._sub_block_width(n)
     head, end = (width * int((0.5 + side * d) * n / width) for side in (-1, 0.5))
 
@@ -1444,11 +1448,12 @@ def boundary_rows(spec, n, level):
         x[:end] = np.minimum(x[:end], inverse_cdf(cdf, end / n - target))
         return x
 
-    rows, offsets = [quantiles, spike(head, 2.0 * d)], [-math.inf, math.inf]
+    yield quantiles, -math.inf
+    yield spike(head, 2.0 * d), math.inf
     for offset in BOUNDARY_OFFSETS:
-        rows += [spike(head, d + offset), spike(head + width // 2, d + offset), dip(d + offset)]
-        offsets += [offset] * 3
-    return np.array(rows), np.array(offsets)
+        yield spike(head, d + offset), offset
+        yield spike(head + width // 2, d + offset), offset
+        yield dip(d + offset), offset
 
 
 class TestVerdictBounds:
@@ -1501,7 +1506,7 @@ class TestVerdictBounds:
         eve = block_attack(spec_low, spec_high)
         eve.verdicts(voltage, current)  # builds the bands of 1000-value rows
         calls = []
-        marks = {"_sorted_reconstruction": "c", "_kolmogorov_sf": "p", "_ks_statistic": "d"}
+        marks = {"_shape_reconstruction": "c", "_kolmogorov_sf": "p", "_ks_statistic": "d"}
         for name, mark in marks.items():
             original = getattr(kljn.eve, name)
             counted = partial(lambda f, m, *args: calls.append(m) or f(*args), original, mark)
@@ -1557,6 +1562,28 @@ def band_levels(n, d):
     ]
 
 
+def quantile_row(spec, n):
+    """The quantiles of ``spec`` at the levels ``(i + 1/2) / n``, interpolated on its law's grid."""
+    grid = law_grid(spec.kind) * spec.scale
+    return np.interp((np.arange(n) + 0.5) / n, _shape_cdf(spec)(grid[None, :])[0], grid)
+
+
+def non_finite_rows(spec, n):
+    """Eight sorted rows of ``n`` values, six of them holding an infinity or NaN.
+
+    A row of mid-quantiles of ``spec``, which its bands accept, and the same
+    row moved two scales up, which they reject; each followed by itself
+    with a -inf, an inf or a NaN in place of one value.
+    """
+    quantiles = quantile_row(spec, n)
+    rows = []
+    for x in (quantiles, quantiles + 2.0 * spec.scale):
+        rows.append(x)
+        for k, value in ((0, -np.inf), (n // 2, np.inf), (n // 3, np.nan)):
+            rows.append(np.sort(np.concatenate([np.delete(x, k), [value]])))
+    return np.array(rows)
+
+
 class TestShapeBands:
     """The sample-space bands ``verdicts`` compares a shape cell's sorted rows with."""
 
@@ -1568,7 +1595,7 @@ class TestShapeBands:
         eve = block_attack(spec_low, spec_high, significance)
         d = boundary_statistic(n, eve.level)
         assert kljn.eve._level_statistic(n, eve.level) == d
-        for spec, bands in zip(eve.specs, eve._bands(n)):
+        for spec, (bands, _) in zip(eve.specs, eve._bands(n)):
             cdf = _shape_cdf(spec)
             bottom, top = cdf(np.array([-np.inf, np.inf]))
             assert bands.shape == (4, len(band_levels(n, d)[0][0]))
@@ -1592,28 +1619,158 @@ class TestShapeBands:
     def test_a_row_holding_an_infinity_or_nan_is_never_decided_by_the_bands(
         self, monkeypatch, kind, n
     ):
-        # A row of mid-quantiles, which the bands accept, and the same row
-        # moved two scales up, which they reject; then each with a -inf, an
-        # inf or a NaN in place of one value.
         spec = NoiseSpec(kind, 1.3)
         eve = block_attack(spec, spec)
         cdf = _shape_cdf(spec)
-        grid = law_grid(kind) * spec.scale
-        quantiles = np.interp((np.arange(n) + 0.5) / n, cdf(grid[None, :])[0], grid)
-        rows = []
-        for x in (quantiles, quantiles + 2.0 * spec.scale):
-            rows.append(x)
-            for k, value in ((0, -np.inf), (n // 2, np.inf), (n // 3, np.nan)):
-                rows.append(np.sort(np.concatenate([np.delete(x, k), [value]])))
-        x = np.array(rows)
+        x = non_finite_rows(spec, n)
         exact_rows = count_exact_rows(monkeypatch)
         rejected = np.zeros(len(x), dtype=bool)
         kljn.eve._shape_rejections(x.copy(), cdf, eve._bands(n)[0], eve.level, rejected)
-        # One D for each of the six rows that are not finite, none for the rest.
+        # One D for each of the six rows that are not finite, in one call, none for the rest.
+        assert exact_rows == [6]
+        assert rejected.tolist() == [False] * 4 + [True] * 3 + [False]
+        p = kljn.eve._shape_p_value(_ks_statistic(x.copy(), cdf), n)
+        assert (rejected == (p < eve.level)).all()
+
+
+def count_verdicts(monkeypatch) -> list:
+    """A list that gains what each ``kljn.eve._count_verdict`` call decides: True, False or None."""
+    verdicts, original = [], kljn.eve._count_verdict
+
+    def counted(row, counts):
+        verdicts.append(original(row, counts))
+        return verdicts[-1]
+
+    monkeypatch.setattr(kljn.eve, "_count_verdict", counted)
+    return verdicts
+
+
+def probe_verdict(x, probes):
+    """What the bands ``probes`` decide of the sorted row ``x``: True rejects, False accepts, None."""
+    n = len(x)
+    low, high, below, above = probes
+    values = x[np.minimum(np.arange(probes.shape[1]) * kljn.eve._sub_block_width(n), n - 1)]
+    if (values < below).any() or (values > above).any():
+        return True
+    if (values >= low).all() and (values <= high).all():
+        return False
+    return None
+
+
+COUNTED_KINDS = [DistributionKind.UNIFORM, DistributionKind.GAUSSIAN]
+
+
+class TestCountBands:
+    """``verdicts`` decides long uniform and Gaussian rows from their counts on a grid, unsorted."""
+
+    def test_only_long_rows_of_a_law_flat_outside_a_finite_range_get_a_grid(self):
+        for kind in DistributionKind:
+            spec = NoiseSpec(kind, 1.3)
+            eve = block_attack(spec, spec)
+            assert eve._bands(FIRST_PRUNED - 1)[0].counts is None
+            assert (eve._bands(FIRST_PRUNED)[0].counts is None) == (kind == DistributionKind.CAUCHY)
+
+    @pytest.mark.parametrize("n", [FIRST_PRUNED, LONG_ROW])
+    @pytest.mark.parametrize("kind", COUNTED_KINDS)
+    def test_long_rows_at_the_level_get_the_codes_of_their_evidence(self, monkeypatch, kind, n):
+        # The rows of TestVerdictBounds, one block each: D at 1e-12, 1e-9
+        # and 1e-6 either side of the level's D, and two far rows.
+        spec = NoiseSpec(kind, 1.3)
+        eve = block_attack(spec, spec)
+        d = boundary_statistic(n, eve.level)
+        decided = count_verdicts(monkeypatch)
+        for x, offset in iter_boundary_rows(spec, n, eve.level):
+            voltage, current = x[None, :], np.zeros((1, n))
+            evidence = eve.tests(voltage, current)
+            if math.isfinite(offset):
+                assert abs(evidence.statistic[0, 0, 0] - d - offset) <= 1e-15
+            decided.clear()
+            codes = eve.verdicts(voltage, current, out=np.full(voltage.shape, np.nan))
+            assert np.array_equal(codes, codes_of(evidence))
+            # The counts decide the two far rows: the quantiles in all four
+            # cells, and the spike at twice the level's D in the first cell
+            # of each hypothesis, which it rejects.
+            if offset == -math.inf:
+                assert decided == [False] * 4
+            elif offset == math.inf:
+                assert decided == [True] * 2
+
+    @pytest.mark.parametrize("kind", COUNTED_KINDS)
+    def test_values_on_a_grid_edge_are_decided_as_the_sorted_row_is(self, kind):
+        # Mid-row quantiles with the probe value at one column moved to each
+        # band's threshold: down for low and below (with every value before
+        # it), up for high and above (with every value after it). It goes to
+        # the grid edges from three bins below the threshold's bin to three
+        # above, on them and one ulp either side, where the bin of a value
+        # and so the counts change; the counts decide a band only about
+        # two bins out.
+        spec, n = NoiseSpec(kind, 1.3), FIRST_PRUNED
+        eve = block_attack(spec, spec)
+        bands = eve._bands(n)[0]
+        grid, quantiles = bands.counts, quantile_row(spec, n)
+        j = n // 2 // kljn.eve._sub_block_width(n)
+        p = j * kljn.eve._sub_block_width(n)
+        for threshold, up in zip(bands.probes[:, j], (False, True, False, True)):
+            assert math.isfinite(threshold)
+            b = int((threshold - grid.low) * grid.scale)
+            rows = []
+            for k in range(b - 3, b + 4):
+                edge = grid.low + k / grid.scale
+                for value in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                    x = quantiles.copy()
+                    if up:
+                        x[p:] = np.maximum(x[p:], value)
+                    else:
+                        x[: p + 1] = np.minimum(x[: p + 1], value)
+                    rows.append(x)
+            voltage = np.array(rows)
+            counted = [kljn.eve._count_verdict(x, grid) for x in voltage]
+            for x, verdict in zip(voltage, counted):
+                assert verdict is None or verdict == probe_verdict(x, bands.probes)
+            # The counts decide some of the rows, and leave some open.
+            assert None in counted and {True, False} & set(counted)
+            assert_codes_are_the_evidence(eve, voltage, np.zeros_like(voltage))
+
+    @pytest.mark.parametrize("kind", COUNTED_KINDS)
+    def test_a_long_row_holding_an_infinity_or_nan_is_never_decided_by_counts(
+        self, monkeypatch, kind
+    ):
+        spec, n = NoiseSpec(kind, 1.3), FIRST_PRUNED
+        eve = block_attack(spec, spec)
+        cdf = _shape_cdf(spec)
+        x = non_finite_rows(spec, n)
+        decided = count_verdicts(monkeypatch)
+        exact_rows = count_exact_rows(monkeypatch)
+        rejected = np.zeros(len(x), dtype=bool)
+        kljn.eve._shape_rejections(x[::-1].copy(), cdf, eve._bands(n)[0], eve.level, rejected)
+        rejected = rejected[::-1]
+        # The finite rows are decided by counts; each of the six others gets D.
+        assert decided[::-1] == [False, None, None, None, True, None, None, None]
         assert exact_rows == [1] * 6
         assert rejected.tolist() == [False] * 4 + [True] * 3 + [False]
         p = kljn.eve._shape_p_value(_ks_statistic(x.copy(), cdf), n)
         assert (rejected == (p < eve.level)).all()
+
+    def test_a_long_uniform_trial_counts_its_shape_cells_without_sorting(self, monkeypatch):
+        # Each shape cell's reconstruction is handed on read-only, so a sort
+        # in place would raise. Alice is high: both cells of the true
+        # hypothesis and the first of the wrong one are decided by counts.
+        voltage, current = switch_block(UNIFORM_LOW, UNIFORM_HIGH, [True], LONG_ROW)
+        eve = block_attack(UNIFORM_LOW, UNIFORM_HIGH)
+        expected = codes_of(eve.tests(voltage, current))
+        calls, original = [], kljn.eve._shape_reconstruction
+
+        def read_only(*args):
+            x = original(*args).view()
+            x.flags.writeable = False
+            calls.append(1)
+            return x
+
+        monkeypatch.setattr(kljn.eve, "_shape_reconstruction", read_only)
+        decided = count_verdicts(monkeypatch)
+        codes = eve.verdicts(voltage, current)
+        assert VERDICTS[codes[0]] == "alice_high" and np.array_equal(codes, expected)
+        assert len(calls) == 3 and decided == [True, False, False]
 
 
 class TestAttackTrials:
